@@ -42,8 +42,6 @@
 //!   runtime. With a perfect network and round-based ticking it is
 //!   **bit-equivalent** to the centralized [`lla_core::Optimizer`] (tested);
 //!   with delay/jitter/loss it exercises LLA's tolerance to stale prices.
-//! * [`threaded`] — [`ThreadedLla`]: the same agents on real OS threads
-//!   with channel messaging, in barriered-round or free-running mode.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +56,6 @@ pub mod runtime;
 pub mod supervisor;
 pub mod system;
 pub mod telemetry;
-pub mod threaded;
 
 pub use agents::{
     CheckpointStore, ControlPlaneAgent, ControllerCheckpoint, MembershipCause, RobustnessConfig,
@@ -75,4 +72,3 @@ pub use supervisor::{
 };
 pub use system::{DistConfig, DistributedLla};
 pub use telemetry::DistTelemetry;
-pub use threaded::{ShutdownError, ThreadedLla};

@@ -16,7 +16,7 @@
 //!   simulator, streaming latency statistics, and the online
 //!   model-error-correction closed loop.
 //! * [`dist`] (`lla-dist`) — distributed deployments of the algorithm:
-//!   actor-based virtual-time emulation and a threaded runtime.
+//!   actor-based emulation on a deterministic virtual-time runtime.
 //! * [`workloads`] (`lla-workloads`) — the paper's evaluation workloads
 //!   and a random schedulable-workload generator.
 //! * [`baselines`] (`lla-baselines`) — the classical deadline-slicing

@@ -4,7 +4,7 @@
 //! catastrophically) under loss, jitter, and delay.
 
 use lla::core::{AllocationSettings, Optimizer, OptimizerConfig, StepSizePolicy};
-use lla::dist::{DistConfig, DistributedLla, NetworkModel, ThreadedLla};
+use lla::dist::{DistConfig, DistributedLla, NetworkModel};
 use lla::workloads::{base_workload, RandomWorkloadConfig};
 
 fn settings() -> AllocationSettings {
@@ -42,21 +42,6 @@ fn virtual_runtime_matches_centralized_on_base_workload() {
             "divergence at round {round}: distributed {d} vs centralized {c}"
         );
     }
-}
-
-#[test]
-fn threaded_runtime_matches_centralized_on_base_workload() {
-    let rounds = 400;
-    let mut dist = ThreadedLla::new(base_workload(), StepSizePolicy::adaptive(1.0), settings());
-    dist.run_rounds(rounds);
-    let threaded = dist.utility();
-    dist.shutdown().expect("no agent panicked");
-    let reference = centralized_reference(rounds);
-    assert!(
-        (threaded - reference[rounds - 1]).abs() < 1e-9,
-        "threaded {threaded} vs centralized {}",
-        reference[rounds - 1]
-    );
 }
 
 #[test]
@@ -150,32 +135,4 @@ fn cross_round_delay_still_converges() {
         dist.problem().is_feasible(dist.allocation().lats(), 2e-2),
         "stale-price operation must still reach (near) feasibility"
     );
-}
-
-#[test]
-fn threaded_free_run_is_safe() {
-    // Free-running agents on OS threads: the outcome depends on scheduling,
-    // so assert robust invariants — the agents actually ran (allocation
-    // moved off the initial one) and the utility is sane and bounded.
-    let mut dist =
-        ThreadedLla::new(base_workload(), StepSizePolicy::sign_adaptive(1.0), settings());
-    let initial_alloc = dist.allocation();
-    dist.run_free(std::time::Duration::from_micros(200), std::time::Duration::from_millis(700));
-    let after_alloc = dist.allocation();
-    let after = dist.utility();
-    dist.shutdown().expect("no agent panicked");
-    assert_ne!(
-        initial_alloc.lats(),
-        after_alloc.lats(),
-        "free-running agents must have produced new allocations"
-    );
-    assert!(after.is_finite());
-    // All latencies remain within their tasks' critical times (the
-    // allocator clamps regardless of message staleness).
-    let problem = base_workload();
-    for task in problem.tasks() {
-        for &lat in &after_alloc.lats()[task.id().index()] {
-            assert!(lat > 0.0 && lat <= task.critical_time() + 1e-9);
-        }
-    }
 }
