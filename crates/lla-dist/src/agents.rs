@@ -10,19 +10,36 @@ use crate::protocol::{Address, Message};
 use crate::runtime::{Actor, Outbox};
 use crate::telemetry::DistTelemetry;
 use lla_core::{
-    AllocationSettings, MembershipReport, OptimizerState, PriceState, Problem, StateImportError,
-    StepSizePolicy, TaskPlan,
+    AllocationSettings, MembershipReport, ModelError, OptimizerState, PriceState, Problem,
+    StateImportError, StepSizePolicy, TaskPlan,
 };
 use lla_telemetry::Event as TelemetryEvent;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-// Agents own a private copy of the `Problem` rather than sharing an
-// `Arc`: availability updates arrive as messages and each agent applies
-// them to its local view, exactly as a deployed agent would. The problem
-// is *configuration* (reloaded from the local config store on restart),
-// so a crash does not wipe it — only algorithm state is volatile.
+// Every agent of a deployment starts from one shared, copy-on-write
+// `Arc<Problem>`. Availability updates arrive as messages and each agent
+// applies them to its local view, exactly as a deployed agent would: the
+// write goes through `Arc::make_mut`, so an agent takes a private copy
+// only when its view first diverges from the shared one. The problem is
+// *configuration* (reloaded from the local config store on restart), so
+// a crash does not wipe it — only algorithm state is volatile.
+
+/// Sets `B_r` of dense resource `r` in a copy-on-write problem view. The
+/// value is validated on a scratch copy of that one resource first, so a
+/// rejected update leaves the view shared instead of copying it for
+/// nothing.
+fn set_availability_cow(
+    problem: &mut Arc<Problem>,
+    r: usize,
+    availability: f64,
+) -> Result<(), ModelError> {
+    let resource = &problem.resources()[r];
+    resource.clone().set_availability(availability)?;
+    let id = resource.id();
+    Arc::make_mut(problem).set_resource_availability(id, availability)
+}
 
 /// Shared telemetry sink the controllers write their latest allocations
 /// into; the [`DistributedLla`](crate::DistributedLla) facade reads it.
@@ -157,7 +174,9 @@ pub enum MembershipCause {
 }
 
 /// One version of the deployment's topology: the problem at a given
-/// membership epoch plus the slot assignment of its dense indices.
+/// membership epoch plus the slot assignment of its dense indices. The
+/// problem is shared with the facade and every agent that adopted the
+/// epoch; nobody writes through it (writers copy on write).
 ///
 /// Protocol-level indices are *slots* — stable, never-reused identifiers
 /// (see the [`protocol`](crate::protocol) docs) — while the
@@ -169,7 +188,7 @@ pub struct TopologyEpoch {
     /// What created this epoch.
     pub cause: MembershipCause,
     /// The problem as of this epoch (dense ids).
-    pub problem: Problem,
+    pub problem: Arc<Problem>,
     /// `task_slots[dense task index] = slot`.
     pub task_slots: Vec<usize>,
     /// `resource_slots[dense resource index] = slot`.
@@ -182,10 +201,11 @@ pub struct TopologyEpoch {
 /// plane, so by the time any agent hears about epoch `e` the store can
 /// serve it. Agents that miss intermediate epochs (loss, crashes) jump
 /// straight to the newest one they hear about — every epoch is a complete
-/// snapshot, not a delta.
+/// snapshot, not a delta. Epochs are stored behind `Arc`s, so reading one
+/// hands out a shared snapshot instead of copying it.
 #[derive(Debug, Clone, Default)]
 pub struct TopologyStore {
-    inner: Arc<Mutex<Vec<TopologyEpoch>>>,
+    inner: Arc<Mutex<Vec<Arc<TopologyEpoch>>>>,
 }
 
 impl TopologyStore {
@@ -204,16 +224,16 @@ impl TopologyStore {
         if let Some(last) = log.last() {
             assert!(epoch.epoch > last.epoch, "epochs must be monotone");
         }
-        log.push(epoch);
+        log.push(Arc::new(epoch));
     }
 
     /// The epoch numbered `epoch`, if recorded.
-    pub fn at(&self, epoch: u64) -> Option<TopologyEpoch> {
+    pub fn at(&self, epoch: u64) -> Option<Arc<TopologyEpoch>> {
         self.inner.lock().iter().find(|e| e.epoch == epoch).cloned()
     }
 
     /// The newest recorded epoch.
-    pub fn latest(&self) -> Option<TopologyEpoch> {
+    pub fn latest(&self) -> Option<Arc<TopologyEpoch>> {
         self.inner.lock().last().cloned()
     }
 
@@ -273,7 +293,9 @@ pub struct ResourceAgent {
     /// Protocol slot of this resource (== `r` until churn reorders dense
     /// indices).
     slot: usize,
-    problem: Problem,
+    /// This agent's view of the deployment's shared problem (copy on
+    /// write).
+    problem: Arc<Problem>,
     policy: StepSizePolicy,
     prices: PriceState,
     /// Last received latency per hosted subtask, aligned with `hosted`.
@@ -313,8 +335,10 @@ impl ResourceAgent {
     /// Creates the agent for resource `r`, seeding stored latencies from
     /// the problem's initial allocation. Slot and dense index coincide at
     /// creation; [`with_membership`](Self::with_membership) overrides the
-    /// slot for agents joining a churned deployment.
-    pub fn new(r: usize, problem: Problem, policy: StepSizePolicy) -> Self {
+    /// slot for agents joining a churned deployment. Pass an
+    /// `Arc<Problem>` to share one problem between agents.
+    pub fn new(r: usize, problem: impl Into<Arc<Problem>>, policy: StepSizePolicy) -> Self {
+        let problem = problem.into();
         let prices = PriceState::new(&problem, policy);
         let task_slots: Vec<usize> = (0..problem.tasks().len()).collect();
         let mut agent = ResourceAgent {
@@ -376,10 +400,16 @@ impl ResourceAgent {
         self.slot = slot;
         self.epoch = epoch;
         if let Some(te) = store.at(epoch) {
-            self.task_slots = te.task_slots.clone();
+            if te.task_slots != self.task_slots {
+                // Churn reordered the slots: re-key the hosted set. It
+                // holds only initial latencies yet, so nothing warm is lost.
+                self.task_slots = te.task_slots.clone();
+                self.hosted.clear();
+                self.latencies.clear();
+                self.resync_from_problem();
+            }
         }
         self.topology = Some(store);
-        self.resync_from_problem();
         self
     }
 
@@ -397,6 +427,12 @@ impl ResourceAgent {
     /// control traffic.
     pub fn is_dormant(&self) -> bool {
         self.dormant
+    }
+
+    /// This agent's copy-on-write problem view.
+    #[cfg(test)]
+    pub(crate) fn problem(&self) -> &Arc<Problem> {
+        &self.problem
     }
 
     /// The current price `μ_r`.
@@ -429,12 +465,11 @@ impl ResourceAgent {
 
     /// Rebuilds `hosted`/`latencies`/`subscribers` from the current
     /// problem view, preserving warm latencies for subtasks that survive
-    /// (keyed by task slot + subtask index) and seeding newcomers from the
-    /// initial allocation.
+    /// (keyed by task slot + subtask index) and seeding newcomers from
+    /// their task's initial-allocation row.
     fn resync_from_problem(&mut self) {
         let warm: HashMap<(usize, usize), f64> =
             self.hosted.iter().copied().zip(self.latencies.iter().copied()).collect();
-        let init = self.problem.initial_allocation();
         let rid = self.problem.resources()[self.r].id();
         let mut hosted = Vec::new();
         let mut latencies = Vec::new();
@@ -442,8 +477,8 @@ impl ResourceAgent {
         for sid in self.problem.subtasks_on(rid) {
             let key = (self.task_slots[sid.task().index()], sid.index());
             hosted.push(key);
-            latencies
-                .push(warm.get(&key).copied().unwrap_or(init[sid.task().index()][sid.index()]));
+            let initial = || self.problem.initial_task_allocation(sid.task())[sid.index()];
+            latencies.push(warm.get(&key).copied().unwrap_or_else(initial));
             subscribers.push(key.0);
         }
         subscribers.sort_unstable();
@@ -483,7 +518,7 @@ impl ResourceAgent {
         };
         self.tel.warm_start_hits.inc();
         self.prices = self.prices.remap(&te.problem, &full_report);
-        self.problem = te.problem.clone();
+        self.problem = Arc::clone(&te.problem);
         self.r = new_r;
         self.task_slots = te.task_slots.clone();
         self.resync_from_problem();
@@ -521,8 +556,7 @@ impl ResourceAgent {
     /// rejects (non-finite or outside `[0, 1]`) — a corrupted or hostile
     /// update must not poison `B_r` and with it every price gradient.
     fn apply_availability(&mut self, now: f64, availability: f64) {
-        let id = self.problem.resources()[self.r].id();
-        if self.problem.set_resource_availability(id, availability).is_err() {
+        if set_availability_cow(&mut self.problem, self.r, availability).is_err() {
             self.tel.values_rejected.inc();
             self.ftel.inc(M_VALUE_REJECTIONS);
             self.tel.events.emit(
@@ -740,7 +774,9 @@ pub struct TaskController {
     /// Protocol slot of this task (== `t` until churn reorders dense
     /// indices).
     slot: usize,
-    problem: Problem,
+    /// This controller's view of the deployment's shared problem (copy on
+    /// write).
+    problem: Arc<Problem>,
     policy: StepSizePolicy,
     prices: PriceState,
     congested: Vec<bool>,
@@ -780,9 +816,6 @@ pub struct TaskController {
     /// Output double-buffer the kernel writes into, then swapped with
     /// `lats` — no per-tick matrix allocation.
     next_lats: Vec<f64>,
-    /// Cached initial allocation in the centralized export shape; only
-    /// this controller's row is overwritten per checkpoint.
-    checkpoint_template: Vec<Vec<f64>>,
     tel: DistTelemetry,
     /// Per-agent fleet scope + shipping books (durable across crashes,
     /// like the checkpoint store — see [`AgentTelemetry`]).
@@ -792,16 +825,17 @@ pub struct TaskController {
 impl TaskController {
     /// Creates the controller for task `t`. Slot and dense index coincide
     /// at creation; [`with_membership`](Self::with_membership) overrides
-    /// the slot for controllers joining a churned deployment.
+    /// the slot for controllers joining a churned deployment. Pass an
+    /// `Arc<Problem>` to share one problem between agents.
     pub fn new(
         t: usize,
-        problem: Problem,
+        problem: impl Into<Arc<Problem>>,
         policy: StepSizePolicy,
         settings: AllocationSettings,
         telemetry: SharedLats,
     ) -> Self {
-        let checkpoint_template = problem.initial_allocation();
-        let lats = checkpoint_template[t].clone();
+        let problem = problem.into();
+        let lats = problem.initial_task_allocation(problem.tasks()[t].id());
         let congested = vec![false; problem.resources().len()];
         let last_heard = vec![0.0; problem.resources().len()];
         let mut used_resources: Vec<usize> =
@@ -842,7 +876,6 @@ impl TaskController {
             plan,
             lambda_scratch,
             next_lats,
-            checkpoint_template,
             tel: DistTelemetry::disabled(),
             ftel: AgentTelemetry::noop(),
         }
@@ -904,6 +937,12 @@ impl TaskController {
         self.dormant
     }
 
+    /// This controller's copy-on-write problem view.
+    #[cfg(test)]
+    pub(crate) fn problem(&self) -> &Arc<Problem> {
+        &self.problem
+    }
+
     /// Attaches the stable store this controller checkpoints into (and
     /// restores from after a crash).
     pub fn with_checkpoints(mut self, store: CheckpointStore) -> Self {
@@ -937,7 +976,7 @@ impl TaskController {
     /// optimizer's export format (rows of other tasks hold the initial
     /// allocation — this controller only owns its own row).
     pub fn export_state(&self) -> OptimizerState {
-        let mut lats = self.checkpoint_template.clone();
+        let mut lats = self.problem.initial_allocation();
         lats[self.t].copy_from_slice(&self.lats);
         OptimizerState::from_parts(self.prices.clone(), lats, self.ticks)
     }
@@ -999,30 +1038,20 @@ impl TaskController {
         Ok(())
     }
 
-    /// Re-lowers the compiled task plan and rebuilds the checkpoint
-    /// template wholesale. Epoch transitions replace the problem (and may
-    /// rebind this controller's dense task index), so everything derived
-    /// from it is rebuilt.
+    /// Re-lowers the compiled task plan. Epoch transitions replace the
+    /// problem (and may rebind this controller's dense task index), so
+    /// the plan is rebuilt.
     fn rebuild_plan(&mut self) {
         let id = self.problem.tasks()[self.t].id();
         self.plan = TaskPlan::lower(&self.problem, id, &self.settings);
         self.lambda_scratch.resize(self.plan.len(), 0.0);
         self.next_lats.resize(self.plan.len(), 0.0);
-        self.checkpoint_template = self.problem.initial_allocation();
     }
 
     /// Incremental follow-up to a single resource's availability change:
     /// `B_r` feeds the clamping boxes, so the compiled plan is re-lowered
-    /// only when this controller's task actually runs on `r`, and only the
-    /// checkpoint-template rows of tasks touching `r` are recomputed —
-    /// O(affected), not O(problem), per update.
+    /// only when this controller's task actually runs on `r`.
     fn on_availability_applied(&mut self, r: usize) {
-        for ti in 0..self.problem.tasks().len() {
-            let task = &self.problem.tasks()[ti];
-            if task.subtasks().iter().any(|s| s.resource().index() == r) {
-                self.checkpoint_template[ti] = self.problem.initial_task_allocation(task.id());
-            }
-        }
         if self.used_resources.binary_search(&r).is_ok() {
             let id = self.problem.tasks()[self.t].id();
             self.plan = TaskPlan::lower(&self.problem, id, &self.settings);
@@ -1064,7 +1093,7 @@ impl TaskController {
         }
         self.congested = congested;
         self.last_heard = last_heard;
-        self.problem = te.problem.clone();
+        self.problem = Arc::clone(&te.problem);
         self.t = new_t;
         self.task_slots = te.task_slots.clone();
         self.resource_slots = te.resource_slots.clone();
@@ -1292,8 +1321,7 @@ impl Actor for TaskController {
                 };
                 if apply && !self.dormant {
                     if let Some(r) = self.resource_dense(resource) {
-                        let id = self.problem.resources()[r].id();
-                        if self.problem.set_resource_availability(id, availability).is_ok() {
+                        if set_availability_cow(&mut self.problem, r, availability).is_ok() {
                             self.on_availability_applied(r);
                         } else {
                             self.tel.values_rejected.inc();

@@ -89,6 +89,11 @@ impl Default for DistConfig {
 /// controller per task, and a control-plane agent, exchanging messages
 /// over a simulated network.
 ///
+/// The facade, the topology epochs and every agent share one
+/// copy-on-write `Arc<Problem>`: deployment costs one problem, not one
+/// per agent, and an agent (or the facade) copies it only when it writes
+/// to its own view — an availability update or a membership change.
+///
 /// # Example
 /// ```
 /// use lla_dist::{DistConfig, DistributedLla};
@@ -121,7 +126,7 @@ pub struct DistributedLla {
     rounds: usize,
     utilities: Vec<f64>,
     /// `(at, resource slot, availability)` of scheduled availability
-    /// faults not yet reflected in the facade's own problem copy.
+    /// faults not yet reflected in the facade's own problem view.
     pending_availability: Vec<(f64, usize, f64)>,
     /// Prices observed at the previous [`diag_sample`](Self::diag_sample)
     /// call, for the relative-step statistic.
@@ -153,7 +158,7 @@ impl DistributedLla {
         topology.push(TopologyEpoch {
             epoch: 0,
             cause: MembershipCause::Genesis,
-            problem: (*problem).clone(),
+            problem: Arc::clone(&problem),
             task_slots: task_slots.clone(),
             resource_slots: resource_slots.clone(),
         });
@@ -192,7 +197,7 @@ impl DistributedLla {
                 Box::new(
                     TaskController::new(
                         t,
-                        (*problem).clone(),
+                        Arc::clone(&problem),
                         config.step_policy,
                         config.allocation,
                         Arc::clone(&telemetry),
@@ -216,7 +221,7 @@ impl DistributedLla {
             runtime.register(
                 Address::Resource(r),
                 Box::new(
-                    ResourceAgent::new(r, (*problem).clone(), config.step_policy)
+                    ResourceAgent::new(r, Arc::clone(&problem), config.step_policy)
                         .with_robustness(config.robustness)
                         .with_membership(topology.clone(), r, 0)
                         .with_telemetry(tel.clone())
@@ -336,24 +341,23 @@ impl DistributedLla {
             let t_end = self.rounds as f64 * self.config.round_length;
             self.runtime.run_until(t_end);
             // Mirror fired availability faults into the facade's problem
-            // copy, so feasibility/usage reporting sees them. Fault plans
-            // address resources by slot.
-            let problem = Arc::make_mut(&mut self.problem);
+            // view, so feasibility/usage reporting sees them. Fault plans
+            // address resources by slot. Only a fault that fires copies
+            // the problem the agents share.
+            let problem = &mut self.problem;
             let resource_slots = &self.resource_slots;
             self.pending_availability.retain(|&(at, slot, availability)| {
-                if at < t_end {
-                    if let Some(dense) = resource_slots.iter().position(|&s| s == slot) {
-                        problem
-                            .set_resource_availability(
-                                problem.resources()[dense].id(),
-                                availability,
-                            )
-                            .expect("fault plans validate availability at construction");
-                    }
-                    false
-                } else {
-                    true
+                if at >= t_end {
+                    return true;
                 }
+                if let Some(dense) = resource_slots.iter().position(|&s| s == slot) {
+                    let problem = Arc::make_mut(problem);
+                    let id = problem.resources()[dense].id();
+                    problem
+                        .set_resource_availability(id, availability)
+                        .expect("fault plans validate availability at construction");
+                }
+                false
             });
             let lats = self.dense_lats();
             self.utilities.push(self.problem.total_utility(&lats));
@@ -613,7 +617,7 @@ impl DistributedLla {
         self.topology.push(TopologyEpoch {
             epoch: self.epoch,
             cause,
-            problem: (*self.problem).clone(),
+            problem: Arc::clone(&self.problem),
             task_slots: self.task_slots.clone(),
             resource_slots: self.resource_slots.clone(),
         });
@@ -652,14 +656,14 @@ impl DistributedLla {
             while tel.len() <= slot {
                 tel.push(Vec::new());
             }
-            tel[slot] = self.problem.initial_allocation()[dense].clone();
+            tel[slot] = self.problem.initial_task_allocation(TaskId::new(dense));
         }
         self.runtime.register(
             Address::Controller(slot),
             Box::new(
                 TaskController::new(
                     dense,
-                    (*self.problem).clone(),
+                    Arc::clone(&self.problem),
                     self.config.step_policy,
                     self.config.allocation,
                     Arc::clone(&self.telemetry),
@@ -776,7 +780,7 @@ impl DistributedLla {
         self.runtime.register(
             Address::Resource(slot),
             Box::new(
-                ResourceAgent::new(dense, (*self.problem).clone(), self.config.step_policy)
+                ResourceAgent::new(dense, Arc::clone(&self.problem), self.config.step_policy)
                     .with_robustness(self.config.robustness)
                     .with_membership(self.topology.clone(), slot, self.epoch)
                     .with_telemetry(self.tel.clone())
@@ -1378,6 +1382,69 @@ mod tests {
         // (2 controllers + 2 resources, plus epoch re-application on the
         // evict for the survivors).
         assert!(tel.warm_start_hits.get() >= 4, "hits: {}", tel.warm_start_hits.get());
+    }
+
+    /// Whether every registered agent's problem view is still the very
+    /// `Arc` the facade holds.
+    fn agents_share_facade_problem(dist: &mut DistributedLla) -> Vec<(Address, bool)> {
+        let shared = Arc::clone(&dist.problem);
+        let mut out = Vec::new();
+        for t in dist.task_slots().to_vec() {
+            let addr = Address::Controller(t);
+            let ctl = dist.runtime_mut().actor_as::<TaskController>(addr).expect("registered");
+            out.push((addr, Arc::ptr_eq(ctl.problem(), &shared)));
+        }
+        for r in dist.resource_slots().to_vec() {
+            let addr = Address::Resource(r);
+            let agent = dist.runtime_mut().actor_as::<ResourceAgent>(addr).expect("registered");
+            out.push((addr, Arc::ptr_eq(agent.problem(), &shared)));
+        }
+        out
+    }
+
+    #[test]
+    fn fault_free_rounds_keep_one_shared_problem() {
+        let mut dist = DistributedLla::new(problem(), config());
+        // A fault still pending after the run must not copy anything yet.
+        dist.schedule_faults(&FaultPlan::new().set_availability(1e6, 0, 0.5));
+        dist.run_rounds(50);
+        for (addr, shared) in agents_share_facade_problem(&mut dist) {
+            assert!(shared, "{addr} holds a private copy after fault-free rounds");
+        }
+        let genesis = dist.topology().at(0).expect("genesis epoch");
+        assert!(Arc::ptr_eq(&genesis.problem, &dist.problem));
+    }
+
+    #[test]
+    fn availability_write_copies_only_the_writer() {
+        use crate::runtime::{Actor, Outbox};
+        let mut dist = DistributedLla::new(problem(), config());
+        dist.run_rounds(5);
+        let now = dist.runtime().now();
+        let mut outbox = Outbox::default();
+        for (r, availability) in [(0, 0.5), (1, f64::NAN)] {
+            dist.runtime_mut()
+                .actor_as::<ResourceAgent>(Address::Resource(r))
+                .expect("registered")
+                .on_message(
+                    now,
+                    Message::AvailabilityUpdate { resource: r, availability, seq: 0 },
+                    &mut outbox,
+                );
+        }
+
+        let availability = |p: &Problem| p.resources()[0].availability();
+        let writer = dist.runtime_mut().actor_as::<ResourceAgent>(Address::Resource(0)).unwrap();
+        assert_eq!(availability(writer.problem()), 0.5, "the writer sees its update");
+        for (addr, shared) in agents_share_facade_problem(&mut dist) {
+            // Resource 1's update was rejected, so it never diverged.
+            assert_eq!(shared, addr != Address::Resource(0), "{addr}: only the writer copies");
+        }
+        assert_eq!(availability(dist.problem()), 1.0, "the facade keeps the old view");
+        let genesis = dist.topology().at(0).expect("genesis epoch");
+        assert_eq!(availability(&genesis.problem), 1.0, "the genesis epoch keeps the old view");
+        let ctl = dist.runtime_mut().actor_as::<TaskController>(Address::Controller(0)).unwrap();
+        assert_eq!(availability(ctl.problem()), 1.0, "controllers keep the old view");
     }
 
     #[test]
