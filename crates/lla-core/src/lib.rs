@@ -79,6 +79,7 @@ pub mod plan;
 pub mod prices;
 pub mod problem;
 pub mod resource;
+mod round_book;
 pub mod schedulability;
 pub mod shard;
 pub mod share;
@@ -94,8 +95,8 @@ pub use graph::{Path, SubtaskGraph};
 pub use ids::{PathId, ResourceId, SubtaskId, TaskId};
 pub use lagrangian::{dual_value, kkt_report, lagrangian_value, DualReport, KktReport};
 pub use optimizer::{
-    Allocation, IterationReport, Optimizer, OptimizerConfig, OptimizerState, OptimizerTelemetry,
-    RunOutcome, StateImportError,
+    Allocation, IterationReport, Optimizer, OptimizerConfig, OptimizerState, RunOutcome,
+    StateImportError,
 };
 pub use overload::{governed_step, select_victim, shed_ranking, OverloadConfig, OverloadMonitor};
 pub use percentile::{compose_path_percentile, PercentileSpec};

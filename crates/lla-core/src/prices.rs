@@ -115,7 +115,7 @@ impl Default for StepSizePolicy {
 
 /// The dual variables of LLA: one `μ_r` per resource and one `λ_p` per
 /// root-to-leaf path, plus their per-entity adaptive step sizes.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PriceState {
     mu: Vec<f64>,
     /// `lambda[t][p]` for path `p` of task `t`.
@@ -128,39 +128,6 @@ pub struct PriceState {
     rejected_samples: u64,
     gamma_doublings: u64,
     policy: StepSizePolicy,
-}
-
-/// Hand-written so `clone_from` reuses the destination's price and
-/// gradient buffers (`Vec::clone_from` keeps inner allocations when shapes
-/// match) — checkpoint exports clone a `PriceState` every round.
-impl Clone for PriceState {
-    fn clone(&self) -> Self {
-        PriceState {
-            mu: self.mu.clone(),
-            lambda: self.lambda.clone(),
-            gamma_r: self.gamma_r.clone(),
-            gamma_p: self.gamma_p.clone(),
-            last_grad_r: self.last_grad_r.clone(),
-            last_grad_p: self.last_grad_p.clone(),
-            last_max_rel_step: self.last_max_rel_step,
-            rejected_samples: self.rejected_samples,
-            gamma_doublings: self.gamma_doublings,
-            policy: self.policy,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.mu.clone_from(&source.mu);
-        self.lambda.clone_from(&source.lambda);
-        self.gamma_r.clone_from(&source.gamma_r);
-        self.gamma_p.clone_from(&source.gamma_p);
-        self.last_grad_r.clone_from(&source.last_grad_r);
-        self.last_grad_p.clone_from(&source.last_grad_p);
-        self.last_max_rel_step = source.last_max_rel_step;
-        self.rejected_samples = source.rejected_samples;
-        self.gamma_doublings = source.gamma_doublings;
-        self.policy = source.policy;
-    }
 }
 
 impl PriceState {

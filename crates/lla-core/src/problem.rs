@@ -300,6 +300,31 @@ impl Problem {
         self.max_resource_violation(lats) <= tol && self.max_path_violation(lats) <= tol
     }
 
+    /// The worst constraint-violation *factor* of the allocation: `max`
+    /// over resources of `usage/B_r` and over tasks of `critical_path/C_i`
+    /// (the deadline constraint is per *path*, so the longest path is the
+    /// binding one). ≤ 1 means every constraint holds. A zero-availability
+    /// resource reports `∞` while it carries load and 0 while idle.
+    pub fn worst_violation_factor(&self, lats: &[Vec<f64>]) -> f64 {
+        let mut worst = 0.0f64;
+        for res in &self.resources {
+            let usage = self.resource_usage(res.id(), lats);
+            let availability = res.availability();
+            worst = worst.max(if availability > 0.0 {
+                usage / availability
+            } else if usage > 0.0 {
+                f64::INFINITY
+            } else {
+                0.0
+            });
+        }
+        for task in &self.tasks {
+            let (_, cp) = task.graph().critical_path(&lats[task.id().index()]);
+            worst = worst.max(cp / task.critical_time());
+        }
+        worst
+    }
+
     /// Rebuilds `subtasks_on` from the current task set, in the same order
     /// [`Problem::new`] builds it (tasks in id order, subtasks in index
     /// order) so membership changes round-trip to structurally identical

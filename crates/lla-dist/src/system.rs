@@ -403,25 +403,7 @@ impl DistributedLla {
     /// live agent's price state — an agent crash resets its contribution,
     /// which the engine's saturating window delta absorbs.
     pub fn diag_sample(&mut self) -> DiagSample {
-        let lats = self.dense_lats();
-        let mut worst = 0.0f64;
-        for r in self.problem.resources() {
-            let usage = self.problem.resource_usage(r.id(), &lats);
-            let factor = if r.availability() > 0.0 {
-                usage / r.availability()
-            } else if usage > 0.0 {
-                f64::INFINITY
-            } else {
-                0.0
-            };
-            worst = worst.max(factor);
-        }
-        for (t, task) in self.problem.tasks().iter().enumerate() {
-            if task.critical_time() > 0.0 {
-                let (_, cp) = task.graph().critical_path(&lats[t]);
-                worst = worst.max(cp / task.critical_time());
-            }
-        }
+        let worst = self.problem.worst_violation_factor(&self.dense_lats());
         let mut frozen = 0u64;
         let mut doublings = 0u64;
         let mut prices = Vec::with_capacity(self.resource_slots.len());
@@ -1461,5 +1443,30 @@ mod tests {
         assert!((dist.problem().resources()[0].availability() - 0.5).abs() < 1e-12);
         let usage = dist.problem().resource_usage(ResourceId::new(0), dist.allocation().lats());
         assert!(usage <= 0.5 + 1e-3, "usage {usage} exceeds degraded availability");
+    }
+
+    #[test]
+    fn idle_zero_availability_resource_keeps_violation_factor_finite() {
+        // A third CPU that no subtask runs on, switched off: it carries no
+        // load, so it violates nothing.
+        let mut p = problem();
+        p.add_resource(Resource::new(ResourceId::new(2), ResourceKind::Cpu).with_lag(1.0)).unwrap();
+        p.set_resource_availability(ResourceId::new(2), 0.0).unwrap();
+        let mut opt = Optimizer::new(
+            p.clone(),
+            OptimizerConfig {
+                allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+                ..OptimizerConfig::default()
+            },
+        );
+        let mut dist = DistributedLla::new(p, config());
+        opt.run(50);
+        dist.run_rounds(50);
+
+        let central = opt.diag_sample().worst_violation_factor;
+        assert!(central.is_finite(), "idle switched-off resource reported {central}");
+        assert_eq!(central, opt.worst_violation_factor());
+        assert_eq!(central, opt.health_snapshot().worst_violation_factor);
+        assert_eq!(central, dist.diag_sample().worst_violation_factor);
     }
 }
