@@ -124,7 +124,8 @@ pub struct SoakEvent {
     pub n_tasks: usize,
     /// Rounds until the deployment's utility re-entered
     /// [`ChurnConfig::gap_tolerance`] of the per-epoch oracle
-    /// (quantized to [`PROBE_CHUNK`]); `None` if the cap elapsed first.
+    /// (quantized to the 10-round probe chunk); `None` if the cap elapsed
+    /// first.
     pub rounds_to_reconverge: Option<usize>,
     /// Deployment utility at re-convergence (or at the cap).
     pub u_dist: f64,
@@ -152,8 +153,8 @@ pub struct SoakReport {
     /// Total protocol rounds the soak ran.
     pub rounds: usize,
     /// Convergence diagnosis over the soak's final sample window (one
-    /// [`DiagSample`](lla_telemetry::DiagSample) per [`PROBE_CHUNK`]
-    /// rounds): a healthy soak ends `converging` — the classifier sees
+    /// [`DiagSample`](lla_telemetry::DiagSample) per 10-round probe
+    /// chunk): a healthy soak ends `converging` — the classifier sees
     /// through the churn it just survived.
     pub diagnosis: Diagnosis,
 }

@@ -3,7 +3,7 @@
 //! Two failure scenarios where PR 4's shedding-only governor cannot
 //! recover, run twice each — once with just the overload monitor (the
 //! pre-supervisor status quo) and once under the
-//! [`SupervisorEngine`](lla_dist::SupervisorEngine):
+//! [`SupervisorEngine`]:
 //!
 //! 1. **Gamma thrash** — a hard-deadline service workload near (but
 //!    under) congestion, driven by an over-aggressive sign-adaptive
@@ -16,7 +16,7 @@
 //! 2. **Inelastic overload** — a service workload whose tasks all carry
 //!    hard deadlines (smooth-inelastic utilities). Two heavy joins push
 //!    demand past capacity; shedding cannot touch inelastic tasks
-//!    ([`select_victim`](lla_core::select_victim) returns `None`), so
+//!    ([`select_victim`] returns `None`), so
 //!    the shedding-only arm diverges forever. The supervisor provisions
 //!    elastic replicas on the priciest saturated resource and the run
 //!    becomes feasible again.
@@ -56,7 +56,7 @@ pub struct ArmOutcome {
     pub verdict: Verdict,
     /// Utility at the final check.
     pub final_utility: f64,
-    /// Mean utility over the last [`TAIL_CHECKS`] checks.
+    /// Mean utility over the last 20 checks.
     pub tail_utility: f64,
     /// Remediations the supervisor applied (empty for shedding-only).
     pub remediations: Vec<Remediation>,

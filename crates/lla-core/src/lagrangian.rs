@@ -48,11 +48,22 @@ pub struct DualReport {
 /// By weak duality, `D(μ, λ) ≥ Σ U_i` for every *feasible* allocation; the
 /// gap closes at the optimum. This is the quantity the price-update step
 /// descends.
+///
+/// When the problem carries the plan its [`Optimizer`](crate::Optimizer)
+/// memoised, lowered with `settings` and shaped like `prices`, the value is
+/// computed on that plan (bit-identical, without the nested walk);
+/// otherwise — e.g. for a problem driven by a
+/// [`ShardedOptimizer`](crate::ShardedOptimizer) — by the naive walk.
+/// This function never lowers or memoises a plan itself.
 pub fn dual_value(
     problem: &Problem,
     prices: &PriceState,
     settings: &AllocationSettings,
 ) -> DualReport {
+    if let Some(plan) = problem.plan().filter(|p| p.settings() == settings && p.fits(prices)) {
+        let (value, maximizer) = plan.dual(prices);
+        return DualReport { value, maximizer };
+    }
     let start = problem.initial_allocation();
     let maximizer = allocate_latencies(problem, prices, settings, &start);
     let value = lagrangian_value(problem, &maximizer, prices);

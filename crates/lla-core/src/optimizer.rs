@@ -25,6 +25,7 @@ use lla_telemetry::{
     DiagSample, HealthSnapshot, Histogram, MetricsRegistry, Profiler, ResourceHealth,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of the [`Optimizer`].
@@ -157,7 +158,8 @@ pub struct Optimizer {
     /// Convergence detector and the shared `lla_opt_*` series.
     book: RoundBook,
     /// Compiled iteration plan + scratch, lowered lazily and re-lowered
-    /// whenever [`Problem::epoch`] moves past the plan's snapshot.
+    /// whenever [`Problem::epoch`] moves past the plan's snapshot. The
+    /// plan is shared with the problem's memo slot.
     plan: Option<Box<PlanCtx>>,
     /// Histograms for [`PHASES`] (`None` unless
     /// [`attach_telemetry`](Optimizer::attach_telemetry) got a live
@@ -171,8 +173,12 @@ pub struct Optimizer {
 
 #[derive(Debug, Clone)]
 struct PlanCtx {
-    plan: Plan,
+    plan: Arc<Plan>,
     scratch: PlanScratch,
+    /// `scratch.lats` holds `lats` flattened, so the next allocation can
+    /// start from it without re-flattening. Cleared when the plan is
+    /// re-lowered or the latencies are replaced from outside a step.
+    warm: bool,
 }
 
 /// Wall-clock bucket bounds for the per-phase step timings (seconds):
@@ -405,30 +411,31 @@ impl Optimizer {
         Ok(moved)
     }
 
-    /// Lowers (or re-lowers) the iteration plan when absent or stale.
+    /// Lowers (or re-lowers) the iteration plan when absent or stale, and
+    /// memoises it in the problem for [`dual_value`](crate::dual_value).
     fn ensure_plan(&mut self) {
-        let stale = match &self.plan {
-            Some(ctx) => ctx.plan.epoch() != self.problem.epoch(),
-            None => true,
-        };
-        if stale {
-            let _prof = self.profiler.scope("plan_lower");
-            let plan = Plan::lower(&self.problem, &self.config.allocation);
-            match &mut self.plan {
-                // Re-lowering reuses the existing scratch pool: membership
-                // epochs resize the buffers in place instead of
-                // reallocating all seven per epoch.
-                Some(ctx) => {
-                    ctx.scratch.resize_for(&plan);
-                    ctx.plan = plan;
-                }
-                None => {
-                    let scratch = plan.scratch();
-                    self.plan = Some(Box::new(PlanCtx { plan, scratch }));
-                }
-            }
-            self.book.count_lowering();
+        if self.plan.as_ref().is_some_and(|ctx| ctx.plan.epoch() == self.problem.epoch()) {
+            return;
         }
+        let _prof = self.profiler.scope("plan_lower");
+        let plan = Arc::new(Plan::lower(&self.problem, &self.config.allocation));
+        match &mut self.plan {
+            // Re-lowering reuses the existing scratch pool: membership
+            // epochs resize the buffers in place instead of reallocating
+            // them all per epoch.
+            Some(ctx) => {
+                ctx.scratch.resize_for(&plan);
+                ctx.plan = Arc::clone(&plan);
+                ctx.warm = false;
+            }
+            None => {
+                let scratch = plan.scratch();
+                self.plan =
+                    Some(Box::new(PlanCtx { plan: Arc::clone(&plan), scratch, warm: false }));
+            }
+        }
+        self.problem.install_plan(plan);
+        self.book.count_lowering();
     }
 
     /// Executes one LLA iteration: latency allocation at current prices,
@@ -445,27 +452,28 @@ impl Optimizer {
         // registry; the plain path performs no clock reads at all.
         let timed = self.phases.is_some();
         let mut ctx = self.plan.take().expect("ensure_plan always installs a plan");
-        let PlanCtx { plan, scratch } = &mut *ctx;
+        let PlanCtx { plan, scratch, warm } = &mut *ctx;
         let t0 = timed.then(Instant::now);
         {
             let _prof = self.profiler.scope("allocate");
-            plan.flatten_into(&self.lats, scratch.prev_mut());
+            if *warm {
+                scratch.advance();
+            } else {
+                plan.flatten_into(&self.lats, scratch.prev_mut());
+                *warm = true;
+            }
             plan.allocate_into(&self.prices, scratch);
             plan.unflatten_into(scratch.lats(), &mut self.lats);
         }
         let t1 = timed.then(Instant::now);
-        {
+        let violations = {
             let _prof = self.profiler.scope("price");
-            plan.price_update(&mut self.prices, scratch);
-        }
+            plan.price_update(&mut self.prices, scratch)
+        };
         let t2 = timed.then(Instant::now);
 
         let lagr_prof = self.profiler.scope("lagrangian");
         let utility = plan.total_utility(scratch.lats());
-        let violations = (
-            plan.max_resource_violation(scratch.usage()),
-            plan.max_path_violation(scratch.path_lat()),
-        );
         drop(lagr_prof);
         let _trace_prof = self.profiler.scope("trace");
         if self.config.record_trace {
@@ -633,6 +641,9 @@ impl Optimizer {
         self.book.restart(self.problem.total_utility(&state.lats));
         self.prices = state.prices;
         self.lats = state.lats;
+        if let Some(ctx) = &mut self.plan {
+            ctx.warm = false;
+        }
         Ok(())
     }
 }
@@ -800,6 +811,59 @@ mod tests {
         OptimizerConfig {
             allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
             ..OptimizerConfig::default()
+        }
+    }
+
+    /// A concave utility makes each allocation start from the previous
+    /// one, so the optimizer's flat warm start must track the naive round
+    /// (`allocate_latencies` from the last latencies, then
+    /// `PriceState::update`) bit for bit: across rounds, a checkpoint
+    /// restore that replaces the latencies, and a join that re-lowers.
+    #[test]
+    fn steps_match_the_naive_round_with_concave_utilities() {
+        use crate::allocation::allocate_latencies;
+        let mut p = small_problem();
+        for t in 0..2 {
+            let mut b = TaskBuilder::new(format!("q{t}"));
+            let a = b.subtask("a", ResourceId::new(t), 1.5);
+            let d = b.subtask("b", ResourceId::new(1 - t), 2.5);
+            b.edge(a, d).unwrap();
+            b.critical_time(50.0).utility(UtilityFn::Quadratic {
+                offset: 200.0,
+                lin: 0.5,
+                quad: 0.01,
+            });
+            p.add_task(&b).unwrap();
+        }
+        let settings = config().allocation;
+        let mut opt = Optimizer::new(p, config());
+        let mut prices = PriceState::new(opt.problem(), config().step_policy);
+        let mut lats = opt.problem().initial_allocation();
+        let mut checkpoint = None;
+        for round in 0..60 {
+            if round == 10 {
+                checkpoint = Some(opt.export_state());
+            }
+            if round == 20 {
+                let state = checkpoint.take().unwrap();
+                (prices, lats) = (state.prices.clone(), state.lats.clone());
+                opt.import_state(state);
+            }
+            if round == 40 {
+                let mut b = TaskBuilder::new("late");
+                b.subtask("s", ResourceId::new(0), 1.0);
+                b.critical_time(45.0).utility(UtilityFn::linear_for_deadline(1.0, 45.0));
+                let id = opt.add_task(&b).unwrap();
+                let mut report = MembershipReport::identity(id.index(), 2);
+                report.added_task = Some(id);
+                prices = prices.remap(opt.problem(), &report);
+                lats.push(opt.problem().initial_task_allocation(id));
+            }
+            opt.step();
+            lats = allocate_latencies(opt.problem(), &prices, &settings, &lats);
+            prices.update(opt.problem(), &lats);
+            assert_eq!(opt.allocation().lats(), &lats[..], "latencies diverged at round {round}");
+            assert_eq!(opt.prices(), &prices, "prices diverged at round {round}");
         }
     }
 

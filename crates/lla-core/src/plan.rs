@@ -10,7 +10,7 @@
 //! per-iteration cost scale-free in structure too).
 //!
 //! [`Plan::lower`] flattens a [`Problem`] once into dense CSR-style index
-//! arrays (path→subtask, resource→subtask, subtask→resource) plus
+//! arrays (task→subtask, task→path→subtask, subtask→resource) plus
 //! per-subtask constants (demand `m·(c_s+l_r)`, correction `ê`, clamping
 //! box, aggregation weight) and per-task descriptors (critical time,
 //! utility). Every per-iteration primitive — latency allocation, price
@@ -23,12 +23,42 @@
 //! Every kernel replicates the *exact* expression forms and iteration
 //! orders of the nested reference implementation (`allocate_task`,
 //! `PriceState::update`, `Problem::resource_usage`, …): sums fold
-//! left-to-right from `0.0` in the same element order, the allocator keeps
+//! left-to-right from `-0.0` (as `Iterator::sum` does) in the same element
+//! order, the allocator keeps
 //! the reference's skip-zero-λ accumulation, and clamping boxes are lowered
 //! by calling [`clamping_box`] itself. IEEE-754 arithmetic is deterministic
 //! for a fixed operation sequence, so plan-evaluated results are
 //! bit-identical to the naive path — preserving the byte-determinism
 //! contracts of checkpoint/restore and the churn soak.
+//!
+//! # Fused price passes
+//!
+//! The price step (Eqs. 8–9) is one sweep over the subtasks and two
+//! passes. The *usage sweep* walks subtasks in plan order and adds each
+//! share to its resource's usage. The *resource pass* walks resources in
+//! index order: gradient `B_r − usage_r`, congestion bit, μ step, and
+//! `usage_r − B_r` folded into the worst resource violation. The *path
+//! pass* walks paths in plan order: one walk over the path's subtasks sums
+//! its latency and tests it for a congested resource, then the pass folds
+//! `latency/C_i − 1` into the worst path violation and applies the λ step.
+//! λ is indexed by the plan's own path index, which equals the price
+//! state's flat path index (see [`crate::prices`]).
+//!
+//! The passes are bit-identical to the naive walks (`Problem::resource_usage`
+//! and `Path::latency` per constraint, then [`PriceState::update`]),
+//! because:
+//!
+//! - every sum adds the same terms in the same order from the same start:
+//!   `Problem::subtasks_on` lists a resource's subtasks in (task, subtask)
+//!   order, which is plan order for the full problem and for a subset
+//!   plan whose tasks ascend (every `ShardSpec` the crates build does);
+//! - a μ step reads only its own resource's usage and a λ step only its
+//!   own path's latency and congestion bit, so folding violations and
+//!   stepping inside the walks changes no operand, and the `max` and
+//!   doubling-count reductions are order-free on finite values anyway;
+//! - the path pass starts only after the resource pass (and, in a sharded
+//!   round, the coordinator broadcast), so every congestion bit is set
+//!   before the first λ step reads one.
 //!
 //! # Invalidation
 //!
@@ -36,6 +66,27 @@
 //! `plan.epoch() != problem.epoch()` and re-lower on mismatch; every
 //! `&mut self` mutator of `Problem` (availability/correction/demand-scale
 //! edits and all membership operations) bumps the epoch.
+//!
+//! # The memoised plan
+//!
+//! A `Problem` has one memo slot for its plan, so the certificate
+//! ([`dual_value`](crate::lagrangian::dual_value)) can evaluate on the
+//! plan the optimizer already holds instead of walking the nested
+//! problem. The rule:
+//!
+//! - the owner installs it: [`Optimizer`](crate::optimizer::Optimizer)
+//!   shares each plan it lowers with its problem (one `Arc`, no copy);
+//! - the epoch bump clears it, so a memo always describes the problem it
+//!   sits in;
+//! - clones share it, so a problem cloned before an edit keeps the plan
+//!   that still describes it;
+//! - `dual_value` reads it when its settings and the prices' shape match,
+//!   and otherwise (e.g. under a
+//!   [`ShardedOptimizer`](crate::shard::ShardedOptimizer), which installs
+//!   none) walks the nested problem. It never lowers or fills the memo:
+//!   caching a plan there would keep a full-problem plan alive beside
+//!   every shard plan, and lowering one per call is no faster than the
+//!   walk.
 //!
 //! # Parallelism (`parallel` feature)
 //!
@@ -151,7 +202,6 @@ pub struct PlanScratch {
     pub(crate) lats: Vec<f64>,
     pub(crate) lambda: Vec<f64>,
     pub(crate) usage: Vec<f64>,
-    pub(crate) grad_r: Vec<f64>,
     pub(crate) path_lat: Vec<f64>,
     pub(crate) congested: Vec<bool>,
 }
@@ -175,14 +225,14 @@ impl PlanScratch {
         &mut self.prev
     }
 
-    /// Per-resource usage written by the most recent
-    /// [`Plan::price_update`] (or [`Plan::usage_into`]).
+    /// Per-resource usage written by the most recent resource pass
+    /// ([`Plan::price_update`] or [`Plan::owned_resource_steps`]).
     pub fn usage(&self) -> &[f64] {
         &self.usage
     }
 
-    /// Per-path latencies written by the most recent
-    /// [`Plan::price_update`] (or [`Plan::path_latencies_into`]).
+    /// Per-path latencies written by the most recent path pass
+    /// ([`Plan::price_update`] or [`Plan::path_price_steps`]).
     pub fn path_lat(&self) -> &[f64] {
         &self.path_lat
     }
@@ -197,6 +247,13 @@ impl PlanScratch {
     /// resource congestion into each shard's scratch through this.
     pub fn congested_mut(&mut self) -> &mut [bool] {
         &mut self.congested
+    }
+
+    /// Makes the latencies of the last allocation the warm start of the
+    /// next one by swapping the `prev` and `lats` buffers (the next
+    /// allocation overwrites every entry of `lats`).
+    pub(crate) fn advance(&mut self) {
+        std::mem::swap(&mut self.prev, &mut self.lats);
     }
 
     /// Resizes this scratch in place to fit `plan`, reusing existing
@@ -214,7 +271,6 @@ impl PlanScratch {
         fit(&mut self.lats, ns);
         fit(&mut self.lambda, ns);
         fit(&mut self.usage, nr);
-        fit(&mut self.grad_r, nr);
         fit(&mut self.path_lat, plan.num_paths());
         self.congested.clear();
         self.congested.resize(nr, false);
@@ -238,11 +294,6 @@ pub struct Plan {
     path_sub_off: Vec<usize>,
     /// Task-local subtask indices in root-to-leaf order.
     path_subs: Vec<u32>,
-    /// `res_sub_off[r]..res_sub_off[r+1]` is resource `r`'s slice of
-    /// `res_subs` (`len == num_resources + 1`).
-    res_sub_off: Vec<usize>,
-    /// Global (flat) subtask indices in `Problem::subtasks_on` order.
-    res_subs: Vec<u32>,
     /// Global subtask → hosting resource index.
     sub_res: Vec<u32>,
     demand: Vec<f64>,
@@ -264,10 +315,12 @@ impl Plan {
 
     /// Lowers only the given global task indices (plan-local task order =
     /// slice order), keeping **global** resource indexing: `sub_res` and
-    /// the per-resource CSR windows still index the full resource set, so
-    /// a subset plan shares μ vectors and usage/congestion layouts with
+    /// the per-resource arrays still index the full resource set, so a
+    /// subset plan shares μ vectors and usage/congestion layouts with
     /// every other subset of the same problem. Resources untouched by the
-    /// subset get empty windows (their usage lowers to `0.0`). This is the
+    /// subset have usage `-0.0`, the empty sum. A resource's usage adds
+    /// its shares in plan order, which is the naive walk's order when
+    /// `tasks` ascends (see [`usage_into`](Self::usage_into)). This is the
     /// shard lowering used by
     /// [`ShardedOptimizer`](crate::shard::ShardedOptimizer): re-lowering
     /// one shard after a membership epoch costs O(shard subtasks +
@@ -286,7 +339,6 @@ impl Plan {
         subset: Option<&[usize]>,
     ) -> Plan {
         let nt_global = problem.tasks().len();
-        let nr = problem.resources().len();
         let ns_global = problem.num_subtasks();
         let np_global = problem.num_paths();
         assert!(ns_global < u32::MAX as usize, "problem too large for u32 subtask indices");
@@ -304,16 +356,12 @@ impl Plan {
         let mut sub_res = Vec::new();
         let mut critical_time = Vec::with_capacity(nt);
         let mut utility = Vec::with_capacity(nt);
-        // Global task index → flat subtask base within this plan
-        // (usize::MAX for tasks outside the subset).
-        let mut flat_base = vec![usize::MAX; nt_global];
         task_sub_off.push(0);
         task_path_off.push(0);
         path_sub_off.push(0);
         let mut lower_task = |gt: usize| {
             let task = &problem.tasks()[gt];
             let (lo_t, hi_t) = clamping_box(problem, task, settings);
-            flat_base[gt] = demand.len();
             for s in 0..task.len() {
                 let model = problem.share_model(task.subtask_id(s));
                 demand.push(model.demand());
@@ -337,21 +385,7 @@ impl Plan {
             None => (0..nt_global).for_each(&mut lower_task),
         }
 
-        let mut res_sub_off = Vec::with_capacity(nr + 1);
-        let mut res_subs = Vec::new();
-        let mut availability = Vec::with_capacity(nr);
-        res_sub_off.push(0);
-        for r in problem.resources() {
-            for sid in problem.subtasks_on(r.id()) {
-                let base = flat_base[sid.task().index()];
-                if base != usize::MAX {
-                    res_subs.push((base + sid.index()) as u32);
-                }
-            }
-            res_sub_off.push(res_subs.len());
-            availability.push(r.availability());
-        }
-
+        let availability = problem.resources().iter().map(|r| r.availability()).collect();
         Plan {
             epoch: problem.epoch(),
             settings: *settings,
@@ -359,8 +393,6 @@ impl Plan {
             task_path_off,
             path_sub_off,
             path_subs,
-            res_sub_off,
-            res_subs,
             sub_res,
             demand,
             correction,
@@ -391,7 +423,7 @@ impl Plan {
 
     /// Number of resources in the lowered problem.
     pub fn num_resources(&self) -> usize {
-        self.res_sub_off.len() - 1
+        self.availability.len()
     }
 
     /// Total number of subtasks (the length of every flat latency vector).
@@ -416,7 +448,6 @@ impl Plan {
             lats: vec![0.0; self.num_subtasks()],
             lambda: vec![0.0; self.num_subtasks()],
             usage: vec![0.0; self.num_resources()],
-            grad_r: vec![0.0; self.num_resources()],
             path_lat: vec![0.0; self.num_paths()],
             congested: vec![false; self.num_resources()],
         }
@@ -464,6 +495,7 @@ impl Plan {
     /// The sequential latency-allocation kernel (always available; the
     /// reference for the bit-identity contract).
     pub fn allocate_seq(&self, prices: &PriceState, scratch: &mut PlanScratch) {
+        debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
         let PlanScratch { prev, lats, lambda, .. } = scratch;
         for t in 0..self.num_tasks() {
             let range = self.task_range(t);
@@ -478,6 +510,7 @@ impl Plan {
     /// tasks are independent and no cross-task reduction happens here.
     #[cfg(feature = "parallel")]
     pub fn allocate_par(&self, prices: &PriceState, scratch: &mut PlanScratch) {
+        debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
         let nt = self.num_tasks();
         let workers = rayon::current_num_threads().min(nt.max(1));
         if workers <= 1 {
@@ -550,106 +583,155 @@ impl Plan {
         );
     }
 
-    /// Per-resource usage `Σ_{s∈S_r} share(lat_s)` into `usage`,
-    /// replicating [`Problem::resource_usage`] order and arithmetic.
+    /// Per-resource usage `Σ_{s∈S_r} share(lat_s)` into `usage`
+    /// (`num_resources` long), replicating [`Problem::resource_usage`]:
+    /// one sweep over the subtasks in plan order adds each share to its
+    /// resource's sum, which starts at `-0.0` as `Iterator::sum` does.
+    /// `Problem::subtasks_on` lists a resource's subtasks in (task,
+    /// subtask) order, which is plan order for the full problem and for
+    /// a subset listed in ascending task order, so each sum adds the same
+    /// terms in the same order as the naive walk.
     pub fn usage_into(&self, lats: &[f64], usage: &mut [f64]) {
-        for (u, rs) in usage.iter_mut().zip(self.res_sub_off.windows(2)) {
-            *u = self.res_subs[rs[0]..rs[1]]
-                .iter()
-                .map(|&gs| {
-                    let s = gs as usize;
-                    let eff = lats[s] - self.correction[s];
-                    if eff <= 0.0 {
-                        f64::INFINITY
-                    } else {
-                        self.demand[s] / eff
-                    }
-                })
-                .sum();
+        usage.fill(-0.0);
+        for (s, &r) in self.sub_res.iter().enumerate() {
+            let eff = lats[s] - self.correction[s];
+            usage[r as usize] += if eff <= 0.0 { f64::INFINITY } else { self.demand[s] / eff };
         }
     }
 
-    /// Per-path latencies `Σ_{s∈p} lat_s` into `path_lat` (global path
-    /// order), replicating [`crate::graph::Path::latency`].
-    pub fn path_latencies_into(&self, lats: &[f64], path_lat: &mut [f64]) {
-        for t in 0..self.num_tasks() {
-            let base = self.task_sub_off[t];
-            let paths = self.task_path_off[t]..self.task_path_off[t + 1];
-            for (pl, ps) in path_lat[paths.clone()]
-                .iter_mut()
-                .zip(self.path_sub_off[paths.start..=paths.end].windows(2))
-            {
-                *pl = self.path_subs[ps[0]..ps[1]].iter().map(|&s| lats[base + s as usize]).sum();
-            }
-        }
+    /// Global path `pp`'s subtasks, as task-local subtask indices.
+    #[inline]
+    fn path_subtasks(&self, pp: usize) -> &[u32] {
+        &self.path_subs[self.path_sub_off[pp]..self.path_sub_off[pp + 1]]
     }
 
-    /// One full price-computation step (Eqs. 8–9) over the plan: computes
-    /// usage, path latencies, and congestion bits into `scratch` from
-    /// `scratch.lats`, then applies the same per-resource / per-path steps
-    /// in the same order as [`PriceState::update`].
-    pub fn price_update(&self, prices: &mut PriceState, scratch: &mut PlanScratch) {
-        let PlanScratch { lats, usage, grad_r, path_lat, congested, .. } = scratch;
-        self.usage_into(lats, usage);
-        self.path_latencies_into(lats, path_lat);
-        for (r, g) in grad_r.iter_mut().enumerate() {
-            *g = self.availability[r] - usage[r];
-            congested[r] = *g < 0.0;
-        }
-        prices.reset_step_tracking();
-        for (r, &g) in grad_r.iter().enumerate() {
-            prices.apply_resource_step(r, g);
-        }
-        self.path_price_steps(prices, scratch);
+    /// `Σ_{s∈p} lat_s` for global path `pp` of the task whose subtasks
+    /// start at flat index `base`, replicating
+    /// [`crate::graph::Path::latency`].
+    #[inline]
+    fn path_latency(&self, base: usize, pp: usize, lats: &[f64]) -> f64 {
+        self.path_subtasks(pp).iter().map(|&s| lats[base + s as usize]).sum()
     }
 
-    /// The shard-local half of the price phase: computes usage and path
-    /// latencies from `scratch.lats`, resets step tracking, then applies
-    /// μ steps (Eq. 8) and congestion bits **only** for resources marked
-    /// in `owned`. Unowned entries of `scratch.usage` still hold this
-    /// plan's *partial* usage so a coordinator can aggregate them; their
-    /// μ steps and congestion bits come from the coordinator round. The
-    /// per-resource step order and arithmetic match [`price_update`]
-    /// exactly, so with every resource owned this is bit-identical to the
-    /// resource half of the monolithic step.
+    /// One full price-computation step (Eqs. 8–9) over the plan, from
+    /// `scratch.lats`: the usage sweep and the resource pass with every
+    /// resource owned, then
+    /// the path pass. Fills `scratch.usage`, `scratch.path_lat` and
+    /// `scratch.congested`, applies the same per-resource / per-path steps
+    /// in the same order as [`PriceState::update`], and returns
+    /// `(max_r (usage_r − B_r), max_p (path_latency/C_i − 1))`.
+    pub fn price_update(&self, prices: &mut PriceState, scratch: &mut PlanScratch) -> (f64, f64) {
+        let resource = self.resource_pass(prices, scratch, None);
+        (resource, self.path_price_steps(prices, scratch))
+    }
+
+    /// The shard-local resource half of the price phase: the resource
+    /// pass with μ steps (Eq. 8) and congestion bits **only** for
+    /// resources marked in `owned`. Every entry of `scratch.usage` is
+    /// written, so unowned entries hold this plan's *partial* usage for a
+    /// coordinator to aggregate; their μ steps and congestion bits come
+    /// from the coordinator round. Returns the worst violation
+    /// `usage_r − B_r` over owned resources. With every resource owned
+    /// this is bit-identical to the resource half of
+    /// [`price_update`](Self::price_update).
     pub fn owned_resource_steps(
         &self,
         prices: &mut PriceState,
         scratch: &mut PlanScratch,
         owned: &[bool],
-    ) {
-        let PlanScratch { lats, usage, grad_r, path_lat, congested, .. } = scratch;
-        self.usage_into(lats, usage);
-        self.path_latencies_into(lats, path_lat);
-        prices.reset_step_tracking();
-        for r in 0..self.num_resources() {
-            if owned[r] {
-                let g = self.availability[r] - usage[r];
-                grad_r[r] = g;
-                congested[r] = g < 0.0;
-                prices.apply_resource_step(r, g);
-            }
-        }
+    ) -> f64 {
+        self.resource_pass(prices, scratch, Some(owned))
     }
 
-    /// The per-path half of the price phase (Eq. 9): applies one λ step
-    /// per path from the path latencies and congestion bits already in
-    /// `scratch`. Sharded drivers call this *after* the coordinator has
-    /// broadcast shared-resource congestion into `scratch.congested`.
-    pub fn path_price_steps(&self, prices: &mut PriceState, scratch: &PlanScratch) {
-        let PlanScratch { path_lat, congested, .. } = scratch;
+    /// The usage sweep, then the resource pass: per resource in index
+    /// order, gradient `B_r − usage_r` → congestion bit → μ step →
+    /// violation (for `owned` resources only, when given).
+    fn resource_pass(
+        &self,
+        prices: &mut PriceState,
+        scratch: &mut PlanScratch,
+        owned: Option<&[bool]>,
+    ) -> f64 {
+        debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
+        let PlanScratch { lats, usage, congested, .. } = scratch;
+        self.usage_into(lats, usage);
+        prices.reset_step_tracking();
+        let mut worst = f64::NEG_INFINITY;
+        for (r, &u) in usage.iter().enumerate() {
+            if owned.is_none_or(|owned| owned[r]) {
+                let g = self.availability[r] - u;
+                congested[r] = g < 0.0;
+                prices.apply_resource_step(r, g);
+                worst = worst.max(u - self.availability[r]);
+            }
+        }
+        worst
+    }
+
+    /// The per-path half of the price phase (Eq. 9), the path pass: per
+    /// path in plan order, one walk over its subtasks for the latency
+    /// (summed from `-0.0` as `Iterator::sum` does) and the congestion
+    /// test, then violation → λ step.
+    /// It reads the congestion bits already in `scratch`: the monolithic
+    /// step sets them all in its resource pass, and sharded drivers call
+    /// this *after* the coordinator has broadcast shared-resource
+    /// congestion into `scratch.congested`. Returns the worst path
+    /// violation `path_latency/C_i − 1`.
+    pub fn path_price_steps(&self, prices: &mut PriceState, scratch: &mut PlanScratch) -> f64 {
+        debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
+        let PlanScratch { lats, path_lat, congested, .. } = scratch;
+        let mut worst = f64::NEG_INFINITY;
         for t in 0..self.num_tasks() {
             let ct = self.critical_time[t];
             let base = self.task_sub_off[t];
-            for (p, pp) in (self.task_path_off[t]..self.task_path_off[t + 1]).enumerate() {
-                let grad = 1.0 - path_lat[pp] / ct;
-                let traverses_congested = self.path_subs
-                    [self.path_sub_off[pp]..self.path_sub_off[pp + 1]]
-                    .iter()
-                    .any(|&s| congested[self.sub_res[base + s as usize] as usize]);
-                prices.apply_path_step(t, p, grad, traverses_congested);
+            for pp in self.task_path_range(t) {
+                let (mut pl, mut traverses_congested) = (-0.0f64, false);
+                for &s in self.path_subtasks(pp) {
+                    let gs = base + s as usize;
+                    pl += lats[gs];
+                    traverses_congested |= congested[self.sub_res[gs] as usize];
+                }
+                path_lat[pp] = pl;
+                worst = worst.max(pl / ct - 1.0);
+                prices.step_path(pp, 1.0 - pl / ct, traverses_congested);
             }
         }
+        worst
+    }
+
+    /// The dual function `D(μ, λ)` (Eq. 6) and its maximising latencies
+    /// (nested `[t][s]`), evaluated exactly as the naive
+    /// [`dual_value`](crate::lagrangian::dual_value) does: one allocation
+    /// step from the problem's initial allocation, then the Lagrangian.
+    /// Allocates the three allocation buffers and the nested maximiser
+    /// only.
+    pub(crate) fn dual(&self, prices: &PriceState) -> (f64, Vec<Vec<f64>>) {
+        let ns = self.num_subtasks();
+        let mut scratch = PlanScratch {
+            prev: vec![0.0; ns],
+            lats: vec![0.0; ns],
+            lambda: vec![0.0; ns],
+            usage: Vec::new(),
+            path_lat: Vec::new(),
+            congested: Vec::new(),
+        };
+        for t in 0..self.num_tasks() {
+            // `Problem::initial_allocation`: an even split of `C_i` along
+            // the task's longest path (in hops).
+            let hops = self.task_path_range(t).map(|pp| self.path_subtasks(pp).len());
+            let slice = self.critical_time[t] / hops.max().unwrap_or(1) as f64;
+            scratch.prev[self.task_range(t)].fill(slice);
+        }
+        self.allocate_into(prices, &mut scratch);
+        let value = self.lagrangian_value(&scratch.lats, prices);
+        let maximizer = (0..self.num_tasks()).map(|t| scratch.lats[self.task_range(t)].to_vec());
+        (value, maximizer.collect())
+    }
+
+    /// Whether `prices` has this plan's shape: one μ per resource and one
+    /// λ row per plan task with the task's path count.
+    pub(crate) fn fits(&self, prices: &PriceState) -> bool {
+        prices.mus().len() == self.num_resources() && prices.row_offsets() == self.task_path_off
     }
 
     /// Per-resource availability `B_r` as lowered (global resource order).
@@ -718,30 +800,19 @@ impl Plan {
     /// The Lagrangian (Eq. 5) over a flat latency vector, replicating
     /// [`crate::lagrangian::lagrangian_value`].
     pub fn lagrangian_value(&self, lats: &[f64], prices: &PriceState) -> f64 {
+        debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
         let mut value = self.total_utility(lats);
-        for r in 0..self.num_resources() {
-            let usage: f64 = self.res_subs[self.res_sub_off[r]..self.res_sub_off[r + 1]]
-                .iter()
-                .map(|&gs| {
-                    let s = gs as usize;
-                    let eff = lats[s] - self.correction[s];
-                    if eff <= 0.0 {
-                        f64::INFINITY
-                    } else {
-                        self.demand[s] / eff
-                    }
-                })
-                .sum();
-            value -= prices.mu(r) * (usage - self.availability[r]);
+        let mut usage = vec![0.0; self.num_resources()];
+        self.usage_into(lats, &mut usage);
+        for (r, &u) in usage.iter().enumerate() {
+            value -= prices.mu(r) * (u - self.availability[r]);
         }
         for t in 0..self.num_tasks() {
             let base = self.task_sub_off[t];
-            for (p, pp) in (self.task_path_off[t]..self.task_path_off[t + 1]).enumerate() {
-                let pl: f64 = self.path_subs[self.path_sub_off[pp]..self.path_sub_off[pp + 1]]
-                    .iter()
-                    .map(|&s| lats[base + s as usize])
-                    .sum();
-                value -= prices.lambda(t, p) * (pl - self.critical_time[t]);
+            let lambdas = prices.lambdas(t);
+            for (p, pp) in self.task_path_range(t).enumerate() {
+                let pl = self.path_latency(base, pp, lats);
+                value -= lambdas[p] * (pl - self.critical_time[t]);
             }
         }
         value
@@ -762,19 +833,9 @@ impl Plan {
         let (stat, comp, worst_path) = self.kkt_task_terms(lats, prices, boundary_tol, scratch);
         let mut comp = comp;
         let mut worst_res = f64::NEG_INFINITY;
-        for r in 0..self.num_resources() {
-            let usage: f64 = self.res_subs[self.res_sub_off[r]..self.res_sub_off[r + 1]]
-                .iter()
-                .map(|&gs| {
-                    let s = gs as usize;
-                    let eff = lats[s] - self.correction[s];
-                    if eff <= 0.0 {
-                        f64::INFINITY
-                    } else {
-                        self.demand[s] / eff
-                    }
-                })
-                .sum();
+        let mut usage = vec![0.0; self.num_resources()];
+        self.usage_into(lats, &mut usage);
+        for (r, &usage) in usage.iter().enumerate() {
             comp = comp.max((prices.mu(r) * (self.availability[r] - usage)).abs());
             worst_res = worst_res.max(usage - self.availability[r]);
         }
@@ -799,6 +860,7 @@ impl Plan {
         boundary_tol: f64,
         scratch: &mut PlanScratch,
     ) -> (f64, f64, f64) {
+        debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
         let mut stat = 0.0f64;
         let mut comp = 0.0f64;
         let mut worst_path = f64::NEG_INFINITY;
@@ -813,10 +875,10 @@ impl Plan {
             lambda_sum.fill(0.0);
             // Note: the KKT reference accumulates λ WITHOUT the
             // allocator's zero-skip; replicate that here.
-            for (p, pp) in (self.task_path_off[t]..self.task_path_off[t + 1]).enumerate() {
+            for (p, pp) in self.task_path_range(t).enumerate() {
                 let lp = prices.lambda(t, p);
                 let mut pl = 0.0;
-                for &s in &self.path_subs[self.path_sub_off[pp]..self.path_sub_off[pp + 1]] {
+                for &s in self.path_subtasks(pp) {
                     lambda_sum[s as usize] += lp;
                     pl += lats[base + s as usize];
                 }
@@ -1062,10 +1124,11 @@ mod tests {
         };
         assert_eq!(plan.total_utility(&flat), p.total_utility(&lats));
         assert_eq!(plan.lagrangian_value(&flat, &prices), lagrangian_value(&p, &lats, &prices));
-        plan.usage_into(&flat, &mut scratch.usage);
-        plan.path_latencies_into(&flat, &mut scratch.path_lat);
+        scratch.lats_mut().copy_from_slice(&flat);
+        let violations = plan.price_update(&mut prices.clone(), &mut scratch);
         assert_eq!(plan.max_resource_violation(&scratch.usage), p.max_resource_violation(&lats));
         assert_eq!(plan.max_path_violation(&scratch.path_lat), p.max_path_violation(&lats));
+        assert_eq!(violations, (p.max_resource_violation(&lats), p.max_path_violation(&lats)));
         let naive_kkt = kkt_report(&p, &lats, &prices, &settings, 1e-9);
         let plan_kkt = plan.kkt_report(&flat, &prices, 1e-9, &mut scratch);
         assert_eq!(naive_kkt, plan_kkt);

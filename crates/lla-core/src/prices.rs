@@ -13,6 +13,22 @@
 //! adaptive heuristic (§5.2) doubles a resource's step size — and that of
 //! every path traversing it — for as long as the resource stays congested,
 //! and reverts to the initial value as soon as it decongests.
+//!
+//! # Flat dual layout
+//!
+//! Resource duals (μ, γ_r, last gradient) are three arrays indexed by
+//! resource. Path duals (λ, γ_p, last gradient) are three contiguous
+//! arrays too, cut into one row per task by an offset table:
+//! `row_off[t]..row_off[t+1]` is task `t`'s row. Rows follow task order —
+//! global task order in a full-shape state ([`PriceState::new`]), the
+//! shard's plan-local order in a shard's state — and a
+//! [`Plan`](crate::plan::Plan) numbers paths the same way, task by task
+//! and path by path within each task. So `row_off` equals the plan's
+//! per-task path offsets, and the flat index `row_off[t] + p` of path `p`
+//! of row `t` *is* the plan's path index: the plan's path pass steps λ by
+//! its own loop index, with no per-row lookup. The index-based API
+//! (`lambda(t, p)`, `lambdas(t)`, `apply_path_step(t, p, …)`) maps onto
+//! the flat arrays and checks `p` against its row.
 
 use crate::problem::{MembershipReport, Problem};
 use serde::{Deserialize, Serialize};
@@ -115,15 +131,22 @@ impl Default for StepSizePolicy {
 
 /// The dual variables of LLA: one `μ_r` per resource and one `λ_p` per
 /// root-to-leaf path, plus their per-entity adaptive step sizes.
+///
+/// Path duals live in three flat arrays (λ, γ_p, last gradient) cut into
+/// one row per task by `row_off`, so a flat path index is the
+/// [`Plan`](crate::plan::Plan)'s global path index (see the
+/// [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PriceState {
     mu: Vec<f64>,
-    /// `lambda[t][p]` for path `p` of task `t`.
-    lambda: Vec<Vec<f64>>,
     gamma_r: Vec<f64>,
-    gamma_p: Vec<Vec<f64>>,
     last_grad_r: Vec<f64>,
-    last_grad_p: Vec<Vec<f64>>,
+    /// `row_off[t]..row_off[t+1]` is λ row `t`'s window of the three path
+    /// arrays (`len == rows + 1`).
+    row_off: Vec<usize>,
+    lambda: Vec<f64>,
+    gamma_p: Vec<f64>,
+    last_grad_p: Vec<f64>,
     last_max_rel_step: f64,
     rejected_samples: u64,
     gamma_doublings: u64,
@@ -133,23 +156,67 @@ pub struct PriceState {
 impl PriceState {
     /// Initializes zero prices for every resource and path of `problem`.
     pub fn new(problem: &Problem, policy: StepSizePolicy) -> Self {
+        let rows = problem.tasks().iter().map(|t| t.graph().paths().len());
+        Self::with_rows(problem.resources().len(), rows, policy)
+    }
+
+    /// Zero prices for `resources` resources and one λ row per entry of
+    /// `rows` (its path count), every step size at the policy's initial
+    /// value.
+    fn with_rows(
+        resources: usize,
+        rows: impl ExactSizeIterator<Item = usize>,
+        policy: StepSizePolicy,
+    ) -> Self {
         let g0 = policy.initial_gamma();
+        let mut row_off = Vec::with_capacity(rows.len() + 1);
+        row_off.push(0);
+        let mut paths = 0;
+        for n in rows {
+            paths += n;
+            row_off.push(paths);
+        }
         PriceState {
-            mu: vec![0.0; problem.resources().len()],
-            lambda: problem.tasks().iter().map(|t| vec![0.0; t.graph().paths().len()]).collect(),
-            gamma_r: vec![g0; problem.resources().len()],
-            gamma_p: problem.tasks().iter().map(|t| vec![g0; t.graph().paths().len()]).collect(),
-            last_grad_r: vec![0.0; problem.resources().len()],
-            last_grad_p: problem
-                .tasks()
-                .iter()
-                .map(|t| vec![0.0; t.graph().paths().len()])
-                .collect(),
+            mu: vec![0.0; resources],
+            gamma_r: vec![g0; resources],
+            last_grad_r: vec![0.0; resources],
+            row_off,
+            lambda: vec![0.0; paths],
+            gamma_p: vec![g0; paths],
+            last_grad_p: vec![0.0; paths],
             last_max_rel_step: f64::INFINITY,
             rejected_samples: 0,
             gamma_doublings: 0,
             policy,
         }
+    }
+
+    /// λ row `t`'s window of the flat path arrays.
+    fn row(&self, t: usize) -> std::ops::Range<usize> {
+        self.row_off[t]..self.row_off[t + 1]
+    }
+
+    /// The flat index of path `p` of λ row `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside the row (a flat index would otherwise
+    /// silently alias the next row).
+    fn path_index(&self, t: usize, p: usize) -> usize {
+        let row = self.row(t);
+        assert!(p < row.len(), "path {p} out of range for a λ row of {} paths", row.len());
+        row.start + p
+    }
+
+    /// Total number of path duals (the length of the flat λ array).
+    pub(crate) fn num_paths(&self) -> usize {
+        self.lambda.len()
+    }
+
+    /// The λ row offsets (`len == rows + 1`); equal to a plan's per-task
+    /// path offsets when the rows are in that plan's task order.
+    pub(crate) fn row_offsets(&self) -> &[usize] {
+        &self.row_off
     }
 
     /// Warm-starts a price state for a problem produced by a membership
@@ -171,10 +238,11 @@ impl PriceState {
         }
         for (old, m) in report.task_map.iter().enumerate() {
             if let Some(new) = *m {
-                if self.lambda[old].len() == next.lambda[new].len() {
-                    next.lambda[new].copy_from_slice(&self.lambda[old]);
-                    next.gamma_p[new].copy_from_slice(&self.gamma_p[old]);
-                    next.last_grad_p[new].copy_from_slice(&self.last_grad_p[old]);
+                let (from, to) = (self.row(old), next.row(new));
+                if from.len() == to.len() {
+                    next.lambda[to.clone()].copy_from_slice(&self.lambda[from.clone()]);
+                    next.gamma_p[to.clone()].copy_from_slice(&self.gamma_p[from.clone()]);
+                    next.last_grad_p[to].copy_from_slice(&self.last_grad_p[from]);
                 }
             }
         }
@@ -218,12 +286,12 @@ impl PriceState {
 
     /// The path price `λ_p` for path `p` of task `t`.
     pub fn lambda(&self, t: usize, p: usize) -> f64 {
-        self.lambda[t][p]
+        self.lambdas(t)[p]
     }
 
     /// All path prices of task `t`.
     pub fn lambdas(&self, t: usize) -> &[f64] {
-        &self.lambda[t]
+        &self.lambda[self.row(t)]
     }
 
     /// Overwrites the resource price (used by the distributed runtime when
@@ -247,7 +315,8 @@ impl PriceState {
             self.rejected_samples += 1;
             return;
         }
-        self.lambda[t][p] = value.max(0.0);
+        let i = self.path_index(t, p);
+        self.lambda[i] = value.max(0.0);
     }
 
     /// The step-size policy these duals evolve under.
@@ -261,22 +330,8 @@ impl PriceState {
     /// global `sub_res` ids — but λ rows only for the shard's `tasks`
     /// (plan-local row order = slice order).
     pub(crate) fn for_shard(problem: &Problem, tasks: &[usize], policy: StepSizePolicy) -> Self {
-        let g0 = policy.initial_gamma();
-        let nr = problem.resources().len();
-        let rows: Vec<usize> =
-            tasks.iter().map(|&t| problem.tasks()[t].graph().paths().len()).collect();
-        PriceState {
-            mu: vec![0.0; nr],
-            lambda: rows.iter().map(|&n| vec![0.0; n]).collect(),
-            gamma_r: vec![g0; nr],
-            gamma_p: rows.iter().map(|&n| vec![g0; n]).collect(),
-            last_grad_r: vec![0.0; nr],
-            last_grad_p: rows.iter().map(|&n| vec![0.0; n]).collect(),
-            last_max_rel_step: f64::INFINITY,
-            rejected_samples: 0,
-            gamma_doublings: 0,
-            policy,
-        }
+        let rows = tasks.iter().map(|&t| problem.tasks()[t].graph().paths().len());
+        Self::with_rows(problem.resources().len(), rows, policy)
     }
 
     /// Raw `(μ, γ, last_grad)` triple for resource `r` — ownership
@@ -296,32 +351,41 @@ impl PriceState {
 
     /// Raw `(λ, γ, last_grad)` triple for path `p` of λ-row `row`.
     pub(crate) fn path_dual_raw(&self, row: usize, p: usize) -> (f64, f64, f64) {
-        (self.lambda[row][p], self.gamma_p[row][p], self.last_grad_p[row][p])
+        let i = self.path_index(row, p);
+        (self.lambda[i], self.gamma_p[i], self.last_grad_p[i])
     }
 
     /// Installs a raw path-dual triple taken from
     /// [`path_dual_raw`](Self::path_dual_raw).
     pub(crate) fn set_path_dual_raw(&mut self, row: usize, p: usize, raw: (f64, f64, f64)) {
-        self.lambda[row][p] = raw.0;
-        self.gamma_p[row][p] = raw.1;
-        self.last_grad_p[row][p] = raw.2;
+        let i = self.path_index(row, p);
+        self.lambda[i] = raw.0;
+        self.gamma_p[i] = raw.1;
+        self.last_grad_p[i] = raw.2;
     }
 
     /// Appends a fresh zero-dual λ row of `paths` entries (a task joining
     /// a shard is appended at the end of its plan-local order).
     pub(crate) fn push_lambda_row(&mut self, paths: usize) {
-        let g0 = self.policy.initial_gamma();
-        self.lambda.push(vec![0.0; paths]);
-        self.gamma_p.push(vec![g0; paths]);
-        self.last_grad_p.push(vec![0.0; paths]);
+        let n = self.lambda.len() + paths;
+        self.lambda.resize(n, 0.0);
+        self.gamma_p.resize(n, self.policy.initial_gamma());
+        self.last_grad_p.resize(n, 0.0);
+        self.row_off.push(n);
     }
 
     /// Removes λ row `row`, shifting later rows down (a task leaving a
     /// shard; plan-local order of the survivors is preserved).
     pub(crate) fn remove_lambda_row(&mut self, row: usize) {
-        self.lambda.remove(row);
-        self.gamma_p.remove(row);
-        self.last_grad_p.remove(row);
+        let window = self.row(row);
+        let len = window.len();
+        self.lambda.drain(window.clone());
+        self.gamma_p.drain(window.clone());
+        self.last_grad_p.drain(window);
+        self.row_off.remove(row + 1);
+        for off in &mut self.row_off[row + 1..] {
+            *off -= len;
+        }
     }
 
     /// Overwrites the diagnostic bookkeeping (used when assembling a
@@ -361,14 +425,8 @@ impl PriceState {
                 *max = max.min(*initial * max_multiple);
             }
         }
-        for g in &mut self.gamma_r {
-            *g = g0;
-        }
-        for row in &mut self.gamma_p {
-            for g in row {
-                *g = g0;
-            }
-        }
+        self.gamma_r.fill(g0);
+        self.gamma_p.fill(g0);
     }
 
     /// The current step size of resource `r` (for introspection/tests).
@@ -378,7 +436,7 @@ impl PriceState {
 
     /// The current step size of path `p` of task `t`.
     pub fn gamma_p(&self, t: usize, p: usize) -> f64 {
-        self.gamma_p[t][p]
+        self.gamma_p[self.path_index(t, p)]
     }
 
     /// Performs one full price-computation step (Eqs. 8–9) for the given
@@ -422,6 +480,7 @@ impl PriceState {
     /// `grad = B_r − usage_r`, including this policy's step-size
     /// adaptation. This is the operation a distributed resource agent
     /// performs locally. Returns the new `μ_r`.
+    #[inline]
     pub fn apply_resource_step(&mut self, r: usize, grad: f64) -> f64 {
         // A NaN/∞ gradient (zero-availability resource after a fault,
         // corrupt message) would poison μ_r and `last_grad` permanently;
@@ -479,38 +538,46 @@ impl PriceState {
         grad: f64,
         traverses_congested: bool,
     ) -> f64 {
+        let i = self.path_index(t, p);
+        self.step_path(i, grad, traverses_congested)
+    }
+
+    /// [`apply_path_step`](Self::apply_path_step) on flat path index `i`
+    /// (a plan's global path index): the form the plan's path pass calls.
+    #[inline]
+    pub(crate) fn step_path(&mut self, i: usize, grad: f64, traverses_congested: bool) -> f64 {
         if !grad.is_finite() {
             self.rejected_samples += 1;
-            return self.lambda[t][p];
+            return self.lambda[i];
         }
-        let prev_gamma = self.gamma_p[t][p];
-        self.gamma_p[t][p] = match self.policy {
+        let prev_gamma = self.gamma_p[i];
+        self.gamma_p[i] = match self.policy {
             StepSizePolicy::Fixed { gamma } => gamma,
             StepSizePolicy::Adaptive { initial, factor, max } => {
                 if traverses_congested {
-                    (self.gamma_p[t][p] * factor).min(max)
+                    (self.gamma_p[i] * factor).min(max)
                 } else {
                     initial
                 }
             }
             StepSizePolicy::SignAdaptive { initial, factor, max } => {
-                let same = grad.signum() == self.last_grad_p[t][p].signum();
-                let moving = grad < 0.0 || self.lambda[t][p] > 0.0;
-                if same && moving && self.last_grad_p[t][p] != 0.0 {
-                    (self.gamma_p[t][p] * factor).min(max)
+                let same = grad.signum() == self.last_grad_p[i].signum();
+                let moving = grad < 0.0 || self.lambda[i] > 0.0;
+                if same && moving && self.last_grad_p[i] != 0.0 {
+                    (self.gamma_p[i] * factor).min(max)
                 } else {
                     initial
                 }
             }
         };
-        if self.gamma_p[t][p] > prev_gamma {
+        if self.gamma_p[i] > prev_gamma {
             self.gamma_doublings += 1;
         }
-        let new = (self.lambda[t][p] - self.gamma_p[t][p] * grad).max(0.0);
+        let new = (self.lambda[i] - self.gamma_p[i] * grad).max(0.0);
         self.last_max_rel_step =
-            self.last_max_rel_step.max((new - self.lambda[t][p]).abs() / (1.0 + new));
-        self.lambda[t][p] = new;
-        self.last_grad_p[t][p] = grad;
+            self.last_max_rel_step.max((new - self.lambda[i]).abs() / (1.0 + new));
+        self.lambda[i] = new;
+        self.last_grad_p[i] = grad;
         new
     }
 }
@@ -778,6 +845,105 @@ mod tests {
         s.calm_gammas(1.0);
         assert_eq!(s.policy(), StepSizePolicy::fixed(0.5));
         assert_eq!(s.gamma_r(0), 0.5);
+    }
+
+    /// A task of `paths` root-to-leaf paths over resources 0 and 1.
+    fn fan_task(paths: usize) -> TaskBuilder {
+        let mut b = TaskBuilder::new("fan");
+        let root = b.subtask("root", ResourceId::new(0), 1.0);
+        for i in 0..paths {
+            let leaf = b.subtask(format!("leaf{i}"), ResourceId::new(1), 1.0);
+            b.edge(root, leaf).unwrap();
+        }
+        b.critical_time(50.0);
+        b
+    }
+
+    /// A seeded sequence of row pushes and removals, remaps across task
+    /// and resource membership changes, calms and raw dual writes leaves
+    /// the flat state equal to one rebuilt from scratch with the same rows
+    /// and values.
+    #[test]
+    fn flat_rows_survive_edits_and_equal_a_fresh_rebuild() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        let mut p = problem();
+        let mut s = PriceState::new(&p, StepSizePolicy::adaptive(1.0));
+        let g0 = 1.0;
+        let mut max = 64.0;
+        // The expected (λ, γ, last_grad) rows and (μ, γ, last_grad) duals.
+        let mut rows: Vec<Vec<(f64, f64, f64)>> = vec![vec![(0.0, g0, 0.0)]];
+        let mut res = vec![(0.0, g0, 0.0); 2];
+        for step in 0..400 {
+            match next(7) {
+                0 => {
+                    let paths = 1 + next(4);
+                    let report = p.add_task(&fan_task(paths)).unwrap();
+                    assert_eq!(report.added_task.unwrap().index(), rows.len());
+                    s.push_lambda_row(paths);
+                    rows.push(vec![(0.0, g0, 0.0); paths]);
+                }
+                1 if rows.len() > 1 => {
+                    let row = next(rows.len());
+                    p.remove_task(TaskId::new(row)).unwrap();
+                    s.remove_lambda_row(row);
+                    rows.remove(row);
+                }
+                2 => {
+                    let paths = 1 + next(4);
+                    let report = p.add_task(&fan_task(paths)).unwrap();
+                    s = s.remap(&p, &report);
+                    rows.push(vec![(0.0, g0, 0.0); paths]);
+                }
+                3 if rows.len() > 1 => {
+                    let row = next(rows.len());
+                    let report = p.remove_task(TaskId::new(row)).unwrap();
+                    s = s.remap(&p, &report);
+                    rows.remove(row);
+                }
+                4 if res.len() < 6 => {
+                    let id = ResourceId::new(res.len());
+                    let report =
+                        p.add_resource(Resource::new(id, ResourceKind::Cpu).with_lag(1.0)).unwrap();
+                    s = s.remap(&p, &report);
+                    res.push((0.0, g0, 0.0));
+                }
+                5 => {
+                    let multiple = [1.0, 4.0, 32.0, 128.0][next(4)];
+                    s.calm_gammas(multiple);
+                    max = f64::min(max, g0 * multiple);
+                    res.iter_mut().for_each(|d| d.1 = g0);
+                    rows.iter_mut().flatten().for_each(|d| d.1 = g0);
+                }
+                _ => {
+                    let v = (step + 1) as f64;
+                    let row = next(rows.len());
+                    let path = next(rows[row].len());
+                    s.set_path_dual_raw(row, path, (v, v + 0.5, -v));
+                    rows[row][path] = (v, v + 0.5, -v);
+                    let r = next(res.len());
+                    s.set_resource_dual_raw(r, (v, 2.0 * v, v - 1.0));
+                    res[r] = (v, 2.0 * v, v - 1.0);
+                }
+            }
+        }
+        assert_eq!(s.policy(), StepSizePolicy::Adaptive { initial: g0, factor: 2.0, max });
+        let mut rebuilt = PriceState::new(&p, s.policy());
+        for (r, &d) in res.iter().enumerate() {
+            rebuilt.set_resource_dual_raw(r, d);
+        }
+        for (row, duals) in rows.iter().enumerate() {
+            assert_eq!(s.lambdas(row).len(), duals.len(), "row {row} length");
+            for (path, &d) in duals.iter().enumerate() {
+                rebuilt.set_path_dual_raw(row, path, d);
+            }
+        }
+        assert_eq!(s, rebuilt);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 
 use crate::error::ModelError;
 use crate::ids::{ResourceId, SubtaskId, TaskId};
+use crate::plan::Plan;
 use crate::resource::Resource;
 use crate::share::ShareModel;
 use crate::task::{Task, TaskBuilder};
+use std::sync::Arc;
 
 /// How dense indices moved across one membership change
 /// ([`Problem::add_task`], [`Problem::remove_task`],
@@ -54,7 +56,7 @@ impl MembershipReport {
 /// resource it runs on) and exposes it mutably so the online
 /// error-correction loop (§6.3) can update the additive correction while
 /// the optimizer runs.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Problem {
     resources: Vec<Resource>,
     tasks: Vec<Task>,
@@ -67,6 +69,24 @@ pub struct Problem {
     /// Excluded from equality — two problems that describe the same
     /// system compare equal regardless of their edit histories.
     epoch: u64,
+    /// The compiled plan of this problem at this epoch, installed by the
+    /// [`Optimizer`](crate::Optimizer) that owns the problem so
+    /// [`dual_value`](crate::dual_value) can evaluate on it. Cleared by
+    /// every epoch bump, shared by clones, excluded from equality, and
+    /// never filled by `dual_value` itself (see [`crate::plan`]).
+    plan: Option<Arc<Plan>>,
+}
+
+impl std::fmt::Debug for Problem {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Problem")
+            .field("resources", &self.resources)
+            .field("tasks", &self.tasks)
+            .field("subtasks_on", &self.subtasks_on)
+            .field("share_models", &self.share_models)
+            .field("epoch", &self.epoch)
+            .finish_non_exhaustive()
+    }
 }
 
 impl PartialEq for Problem {
@@ -119,7 +139,26 @@ impl Problem {
             share_models.push(models);
         }
 
-        Ok(Problem { resources, tasks, subtasks_on, share_models, epoch: 0 })
+        Ok(Problem { resources, tasks, subtasks_on, share_models, epoch: 0, plan: None })
+    }
+
+    /// Moves the mutation epoch forward and drops the memoised plan,
+    /// which described the problem before the edit.
+    fn bump_epoch(&mut self) {
+        self.epoch += 1;
+        self.plan = None;
+    }
+
+    /// Memoises `plan`, lowered from this problem at its current epoch.
+    pub(crate) fn install_plan(&mut self, plan: Arc<Plan>) {
+        debug_assert_eq!(plan.epoch(), self.epoch, "memoised plan must match the epoch");
+        self.plan = Some(plan);
+    }
+
+    /// The memoised plan, if the owning optimizer installed one since the
+    /// last edit.
+    pub(crate) fn plan(&self) -> Option<&Plan> {
+        self.plan.as_deref()
     }
 
     /// The mutation epoch: a counter bumped by every mutating method so
@@ -169,7 +208,7 @@ impl Problem {
             .get_mut(id.index())
             .ok_or(ModelError::UnknownResourceId { resource: id, len })?;
         slot.set_availability(availability)?;
-        self.epoch += 1;
+        self.bump_epoch();
         Ok(())
     }
 
@@ -192,7 +231,7 @@ impl Problem {
             .get_mut(id.index())
             .ok_or(ModelError::UnknownResourceId { resource: id, len })?;
         slot.set_replicas(replicas)?;
-        self.epoch += 1;
+        self.bump_epoch();
         Ok(())
     }
 
@@ -226,7 +265,7 @@ impl Problem {
     /// Panics if the id is out of range.
     pub fn set_correction(&mut self, s: SubtaskId, correction: f64) {
         self.share_models[s.task().index()][s.index()].set_correction(correction);
-        self.epoch += 1;
+        self.bump_epoch();
     }
 
     /// Sets the multiplicative demand correction for a subtask (the
@@ -237,7 +276,7 @@ impl Problem {
     /// Panics if the id is out of range.
     pub fn set_demand_scale(&mut self, s: SubtaskId, scale: f64) {
         self.share_models[s.task().index()][s.index()].set_demand_scale(scale);
-        self.epoch += 1;
+        self.bump_epoch();
     }
 
     /// Total number of subtasks across all tasks.
@@ -366,7 +405,7 @@ impl Problem {
         }
         self.tasks.push(task);
         self.share_models.push(models);
-        self.epoch += 1;
+        self.bump_epoch();
         let mut report = MembershipReport::identity(self.tasks.len() - 1, self.resources.len());
         report.added_task = Some(id);
         Ok(report)
@@ -399,7 +438,7 @@ impl Problem {
                 .expect("identity resource map cannot fail");
         }
         self.rebuild_subtasks_on();
-        self.epoch += 1;
+        self.bump_epoch();
         Ok(report)
     }
 
@@ -420,7 +459,7 @@ impl Problem {
         let id = resource.id();
         self.resources.push(resource);
         self.subtasks_on.push(Vec::new());
-        self.epoch += 1;
+        self.bump_epoch();
         let mut report = MembershipReport::identity(self.tasks.len(), self.resources.len() - 1);
         report.added_resource = Some(id);
         Ok(report)
@@ -462,7 +501,7 @@ impl Problem {
                 .expect("retired resource hosts no subtasks");
         }
         self.rebuild_subtasks_on();
-        self.epoch += 1;
+        self.bump_epoch();
         Ok(report)
     }
 
@@ -508,7 +547,7 @@ impl Problem {
             self.tasks[t] = self.tasks[t].remapped(TaskId::new(t), &map)?;
         }
         self.rebuild_subtasks_on();
-        self.epoch += 1;
+        self.bump_epoch();
         Ok(moved.len())
     }
 

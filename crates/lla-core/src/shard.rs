@@ -29,13 +29,15 @@
 //! One [`step`](ShardedOptimizer::step) is:
 //!
 //! 1. **Shard-local** (fans out across shards under the `parallel`
-//!    feature): latency allocation over the shard plan, usage and path
-//!    latencies into shard scratch, μ steps for *owned* resources only.
+//!    feature): latency allocation over the shard plan, then the plan's
+//!    resource pass — usage into shard scratch, μ steps for *owned*
+//!    resources only.
 //! 2. **Coordinator** (sequential, deterministic): per coordinator-owned
 //!    resource in ascending index order, aggregate usage → one μ step →
 //!    broadcast μ + congestion to touching shards.
-//! 3. **Path steps** (fans out): each shard applies its λ steps (Eq. 9)
-//!    with the now-complete congestion bits.
+//! 3. **Path steps** (fans out): each shard runs the plan's path pass —
+//!    path latencies, path violations and λ steps (Eq. 9) — with the
+//!    now-complete congestion bits.
 //!
 //! Because every kernel reuses the plan module's bit-exact CSR kernels
 //! and all cross-shard reductions run in fixed shard order, a one-shard
@@ -153,7 +155,8 @@ struct Shard {
 }
 
 impl Shard {
-    /// Phase 1: allocation + owned-resource μ steps + local diagnostics.
+    /// Phase 1: allocation + usage, owned-resource μ steps and their
+    /// violations + utility.
     /// `inner_parallel` permits the plan's own threaded allocator (only
     /// safe when shards are not already fanned out across threads).
     fn local_step(&mut self, inner_parallel: bool) {
@@ -164,23 +167,15 @@ impl Shard {
             self.plan.allocate_seq(&self.prices, &mut self.scratch);
         }
         self.lats.copy_from_slice(self.scratch.lats());
-        self.plan.owned_resource_steps(&mut self.prices, &mut self.scratch, &self.owned);
-        let mut rv = f64::NEG_INFINITY;
-        let avail = self.plan.availability();
-        for (r, &own) in self.owned.iter().enumerate() {
-            if own {
-                rv = rv.max(self.scratch.usage()[r] - avail[r]);
-            }
-        }
-        self.res_violation = rv;
-        self.path_violation = self.plan.max_path_violation(self.scratch.path_lat());
+        self.res_violation =
+            self.plan.owned_resource_steps(&mut self.prices, &mut self.scratch, &self.owned);
         self.utility = self.plan.total_utility(self.scratch.lats());
     }
 
-    /// Phase 3: λ path steps with the coordinator-completed congestion
-    /// bits.
+    /// Phase 3: path latencies, path violations and λ steps with the
+    /// coordinator-completed congestion bits.
     fn path_steps(&mut self) {
-        self.plan.path_price_steps(&mut self.prices, &self.scratch);
+        self.path_violation = self.plan.path_price_steps(&mut self.prices, &mut self.scratch);
     }
 }
 

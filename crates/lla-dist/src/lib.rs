@@ -13,30 +13,30 @@
 //!   [`FrameError`]s, so no NaN price or absurd id ever crosses the wire
 //!   boundary into agent state.
 //! * [`network`] — a seeded delay/jitter/loss model standing in for a real
-//!   network, plus [`FrameCorruptor`](network::FrameCorruptor): seeded
+//!   network, plus [`FrameCorruptor`]: seeded
 //!   byte-flip/truncation/field-fuzz corruption of encoded frames for
 //!   adversarial-input soaks.
 //! * [`runtime`] — a deterministic virtual-time actor runtime.
-//! * [`fault`] — [`FaultPlan`](fault::FaultPlan): scheduled partitions,
+//! * [`fault`] — [`FaultPlan`]: scheduled partitions,
 //!   crashes/restarts, and availability drops on the virtual clock,
 //!   enforced by the runtime.
 //! * [`agents`] — [`ResourceAgent`](agents::ResourceAgent) (price
 //!   computation, Eq. 8), [`TaskController`](agents::TaskController)
 //!   (path prices + latency allocation, Eq. 7/9), and
-//!   [`ControlPlaneAgent`](agents::ControlPlaneAgent) (reliable
+//!   [`ControlPlaneAgent`] (reliable
 //!   availability dissemination); the first two are thin wrappers over
 //!   `lla-core`'s primitives so the distributed and centralized code paths
 //!   share one implementation. Controllers checkpoint into a
-//!   [`CheckpointStore`](agents::CheckpointStore) and degrade gracefully
-//!   when prices go stale (see [`RobustnessConfig`](agents::RobustnessConfig)).
+//!   [`CheckpointStore`] and degrade gracefully
+//!   when prices go stale (see [`RobustnessConfig`]).
 //! * [`supervisor`] — [`SupervisorEngine`]: closed-loop self-healing —
 //!   diagnostic verdicts drive graduated remediation (gamma calm,
 //!   checkpoint rollback, dual re-sync, escalating shedding) and
 //!   price-driven elastic replica capacity.
 //! * [`fleet`] — the fleet telemetry plane: per-agent
-//!   [`AgentTelemetry`](fleet::AgentTelemetry) scopes shipped as
+//!   [`AgentTelemetry`] scopes shipped as
 //!   delta-encoded, watermarked `TelemetryReport` frames to a
-//!   [`CollectorAgent`](fleet::CollectorAgent) that merges them into a
+//!   [`CollectorAgent`] that merges them into a
 //!   deterministic fleet view and evaluates SLO alert rules.
 //! * [`system`] — [`DistributedLla`]: a full deployment on the virtual
 //!   runtime. With a perfect network and round-based ticking it is

@@ -2,7 +2,7 @@
 //! convergence diagnostics and applies graduated remediation.
 //!
 //! The [`SupervisorEngine`] closes the loop that PR 5 left open: the
-//! [`DiagnosticsEngine`](lla_telemetry::DiagnosticsEngine) can already
+//! [`DiagnosticsEngine`] can already
 //! *classify* a run (converging / oscillating / gamma-thrash / diverging
 //! / stalled), and PR 4's overload governor can already *shed*; this
 //! module turns those read-only verdicts into deterministic actions on

@@ -62,7 +62,7 @@ pub struct DistConfig {
     /// deployment is byte-identical to one without the plane. When
     /// positive, every agent ships delta-encoded, watermarked
     /// [`Message::TelemetryReport`]s to the
-    /// [`CollectorAgent`](crate::fleet::CollectorAgent) at this cadence
+    /// [`CollectorAgent`] at this cadence
     /// over the same (lossy, reordering, partitionable) network as
     /// protocol traffic.
     pub report_cadence: f64,

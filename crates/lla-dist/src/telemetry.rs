@@ -1,8 +1,8 @@
 //! Telemetry wiring for the distributed runtime and agents.
 //!
 //! [`DistTelemetry`] bundles the counter handles and the event log that
-//! the runtime, the agents, and the [`DistributedLla`](crate::system::
-//! DistributedLla) facade all share. Every handle is cheap to clone
+//! the runtime, the agents, and the
+//! [`DistributedLla`](crate::system::DistributedLla) facade all share. Every handle is cheap to clone
 //! (`Arc`s inside) and collapses to a branch-on-bool no-op when built
 //! from a disabled hub, so the default deployment carries telemetry at
 //! zero algorithmic cost — instrumentation is strictly *passive*: it

@@ -3,11 +3,14 @@
 //! price trajectories, and diagnostics (utility, usage, Lagrangian, KKT)
 //! matching to 1e-12 on randomly generated problems — and the opt-in
 //! parallel allocation kernel must be *bit-identical* to the sequential
-//! one across long seeded runs, including a membership epoch mid-run.
+//! one across long seeded runs, including a membership epoch mid-run. The
+//! dual value an optimizer's memoised plan computes must be bit-identical
+//! to the naive evaluation across every `Problem` mutator.
 
 use lla_core::{
-    allocate_latencies, kkt_report, lagrangian_value, AllocationSettings, Plan, PriceState,
-    Problem, ResourceId, StepSizePolicy, TaskBuilder, TaskId,
+    allocate_latencies, dual_value, kkt_report, lagrangian_value, AllocationSettings, Optimizer,
+    OptimizerConfig, Plan, PriceState, Problem, Resource, ResourceId, ResourceKind, StepSizePolicy,
+    SubtaskId, TaskBuilder, TaskId, UtilityFn,
 };
 use lla_workloads::{large_scale_workload, RandomWorkloadConfig, TaskShape};
 
@@ -194,5 +197,101 @@ fn parallel_allocation_is_bit_identical_to_sequential() {
         seq.prev_mut().copy_from_slice(&l);
         let l: Vec<f64> = par.lats().to_vec();
         par.prev_mut().copy_from_slice(&l);
+    }
+}
+
+/// Asserts that `dual_value` equals the naive evaluation — the allocation
+/// step from the initial allocation, then the Lagrangian over the nested
+/// walk — bit for bit, value and maximiser.
+fn assert_dual_is_naive(problem: &Problem, prices: &PriceState, what: &str) {
+    let settings = OptimizerConfig::default().allocation;
+    let dual = dual_value(problem, prices, &settings);
+    let maximizer = allocate_latencies(problem, prices, &settings, &problem.initial_allocation());
+    let value = lagrangian_value(problem, &maximizer, prices);
+    assert_eq!(dual.value.to_bits(), value.to_bits(), "{what}: {} vs {value}", dual.value);
+    assert_eq!(dual.maximizer, maximizer, "{what}: maximiser differs");
+}
+
+/// A workload with a concave-utility task (so the allocation reads its
+/// initial-allocation start) and a trailing resource nothing runs on (so
+/// it can be retired).
+fn memo_problem() -> Problem {
+    let mut problem = large_scale_workload(30, 5).expect("valid config");
+    let mut b = TaskBuilder::new("concave");
+    let root = b.subtask("root", ResourceId::new(0), 2.0);
+    for (i, r) in [1, 2].into_iter().enumerate() {
+        let leaf = b.subtask(format!("leaf{i}"), ResourceId::new(r), 1.5);
+        b.edge(root, leaf).expect("valid edge");
+    }
+    b.critical_time(400.0).utility(UtilityFn::Quadratic { offset: 500.0, lin: 0.5, quad: 0.01 });
+    problem.add_task(&b).expect("admission");
+    let spare = ResourceId::new(problem.resources().len());
+    problem.add_resource(Resource::new(spare, ResourceKind::Cpu).with_lag(1.0)).expect("dense id");
+    problem
+}
+
+fn memo_config() -> OptimizerConfig {
+    OptimizerConfig { record_trace: false, ..OptimizerConfig::default() }
+}
+
+/// `dual_value` on an optimizer's problem (which carries the optimizer's
+/// memoised plan) matches the naive walk before each mutator, right after
+/// it (the edit must drop the memo), and after the next step (which
+/// re-lowers and re-installs it); a clone taken before the edit keeps the
+/// plan that describes it.
+#[test]
+fn memoised_plan_dual_matches_naive_across_every_mutator() {
+    type Mutator = fn(&mut Optimizer);
+    fn first_subtask(o: &Optimizer) -> SubtaskId {
+        o.problem().tasks()[0].subtask_id(0)
+    }
+    fn last_resource(o: &Optimizer) -> ResourceId {
+        ResourceId::new(o.problem().resources().len() - 1)
+    }
+    let mutators: [(&str, Mutator); 9] = [
+        ("set_resource_availability", |o| {
+            o.set_resource_availability(ResourceId::new(1), 0.7).expect("valid availability")
+        }),
+        ("set_resource_replicas", |o| {
+            // The optimizer has no replica setter: edit a clone of its
+            // problem (which shares the memo) and carry the state over.
+            let mut problem = o.problem().clone();
+            problem.set_resource_replicas(ResourceId::new(2), 2).expect("valid replicas");
+            let state = o.export_state();
+            *o = Optimizer::new(problem, memo_config());
+            o.import_state(state);
+        }),
+        ("set_correction", |o| o.set_correction(first_subtask(o), -0.5)),
+        ("set_demand_scale", |o| o.set_demand_scale(first_subtask(o), 1.2)),
+        ("add_task", |o| {
+            let mut b = TaskBuilder::new("late");
+            b.subtask("s", ResourceId::new(3), 1.0);
+            b.critical_time(300.0);
+            o.add_task(&b).expect("admission");
+        }),
+        ("remove_task", |o| {
+            o.remove_task(TaskId::new(2)).expect("known task");
+        }),
+        ("add_resource", |o| {
+            let id = ResourceId::new(o.problem().resources().len());
+            o.add_resource(Resource::new(id, ResourceKind::Cpu).with_lag(0.5)).expect("dense id");
+        }),
+        ("retire_resource", |o| {
+            o.retire_resource(last_resource(o)).expect("spare resource is idle");
+        }),
+        ("reassign_resource", |o| {
+            o.reassign_resource(ResourceId::new(4), last_resource(o)).expect("known resources");
+        }),
+    ];
+    for (name, mutate) in mutators {
+        let mut opt = Optimizer::new(memo_problem(), memo_config());
+        opt.run(40);
+        assert_dual_is_naive(opt.problem(), opt.prices(), &format!("before {name}"));
+        let (clone, clone_prices) = (opt.problem().clone(), opt.prices().clone());
+        mutate(&mut opt);
+        assert_dual_is_naive(opt.problem(), opt.prices(), &format!("right after {name}"));
+        assert_dual_is_naive(&clone, &clone_prices, &format!("clone taken before {name}"));
+        opt.step();
+        assert_dual_is_naive(opt.problem(), opt.prices(), &format!("step after {name}"));
     }
 }
