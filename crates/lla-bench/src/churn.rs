@@ -365,11 +365,8 @@ pub fn run_churn_soak_instrumented(config: &ChurnConfig, hub: &TelemetryHub) -> 
     let mut shed_slots = Vec::new();
     let mut flapped = false;
     if config.with_shedding {
-        let mut monitor = OverloadMonitor::new(OverloadConfig {
-            violation_threshold: 0.05,
-            sustain_iters: 30,
-            cooldown_iters: 120,
-        });
+        let mut monitor =
+            OverloadMonitor::new(OverloadConfig { sustain_iters: 30, cooldown_iters: 120 });
         // Three heavy joins push demand past capacity. Each join starts
         // the admit cool-down, so the monitor cannot evict before
         // prices re-settle (hysteresis on both edges).

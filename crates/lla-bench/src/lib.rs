@@ -1,8 +1,7 @@
 //! # `lla-bench` — experiment harness for the LLA reproduction
 //!
 //! One binary per table/figure of the paper's evaluation (§5–§6), each
-//! built on the experiment functions in this library so the criterion
-//! benches measure exactly the code the binaries run:
+//! built on the experiment functions in this library:
 //!
 //! | target | regenerates |
 //! |---|---|
@@ -206,8 +205,7 @@ pub struct ScalePoint {
 /// critical times to preserve schedulability) and measure convergence.
 ///
 /// Uses the sign-adaptive policy: the paper's congestion-only heuristic
-/// fails to formally converge on the 12-task point (see the ablation bench
-/// and EXPERIMENTS.md).
+/// fails to formally converge on the 12-task point (see EXPERIMENTS.md).
 pub fn run_fig6_point(replication: usize, max_iters: usize) -> ScalePoint {
     let problem = scaled_workload(replication, true);
     let tasks = problem.tasks().len();

@@ -28,18 +28,18 @@
 
 use crate::Series;
 use lla_core::{
-    select_victim, IterationReport, OverloadConfig, OverloadMonitor, ResourceId, ResourceKind,
-    StepSizePolicy, TaskBuilder, UtilityFn,
+    select_victim, IterationReport, OverloadMonitor, ResourceId, ResourceKind, StepSizePolicy,
+    TaskBuilder, UtilityFn,
 };
 use lla_core::{Problem, Resource};
+use lla_dist::supervisor::{CHECK_INTERVAL_ROUNDS, SUPERVISOR_OVERLOAD, SUPERVISOR_WINDOW};
 use lla_dist::{
     DistConfig, DistributedLla, NetworkModel, Remediation, SupervisorConfig, SupervisorEngine,
 };
 use lla_telemetry::{DiagnosticsEngine, Verdict};
 
-/// Supervision checks per soak stage (×
-/// [`CHECK_INTERVAL_ROUNDS`](lla_dist::supervisor::CHECK_INTERVAL_ROUNDS)
-/// rounds each).
+/// Supervision checks per soak stage (× [`CHECK_INTERVAL_ROUNDS`] rounds
+/// each).
 const CHECKS_PER_STAGE: usize = 120;
 
 /// Checks counted into the tail-utility mean (the "end-to-end" figure).
@@ -209,13 +209,8 @@ fn run_arm(
     scenario_code: f64,
 ) -> ArmOutcome {
     let mut dist = build_dist(sc);
-    let interval = SupervisorConfig::default().check_interval_rounds;
-    let mut diag = DiagnosticsEngine::with_window(SupervisorConfig::default().window);
-    let mut monitor = OverloadMonitor::new(OverloadConfig {
-        violation_threshold: 0.05,
-        sustain_iters: 6,
-        cooldown_iters: 24,
-    });
+    let mut diag = DiagnosticsEngine::with_window(SUPERVISOR_WINDOW);
+    let mut monitor = OverloadMonitor::new(SUPERVISOR_OVERLOAD);
     let mut sheds = 0usize;
     let arm_code = f64::from(supervisor.is_some());
 
@@ -226,7 +221,7 @@ fn run_arm(
                 monitor.note_admission();
             }
         }
-        dist.run_rounds(interval);
+        dist.run_rounds(CHECK_INTERVAL_ROUNDS);
         let verdict;
         match supervisor.as_mut() {
             Some(sup) => {
@@ -270,7 +265,7 @@ fn run_arm(
     let tail: Vec<f64> = (0..TAIL_CHECKS)
         .map(|i| {
             let u = dist.utilities();
-            u[u.len() - 1 - i * interval]
+            u[u.len() - 1 - i * CHECK_INTERVAL_ROUNDS]
         })
         .collect();
     let verdict = match supervisor.as_ref() {

@@ -168,7 +168,6 @@ mod tests {
                     ..OptimizerConfig::default()
                 },
                 max_iters: 5_000,
-                ..SchedulabilityConfig::default()
             },
             max_incumbent_degradation: None,
         }

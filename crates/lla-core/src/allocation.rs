@@ -16,7 +16,11 @@
 //! For the paper's linear utilities `f'` is constant and the solve is a
 //! single pass. For general concave utilities `A` couples the subtasks of a
 //! task, and we run a damped fixed-point iteration on `A`; concavity makes
-//! `−f'(A)` non-decreasing in `A`, which keeps the iteration stable.
+//! `−f'(A)` non-decreasing in `A`, which keeps the iteration stable. The
+//! iteration is fixed: damping `DAMPING` = 0.5 (`A ← (A + A_new)/2`),
+//! stopping once a step moves `A` by at most `FIXED_POINT_TOL` = 1e-10
+//! relative, or after `FIXED_POINT_MAX_ITERS` = 60 steps. The compiled
+//! kernels in `plan.rs` run the same iteration with the same constants.
 //!
 //! Latencies are clamped to a box `[lat_lo, lat_hi]`:
 //!
@@ -33,28 +37,26 @@ use crate::task::Task;
 use crate::utility::UtilityFn;
 use serde::{Deserialize, Serialize};
 
-/// Tunables for the latency-allocation solver.
+/// Relative convergence tolerance of the fixed-point iteration on the
+/// aggregate latency.
+pub(crate) const FIXED_POINT_TOL: f64 = 1e-10;
+
+/// Maximum fixed-point iterations for non-linear utilities.
+pub(crate) const FIXED_POINT_MAX_ITERS: usize = 60;
+
+/// Damping factor of the fixed point: `A ← (1−d)·A + d·A_new`.
+pub(crate) const DAMPING: f64 = 0.5;
+
+/// Settings of the latency-allocation solver.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AllocationSettings {
     /// Enforce `share ≥ rate · WCET` via a latency upper clamp.
     pub throughput_floor: bool,
-    /// Convergence tolerance of the fixed-point iteration on the aggregate
-    /// latency (relative).
-    pub fixed_point_tol: f64,
-    /// Maximum fixed-point iterations for non-linear utilities.
-    pub fixed_point_max_iters: usize,
-    /// Damping factor in `(0, 1]`: `A ← (1−d)·A + d·A_new`.
-    pub damping: f64,
 }
 
 impl Default for AllocationSettings {
     fn default() -> Self {
-        AllocationSettings {
-            throughput_floor: true,
-            fixed_point_tol: 1e-10,
-            fixed_point_max_iters: 60,
-            damping: 0.5,
-        }
+        AllocationSettings { throughput_floor: true }
     }
 }
 
@@ -170,11 +172,11 @@ pub fn allocate_task(
 
     // General concave utility: damped fixed point on the aggregate A.
     let mut a = task.aggregate_latency(previous);
-    for _ in 0..settings.fixed_point_max_iters {
+    for _ in 0..FIXED_POINT_MAX_ITERS {
         solve_pass(a, &mut lats);
         let a_new = task.aggregate_latency(&lats);
-        let next = (1.0 - settings.damping) * a + settings.damping * a_new;
-        if (next - a).abs() <= settings.fixed_point_tol * a.abs().max(1.0) {
+        let next = (1.0 - DAMPING) * a + DAMPING * a_new;
+        if (next - a).abs() <= FIXED_POINT_TOL * a.abs().max(1.0) {
             a = next;
             break;
         }
@@ -214,7 +216,7 @@ mod tests {
         let mut prices = PriceState::new(&p, StepSizePolicy::fixed(1.0));
         prices.set_mu(0, 4.0);
         prices.set_mu(1, 9.0);
-        let settings = AllocationSettings { throughput_floor: false, ..Default::default() };
+        let settings = AllocationSettings { throughput_floor: false };
         let prev = p.initial_allocation();
         let lats = allocate_latencies(&p, &prices, &settings, &prev);
         // d = 1 (w=1, f'=-1, lambda=0): lat_s = sqrt(mu * demand).
@@ -226,7 +228,7 @@ mod tests {
     fn zero_prices_push_latency_to_upper_clamp() {
         let p = problem_with(None);
         let prices = PriceState::new(&p, StepSizePolicy::fixed(1.0));
-        let settings = AllocationSettings { throughput_floor: false, ..Default::default() };
+        let settings = AllocationSettings { throughput_floor: false };
         let prev = p.initial_allocation();
         let lats = allocate_latencies(&p, &prices, &settings, &prev);
         // mu = 0 => stationary latency 0 => clamped to the *lower* bound
@@ -240,7 +242,7 @@ mod tests {
         let p = problem_with(None);
         let mut prices = PriceState::new(&p, StepSizePolicy::fixed(1.0));
         prices.set_mu(0, 100.0);
-        let settings = AllocationSettings { throughput_floor: false, ..Default::default() };
+        let settings = AllocationSettings { throughput_floor: false };
         let prev = p.initial_allocation();
         let base = allocate_latencies(&p, &prices, &settings, &prev)[0][0];
         prices.set_lambda(0, 0, 3.0);
@@ -256,7 +258,7 @@ mod tests {
         let mut prices = PriceState::new(&p, StepSizePolicy::fixed(1.0));
         prices.set_mu(0, 1e9);
         prices.set_mu(1, 1e9);
-        let settings = AllocationSettings { throughput_floor: false, ..Default::default() };
+        let settings = AllocationSettings { throughput_floor: false };
         let prev = p.initial_allocation();
         let lats = allocate_latencies(&p, &prices, &settings, &prev);
         for &l in &lats[0] {
@@ -289,7 +291,7 @@ mod tests {
         let mut prices = PriceState::new(&p, StepSizePolicy::fixed(1.0));
         prices.set_mu(0, 50.0);
         prices.set_mu(1, 50.0);
-        let settings = AllocationSettings { throughput_floor: false, ..Default::default() };
+        let settings = AllocationSettings { throughput_floor: false };
         let prev = p.initial_allocation();
         let lats = allocate_latencies(&p, &prices, &settings, &prev);
         let task = &p.tasks()[0];
@@ -310,7 +312,7 @@ mod tests {
     #[test]
     fn higher_mu_means_higher_latency_lower_share() {
         let p = problem_with(None);
-        let settings = AllocationSettings { throughput_floor: false, ..Default::default() };
+        let settings = AllocationSettings { throughput_floor: false };
         let prev = p.initial_allocation();
         let mut last = 0.0;
         for mu in [1.0, 4.0, 16.0, 64.0] {

@@ -207,7 +207,7 @@ mod tests {
     fn dual_dominates_feasible_primal() {
         // Weak duality: D(mu, lambda) >= utility of any feasible allocation.
         let p = problem();
-        let settings = AllocationSettings { throughput_floor: false, ..Default::default() };
+        let settings = AllocationSettings { throughput_floor: false };
         let feasible = vec![vec![12.0, 12.0]]; // usage ~ 0.25+0.33, paths 24 < 30
         assert!(p.is_feasible(&feasible, 1e-9));
         let primal = p.total_utility(&feasible);
@@ -228,7 +228,7 @@ mod tests {
     fn dual_maximizer_maximizes_lagrangian() {
         // Perturbing the maximizer must not increase the Lagrangian.
         let p = problem();
-        let settings = AllocationSettings { throughput_floor: false, ..Default::default() };
+        let settings = AllocationSettings { throughput_floor: false };
         let mut prices = PriceState::new(&p, StepSizePolicy::fixed(1.0));
         prices.set_mu(0, 20.0);
         prices.set_mu(1, 20.0);
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn kkt_stationarity_zero_at_allocator_output() {
         let p = problem();
-        let settings = AllocationSettings { throughput_floor: false, ..Default::default() };
+        let settings = AllocationSettings { throughput_floor: false };
         let mut prices = PriceState::new(&p, StepSizePolicy::fixed(1.0));
         prices.set_mu(0, 30.0);
         prices.set_mu(1, 30.0);

@@ -29,25 +29,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of the [`Optimizer`].
+///
+/// The convergence detector's thresholds are fixed; see
+/// [`has_converged`](Optimizer::has_converged).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OptimizerConfig {
     /// Step-size policy for price updates (paper's best: adaptive, γ₀ = 1).
     pub step_policy: StepSizePolicy,
     /// Latency-allocation solver settings.
     pub allocation: AllocationSettings,
-    /// Relative utility-change threshold for convergence detection (the
-    /// paper's prototype stops refining below 1% = `0.01`).
-    pub convergence_tol: f64,
-    /// Number of consecutive below-threshold iterations required.
-    pub convergence_window: usize,
-    /// Feasibility tolerance used when declaring convergence.
-    pub feasibility_tol: f64,
-    /// Price-quiescence tolerance: convergence additionally requires the
-    /// last price update's largest relative movement
-    /// (`|Δprice|/(1+price)`) to fall below this. Guards against declaring
-    /// convergence mid-way through a slow price drift whose effect on
-    /// utility per iteration is tiny.
-    pub price_tol: f64,
     /// Whether to record a full [`Trace`] (cheap; on by default).
     pub record_trace: bool,
     /// Maximum trace records to retain (`None` = unbounded). When set,
@@ -62,10 +52,6 @@ impl Default for OptimizerConfig {
         OptimizerConfig {
             step_policy: StepSizePolicy::default(),
             allocation: AllocationSettings::default(),
-            convergence_tol: 1e-6,
-            convergence_window: 10,
-            feasibility_tol: 1e-3,
-            price_tol: 1e-4,
             record_trace: true,
             trace_capacity: None,
         }
@@ -488,8 +474,7 @@ impl Optimizer {
 
         let (price_step, doublings) =
             (self.prices.last_max_rel_step(), self.prices.gamma_doublings());
-        let report =
-            self.book.close_round(&self.config, utility, violations, price_step, doublings);
+        let report = self.book.close_round(utility, violations, price_step, doublings);
         if let (Some(phases), Some(t0), Some(t1), Some(t2)) = (&self.phases, t0, t1, t2) {
             let spans = [t1 - t0, t2 - t1, t2.elapsed()];
             for (histogram, span) in phases.iter().zip(spans) {
@@ -500,8 +485,9 @@ impl Optimizer {
     }
 
     /// Whether the convergence criterion currently holds: utility stable
-    /// for `convergence_window` iterations, prices quiescent, *and* the
-    /// allocation feasible.
+    /// to a relative `1e-6` for 10 consecutive iterations, the last
+    /// price step below `1e-4` relative, *and* the allocation feasible
+    /// within `1e-3`.
     pub fn has_converged(&self) -> bool {
         round_book::has_converged(self)
     }
@@ -653,10 +639,6 @@ impl Driver for Optimizer {
         &self.book
     }
 
-    fn config(&self) -> &OptimizerConfig {
-        &self.config
-    }
-
     fn round(&mut self) -> IterationReport {
         self.step()
     }
@@ -666,7 +648,7 @@ impl Driver for Optimizer {
     }
 
     fn feasible_walk(&self) -> bool {
-        self.problem.is_feasible(&self.lats, self.config.feasibility_tol)
+        self.problem.is_feasible(&self.lats, round_book::FEASIBILITY_TOL)
     }
 }
 
@@ -809,7 +791,7 @@ mod tests {
 
     fn config() -> OptimizerConfig {
         OptimizerConfig {
-            allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+            allocation: AllocationSettings { throughput_floor: false },
             ..OptimizerConfig::default()
         }
     }

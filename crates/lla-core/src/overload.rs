@@ -12,17 +12,21 @@
 //! The detector deliberately keys on the violation factor over a window of
 //! iterations rather than a single sample: one congested iteration is
 //! normal during re-convergence after churn; N consecutive ones are not.
+//! An iteration counts as overloaded when its violation factor exceeds
+//! `OVERLOAD_VIOLATION` = 0.05, fifty times the optimizer's feasibility
+//! tolerance.
 
 use crate::ids::TaskId;
 use crate::optimizer::{IterationReport, Optimizer};
 use crate::problem::Problem;
 
+/// Violation factor (max of absolute resource violation and relative
+/// path violation) above which an iteration counts as overloaded.
+const OVERLOAD_VIOLATION: f64 = 0.05;
+
 /// Tuning knobs for [`OverloadMonitor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadConfig {
-    /// Violation factor (max of absolute resource violation and relative
-    /// path violation) above which an iteration counts as overloaded.
-    pub violation_threshold: f64,
     /// Consecutive overloaded iterations before the monitor declares
     /// sustained overload and recommends shedding.
     pub sustain_iters: usize,
@@ -34,7 +38,7 @@ pub struct OverloadConfig {
 
 impl Default for OverloadConfig {
     fn default() -> Self {
-        OverloadConfig { violation_threshold: 0.05, sustain_iters: 50, cooldown_iters: 200 }
+        OverloadConfig { sustain_iters: 50, cooldown_iters: 200 }
     }
 }
 
@@ -65,7 +69,7 @@ impl OverloadMonitor {
             self.cooldown -= 1;
         }
         let factor = report.max_resource_violation.max(report.max_path_violation);
-        if factor > self.config.violation_threshold {
+        if factor > OVERLOAD_VIOLATION {
             self.streak += 1;
         } else {
             self.streak = 0;
@@ -220,11 +224,7 @@ mod tests {
 
     #[test]
     fn monitor_requires_sustained_violation() {
-        let mut m = OverloadMonitor::new(OverloadConfig {
-            violation_threshold: 0.05,
-            sustain_iters: 3,
-            cooldown_iters: 5,
-        });
+        let mut m = OverloadMonitor::new(OverloadConfig { sustain_iters: 3, cooldown_iters: 5 });
         assert!(!m.observe(&report(1.0)));
         assert!(!m.observe(&report(1.0)));
         assert!(m.observe(&report(1.0)), "third consecutive violation trips the monitor");
@@ -236,11 +236,7 @@ mod tests {
 
     #[test]
     fn hysteresis_blocks_consecutive_actions() {
-        let mut m = OverloadMonitor::new(OverloadConfig {
-            violation_threshold: 0.05,
-            sustain_iters: 1,
-            cooldown_iters: 3,
-        });
+        let mut m = OverloadMonitor::new(OverloadConfig { sustain_iters: 1, cooldown_iters: 3 });
         assert!(m.observe(&report(1.0)));
         m.note_eviction();
         assert!(m.in_cooldown());
@@ -276,15 +272,12 @@ mod tests {
             (0..5).map(|i| task(&format!("t{i}"), 6.0, 10.0, -(1.0 + i as f64))).collect();
         let p = one_cpu(tasks);
         let cfg = OptimizerConfig {
-            allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+            allocation: AllocationSettings { throughput_floor: false },
             ..OptimizerConfig::default()
         };
         let mut opt = Optimizer::new(p, cfg);
-        let mut monitor = OverloadMonitor::new(OverloadConfig {
-            violation_threshold: 0.05,
-            sustain_iters: 30,
-            cooldown_iters: 100,
-        });
+        let mut monitor =
+            OverloadMonitor::new(OverloadConfig { sustain_iters: 30, cooldown_iters: 100 });
         let mut evictions = Vec::new();
         for _ in 0..5_000 {
             let (_, evicted) = governed_step(&mut opt, &mut monitor);

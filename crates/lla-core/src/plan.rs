@@ -99,7 +99,9 @@
 //! stays sequential in fixed order — so parallel output is **bit-identical**
 //! to sequential regardless of worker count.
 
-use crate::allocation::{clamping_box, AllocationSettings};
+use crate::allocation::{
+    clamping_box, AllocationSettings, DAMPING, FIXED_POINT_MAX_ITERS, FIXED_POINT_TOL,
+};
 use crate::ids::TaskId;
 use crate::lagrangian::KktReport;
 use crate::prices::PriceState;
@@ -127,7 +129,6 @@ fn dot(lats: &[f64], weight: &[f64]) -> f64 {
 #[allow(clippy::too_many_arguments)]
 fn allocate_kernel(
     utility: &UtilityFn,
-    settings: &AllocationSettings,
     weight: &[f64],
     demand: &[f64],
     correction: &[f64],
@@ -179,11 +180,11 @@ fn allocate_kernel(
 
     // General concave utility: damped fixed point on the aggregate A.
     let mut a = dot(previous, weight);
-    for _ in 0..settings.fixed_point_max_iters {
+    for _ in 0..FIXED_POINT_MAX_ITERS {
         solve_pass(a, out);
         let a_new = dot(out, weight);
-        let next = (1.0 - settings.damping) * a + settings.damping * a_new;
-        if (next - a).abs() <= settings.fixed_point_tol * a.abs().max(1.0) {
+        let next = (1.0 - DAMPING) * a + DAMPING * a_new;
+        if (next - a).abs() <= FIXED_POINT_TOL * a.abs().max(1.0) {
             a = next;
             break;
         }
@@ -566,7 +567,6 @@ impl Plan {
         let paths = self.task_path_off[t]..self.task_path_off[t + 1];
         allocate_kernel(
             &self.utility[t],
-            &self.settings,
             &self.weight[sub.clone()],
             &self.demand[sub.clone()],
             &self.correction[sub.clone()],
@@ -908,7 +908,6 @@ impl Plan {
 /// an agent does not pay O(problem) memory per controller.
 #[derive(Debug, Clone)]
 pub struct TaskPlan {
-    settings: AllocationSettings,
     utility: UtilityFn,
     critical_time: f64,
     weight: Vec<f64>,
@@ -947,7 +946,6 @@ impl TaskPlan {
             path_off.push(path_subs.len());
         }
         TaskPlan {
-            settings: *settings,
             utility: task.utility_fn().clone(),
             critical_time: task.critical_time(),
             weight: task.weights().to_vec(),
@@ -1011,7 +1009,6 @@ impl TaskPlan {
     ) {
         allocate_kernel(
             &self.utility,
-            &self.settings,
             &self.weight,
             &self.demand,
             &self.correction,

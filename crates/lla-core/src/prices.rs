@@ -61,7 +61,7 @@ pub enum StepSizePolicy {
     /// the slack is tiny, so recovery can take tens of thousands of
     /// iterations. This variant grows a price's step size whenever its
     /// gradient keeps the same sign on consecutive iterations (in either
-    /// direction) and resets it when the sign flips. The ablation bench
+    /// direction) and resets it when the sign flips. EXPERIMENTS.md
     /// compares the two.
     SignAdaptive {
         /// Initial (and post-flip) step size.

@@ -6,17 +6,36 @@
 //! bodies but close every round the same way, so each owns a
 //! [`RoundBook`], implements [`Driver`], and forwards its public
 //! `has_converged` and `run_to_convergence` here.
+//!
+//! The detector's thresholds are the constants below. The paper's §6
+//! prototype stops refining once utility moves by less than 1%;
+//! [`CONVERGENCE_TOL`] is four orders of magnitude stricter, and
+//! [`PRICE_TOL`] also waits for the prices to settle, so a slow price
+//! drift whose utility effect per round is tiny is not mistaken for a
+//! fixed point.
 
-use crate::optimizer::{
-    IterationReport, OptimizerConfig, OptimizerState, RunOutcome, StateImportError,
-};
+use crate::optimizer::{IterationReport, OptimizerState, RunOutcome, StateImportError};
 use crate::problem::Problem;
 use lla_telemetry::{Counter, Gauge, MetricsRegistry};
+
+/// Relative utility change (`|ΔU| ≤ tol · max(|U|, 1)`) below which a
+/// round counts toward convergence.
+pub(crate) const CONVERGENCE_TOL: f64 = 1e-6;
+
+/// Consecutive below-[`CONVERGENCE_TOL`] rounds required to converge.
+pub(crate) const CONVERGENCE_WINDOW: usize = 10;
+
+/// Convergence also requires the last price update's largest relative
+/// movement (`|Δprice|/(1+price)`) to be at most this.
+pub(crate) const PRICE_TOL: f64 = 1e-4;
+
+/// Slack on `max_r (usage_r − B_r)` and `max_p (path_latency/C − 1)`
+/// when declaring an allocation feasible.
+pub(crate) const FEASIBILITY_TOL: f64 = 1e-3;
 
 /// What the round book needs from a driver.
 pub(crate) trait Driver {
     fn book(&self) -> &RoundBook;
-    fn config(&self) -> &OptimizerConfig;
     /// One round, ending in [`RoundBook::close_round`].
     fn round(&mut self) -> IterationReport;
     /// The largest relative price movement of the last update.
@@ -32,7 +51,7 @@ pub(crate) struct RoundBook {
     /// Rounds executed over the driver's lifetime.
     pub(crate) iteration: usize,
     /// Consecutive rounds whose relative utility change stayed within
-    /// `convergence_tol`.
+    /// [`CONVERGENCE_TOL`].
     below_tol: usize,
     last_utility: f64,
     /// `(max_resource_violation, max_path_violation)` of the last round;
@@ -105,7 +124,6 @@ impl RoundBook {
     /// the iteration counter and publishes the shared series.
     pub(crate) fn close_round(
         &mut self,
-        config: &OptimizerConfig,
         utility: f64,
         (max_resource_violation, max_path_violation): (f64, f64),
         price_step: f64,
@@ -119,7 +137,7 @@ impl RoundBook {
         };
         self.last_violations = Some((max_resource_violation, max_path_violation));
         let delta = (utility - self.last_utility).abs();
-        if delta <= config.convergence_tol * utility.abs().max(1.0) {
+        if delta <= CONVERGENCE_TOL * utility.abs().max(1.0) {
             self.below_tol += 1;
         } else {
             self.below_tol = 0;
@@ -155,18 +173,16 @@ impl RoundBook {
 /// Feasibility of the current allocation: the last round's cached
 /// violations (identical by construction), else a full walk.
 pub(crate) fn feasible<D: Driver>(d: &D) -> bool {
-    let tol = d.config().feasibility_tol;
     match d.book().last_violations {
-        Some((res, path)) => res <= tol && path <= tol,
+        Some((res, path)) => res <= FEASIBILITY_TOL && path <= FEASIBILITY_TOL,
         None => d.feasible_walk(),
     }
 }
 
-/// Utility stable for `convergence_window` rounds, prices quiescent and
+/// Utility stable for [`CONVERGENCE_WINDOW`] rounds, prices quiescent and
 /// the allocation feasible.
 pub(crate) fn has_converged<D: Driver>(d: &D) -> bool {
-    let config = d.config();
-    if d.book().below_tol < config.convergence_window || d.price_movement() > config.price_tol {
+    if d.book().below_tol < CONVERGENCE_WINDOW || d.price_movement() > PRICE_TOL {
         return false;
     }
     feasible(d)

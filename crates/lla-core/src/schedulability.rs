@@ -5,6 +5,14 @@
 //! unschedulable workload the utility and share sums keep fluctuating and —
 //! decisively — the critical-path latencies exceed the critical times by a
 //! large factor (1.75–2.41× in the paper's Figure 7 experiment).
+//!
+//! A run that does not converge is judged over its last 50 rounds
+//! (`ASSESSMENT_WINDOW`): when the mean critical-path ratio of some task,
+//! or the mean usage/availability of some resource, exceeds 1.1
+//! (`VIOLATION_THRESHOLD`, below the 1.75× the paper observes on its
+//! unschedulable workload) the verdict is
+//! [`Unschedulable`](SchedulabilityVerdict::Unschedulable), otherwise
+//! [`Inconclusive`](SchedulabilityVerdict::Inconclusive).
 
 use crate::optimizer::{Optimizer, OptimizerConfig};
 use crate::problem::Problem;
@@ -17,24 +25,22 @@ pub struct SchedulabilityConfig {
     pub optimizer: OptimizerConfig,
     /// Iteration budget for the probe run.
     pub max_iters: usize,
-    /// Critical-path ratio above which a non-converged run is declared
-    /// unschedulable (`1.0` = exactly at the deadline; paper observes
-    /// 1.75–2.41 on its unschedulable workload).
-    pub violation_threshold: f64,
-    /// Window (in iterations) over which final ratios are averaged.
-    pub assessment_window: usize,
 }
 
 impl Default for SchedulabilityConfig {
     fn default() -> Self {
-        SchedulabilityConfig {
-            optimizer: OptimizerConfig::default(),
-            max_iters: 2_000,
-            violation_threshold: 1.1,
-            assessment_window: 50,
-        }
+        SchedulabilityConfig { optimizer: OptimizerConfig::default(), max_iters: 2_000 }
     }
 }
+
+/// Mean critical-path or usage/availability ratio above which a
+/// non-converged run is declared unschedulable (`1.0` = exactly at the
+/// constraint).
+const VIOLATION_THRESHOLD: f64 = 1.1;
+
+/// Trailing rounds over which the ratios of a non-converged run are
+/// averaged.
+const ASSESSMENT_WINDOW: usize = 50;
 
 /// The verdict of a schedulability probe.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,7 +66,8 @@ pub enum SchedulabilityVerdict {
     },
     /// The budget elapsed without convergence but also without decisive
     /// constraint violations (possibly slow convergence — §5.4 warns that
-    /// dampening fluctuations alone can be mistaken for this).
+    /// dampening fluctuations alone can be mistaken for this), or the
+    /// budget was zero and no round ran.
     Inconclusive {
         /// Utility oscillation amplitude over the assessment window.
         oscillation: f64,
@@ -97,7 +104,10 @@ pub fn analyze_schedulability(
     // workload, persistent infeasibility shows up as stretched paths, as
     // over-committed resources, or both.
     let trace = opt.trace();
-    let window = config.assessment_window.min(trace.len()).max(1);
+    if trace.is_empty() {
+        return SchedulabilityVerdict::Inconclusive { oscillation: 0.0 };
+    }
+    let window = ASSESSMENT_WINDOW.min(trace.len());
     let records = &trace.records()[trace.len() - window..];
     let num_tasks = opt.problem().tasks().len();
     let num_resources = opt.problem().resources().len();
@@ -123,7 +133,7 @@ pub fn analyze_schedulability(
         .map(|r| mean_usage[r.id().index()] / r.availability().max(1e-9))
         .fold(f64::NEG_INFINITY, f64::max);
 
-    if max_ratio > config.violation_threshold || max_resource_ratio > config.violation_threshold {
+    if max_ratio > VIOLATION_THRESHOLD || max_resource_ratio > VIOLATION_THRESHOLD {
         SchedulabilityVerdict::Unschedulable {
             min_violation_ratio: min_ratio,
             max_violation_ratio: max_ratio,
@@ -162,7 +172,7 @@ mod tests {
     fn config() -> SchedulabilityConfig {
         SchedulabilityConfig {
             optimizer: OptimizerConfig {
-                allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+                allocation: AllocationSettings { throughput_floor: false },
                 ..OptimizerConfig::default()
             },
             ..SchedulabilityConfig::default()
@@ -191,6 +201,13 @@ mod tests {
             }
             other => panic!("expected unschedulable, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn zero_budget_is_inconclusive() {
+        let config = SchedulabilityConfig { max_iters: 0, ..config() };
+        let verdict = analyze_schedulability(problem(7.0, 8), &config);
+        assert_eq!(verdict, SchedulabilityVerdict::Inconclusive { oscillation: 0.0 });
     }
 
     #[test]

@@ -514,7 +514,7 @@ impl ShardedOptimizer {
             series.coordinator_rounds.inc();
         }
         let (price_step, doublings) = (self.max_rel_price_step(), self.gamma_doublings());
-        self.book.close_round(&self.config, utility, (res_v, path_v), price_step, doublings)
+        self.book.close_round(utility, (res_v, path_v), price_step, doublings)
     }
 
     /// Phase 1: shard-local allocation + owned μ steps. Fans out one
@@ -929,10 +929,6 @@ impl Driver for ShardedOptimizer {
         &self.book
     }
 
-    fn config(&self) -> &OptimizerConfig {
-        &self.config
-    }
-
     fn round(&mut self) -> IterationReport {
         self.step()
     }
@@ -942,7 +938,7 @@ impl Driver for ShardedOptimizer {
     }
 
     fn feasible_walk(&self) -> bool {
-        self.problem.is_feasible(&self.nested_lats(), self.config.feasibility_tol)
+        self.problem.is_feasible(&self.nested_lats(), round_book::FEASIBILITY_TOL)
     }
 }
 
@@ -981,7 +977,7 @@ mod tests {
 
     fn config() -> OptimizerConfig {
         OptimizerConfig {
-            allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+            allocation: AllocationSettings { throughput_floor: false },
             ..OptimizerConfig::default()
         }
     }

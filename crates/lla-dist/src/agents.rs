@@ -1756,7 +1756,7 @@ mod tests {
             0,
             p.clone(),
             StepSizePolicy::fixed(1.0),
-            AllocationSettings { throughput_floor: false, ..Default::default() },
+            AllocationSettings { throughput_floor: false },
             Arc::clone(&telemetry),
         );
         let mut outbox = Outbox::default();
@@ -1783,7 +1783,7 @@ mod tests {
             0,
             p,
             StepSizePolicy::fixed(1.0),
-            AllocationSettings { throughput_floor: false, ..Default::default() },
+            AllocationSettings { throughput_floor: false },
             telemetry,
         )
         .with_robustness(RobustnessConfig { staleness_ttl: 20.0, ..Default::default() });
@@ -1828,7 +1828,7 @@ mod tests {
             0,
             p,
             StepSizePolicy::fixed(1.0),
-            AllocationSettings { throughput_floor: false, ..Default::default() },
+            AllocationSettings { throughput_floor: false },
             telemetry,
         )
         .with_robustness(RobustnessConfig { checkpoint_interval: 5.0, ..Default::default() })
@@ -2002,7 +2002,7 @@ mod tests {
             0,
             p,
             StepSizePolicy::fixed(1.0),
-            AllocationSettings { throughput_floor: false, ..Default::default() },
+            AllocationSettings { throughput_floor: false },
             telemetry,
         );
         let mut outbox = Outbox::default();

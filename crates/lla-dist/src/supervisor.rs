@@ -25,8 +25,9 @@
 //! deployment's event log stays byte-identical to an unsupervised run).
 //!
 //! All policy thresholds are documented `pub const`s (mirroring the
-//! diagnostics module); [`SupervisorConfig`] carries them so individual
-//! deployments can tune without recompiling.
+//! diagnostics module) that the engine reads directly;
+//! [`SupervisorConfig`] only switches the engine on and off and decides
+//! whether elastic capacity is allowed.
 
 use lla_core::{select_victim, IterationReport, OverloadConfig, OverloadMonitor};
 use lla_telemetry::{
@@ -101,53 +102,27 @@ pub const QUARANTINE_REJECTION_THRESHOLD: u64 = 3;
 /// re-announces immediately instead of waiting out staleness TTLs.
 pub const QUARANTINE_RELEASE_CHECKS: u32 = 4;
 
-/// Supervisor policy knobs. [`Default`] wires the documented consts;
-/// `enabled: false` makes the engine inert (no samples, no actions — the
-/// deployment behaves bit-identically to an unsupervised run).
+/// Overload detector settings, counted in *checks* (not rounds): six
+/// overloaded checks (30 rounds) in a row trigger remediation, and each
+/// provision or eviction opens a 24-check cool-down.
+pub const SUPERVISOR_OVERLOAD: OverloadConfig =
+    OverloadConfig { sustain_iters: 6, cooldown_iters: 24 };
+
+/// Supervisor switches. `enabled: false` makes the engine inert (no
+/// samples, no actions — the deployment behaves bit-identically to an
+/// unsupervised run).
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Master switch; `false` disables sampling and every action.
     pub enabled: bool,
-    /// Rounds between checks ([`CHECK_INTERVAL_ROUNDS`]).
-    pub check_interval_rounds: usize,
-    /// Diagnostic window in checks ([`SUPERVISOR_WINDOW`]).
-    pub window: usize,
-    /// Checks skipped after an action ([`ACTION_COOLDOWN_CHECKS`]).
-    pub action_cooldown_checks: u32,
-    /// Replica ceiling per resource ([`MAX_REPLICAS`]).
-    pub max_replicas: u32,
-    /// Provision price bar ([`PROVISION_PRICE_THRESHOLD`]).
-    pub provision_price_threshold: f64,
     /// Whether elastic capacity (provision/retire) is allowed; with
     /// `false` the supervisor falls back to shedding alone.
     pub elastic: bool,
-    /// Overload detector settings, counted in *checks* (not rounds).
-    pub overload: OverloadConfig,
-    /// Per-sender rejection delta per check that triggers quarantine
-    /// ([`QUARANTINE_REJECTION_THRESHOLD`]).
-    pub quarantine_rejection_threshold: u64,
-    /// Quarantine term, in checks ([`QUARANTINE_RELEASE_CHECKS`]).
-    pub quarantine_release_checks: u32,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
-        SupervisorConfig {
-            enabled: true,
-            check_interval_rounds: CHECK_INTERVAL_ROUNDS,
-            window: SUPERVISOR_WINDOW,
-            action_cooldown_checks: ACTION_COOLDOWN_CHECKS,
-            max_replicas: MAX_REPLICAS,
-            provision_price_threshold: PROVISION_PRICE_THRESHOLD,
-            elastic: true,
-            overload: OverloadConfig {
-                violation_threshold: 0.05,
-                sustain_iters: 6,
-                cooldown_iters: 24,
-            },
-            quarantine_rejection_threshold: QUARANTINE_REJECTION_THRESHOLD,
-            quarantine_release_checks: QUARANTINE_RELEASE_CHECKS,
-        }
+        SupervisorConfig { enabled: true, elastic: true }
     }
 }
 
@@ -242,8 +217,8 @@ pub struct SupervisorEngine {
 impl SupervisorEngine {
     /// A supervisor with the given policy.
     pub fn new(config: SupervisorConfig) -> Self {
-        let diag = DiagnosticsEngine::with_window(config.window);
-        let monitor = OverloadMonitor::new(config.overload);
+        let diag = DiagnosticsEngine::with_window(SUPERVISOR_WINDOW);
+        let monitor = OverloadMonitor::new(SUPERVISOR_OVERLOAD);
         SupervisorEngine {
             config,
             diag,
@@ -327,7 +302,7 @@ impl SupervisorEngine {
         if !fired.is_empty() {
             // A quarantine action this check: skip convergence remediation
             // (the traffic change must settle first) but start the cooldown.
-            self.cooldown = self.config.action_cooldown_checks;
+            self.cooldown = ACTION_COOLDOWN_CHECKS;
             self.actions.extend(fired.iter().cloned());
             return fired;
         }
@@ -364,7 +339,7 @@ impl SupervisorEngine {
             }
         }
         if !fired.is_empty() {
-            self.cooldown = self.config.action_cooldown_checks;
+            self.cooldown = ACTION_COOLDOWN_CHECKS;
         }
         self.actions.extend(fired.iter().cloned());
         fired
@@ -412,8 +387,8 @@ impl SupervisorEngine {
     /// 1. Quarantine terms count down; an expired term releases the agent
     ///    and broadcasts a dual re-sync so it warms back in immediately.
     /// 2. Any sender whose attributed frame-rejection count grew by
-    ///    [`quarantine_rejection_threshold`](SupervisorConfig::quarantine_rejection_threshold)
-    ///    or more since the last check is quarantined.
+    ///    [`QUARANTINE_REJECTION_THRESHOLD`] or more since the last check
+    ///    is quarantined.
     /// 3. Retransmit give-ups escalate: the first striking check gets a
     ///    dual re-sync (the abandoned update's information re-flows with
     ///    the next announcements); repeated strikes quarantine the worst
@@ -439,7 +414,7 @@ impl SupervisorEngine {
             let before =
                 self.last_rejections.iter().find(|&&(a, _)| a == addr).map_or(0, |&(_, n)| n);
             let delta = total.saturating_sub(before);
-            if delta >= self.config.quarantine_rejection_threshold {
+            if delta >= QUARANTINE_REJECTION_THRESHOLD {
                 self.quarantine(dist, addr, delta, fired);
             }
         }
@@ -477,7 +452,7 @@ impl SupervisorEngine {
         if !dist.quarantine_agent(addr) {
             return;
         }
-        self.quarantined.push((addr, self.config.quarantine_release_checks.max(1)));
+        self.quarantined.push((addr, QUARANTINE_RELEASE_CHECKS));
         let slot = match addr {
             Address::Resource(s) | Address::Controller(s) => Some(s),
             Address::ControlPlane | Address::Collector => None,
@@ -600,9 +575,9 @@ impl SupervisorEngine {
             let usage = problem.resource_usage(r.id(), lats.lats());
             let saturated =
                 r.availability() > 0.0 && usage / r.availability() >= PROVISION_USAGE_FRACTION;
-            if mu >= self.config.provision_price_threshold
+            if mu >= PROVISION_PRICE_THRESHOLD
                 && saturated
-                && r.replicas() < self.config.max_replicas
+                && r.replicas() < MAX_REPLICAS
                 && best.is_none_or(|(_, b)| mu > b)
             {
                 best = Some((slot, mu));
@@ -651,7 +626,7 @@ impl SupervisorEngine {
 }
 
 /// Runs `rounds` protocol rounds with supervision interleaved every
-/// [`check_interval_rounds`](SupervisorConfig::check_interval_rounds).
+/// [`CHECK_INTERVAL_ROUNDS`].
 /// With a disabled supervisor this is exactly
 /// [`DistributedLla::run_rounds`] — same rounds, same messages, same
 /// event log bytes. Returns the remediations applied during this span.
@@ -664,11 +639,10 @@ pub fn run_supervised(
         dist.run_rounds(rounds);
         return Vec::new();
     }
-    let interval = sup.config().check_interval_rounds.max(1);
     let mut fired = Vec::new();
     let mut done = 0;
     while done < rounds {
-        let chunk = interval.min(rounds - done);
+        let chunk = CHECK_INTERVAL_ROUNDS.min(rounds - done);
         dist.run_rounds(chunk);
         done += chunk;
         fired.extend(sup.check(dist));

@@ -101,7 +101,7 @@ impl Default for DistConfig {
 /// use lla_workloads::base_workload;
 ///
 /// let mut dist = DistributedLla::new(base_workload(), DistConfig {
-///     allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+///     allocation: AllocationSettings { throughput_floor: false },
 ///     ..DistConfig::default()
 /// });
 /// dist.run_rounds(600);
@@ -961,7 +961,7 @@ mod tests {
 
     fn config() -> DistConfig {
         DistConfig {
-            allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+            allocation: AllocationSettings { throughput_floor: false },
             ..DistConfig::default()
         }
     }
@@ -975,7 +975,7 @@ mod tests {
         let mut opt = Optimizer::new(
             problem(),
             OptimizerConfig {
-                allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+                allocation: AllocationSettings { throughput_floor: false },
                 ..OptimizerConfig::default()
             },
         );
@@ -1001,7 +1001,7 @@ mod tests {
         let mut opt = Optimizer::new(
             problem(),
             OptimizerConfig {
-                allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+                allocation: AllocationSettings { throughput_floor: false },
                 ..OptimizerConfig::default()
             },
         );
@@ -1046,7 +1046,7 @@ mod tests {
         let mut opt = Optimizer::new(
             problem(),
             OptimizerConfig {
-                allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+                allocation: AllocationSettings { throughput_floor: false },
                 ..OptimizerConfig::default()
             },
         );
@@ -1140,7 +1140,7 @@ mod tests {
         let mut oracle = Optimizer::new(
             dist.problem().clone(),
             OptimizerConfig {
-                allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+                allocation: AllocationSettings { throughput_floor: false },
                 ..OptimizerConfig::default()
             },
         );
@@ -1167,7 +1167,7 @@ mod tests {
         let mut oracle = Optimizer::new(
             dist.problem().clone(),
             OptimizerConfig {
-                allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+                allocation: AllocationSettings { throughput_floor: false },
                 ..OptimizerConfig::default()
             },
         );
@@ -1455,7 +1455,7 @@ mod tests {
         let mut opt = Optimizer::new(
             p.clone(),
             OptimizerConfig {
-                allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+                allocation: AllocationSettings { throughput_floor: false },
                 ..OptimizerConfig::default()
             },
         );

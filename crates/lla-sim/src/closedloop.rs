@@ -25,27 +25,36 @@ pub enum CorrectionMode {
     Additive,
     /// A multiplicative alternative: scale the modeled demand so
     /// `lat = m·(c+l)/share`, with `m` the smoothed measured/predicted
-    /// latency ratio. Compared in the ablation bench.
+    /// latency ratio.
     DemandScaling,
 }
 
+/// LLA iteration budget per window (and for the initial solve).
+const OPTIMIZER_ITERS: usize = 2_000;
+
+/// Exponential smoothing weight of every error corrector.
+const CORRECTION_ALPHA: f64 = 0.3;
+
+/// Minimum measured samples before a subtask's correction updates.
+const MIN_SAMPLES: usize = 10;
+
+/// Lower clamp on enacted shares (the fluid scheduler needs > 0).
+const MIN_SHARE: f64 = 1e-4;
+
 /// Configuration of the closed loop.
+///
+/// The loop's remaining parameters are fixed: each window re-runs LLA
+/// for at most 2000 rounds, correctors smooth with weight 0.3, a
+/// subtask's correction updates only once it has 10 measured samples,
+/// and enacted shares are clamped to at least `1e-4`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClosedLoopConfig {
     /// Measurement window length (simulated milliseconds).
     pub window: f64,
-    /// LLA iteration budget per window.
-    pub optimizer_iters: usize,
-    /// Exponential smoothing weight of the error corrector.
-    pub correction_alpha: f64,
     /// Whether error correction starts enabled.
     pub correction_enabled: bool,
     /// How corrections are applied to the share model.
     pub correction_mode: CorrectionMode,
-    /// Minimum measured samples before a subtask's correction updates.
-    pub min_samples: usize,
-    /// Lower clamp on enacted shares (the fluid scheduler needs > 0).
-    pub min_share: f64,
     /// Enact a new allocation only when some share changed by at least
     /// this relative amount (§4.4: "allocations may be only enacted
     /// periodically or when significant changes occur"). `0` enacts every
@@ -57,12 +66,8 @@ impl Default for ClosedLoopConfig {
     fn default() -> Self {
         ClosedLoopConfig {
             window: 1_000.0,
-            optimizer_iters: 2_000,
-            correction_alpha: 0.3,
             correction_enabled: false,
             correction_mode: CorrectionMode::Additive,
-            min_samples: 10,
-            min_share: 1e-4,
             enact_threshold: 0.0,
         }
     }
@@ -144,13 +149,13 @@ impl ClosedLoop {
         config: ClosedLoopConfig,
     ) -> Self {
         let mut optimizer = Optimizer::new(problem.clone(), optimizer_config);
-        optimizer.run_to_convergence(config.optimizer_iters);
-        let shares = Self::shares_of(&optimizer, config.min_share);
+        optimizer.run_to_convergence(OPTIMIZER_ITERS);
+        let shares = Self::shares_of(&optimizer);
         let simulator = Simulator::new(problem.clone(), &shares, sim_config);
         let correctors = problem
             .tasks()
             .iter()
-            .map(|t| (0..t.len()).map(|_| ErrorCorrector::new(config.correction_alpha)).collect())
+            .map(|t| (0..t.len()).map(|_| ErrorCorrector::new(CORRECTION_ALPHA)).collect())
             .collect();
         ClosedLoop {
             optimizer,
@@ -172,7 +177,7 @@ impl ClosedLoop {
         self.optimizer.attach_telemetry(registry);
     }
 
-    fn shares_of(optimizer: &Optimizer, min_share: f64) -> Vec<Vec<f64>> {
+    fn shares_of(optimizer: &Optimizer) -> Vec<Vec<f64>> {
         let alloc = optimizer.allocation();
         optimizer
             .problem()
@@ -182,7 +187,7 @@ impl ClosedLoop {
                 alloc
                     .shares(optimizer.problem(), task)
                     .into_iter()
-                    .map(|s| s.clamp(min_share, 1.0))
+                    .map(|s| s.clamp(MIN_SHARE, 1.0))
                     .collect()
             })
             .collect()
@@ -242,7 +247,7 @@ impl ClosedLoop {
                 let stats = self.simulator.subtask_stats(t, s);
                 let q = stats.quantile_estimate();
                 row.push(q.unwrap_or(f64::NAN));
-                if self.config.correction_enabled && stats.count() >= self.config.min_samples {
+                if self.config.correction_enabled && stats.count() >= MIN_SAMPLES {
                     if let Some(q) = q {
                         let sid = task.subtask_id(s);
                         let model = problem.share_model(sid);
@@ -285,8 +290,8 @@ impl ClosedLoop {
             self.optimizer.set_demand_scale(sid, m);
         }
 
-        self.optimizer.run_to_convergence(self.config.optimizer_iters);
-        let shares = Self::shares_of(&self.optimizer, self.config.min_share);
+        self.optimizer.run_to_convergence(OPTIMIZER_ITERS);
+        let shares = Self::shares_of(&self.optimizer);
         // §4.4 batch mode: enact only on significant change.
         let max_rel_change = shares
             .iter()

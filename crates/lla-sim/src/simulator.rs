@@ -48,12 +48,14 @@ impl Default for ExecTimeModel {
     }
 }
 
+/// The high quantile tracked by the latency statistics of worst-case
+/// tasks (the paper's error correction samples above the 90th
+/// percentile); a task with a percentile spec tracks its own.
+const WORST_CASE_QUANTILE: f64 = 0.9;
+
 /// Configuration of the [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
-    /// The high quantile tracked by every latency statistic (the paper's
-    /// error correction samples above the 90th percentile).
-    pub quantile: f64,
     /// Seed for stochastic arrival processes and execution-time sampling.
     pub seed: u64,
     /// Maximum in-flight job sets per task; beyond it new releases are
@@ -65,12 +67,7 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig {
-            quantile: 0.9,
-            seed: 1,
-            max_in_flight: 10_000,
-            exec_model: ExecTimeModel::default(),
-        }
+        SimConfig { seed: 1, max_in_flight: 10_000, exec_model: ExecTimeModel::default() }
     }
 }
 
@@ -154,7 +151,7 @@ impl Simulator {
         // Per-subtask measurement quantiles (§2.1): a task tracking the
         // p-th end-to-end percentile needs each subtask measured at the
         // composed per-subtask percentile for its (longest) path length;
-        // worst-case tasks fall back to the configured high quantile.
+        // worst-case tasks fall back to the fixed high quantile.
         let subtask_stats: Vec<Vec<LatencyStats>> = problem
             .tasks()
             .iter()
@@ -164,7 +161,7 @@ impl Simulator {
                         let q = match t.percentile().per_subtask(t.graph().max_path_len_through(s))
                         {
                             Some(p) => (p / 100.0).clamp(0.01, 0.999),
-                            None => config.quantile,
+                            None => WORST_CASE_QUANTILE,
                         };
                         LatencyStats::new(q)
                     })
@@ -177,7 +174,7 @@ impl Simulator {
             .map(|t| {
                 let q = match t.percentile() {
                     lla_core::PercentileSpec::Percentile(p) => (p / 100.0).clamp(0.01, 0.999),
-                    _ => config.quantile,
+                    _ => WORST_CASE_QUANTILE,
                 };
                 LatencyStats::new(q)
             })

@@ -70,8 +70,8 @@ pub struct HealthSnapshot {
 /// report and still count as [`healthy`](HealthSnapshot::healthy).
 ///
 /// A factor of 1 means a constraint is exactly tight; the extra 1e-3
-/// mirrors the optimizer's default feasibility tolerance
-/// (`OptimizerConfig::feasibility_tol`), so "healthy" and "feasible"
+/// mirrors the optimizer's feasibility tolerance (the constant
+/// `FEASIBILITY_TOL` = 1e-3 in `lla-core`), so "healthy" and "feasible"
 /// agree at the boundary instead of flapping on float noise.
 pub const HEALTHY_MAX_VIOLATION_FACTOR: f64 = 1.001;
 

@@ -29,7 +29,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ..OptimizerConfig::default()
             },
             max_iters: 8_000,
-            ..SchedulabilityConfig::default()
         },
         max_incumbent_degradation: Some(0.25),
     };

@@ -437,7 +437,6 @@ fn cmd_schedulability(opts: &Options) -> Result<(), String> {
     let config = SchedulabilityConfig {
         optimizer: OptimizerConfig { step_policy: opts.policy, ..OptimizerConfig::default() },
         max_iters: opts.iters,
-        ..SchedulabilityConfig::default()
     };
     let verdict = analyze_schedulability(problem, &config);
     println!("{verdict:?}");

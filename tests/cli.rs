@@ -41,6 +41,17 @@ fn schedulability_verdict_prints() {
 }
 
 #[test]
+fn schedulability_with_zero_budget_is_inconclusive() {
+    let out = cli()
+        .args(["schedulability", "examples/workloads/trading.lla", "--iters", "0"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("Inconclusive"), "verdict: {stdout}");
+}
+
+#[test]
 fn simulate_runs_windows() {
     let out = cli()
         .args([

@@ -32,7 +32,7 @@ fn problem() -> Problem {
 }
 
 fn settings() -> AllocationSettings {
-    AllocationSettings { throughput_floor: false, ..Default::default() }
+    AllocationSettings { throughput_floor: false }
 }
 
 fn config() -> DistConfig {

@@ -111,11 +111,7 @@ fn spec_roundtrip_preserves_optimization() {
 fn admission_fills_until_capacity() {
     let mut problem = base_workload();
     let admission = AdmissionConfig {
-        schedulability: SchedulabilityConfig {
-            optimizer: opt_config(),
-            max_iters: 8_000,
-            ..SchedulabilityConfig::default()
-        },
+        schedulability: SchedulabilityConfig { optimizer: opt_config(), max_iters: 8_000 },
         max_incumbent_degradation: None,
     };
 

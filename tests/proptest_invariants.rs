@@ -288,7 +288,6 @@ fn schedulability_monotone_in_headroom() {
                 ..OptimizerConfig::default()
             },
             max_iters: 15_000,
-            ..SchedulabilityConfig::default()
         };
         let tight = RandomWorkloadConfig {
             seed,

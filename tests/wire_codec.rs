@@ -304,7 +304,7 @@ fn fuzz_smoke_decoder_never_panics() {
 
 fn wire_config(wire_mode: bool, corruption: f64, seed: u64) -> DistConfig {
     DistConfig {
-        allocation: AllocationSettings { throughput_floor: false, ..Default::default() },
+        allocation: AllocationSettings { throughput_floor: false },
         network: lla::dist::NetworkModel::lossy(1.0, 2.0, 0.05),
         seed,
         wire_mode,
