@@ -189,9 +189,12 @@ pub struct TopologyEpoch {
     pub cause: MembershipCause,
     /// The problem as of this epoch (dense ids).
     pub problem: Arc<Problem>,
-    /// `task_slots[dense task index] = slot`.
+    /// `task_slots[dense task index] = slot`, strictly increasing:
+    /// slots are handed out in join order and departures keep the order,
+    /// so agents find a slot's dense index by binary search.
     pub task_slots: Vec<usize>,
-    /// `resource_slots[dense resource index] = slot`.
+    /// `resource_slots[dense resource index] = slot`, strictly increasing
+    /// like `task_slots`.
     pub resource_slots: Vec<usize>,
 }
 
@@ -218,8 +221,14 @@ impl TopologyStore {
     ///
     /// # Panics
     ///
-    /// Panics if `epoch` does not extend the log monotonically.
+    /// Panics if `epoch` does not extend the log monotonically, or if one
+    /// of its slot tables is not strictly increasing.
     pub fn push(&self, epoch: TopologyEpoch) {
+        let increasing = |slots: &[usize]| slots.windows(2).all(|w| w[0] < w[1]);
+        assert!(
+            increasing(&epoch.task_slots) && increasing(&epoch.resource_slots),
+            "slot tables must be strictly increasing"
+        );
         let mut log = self.inner.lock();
         if let Some(last) = log.last() {
             assert!(epoch.epoch > last.epoch, "epochs must be monotone");
@@ -302,7 +311,9 @@ pub struct ResourceAgent {
     latencies: Vec<f64>,
     /// `(task slot, subtask index)` key of each hosted subtask, aligned
     /// with `latencies` — the epoch-stable identity warm state is carried
-    /// under across membership changes.
+    /// under across membership changes. Sorted, since
+    /// `Problem::subtasks_on` lists subtasks in (task, subtask) order and
+    /// task slots increase with the dense index.
     hosted: Vec<(usize, usize)>,
     /// Controller *slots* to broadcast the price to.
     subscribers: Vec<usize>,
@@ -483,6 +494,7 @@ impl ResourceAgent {
         }
         subscribers.sort_unstable();
         subscribers.dedup();
+        debug_assert!(hosted.windows(2).all(|w| w[0] < w[1]), "hosted keys must be sorted");
         self.hosted = hosted;
         self.latencies = latencies;
         self.subscribers = subscribers;
@@ -693,7 +705,7 @@ impl Actor for ResourceAgent {
                     );
                     return;
                 }
-                if let Some(pos) = self.hosted.iter().position(|&k| k == (task, subtask)) {
+                if let Ok(pos) = self.hosted.binary_search(&(task, subtask)) {
                     self.latencies[pos] = latency;
                     self.last_heard = now;
                 }
@@ -793,7 +805,8 @@ pub struct TaskController {
     dormant: bool,
     /// `task_slots[dense task index] = slot` in the applied epoch.
     task_slots: Vec<usize>,
-    /// `resource_slots[dense resource index] = slot` in the applied epoch.
+    /// `resource_slots[dense resource index] = slot` in the applied
+    /// epoch; strictly increasing (see [`TopologyEpoch`]).
     resource_slots: Vec<usize>,
     last_checkpoint: f64,
     /// Virtual time of the newest price heard, per (dense) resource.
@@ -1065,7 +1078,7 @@ impl TaskController {
 
     /// Dense index of the resource in `slot` under the applied epoch.
     fn resource_dense(&self, slot: usize) -> Option<usize> {
-        self.resource_slots.iter().position(|&s| s == slot)
+        self.resource_slots.binary_search(&slot).ok()
     }
 
     /// Adopts a newer topology epoch: rebind this controller's dense

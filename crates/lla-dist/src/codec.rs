@@ -301,107 +301,123 @@ fn put_addr(buf: &mut Vec<u8>, addr: Address) {
 
 /// Encodes `msg` into a complete length-prefixed, checksummed frame.
 pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
+    let mut frame = Vec::with_capacity(32 + FRAME_OVERHEAD);
+    encode_into(msg, &mut frame);
+    frame
+}
+
+/// Encodes `msg` into `frame`, replacing its contents with exactly the
+/// bytes [`encode`] returns. A caller that reuses one buffer across
+/// messages encodes without allocating once the buffer has grown to the
+/// largest frame.
+pub fn encode_into(msg: &Message, frame: &mut Vec<u8>) {
+    frame.clear();
+    // Length prefix placeholder, patched once the body is written.
+    put_u32(frame, 0);
+    put_body(frame, msg);
+    let len = frame.len() - 4;
+    debug_assert!(len <= MAX_BODY);
+    frame[..4].copy_from_slice(&u32::try_from(len).expect("body exceeds u32 range").to_le_bytes());
+    let crc = crc32(&frame[4..]);
+    put_u32(frame, crc);
+}
+
+/// Appends the body (tag + payload) of `msg` to `buf`.
+fn put_body(buf: &mut Vec<u8>, msg: &Message) {
     match *msg {
         Message::Price { resource, mu, congested } => {
-            body.push(TAG_PRICE);
-            put_id(&mut body, resource);
-            put_f64(&mut body, mu);
-            put_bool(&mut body, congested);
+            buf.push(TAG_PRICE);
+            put_id(buf, resource);
+            put_f64(buf, mu);
+            put_bool(buf, congested);
         }
         Message::Latency { task, subtask, latency } => {
-            body.push(TAG_LATENCY);
-            put_id(&mut body, task);
-            put_id(&mut body, subtask);
-            put_f64(&mut body, latency);
+            buf.push(TAG_LATENCY);
+            put_id(buf, task);
+            put_id(buf, subtask);
+            put_f64(buf, latency);
         }
         Message::AvailabilityUpdate { resource, availability, seq } => {
-            body.push(TAG_AVAILABILITY_UPDATE);
-            put_id(&mut body, resource);
-            put_f64(&mut body, availability);
-            put_u64(&mut body, seq);
+            buf.push(TAG_AVAILABILITY_UPDATE);
+            put_id(buf, resource);
+            put_f64(buf, availability);
+            put_u64(buf, seq);
         }
         Message::AvailabilityAck { resource, seq, from } => {
-            body.push(TAG_AVAILABILITY_ACK);
-            put_id(&mut body, resource);
-            put_u64(&mut body, seq);
-            put_addr(&mut body, from);
+            buf.push(TAG_AVAILABILITY_ACK);
+            put_id(buf, resource);
+            put_u64(buf, seq);
+            put_addr(buf, from);
         }
         Message::TaskJoin { slot, epoch, seq } => {
-            body.push(TAG_TASK_JOIN);
-            put_id(&mut body, slot);
-            put_u64(&mut body, epoch);
-            put_u64(&mut body, seq);
+            buf.push(TAG_TASK_JOIN);
+            put_id(buf, slot);
+            put_u64(buf, epoch);
+            put_u64(buf, seq);
         }
         Message::TaskLeave { slot, epoch, seq } => {
-            body.push(TAG_TASK_LEAVE);
-            put_id(&mut body, slot);
-            put_u64(&mut body, epoch);
-            put_u64(&mut body, seq);
+            buf.push(TAG_TASK_LEAVE);
+            put_id(buf, slot);
+            put_u64(buf, epoch);
+            put_u64(buf, seq);
         }
         Message::ResourceJoin { slot, epoch, seq } => {
-            body.push(TAG_RESOURCE_JOIN);
-            put_id(&mut body, slot);
-            put_u64(&mut body, epoch);
-            put_u64(&mut body, seq);
+            buf.push(TAG_RESOURCE_JOIN);
+            put_id(buf, slot);
+            put_u64(buf, epoch);
+            put_u64(buf, seq);
         }
         Message::ResourceRetire { slot, epoch, seq } => {
-            body.push(TAG_RESOURCE_RETIRE);
-            put_id(&mut body, slot);
-            put_u64(&mut body, epoch);
-            put_u64(&mut body, seq);
+            buf.push(TAG_RESOURCE_RETIRE);
+            put_id(buf, slot);
+            put_u64(buf, epoch);
+            put_u64(buf, seq);
         }
         Message::Evict { slot, epoch, seq } => {
-            body.push(TAG_EVICT);
-            put_id(&mut body, slot);
-            put_u64(&mut body, epoch);
-            put_u64(&mut body, seq);
+            buf.push(TAG_EVICT);
+            put_id(buf, slot);
+            put_u64(buf, epoch);
+            put_u64(buf, seq);
         }
         Message::MembershipAck { epoch, seq, from } => {
-            body.push(TAG_MEMBERSHIP_ACK);
-            put_u64(&mut body, epoch);
-            put_u64(&mut body, seq);
-            put_addr(&mut body, from);
+            buf.push(TAG_MEMBERSHIP_ACK);
+            put_u64(buf, epoch);
+            put_u64(buf, seq);
+            put_addr(buf, from);
         }
         Message::ReplicaUpdate { slot, replicas, epoch, seq } => {
-            body.push(TAG_REPLICA_UPDATE);
-            put_id(&mut body, slot);
-            put_u32(&mut body, replicas);
-            put_u64(&mut body, epoch);
-            put_u64(&mut body, seq);
+            buf.push(TAG_REPLICA_UPDATE);
+            put_id(buf, slot);
+            put_u32(buf, replicas);
+            put_u64(buf, epoch);
+            put_u64(buf, seq);
         }
         Message::GammaCalm { max_multiple, seq } => {
-            body.push(TAG_GAMMA_CALM);
-            put_f64(&mut body, max_multiple);
-            put_u64(&mut body, seq);
+            buf.push(TAG_GAMMA_CALM);
+            put_f64(buf, max_multiple);
+            put_u64(buf, seq);
         }
         Message::DualResync { seq } => {
-            body.push(TAG_DUAL_RESYNC);
-            put_u64(&mut body, seq);
+            buf.push(TAG_DUAL_RESYNC);
+            put_u64(buf, seq);
         }
         Message::CommandAck { seq, from } => {
-            body.push(TAG_COMMAND_ACK);
-            put_u64(&mut body, seq);
-            put_addr(&mut body, from);
+            buf.push(TAG_COMMAND_ACK);
+            put_u64(buf, seq);
+            put_addr(buf, from);
         }
         Message::TelemetryReport { from, seq, watermark, ref deltas } => {
-            body.push(TAG_TELEMETRY_REPORT);
-            put_addr(&mut body, from);
-            put_u64(&mut body, seq);
-            put_f64(&mut body, watermark);
-            body.push(u8::try_from(deltas.len()).expect("report entries exceed u8 range"));
+            buf.push(TAG_TELEMETRY_REPORT);
+            put_addr(buf, from);
+            put_u64(buf, seq);
+            put_f64(buf, watermark);
+            buf.push(u8::try_from(deltas.len()).expect("report entries exceed u8 range"));
             for &(slot, delta) in deltas {
-                body.push(slot);
-                put_u32(&mut body, delta);
+                buf.push(slot);
+                put_u32(buf, delta);
             }
         }
     }
-    debug_assert!(body.len() <= MAX_BODY);
-    let mut frame = Vec::with_capacity(body.len() + FRAME_OVERHEAD);
-    put_u32(&mut frame, u32::try_from(body.len()).expect("body exceeds u32 range"));
-    frame.extend_from_slice(&body);
-    put_u32(&mut frame, crc32(&body));
-    frame
 }
 
 /// Recomputes and rewrites the trailing CRC-32 of a structurally complete
@@ -776,6 +792,17 @@ mod tests {
             let frame = encode(&msg);
             let back = decode(&frame).unwrap_or_else(|e| panic!("{msg:?}: {e}"));
             assert_eq!(back, msg);
+        }
+    }
+
+    #[test]
+    fn encode_into_a_dirty_reused_buffer_matches_encode() {
+        // Start from leftover bytes longer than any frame, then reuse the
+        // one buffer for every variant, largest and smallest in turn.
+        let mut buf = vec![0xA5; 2 * MAX_BODY];
+        for msg in every_variant().iter().chain(every_variant().iter().rev()) {
+            encode_into(msg, &mut buf);
+            assert_eq!(buf, encode(msg), "{msg:?}");
         }
     }
 

@@ -74,6 +74,12 @@ pub enum FaultKind {
 }
 
 /// A deterministic schedule of faults, driven by the virtual clock.
+///
+/// Event times are absolute. A plan scheduled after some of its times
+/// have passed fires those events at the current time, in plan order
+/// (see [`VirtualRuntime::schedule_faults`]).
+///
+/// [`VirtualRuntime::schedule_faults`]: crate::runtime::VirtualRuntime::schedule_faults
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,

@@ -111,11 +111,43 @@ pub struct NetworkSampler {
     duplicated: u64,
 }
 
-/// The sampled fate of one message: the delays of each delivered copy.
+/// The sampled fate of one message: the delays of each delivered copy,
+/// held inline (a message is delivered at most twice).
 ///
 /// Empty means the message was dropped; two entries mean it was
 /// duplicated.
-pub type Deliveries = Vec<f64>;
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Deliveries {
+    delays: [f64; 2],
+    len: usize,
+}
+
+impl Deliveries {
+    const DROPPED: Deliveries = Deliveries { delays: [0.0; 2], len: 0 };
+
+    fn once(delay: f64) -> Self {
+        Deliveries { delays: [delay, 0.0], len: 1 }
+    }
+
+    fn twice(delay: f64, dup: f64) -> Self {
+        Deliveries { delays: [delay, dup], len: 2 }
+    }
+
+    /// The delay of each delivered copy, in sampling order.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.delays[..self.len]
+    }
+
+    /// Number of delivered copies.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the message was dropped.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
 
 impl NetworkSampler {
     /// Creates a sampler.
@@ -159,16 +191,16 @@ impl NetworkSampler {
     /// network delivers (empty on loss, two entries on duplication).
     pub fn sample_deliveries(&mut self) -> Deliveries {
         match self.sample() {
-            None => Vec::new(),
+            None => Deliveries::DROPPED,
             Some(delay) => {
                 if self.model.duplicate_probability > 0.0
                     && self.rng.gen_bool(self.model.duplicate_probability)
                 {
                     self.duplicated += 1;
                     let dup = self.one_delay();
-                    vec![delay, dup]
+                    Deliveries::twice(delay, dup)
                 } else {
-                    vec![delay]
+                    Deliveries::once(delay)
                 }
             }
         }
@@ -424,7 +456,7 @@ mod tests {
     fn duplication_off_means_single_copies() {
         let mut s = NetworkSampler::new(NetworkModel::perfect(), 3);
         for _ in 0..100 {
-            assert_eq!(s.sample_deliveries(), vec![0.0]);
+            assert_eq!(s.sample_deliveries().as_slice(), [0.0]);
         }
         assert_eq!(s.duplicated(), 0);
     }

@@ -11,7 +11,24 @@
 //! the runtime enforces their semantics (crashed actors receive nothing;
 //! partitioned pairs drop messages at send time; in-flight messages
 //! outlive both the sender's crash and a partition's onset, as on a real
-//! network).
+//! network). The clock never runs backwards: a fault scheduled for a time
+//! that has passed fires at the current time.
+//!
+//! ## The message path
+//!
+//! A round moves hundreds of messages, so the per-message path touches
+//! neither the heap allocator nor a hash function once the runtime has
+//! warmed up:
+//!
+//! * the event queue has two lanes — a FIFO for events at the instant
+//!   being processed (every delivery on a zero-delay network) and a heap
+//!   for the rest — whose merged pop order is exactly a single heap's
+//!   `(time, seq)` order;
+//! * actors, their tick schedules and the reorder book are tables indexed
+//!   by address slot;
+//! * every callback writes into one recycled [`Outbox`];
+//! * wire mode encodes each copy into one reused frame buffer, and the
+//!   network's sampled fate is an inline value.
 
 use crate::codec;
 use crate::fault::{FaultKind, FaultPlan};
@@ -20,7 +37,7 @@ use crate::protocol::{Address, Message};
 use crate::telemetry::DistTelemetry;
 use lla_telemetry::{Event as TelemetryEvent, TraceCtx, Value};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
 /// Renders a partition side as a stable `+`-joined address list.
 fn render_addrs(addrs: &[Address]) -> String {
@@ -119,11 +136,137 @@ impl Ord for Event {
     }
 }
 
-/// Per-actor tick schedule.
-#[derive(Debug, Clone, Copy)]
-struct TickSchedule {
+/// The pending events, popped in `(time, seq)` order from two lanes.
+///
+/// Most events are scheduled for the instant being processed: every
+/// delivery on a zero-delay network, injections, management broadcasts.
+/// Those go to `now`, a FIFO, instead of the heap. `now` only ever holds
+/// events of one time, pushed in `seq` order, so its front is its
+/// minimum; popping the smaller of the two heads therefore yields exactly
+/// the order a single heap would.
+#[derive(Debug, Default)]
+struct EventQueue {
+    /// Events of one time, in `seq` order.
+    now: VecDeque<Event>,
+    /// Everything else: ticks, delayed deliveries, future faults.
+    later: BinaryHeap<Event>,
+}
+
+impl EventQueue {
+    /// Queues `event`; `now` is the runtime's current virtual time.
+    fn push(&mut self, event: Event, now: f64) {
+        let same_instant = event.time == now
+            && !matches!(event.kind, EventKind::Tick(_))
+            && self.now.back().is_none_or(|back| back.time == event.time);
+        if same_instant {
+            self.now.push_back(event);
+        } else {
+            self.later.push(event);
+        }
+    }
+
+    /// Pops the earliest event if it is due before `t_end`.
+    fn pop_before(&mut self, t_end: f64) -> Option<Event> {
+        // `Event`'s order is reversed for the max-heap: the greater event
+        // is the earlier one.
+        let from_now = match (self.now.front(), self.later.peek()) {
+            (Some(a), Some(b)) => a > b,
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        let head = if from_now { self.now.front() } else { self.later.peek() };
+        head.filter(|e| e.time < t_end)?;
+        if from_now {
+            self.now.pop_front()
+        } else {
+            self.later.pop()
+        }
+    }
+}
+
+/// A table keyed by [`Address`]: one slot-indexed vector per address
+/// kind, so per-event lookups index instead of hashing. Slots are small
+/// integers that are never reused, so the vectors stay dense.
+#[derive(Debug)]
+struct AddrMap<T> {
+    resources: Vec<Option<T>>,
+    controllers: Vec<Option<T>>,
+    control_plane: Option<T>,
+    collector: Option<T>,
+}
+
+impl<T> Default for AddrMap<T> {
+    fn default() -> Self {
+        AddrMap {
+            resources: Vec::new(),
+            controllers: Vec::new(),
+            control_plane: None,
+            collector: None,
+        }
+    }
+}
+
+impl<T> AddrMap<T> {
+    fn get(&self, addr: Address) -> Option<&T> {
+        match addr {
+            Address::Resource(i) => self.resources.get(i)?.as_ref(),
+            Address::Controller(i) => self.controllers.get(i)?.as_ref(),
+            Address::ControlPlane => self.control_plane.as_ref(),
+            Address::Collector => self.collector.as_ref(),
+        }
+    }
+
+    fn get_mut(&mut self, addr: Address) -> Option<&mut T> {
+        match addr {
+            Address::Resource(i) => self.resources.get_mut(i)?.as_mut(),
+            Address::Controller(i) => self.controllers.get_mut(i)?.as_mut(),
+            Address::ControlPlane => self.control_plane.as_mut(),
+            Address::Collector => self.collector.as_mut(),
+        }
+    }
+
+    /// The entry of `addr`, growing its kind's vector to reach the slot.
+    fn entry(&mut self, addr: Address) -> &mut Option<T> {
+        let (slots, i) = match addr {
+            Address::Resource(i) => (&mut self.resources, i),
+            Address::Controller(i) => (&mut self.controllers, i),
+            Address::ControlPlane => return &mut self.control_plane,
+            Address::Collector => return &mut self.collector,
+        };
+        if slots.len() <= i {
+            slots.resize_with(i + 1, || None);
+        }
+        &mut slots[i]
+    }
+
+    fn remove(&mut self, addr: Address) -> Option<T> {
+        match addr {
+            Address::Resource(i) => self.resources.get_mut(i)?.take(),
+            Address::Controller(i) => self.controllers.get_mut(i)?.take(),
+            Address::ControlPlane => self.control_plane.take(),
+            Address::Collector => self.collector.take(),
+        }
+    }
+
+    /// Occupied addresses, in [`Address`] order.
+    fn keys(&self) -> impl Iterator<Item = Address> + '_ {
+        fn occupied<T>(slots: &[Option<T>]) -> impl Iterator<Item = usize> + '_ {
+            slots.iter().enumerate().filter(|(_, v)| v.is_some()).map(|(i, _)| i)
+        }
+        occupied(&self.resources)
+            .map(Address::Resource)
+            .chain(occupied(&self.controllers).map(Address::Controller))
+            .chain(self.control_plane.is_some().then_some(Address::ControlPlane))
+            .chain(self.collector.is_some().then_some(Address::Collector))
+    }
+}
+
+/// A registered actor with its tick schedule.
+#[derive(Debug)]
+struct Registered {
+    actor: Box<dyn Actor>,
     interval: f64,
-    next: f64,
+    next_tick: f64,
 }
 
 /// An active network partition: messages between `a` and `b` drop until
@@ -156,14 +299,20 @@ struct WireState {
     /// Rejections attributed to each sender — the evidence book the
     /// supervisor's quarantine policy reads.
     rejections_by_sender: HashMap<Address, u64>,
+    /// The frame buffer every copy is encoded into, reused.
+    frame: Vec<u8>,
 }
 
 /// The virtual-time runtime.
 #[derive(Debug)]
 pub struct VirtualRuntime {
-    actors: HashMap<Address, Box<dyn Actor>>,
-    schedules: HashMap<Address, TickSchedule>,
-    queue: BinaryHeap<Event>,
+    actors: AddrMap<Registered>,
+    queue: EventQueue,
+    /// The outbox every callback writes into; [`dispatch`] drains it and
+    /// the next callback reuses its buffer.
+    ///
+    /// [`dispatch`]: VirtualRuntime::dispatch
+    outbox: Outbox,
     network: NetworkSampler,
     crashed: HashSet<Address>,
     partitions: Vec<ActivePartition>,
@@ -177,7 +326,7 @@ pub struct VirtualRuntime {
     messages_reordered: u64,
     /// Latest scheduled arrival time per destination, for reorder
     /// detection: a new delivery landing before it means out-of-order.
-    latest_arrival: HashMap<Address, f64>,
+    latest_arrival: AddrMap<f64>,
     /// Wire mode (encode → corrupt? → decode → validate per delivery);
     /// `None` keeps the struct-passing fast path.
     wire: Option<WireState>,
@@ -198,9 +347,9 @@ impl VirtualRuntime {
     /// network's randomness.
     pub fn new(network: NetworkModel, seed: u64) -> Self {
         VirtualRuntime {
-            actors: HashMap::new(),
-            schedules: HashMap::new(),
-            queue: BinaryHeap::new(),
+            actors: AddrMap::default(),
+            queue: EventQueue::default(),
+            outbox: Outbox::default(),
             network: NetworkSampler::new(network, seed),
             crashed: HashSet::new(),
             partitions: Vec::new(),
@@ -212,7 +361,7 @@ impl VirtualRuntime {
             crashes: 0,
             restarts: 0,
             messages_reordered: 0,
-            latest_arrival: HashMap::new(),
+            latest_arrival: AddrMap::default(),
             wire: None,
             quarantined: HashSet::new(),
             quarantine_drops: 0,
@@ -232,6 +381,7 @@ impl VirtualRuntime {
             frames_rejected: 0,
             corrupted_delivered: 0,
             rejections_by_sender: HashMap::new(),
+            frame: Vec::new(),
         });
     }
 
@@ -310,8 +460,9 @@ impl VirtualRuntime {
     /// Panics if the address is already registered or `interval ≤ 0`.
     pub fn register(&mut self, addr: Address, actor: Box<dyn Actor>, interval: f64, phase: f64) {
         assert!(interval > 0.0, "tick interval must be positive");
-        assert!(self.actors.insert(addr, actor).is_none(), "address {addr} registered twice");
-        self.schedules.insert(addr, TickSchedule { interval, next: phase });
+        let entry = self.actors.entry(addr);
+        assert!(entry.is_none(), "address {addr} registered twice");
+        *entry = Some(Registered { actor, interval, next_tick: phase });
         self.push(phase, EventKind::Tick(addr));
     }
 
@@ -320,28 +471,32 @@ impl VirtualRuntime {
     /// when popped. Returns the actor, or `None` if the address was not
     /// registered.
     pub fn deregister(&mut self, addr: Address) -> Option<Box<dyn Actor>> {
-        self.schedules.remove(&addr);
         self.crashed.remove(&addr);
-        self.actors.remove(&addr)
+        self.actors.remove(addr).map(|r| r.actor)
     }
 
     /// Whether an actor is registered at `addr`.
     pub fn is_registered(&self, addr: Address) -> bool {
-        self.actors.contains_key(&addr)
+        self.actors.get(addr).is_some()
     }
 
     /// Schedules every event of `plan` on the virtual clock. May be
     /// called repeatedly; plans accumulate.
+    ///
+    /// The clock never runs backwards: an event whose time has already
+    /// passed fires at the current time instead, after the events already
+    /// queued for it and in plan order.
     pub fn schedule_faults(&mut self, plan: &FaultPlan) {
+        let now = self.now;
         for event in plan.events() {
-            self.push(event.at, EventKind::Fault(event.kind.clone()));
+            self.push(event.at.max(now), EventKind::Fault(event.kind.clone()));
         }
     }
 
     fn push(&mut self, time: f64, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Event { time, seq, kind });
+        self.queue.push(Event { time, seq, kind }, self.now);
     }
 
     /// Current virtual time.
@@ -408,9 +563,11 @@ impl VirtualRuntime {
     /// delivery span, drop, and duplicate links to it. Span recording is
     /// passive — the network is sampled and events are queued exactly as
     /// in an untraced run.
-    fn dispatch(&mut self, from: Address, outbox: Outbox, parent: TraceCtx) {
+    ///
+    /// Drains `outbox`, leaving its buffer for the next callback.
+    fn dispatch(&mut self, from: Address, outbox: &mut Outbox, parent: TraceCtx) {
         let tracing = self.tel.spans.is_enabled();
-        for (to, msg) in outbox.msgs {
+        for (to, msg) in outbox.msgs.drain(..) {
             self.messages_sent += 1;
             self.tel.messages_sent.inc();
             // Quarantined senders are silenced at the network ingress —
@@ -464,17 +621,17 @@ impl VirtualRuntime {
             } else if deliveries.len() > 1 {
                 self.tel.messages_duplicated.add(deliveries.len() as u64 - 1);
             }
-            for (copy, delay) in deliveries.into_iter().enumerate() {
+            for (copy, &delay) in deliveries.as_slice().iter().enumerate() {
                 // Wire mode: this copy travels as bytes — encode, maybe
                 // corrupt, then decode → validate. A frame the pipeline
                 // refuses never becomes a delivery event.
                 let msg = if let Some(wire) = self.wire.as_mut() {
-                    let mut frame = codec::encode(&msg);
-                    let corrupted = wire.corruptor.maybe_corrupt(&mut frame);
+                    codec::encode_into(&msg, &mut wire.frame);
+                    let corrupted = wire.corruptor.maybe_corrupt(&mut wire.frame);
                     if corrupted {
                         self.tel.frames_corrupted.inc();
                     }
-                    match codec::decode(&frame)
+                    match codec::decode(&wire.frame)
                         .and_then(|decoded| codec::validate(&decoded).map(|()| decoded))
                     {
                         Ok(decoded) => {
@@ -511,7 +668,7 @@ impl VirtualRuntime {
                 let at = self.now + delay;
                 // A delivery landing before one already scheduled for the
                 // same destination will arrive out of send order.
-                let latest = self.latest_arrival.entry(to).or_insert(at);
+                let latest = self.latest_arrival.entry(to).get_or_insert(at);
                 if at < *latest {
                     self.messages_reordered += 1;
                     self.tel.messages_reordered.inc();
@@ -542,7 +699,9 @@ impl VirtualRuntime {
         }
     }
 
-    fn apply_fault(&mut self, kind: FaultKind) {
+    /// Applies a fault; a restarted actor's recovery messages go through
+    /// `outbox`.
+    fn apply_fault(&mut self, kind: FaultKind, outbox: &mut Outbox) {
         match kind {
             FaultKind::Partition { a, b, duration } => {
                 self.tel.events.emit(
@@ -567,8 +726,8 @@ impl VirtualRuntime {
                     self.tel.events.emit(
                         TelemetryEvent::new(self.now, "crash").with("addr", addr.to_string()),
                     );
-                    if let Some(actor) = self.actors.get_mut(&addr) {
-                        actor.on_crash(self.now);
+                    if let Some(r) = self.actors.get_mut(addr) {
+                        r.actor.on_crash(self.now);
                     }
                 }
             }
@@ -579,9 +738,8 @@ impl VirtualRuntime {
                     self.tel.events.emit(
                         TelemetryEvent::new(self.now, "restart").with("addr", addr.to_string()),
                     );
-                    let mut outbox = Outbox::default();
-                    if let Some(actor) = self.actors.get_mut(&addr) {
-                        actor.on_restart(self.now, &mut outbox);
+                    if let Some(r) = self.actors.get_mut(addr) {
+                        r.actor.on_restart(self.now, outbox);
                     }
                     let ctx = if self.tel.spans.is_enabled() && !outbox.is_empty() {
                         self.tel.spans.instant(
@@ -625,7 +783,7 @@ impl VirtualRuntime {
                 } else {
                     TraceCtx::NONE
                 };
-                if self.actors.contains_key(&Address::ControlPlane) {
+                if self.is_registered(Address::ControlPlane) {
                     // Hand the command to the control plane, which
                     // disseminates it reliably over the network.
                     let now = self.now;
@@ -634,8 +792,7 @@ impl VirtualRuntime {
                     // No control plane deployed: management-plane
                     // broadcast directly to every live actor (the legacy
                     // out-of-band path).
-                    let mut addrs: Vec<Address> = self.actors.keys().copied().collect();
-                    addrs.sort_unstable();
+                    let addrs: Vec<Address> = self.actors.keys().collect();
                     let now = self.now;
                     for addr in addrs {
                         self.push(now, EventKind::Deliver(addr, msg.clone(), ctx));
@@ -649,27 +806,23 @@ impl VirtualRuntime {
     /// `t_end` are *not* processed, so consecutive `run_until` calls
     /// compose).
     pub fn run_until(&mut self, t_end: f64) {
-        while let Some(head) = self.queue.peek() {
-            if head.time >= t_end {
-                break;
-            }
-            let event = self.queue.pop().expect("peeked");
+        while let Some(event) = self.queue.pop_before(t_end) {
+            debug_assert!(event.time >= self.now, "virtual clock ran backwards");
             self.now = event.time;
-            let mut outbox = Outbox::default();
+            let mut outbox = std::mem::take(&mut self.outbox);
             match event.kind {
                 EventKind::Tick(addr) => {
                     let _prof = self.tel.profiler.scope("tick");
-                    if !self.crashed.contains(&addr) {
-                        if let Some(actor) = self.actors.get_mut(&addr) {
-                            actor.on_tick(self.now, &mut outbox);
-                        }
-                    }
+                    let crashed = self.crashed.contains(&addr);
                     // Reschedule even while crashed, so ticking resumes
                     // seamlessly after a restart. A deregistered actor has
                     // no schedule anymore: its tick chain ends here.
-                    if let Some(sched) = self.schedules.get_mut(&addr) {
-                        sched.next += sched.interval;
-                        let next = sched.next;
+                    if let Some(r) = self.actors.get_mut(addr) {
+                        if !crashed {
+                            r.actor.on_tick(self.now, &mut outbox);
+                        }
+                        r.next_tick += r.interval;
+                        let next = r.next_tick;
                         self.push(next, EventKind::Tick(addr));
                     }
                     // A tick that produced messages roots a new trace;
@@ -680,7 +833,7 @@ impl VirtualRuntime {
                     } else {
                         TraceCtx::NONE
                     };
-                    self.dispatch(addr, outbox, ctx);
+                    self.dispatch(addr, &mut outbox, ctx);
                 }
                 EventKind::Deliver(addr, msg, ctx) => {
                     let _prof = self.tel.profiler.scope("dispatch");
@@ -695,17 +848,18 @@ impl VirtualRuntime {
                                 ctx,
                             );
                         }
-                    } else if let Some(actor) = self.actors.get_mut(&addr) {
-                        actor.on_message(self.now, msg, &mut outbox);
+                    } else if let Some(r) = self.actors.get_mut(addr) {
+                        r.actor.on_message(self.now, msg, &mut outbox);
                         // Replies (acks, forwarded updates) inherit the
                         // delivery's context: the chain stays one trace.
-                        self.dispatch(addr, outbox, ctx);
+                        self.dispatch(addr, &mut outbox, ctx);
                     }
                 }
                 EventKind::Fault(kind) => {
-                    self.apply_fault(kind);
+                    self.apply_fault(kind, &mut outbox);
                 }
             }
+            self.outbox = outbox;
         }
         self.now = t_end;
     }
@@ -713,12 +867,12 @@ impl VirtualRuntime {
     /// Mutable access to a registered actor (for telemetry extraction in
     /// tests and drivers).
     pub fn actor_mut(&mut self, addr: Address) -> Option<&mut Box<dyn Actor>> {
-        self.actors.get_mut(&addr)
+        self.actors.get_mut(addr).map(|r| &mut r.actor)
     }
 
     /// Downcast access to the concrete actor registered at `addr`.
     pub fn actor_as<T: 'static>(&mut self, addr: Address) -> Option<&mut T> {
-        self.actors.get_mut(&addr).and_then(|a| a.as_any().downcast_mut::<T>())
+        self.actor_mut(addr).and_then(|a| a.as_any().downcast_mut::<T>())
     }
 
     /// Delivers a control-plane message to an actor at the current virtual
@@ -921,6 +1075,106 @@ mod tests {
         assert_eq!(rec.ticks, vec![45.0, 55.0]);
         assert_eq!(rec.received.len(), 1);
         assert_eq!(rec.received[0].0, 50.0);
+    }
+
+    #[test]
+    fn faults_scheduled_in_the_past_fire_now_in_plan_order() {
+        use lla_telemetry::{EventLog, MetricsRegistry};
+        let log = EventLog::recording();
+        let mut rt = VirtualRuntime::new(NetworkModel::perfect(), 0);
+        rt.attach_telemetry(DistTelemetry::new(&MetricsRegistry::disabled(), log.clone()));
+        rt.register(Address::Resource(0), recorder(Some(Address::Controller(0))), 10.0, 0.0);
+        rt.register(Address::Controller(0), recorder(None), 10.0, 5.0);
+        rt.run_until(50.0);
+        // Crash at 10 and restart at 15, both long past.
+        rt.schedule_faults(&FaultPlan::new().crash_for(10.0, 5.0, Address::Controller(0)));
+        rt.run_until(60.0);
+        let events = log.snapshot();
+        let kinds: Vec<&str> = events.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, ["crash", "restart"]);
+        let times: Vec<f64> = events.iter().map(|e| e.time).collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]), "event times decrease: {times:?}");
+        assert!(times.iter().all(|&t| t >= 50.0), "the clock ran back: {times:?}");
+        assert_eq!(rt.now(), 60.0);
+        let rec = rt.actor_as::<Recorder>(Address::Controller(0)).expect("registered");
+        assert_eq!(rec.ticks, vec![55.0], "ticking resumes on schedule after the restart");
+    }
+
+    /// The two-lane queue beside a reference heap keyed by `(time, seq)`;
+    /// times are non-negative, so their bit patterns order like the values.
+    struct QueueTwin {
+        queue: EventQueue,
+        reference: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
+        seq: u64,
+        popped: usize,
+    }
+
+    impl QueueTwin {
+        fn push(&mut self, time: f64, now: f64, tick: bool) {
+            let seq = self.seq;
+            self.seq += 1;
+            let kind = if tick {
+                EventKind::Tick(Address::Resource(0))
+            } else {
+                let msg = Message::DualResync { seq };
+                EventKind::Deliver(Address::Controller(0), msg, TraceCtx::NONE)
+            };
+            self.reference.push(std::cmp::Reverse((time.to_bits(), seq)));
+            self.queue.push(Event { time, seq, kind }, now);
+        }
+
+        /// Pops from both, asserting they agree.
+        fn pop_before(&mut self, t_end: f64) -> Option<f64> {
+            let due = self.reference.peek().filter(|r| f64::from_bits(r.0 .0) < t_end).is_some();
+            let event = self.queue.pop_before(t_end);
+            assert_eq!(event.is_some(), due, "lanes and reference disagree on what is due");
+            let event = event?;
+            let std::cmp::Reverse((bits, seq)) = self.reference.pop().expect("due");
+            assert_eq!((event.time.to_bits(), event.seq), (bits, seq));
+            self.popped += 1;
+            Some(event.time)
+        }
+    }
+
+    #[test]
+    fn two_lane_queue_pops_in_heap_order() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+        let mut twin = QueueTwin {
+            queue: EventQueue::default(),
+            reference: BinaryHeap::new(),
+            seq: 0,
+            popped: 0,
+        };
+        let mut now = 0.0f64;
+        for _ in 0..300 {
+            // Schedule a few events: same instant, future and past.
+            for _ in 0..rng.gen_range(0..6u8) {
+                let time = match rng.gen_range(0..3u8) {
+                    0 => now,
+                    1 => now + f64::from(rng.gen_range(1..8u8)) * 0.5,
+                    _ => (now - f64::from(rng.gen_range(1..4u8)) * 0.5).max(0.0),
+                };
+                twin.push(time, now, rng.gen_bool(0.2));
+            }
+            // A run_until to a boundary; handling an event may schedule
+            // more at its instant, as a zero-delay delivery does.
+            let t_end = now + f64::from(rng.gen_range(0..4u8)) * 0.5;
+            while let Some(time) = twin.pop_before(t_end) {
+                now = time;
+                if rng.gen_bool(0.4) {
+                    twin.push(now, now, false);
+                }
+            }
+            // The clock stops at the boundary; an inject lands there.
+            now = t_end;
+            if rng.gen_bool(0.5) {
+                twin.push(now, now, false);
+            }
+        }
+        while twin.pop_before(f64::INFINITY).is_some() {}
+        assert!(twin.reference.is_empty());
+        assert!(twin.popped > 1000, "only {} events popped", twin.popped);
     }
 
     #[test]

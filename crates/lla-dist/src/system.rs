@@ -125,6 +125,9 @@ pub struct DistributedLla {
     config: DistConfig,
     rounds: usize,
     utilities: Vec<f64>,
+    /// The live tasks' telemetry rows in dense order, refreshed in place
+    /// after every round to score its utility.
+    round_lats: Vec<Vec<f64>>,
     /// `(at, resource slot, availability)` of scheduled availability
     /// faults not yet reflected in the facade's own problem view.
     pending_availability: Vec<(f64, usize, f64)>,
@@ -280,6 +283,7 @@ impl DistributedLla {
             config,
             rounds: 0,
             utilities: Vec::new(),
+            round_lats: Vec::new(),
             pending_availability: Vec::new(),
             last_diag_prices: Vec::new(),
             tel,
@@ -359,8 +363,13 @@ impl DistributedLla {
                 }
                 false
             });
-            let lats = self.dense_lats();
-            self.utilities.push(self.problem.total_utility(&lats));
+            let tel = self.telemetry.lock();
+            self.round_lats.resize_with(self.task_slots.len(), Vec::new);
+            for (row, &s) in self.round_lats.iter_mut().zip(&self.task_slots) {
+                row.clone_from(&tel[s]);
+            }
+            drop(tel);
+            self.utilities.push(self.problem.total_utility(&self.round_lats));
         }
     }
 

@@ -1,10 +1,13 @@
 //! Heap-allocation budgets of the hot paths, counted by this binary's
 //! global allocator: an `Optimizer::step` without a trace allocates
-//! nothing, and `dual_value` on an optimizer's problem (which carries the
+//! nothing, `dual_value` on an optimizer's problem (which carries the
 //! optimizer's memoised plan) allocates its flat buffers and the nested
-//! maximiser, not a nested walk's per-task temporaries.
+//! maximiser, not a nested walk's per-task temporaries, and a
+//! `DistributedLla` round in wire mode moves every message without
+//! touching the heap.
 
 use lla::core::{dual_value, Optimizer, OptimizerConfig};
+use lla::dist::{DistConfig, DistributedLla};
 use lla::workloads::large_scale_workload;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,4 +76,24 @@ fn step_allocates_nothing_and_dual_value_stays_flat() {
     let (dual, n) = allocations(|| dual_value(opt.problem(), opt.prices(), &config.allocation));
     assert!(n <= tasks + 8, "dual_value made {n} allocations at {tasks} tasks");
     assert_eq!(dual.maximizer.len(), tasks);
+}
+
+#[test]
+fn dist_round_allocates_nothing_in_wire_mode() {
+    let problem = large_scale_workload(100, 3).expect("valid config");
+    let config = DistConfig { wire_mode: true, ..DistConfig::default() };
+    let mut dist = DistributedLla::new(problem, config);
+    // Warm-up: the runtime's queues, outbox and frame buffer, and the
+    // facade's round rows, reach their working sizes.
+    dist.run_rounds(5);
+    let sent = dist.messages_sent();
+
+    let ((), n) = allocations(|| dist.run_rounds(10));
+    assert!(dist.messages_sent() > sent, "the rounds must move messages");
+    assert_eq!(dist.frames_rejected(), 0);
+    // The utility history gains one entry per round and doubles its
+    // capacity when full: from 5 entries to 15 it grows once, at the 9th.
+    // That is the only allocation allowed; messages, events, frames and
+    // the round's utility rows make none.
+    assert!(n <= 1, "10 wire-mode rounds made {n} heap allocations");
 }
