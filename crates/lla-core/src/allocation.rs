@@ -33,6 +33,7 @@
 
 use crate::prices::PriceState;
 use crate::problem::Problem;
+use crate::share::ShareModel;
 use crate::task::Task;
 use crate::utility::UtilityFn;
 use serde::{Deserialize, Serialize};
@@ -97,27 +98,35 @@ pub fn clamping_box(
     task: &Task,
     settings: &AllocationSettings,
 ) -> (Vec<f64>, Vec<f64>) {
-    let n = task.len();
-    let mut lo = vec![0.0; n];
-    let mut hi = vec![0.0; n];
-    for s in 0..n {
-        let sub = &task.subtasks()[s];
-        let model = problem.share_model(task.subtask_id(s));
-        let b_r = problem.resource(sub.resource()).availability().max(1e-9);
-        lo[s] = model.min_latency(b_r).max(f64::MIN_POSITIVE);
-        let mut cap = task.critical_time();
-        if let Some(c) = sub.max_latency() {
-            cap = cap.min(c);
-        }
-        if settings.throughput_floor {
-            let min_share = task.trigger().mean_rate() * sub.exec_time();
-            if min_share > 0.0 {
-                cap = cap.min(model.min_latency(min_share));
-            }
-        }
-        hi[s] = cap.max(lo[s]);
+    (0..task.len())
+        .map(|s| subtask_box(problem, task, s, problem.share_model(task.subtask_id(s)), settings))
+        .unzip()
+}
+
+/// Subtask `s`'s entry `(lat_lo, lat_hi)` of [`clamping_box`], given its
+/// share `model`, so a lowering that reads the model anyway looks it up
+/// once and writes the bounds straight into its own arrays.
+pub(crate) fn subtask_box(
+    problem: &Problem,
+    task: &Task,
+    s: usize,
+    model: &ShareModel,
+    settings: &AllocationSettings,
+) -> (f64, f64) {
+    let sub = &task.subtasks()[s];
+    let b_r = problem.resource(sub.resource()).availability().max(1e-9);
+    let lo = model.min_latency(b_r).max(f64::MIN_POSITIVE);
+    let mut cap = task.critical_time();
+    if let Some(c) = sub.max_latency() {
+        cap = cap.min(c);
     }
-    (lo, hi)
+    if settings.throughput_floor {
+        let min_share = task.trigger().mean_rate() * sub.exec_time();
+        if min_share > 0.0 {
+            cap = cap.min(model.min_latency(min_share));
+        }
+    }
+    (lo, cap.max(lo))
 }
 
 /// Latency allocation for a single task controller (Algorithm "Latency

@@ -9,14 +9,16 @@
 //! convergence in *iterations* is scale-free; this module makes the
 //! per-iteration cost scale-free in structure too).
 //!
-//! [`Plan::lower`] flattens a [`Problem`] once into dense CSR-style index
-//! arrays (task→subtask, task→path→subtask, subtask→resource) plus
+//! [`Plan::lower`] flattens a [`Problem`] once, in one walk over its
+//! tasks, into dense index arrays (task→subtask, task→path, path→subtask
+//! with *plan-wide* subtask indices, subtask→resource) plus
 //! per-subtask constants (demand `m·(c_s+l_r)`, correction `ê`, clamping
-//! box, aggregation weight) and per-task descriptors (critical time,
-//! utility). Every per-iteration primitive — latency allocation, price
-//! update, utility, violations, Lagrangian, KKT residuals — then runs over
-//! flat `&[f64]`/`&[u32]` slices with zero heap allocation, using the
-//! reusable buffers of a [`PlanScratch`].
+//! box, aggregation weight, and `−w_s·f′` for a linear task), per-path
+//! critical times and per-task descriptors (critical time, utility). Every
+//! per-iteration primitive — latency allocation, price update, utility,
+//! violations, Lagrangian, KKT residuals — then runs over flat
+//! `&[f64]`/`&[u32]` slices with zero heap allocation, using the reusable
+//! buffers of a [`PlanScratch`].
 //!
 //! # Bit-identity with the naive path
 //!
@@ -24,42 +26,68 @@
 //! orders of the nested reference implementation (`allocate_task`,
 //! `PriceState::update`, `Problem::resource_usage`, …): sums fold
 //! left-to-right from `-0.0` (as `Iterator::sum` does) in the same element
-//! order, the allocator keeps
-//! the reference's skip-zero-λ accumulation, and clamping boxes are lowered
-//! by calling [`clamping_box`] itself. IEEE-754 arithmetic is deterministic
-//! for a fixed operation sequence, so plan-evaluated results are
-//! bit-identical to the naive path — preserving the byte-determinism
-//! contracts of checkpoint/restore and the churn soak.
+//! order, the allocator keeps the reference's skip-zero-λ accumulation,
+//! and clamping boxes are lowered by the code of [`clamping_box`] itself
+//! (its per-subtask half, `subtask_box`).
+//! IEEE-754 arithmetic is deterministic for a fixed operation sequence, so
+//! plan-evaluated results are bit-identical to the naive path — preserving
+//! the byte-determinism contracts of checkpoint/restore and the churn
+//! soak.
 //!
-//! # Fused price passes
+//! # One pass per phase
 //!
-//! The price step (Eqs. 8–9) is one sweep over the subtasks and two
-//! passes. The *usage sweep* walks subtasks in plan order and adds each
-//! share to its resource's usage. The *resource pass* walks resources in
-//! index order: gradient `B_r − usage_r`, congestion bit, μ step, and
-//! `usage_r − B_r` folded into the worst resource violation. The *path
-//! pass* walks paths in plan order: one walk over the path's subtasks sums
-//! its latency and tests it for a congested resource, then the pass folds
-//! `latency/C_i − 1` into the worst path violation and applies the λ step.
-//! λ is indexed by the plan's own path index, which equals the price
-//! state's flat path index (see [`crate::prices`]).
+//! A round is a few flat passes, each over one index space with no
+//! per-task or per-path set-up:
 //!
-//! The passes are bit-identical to the naive walks (`Problem::resource_usage`
-//! and `Path::latency` per constraint, then [`PriceState::update`]),
-//! because:
+//! - **allocation** — one λ-sum scatter over the flat λ array in path
+//!   order (skipped outright when no path has a price), then one pass over
+//!   every subtask: `pressure = (−w_s·f′) + Σλ`, then
+//!   `clamp(ê + sqrt(μ⁺·m/pressure))`. `−w_s·f′` is a lowered constant,
+//!   exact for a linear task, whose `f′` is constant. A concave task then
+//!   re-solves its own slice by the damped fixed point on its aggregate,
+//!   through the same formula;
+//! - **usage sweep** — subtasks in plan order, each share added to its
+//!   resource's usage;
+//! - **resource pass** — one [`PriceState`] batch over the resources in
+//!   index order: gradient `B_r − usage_r`, congestion bit, μ step, and
+//!   `usage_r − B_r` folded into the worst resource violation;
+//! - **path walk** — per path, one walk over its subtasks sums its latency
+//!   and tests it for a congested resource. The plan stores the path
+//!   lists shortest first, and the walk follows that storage order, so
+//!   its inner loop runs the same trip count path after path;
+//! - **path pass** — one `PriceState` batch over the paths in plan order:
+//!   `latency/C_i − 1` folded into the worst path violation, then the λ
+//!   step. λ is indexed by the plan's own path index, which equals the
+//!   price state's flat path index (see [`crate::prices`]).
+//!
+//! The batches match the step-size policy once per pass and keep the
+//! price state's bookkeeping in locals; the step rule itself is the one
+//! the single-step API runs (see [`crate::prices`]).
+//!
+//! The passes are bit-identical to the nested reference
+//! ([`allocate_task`](crate::allocation::allocate_task) per task, then
+//! `Problem::resource_usage` and `Path::latency` per constraint and
+//! [`PriceState::update`]), because:
 //!
 //! - every sum adds the same terms in the same order from the same start:
-//!   `Problem::subtasks_on` lists a resource's subtasks in (task, subtask)
-//!   order, which is plan order for the full problem and for a subset
-//!   plan whose tasks ascend (every `ShardSpec` the crates build does);
+//!   a subtask's λ-sum gets its task's paths in path order, as the
+//!   reference's per-task scatter does, and with no price anywhere every
+//!   λ-sum is the fill's `0.0`, which the pass then adds as a constant;
+//!   `Problem::subtasks_on` lists a resource's subtasks in (task,
+//!   subtask) order, which is plan order for the full problem and for a
+//!   subset plan whose tasks ascend (every `ShardSpec` the crates build
+//!   does);
+//! - the lowered `−w_s·f′` is the very product the reference computes
+//!   each time (`f′(0)` of a linear utility is its slope);
 //! - a μ step reads only its own resource's usage and a λ step only its
-//!   own path's latency and congestion bit, so folding violations and
-//!   stepping inside the walks changes no operand, and the `max` and
-//!   doubling-count reductions are order-free on finite values anyway;
+//!   own path's latency and congestion bit, so walking paths in another
+//!   order, folding violations and stepping inside the passes changes no
+//!   operand, and the `max` and doubling-count reductions are order-free
+//!   on finite values anyway;
 //! - the path pass starts only after the resource pass (and, in a sharded
 //!   round, the coordinator broadcast), so every congestion bit is set
 //!   before the first λ step reads one.
-//!
+
 //! # Invalidation
 //!
 //! A plan snapshots the problem at a [`Problem::epoch`]. Owners compare
@@ -91,16 +119,17 @@
 //! # Parallelism (`parallel` feature)
 //!
 //! With the opt-in `parallel` feature, [`Plan::allocate_into`] fans the
-//! per-task allocation out across a worker pool: tasks are split into
-//! contiguous ranges and each worker writes its tasks' latencies into a
-//! disjoint `split_at_mut` slice of the output. Task allocations are
+//! allocation out across a worker pool: tasks are split into contiguous
+//! ranges and each worker runs the allocation passes on its range,
+//! writing its tasks' latencies into a disjoint `split_at_mut` slice of
+//! the output. Task allocations are
 //! mutually independent (they read shared prices and write only their own
 //! rows), and every cross-task reduction (usage, utility, price steps)
 //! stays sequential in fixed order — so parallel output is **bit-identical**
 //! to sequential regardless of worker count.
 
 use crate::allocation::{
-    clamping_box, AllocationSettings, DAMPING, FIXED_POINT_MAX_ITERS, FIXED_POINT_TOL,
+    clamping_box, subtask_box, AllocationSettings, DAMPING, FIXED_POINT_MAX_ITERS, FIXED_POINT_TOL,
 };
 use crate::ids::TaskId;
 use crate::lagrangian::KktReport;
@@ -118,70 +147,85 @@ fn dot(lats: &[f64], weight: &[f64]) -> f64 {
     lats.iter().zip(weight).map(|(l, w)| l * w).sum()
 }
 
-/// The shared single-task allocation kernel (Eq. 7 + damped fixed point),
-/// operating on dense plan arrays. Used by both [`Plan`] (global slices)
-/// and [`TaskPlan`] (single-task slices). Replicates
-/// [`crate::allocation::allocate_task`] expression-for-expression.
-///
-/// `path_off` holds `num_paths + 1` offsets into `path_subs`; `path_subs`
-/// holds task-local subtask indices. `lambdas` is the task's λ row and
-/// `mus` the global μ vector (indexed through `sub_res`).
-#[allow(clippy::too_many_arguments)]
-fn allocate_kernel(
+/// One range's columns of the per-subtask constants the allocation reads
+/// (the same range of every array), for [`Plan`] and [`TaskPlan`] alike.
+#[derive(Clone, Copy)]
+struct SubtaskCols<'a> {
+    demand: &'a [f64],
+    correction: &'a [f64],
+    lo: &'a [f64],
+    hi: &'a [f64],
+    sub_res: &'a [u32],
+}
+
+impl SubtaskCols<'_> {
+    /// Eq. 7 and the clamp for every subtask `s` of the range: the
+    /// pressure is `neg_wf(s) + Σλ` (with `neg_wf(s) = −w_s·f′`) and the
+    /// latency `ê + sqrt(μ⁺·m/pressure)`, or `hi` when there is no
+    /// pressure, clamped to `[lo, hi]`. `lambda_sum` holds the range's
+    /// λ-sums, or is `None` when every one is the fill's `0.0` (no path of
+    /// the range has a price), which adds that `0.0` without reading a
+    /// buffer. The only copy of the allocation formula; it is
+    /// `ShareModel::stationary_latency` over the dense arrays, with the
+    /// expressions of [`allocate_task`](crate::allocation::allocate_task)
+    /// in their order.
+    #[inline(always)]
+    fn solve(
+        &self,
+        neg_wf: impl Fn(usize) -> f64,
+        lambda_sum: Option<&[f64]>,
+        mus: &[f64],
+        out: &mut [f64],
+    ) {
+        match lambda_sum {
+            Some(lambda_sum) => {
+                let lambda_sum = &lambda_sum[..out.len()];
+                self.solve_pass(neg_wf, |s| lambda_sum[s], mus, out);
+            }
+            None => self.solve_pass(neg_wf, |_| 0.0, mus, out),
+        }
+    }
+
+    /// [`solve`](Self::solve)'s loop, with the λ-sum of subtask `s` read
+    /// through `lambda_sum(s)`.
+    #[inline(always)]
+    fn solve_pass(
+        &self,
+        neg_wf: impl Fn(usize) -> f64,
+        lambda_sum: impl Fn(usize) -> f64,
+        mus: &[f64],
+        out: &mut [f64],
+    ) {
+        let n = out.len();
+        let (demand, correction) = (&self.demand[..n], &self.correction[..n]);
+        let (lo, hi, sub_res) = (&self.lo[..n], &self.hi[..n], &self.sub_res[..n]);
+        for s in 0..n {
+            let pressure = neg_wf(s) + lambda_sum(s);
+            let lat = if pressure <= 0.0 {
+                hi[s]
+            } else {
+                correction[s] + (mus[sub_res[s] as usize].max(0.0) * demand[s] / pressure).sqrt()
+            };
+            out[s] = lat.clamp(lo[s], hi[s]);
+        }
+    }
+}
+
+/// The damped fixed point of a concave task's aggregate `A = Σ_s w_s·lat_s`
+/// (see [`crate::allocation`]): warm-started from `previous`, each pass
+/// `solve(f′(A), out)` writes the allocation at `A`, and the last pass
+/// leaves the allocation at the final `A` in `out`.
+fn fixed_point(
     utility: &UtilityFn,
     weight: &[f64],
-    demand: &[f64],
-    correction: &[f64],
-    lo: &[f64],
-    hi: &[f64],
-    sub_res: &[u32],
-    path_off: &[usize],
-    path_subs: &[u32],
-    lambdas: &[f64],
-    mus: &[f64],
     previous: &[f64],
-    lambda_sum: &mut [f64],
     out: &mut [f64],
+    mut solve: impl FnMut(f64, &mut [f64]),
 ) {
-    let n = out.len();
-    debug_assert_eq!(previous.len(), n, "allocation shape mismatch");
-
-    // Σ_{p∋s} λ_p with the reference's skip of zero-price paths.
-    lambda_sum.fill(0.0);
-    for (p, &lp) in lambdas.iter().enumerate() {
-        if lp != 0.0 {
-            for &s in &path_subs[path_off[p]..path_off[p + 1]] {
-                lambda_sum[s as usize] += lp;
-            }
-        }
-    }
-
-    let solve_pass = |a: f64, dst: &mut [f64]| {
-        let fprime = utility.derivative(a);
-        for s in 0..n {
-            let mu = mus[sub_res[s] as usize];
-            let pressure = -weight[s] * fprime + lambda_sum[s];
-            // `ShareModel::stationary_latency` inlined over the dense
-            // demand/correction arrays (identical expression).
-            let stationary = if pressure <= 0.0 {
-                None
-            } else {
-                Some(correction[s] + (mu.max(0.0) * demand[s] / pressure).sqrt())
-            };
-            dst[s] = stationary.unwrap_or(hi[s]).clamp(lo[s], hi[s]);
-        }
-    };
-
-    if matches!(utility, UtilityFn::Linear { .. }) {
-        // f' is constant: a single pass is exact.
-        solve_pass(0.0, out);
-        return;
-    }
-
-    // General concave utility: damped fixed point on the aggregate A.
+    debug_assert_eq!(previous.len(), out.len(), "allocation shape mismatch");
     let mut a = dot(previous, weight);
     for _ in 0..FIXED_POINT_MAX_ITERS {
-        solve_pass(a, out);
+        solve(utility.derivative(a), out);
         let a_new = dot(out, weight);
         let next = (1.0 - DAMPING) * a + DAMPING * a_new;
         if (next - a).abs() <= FIXED_POINT_TOL * a.abs().max(1.0) {
@@ -190,7 +234,7 @@ fn allocate_kernel(
         }
         a = next;
     }
-    solve_pass(a, out);
+    solve(utility.derivative(a), out);
 }
 
 /// Reusable scratch buffers for one [`Plan`]'s iteration kernels.
@@ -204,6 +248,9 @@ pub struct PlanScratch {
     pub(crate) lambda: Vec<f64>,
     pub(crate) usage: Vec<f64>,
     pub(crate) path_lat: Vec<f64>,
+    /// Per path: whether it traverses a congested resource (the path
+    /// pass's congestion signal for the λ steps).
+    pub(crate) path_congested: Vec<bool>,
     pub(crate) congested: Vec<bool>,
 }
 
@@ -273,6 +320,8 @@ impl PlanScratch {
         fit(&mut self.lambda, ns);
         fit(&mut self.usage, nr);
         fit(&mut self.path_lat, plan.num_paths());
+        self.path_congested.clear();
+        self.path_congested.resize(plan.num_paths(), false);
         self.congested.clear();
         self.congested.resize(nr, false);
     }
@@ -290,11 +339,19 @@ pub struct Plan {
     /// `task_path_off[t]..task_path_off[t+1]` is task `t`'s global path
     /// index range (`len == num_tasks + 1`).
     task_path_off: Vec<usize>,
-    /// `path_sub_off[pp]..path_sub_off[pp+1]` is global path `pp`'s slice
-    /// of `path_subs` (`len == num_paths + 1`).
-    path_sub_off: Vec<usize>,
-    /// Task-local subtask indices in root-to-leaf order.
+    /// Global path `pp`'s `(start, length)` in `path_subs`.
+    path_span: Vec<(u32, u32)>,
+    /// Every path's global (plan-wide) subtask indices in root-to-leaf
+    /// order, the paths stored shortest first (plan order among equal
+    /// lengths), so the path walk streams them with the same trip count
+    /// path after path.
     path_subs: Vec<u32>,
+    /// The global path indices in `path_subs` order.
+    walk_order: Vec<u32>,
+    /// `(length, paths)` runs of `path_subs`, in order.
+    walk_runs: Vec<(usize, usize)>,
+    /// Global path → its task's critical time `C_i`.
+    path_ct: Vec<f64>,
     /// Global subtask → hosting resource index.
     sub_res: Vec<u32>,
     demand: Vec<f64>,
@@ -302,6 +359,13 @@ pub struct Plan {
     lo: Vec<f64>,
     hi: Vec<f64>,
     weight: Vec<f64>,
+    /// `−w_s·f′` of a linear task's subtask, the constant half of its
+    /// allocation pressure; `0.0` (unread) for a concave task's subtask.
+    neg_wf: Vec<f64>,
+    /// Plan-local indices of the tasks with a non-linear (concave)
+    /// utility, ascending: the tasks the allocation re-solves by fixed
+    /// point after its linear pass.
+    concave: Vec<u32>,
     critical_time: Vec<f64>,
     utility: Vec<UtilityFn>,
     availability: Vec<f64>,
@@ -334,56 +398,105 @@ impl Plan {
         Self::lower_impl(problem, settings, Some(tasks))
     }
 
+    /// The one walk over the lowered tasks that fills every array, each
+    /// presized to its final length. A first pass over the tasks counts
+    /// their subtasks and their paths by length, which places every path
+    /// in its length run of `path_subs` before the walk reaches it.
     fn lower_impl(
         problem: &Problem,
         settings: &AllocationSettings,
         subset: Option<&[usize]>,
     ) -> Plan {
-        let nt_global = problem.tasks().len();
-        let ns_global = problem.num_subtasks();
-        let np_global = problem.num_paths();
-        assert!(ns_global < u32::MAX as usize, "problem too large for u32 subtask indices");
-        let nt = subset.map_or(nt_global, <[usize]>::len);
+        let tasks = problem.tasks();
+        let nt = subset.map_or(tasks.len(), <[usize]>::len);
+        // Plan-local task `t`'s global index.
+        let global = |t: usize| subset.map_or(t, |subset| subset[t]);
+        let (mut ns, mut by_len) = (0, Vec::<usize>::new());
+        for gt in (0..nt).map(global) {
+            ns += tasks[gt].len();
+            for path in tasks[gt].graph().paths() {
+                let len = path.subtasks().len();
+                if by_len.len() <= len {
+                    by_len.resize(len + 1, 0);
+                }
+                by_len[len] += 1;
+            }
+        }
+        let np: usize = by_len.iter().sum();
+        // `run_at[l]`/`walk_at[l]`: where the next path of length `l` goes
+        // in `path_subs`/`walk_order`.
+        let (mut run_at, mut walk_at) = (Vec::with_capacity(by_len.len()), Vec::new());
+        let (mut subs_total, mut paths_total) = (0usize, 0usize);
+        for (len, &n) in by_len.iter().enumerate() {
+            run_at.push(subs_total);
+            walk_at.push(paths_total);
+            subs_total += len * n;
+            paths_total += n;
+        }
+        assert!(
+            ns < u32::MAX as usize && subs_total < u32::MAX as usize,
+            "problem too large for u32 subtask indices"
+        );
+        let walk_runs = by_len.iter().enumerate().filter(|&(_, &n)| n > 0).map(|(l, &n)| (l, n));
 
         let mut task_sub_off = Vec::with_capacity(nt + 1);
         let mut task_path_off = Vec::with_capacity(nt + 1);
-        let mut path_sub_off = Vec::with_capacity(if subset.is_some() { 1 } else { np_global + 1 });
-        let mut path_subs = Vec::new();
-        let mut demand = Vec::new();
-        let mut correction = Vec::new();
-        let mut lo = Vec::new();
-        let mut hi = Vec::new();
-        let mut weight = Vec::new();
-        let mut sub_res = Vec::new();
+        let mut path_span = Vec::with_capacity(np);
+        let mut path_subs = vec![0u32; subs_total];
+        let mut walk_order = vec![0u32; np];
+        let mut path_ct = Vec::with_capacity(np);
+        let mut sub_res = Vec::with_capacity(ns);
+        let mut demand = Vec::with_capacity(ns);
+        let mut correction = Vec::with_capacity(ns);
+        let mut lo = Vec::with_capacity(ns);
+        let mut hi = Vec::with_capacity(ns);
+        let mut weight = Vec::with_capacity(ns);
+        let mut neg_wf = Vec::with_capacity(ns);
+        let mut concave = Vec::new();
         let mut critical_time = Vec::with_capacity(nt);
         let mut utility = Vec::with_capacity(nt);
         task_sub_off.push(0);
         task_path_off.push(0);
-        path_sub_off.push(0);
-        let mut lower_task = |gt: usize| {
-            let task = &problem.tasks()[gt];
-            let (lo_t, hi_t) = clamping_box(problem, task, settings);
-            for s in 0..task.len() {
+        for gt in (0..nt).map(global) {
+            let task = &tasks[gt];
+            let base = demand.len() as u32;
+            let ct = task.critical_time();
+            for (s, sub) in task.subtasks().iter().enumerate() {
                 let model = problem.share_model(task.subtask_id(s));
+                let (lo_s, hi_s) = subtask_box(problem, task, s, model, settings);
                 demand.push(model.demand());
                 correction.push(model.correction());
-                sub_res.push(task.subtasks()[s].resource().index() as u32);
+                lo.push(lo_s);
+                hi.push(hi_s);
+                sub_res.push(sub.resource().index() as u32);
             }
-            lo.extend_from_slice(&lo_t);
-            hi.extend_from_slice(&hi_t);
             weight.extend_from_slice(task.weights());
+            match task.utility_fn() {
+                f @ UtilityFn::Linear { .. } => {
+                    let fprime = f.derivative(0.0);
+                    neg_wf.extend(task.weights().iter().map(|w| -w * fprime));
+                }
+                _ => {
+                    concave.push(critical_time.len() as u32);
+                    neg_wf.resize(demand.len(), 0.0);
+                }
+            }
             for path in task.graph().paths() {
-                path_subs.extend(path.subtasks().iter().map(|&s| s as u32));
-                path_sub_off.push(path_subs.len());
+                let len = path.subtasks().len();
+                let at = run_at[len];
+                for (slot, &s) in path_subs[at..at + len].iter_mut().zip(path.subtasks()) {
+                    *slot = base + s as u32;
+                }
+                run_at[len] += len;
+                walk_order[walk_at[len]] = path_span.len() as u32;
+                walk_at[len] += 1;
+                path_span.push((at as u32, len as u32));
+                path_ct.push(ct);
             }
             task_sub_off.push(demand.len());
-            task_path_off.push(path_sub_off.len() - 1);
-            critical_time.push(task.critical_time());
+            task_path_off.push(path_ct.len());
+            critical_time.push(ct);
             utility.push(task.utility_fn().clone());
-        };
-        match subset {
-            Some(tasks) => tasks.iter().for_each(|&gt| lower_task(gt)),
-            None => (0..nt_global).for_each(&mut lower_task),
         }
 
         let availability = problem.resources().iter().map(|r| r.availability()).collect();
@@ -392,14 +505,19 @@ impl Plan {
             settings: *settings,
             task_sub_off,
             task_path_off,
-            path_sub_off,
+            path_span,
             path_subs,
+            walk_order,
+            walk_runs: walk_runs.collect(),
+            path_ct,
             sub_res,
             demand,
             correction,
             lo,
             hi,
             weight,
+            neg_wf,
+            concave,
             critical_time,
             utility,
             availability,
@@ -434,7 +552,7 @@ impl Plan {
 
     /// Total number of root-to-leaf paths.
     pub fn num_paths(&self) -> usize {
-        self.path_sub_off.len() - 1
+        self.path_span.len()
     }
 
     /// Task `t`'s range within the flat per-subtask arrays.
@@ -450,6 +568,7 @@ impl Plan {
             lambda: vec![0.0; self.num_subtasks()],
             usage: vec![0.0; self.num_resources()],
             path_lat: vec![0.0; self.num_paths()],
+            path_congested: vec![false; self.num_paths()],
             congested: vec![false; self.num_resources()],
         }
     }
@@ -496,22 +615,18 @@ impl Plan {
     /// The sequential latency-allocation kernel (always available; the
     /// reference for the bit-identity contract).
     pub fn allocate_seq(&self, prices: &PriceState, scratch: &mut PlanScratch) {
-        debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
         let PlanScratch { prev, lats, lambda, .. } = scratch;
-        for t in 0..self.num_tasks() {
-            let range = self.task_range(t);
-            self.allocate_one(t, prices, prev, &mut lambda[range.clone()], &mut lats[range]);
-        }
+        self.allocate_tasks(0..self.num_tasks(), prices, prev, lambda, lats);
     }
 
     /// The threaded latency-allocation kernel: contiguous task ranges fan
-    /// out over `rayon::current_num_threads()` workers, each writing a
-    /// disjoint slice of `scratch.lats`. Bit-identical to
-    /// [`allocate_seq`](Self::allocate_seq) for any worker count because
-    /// tasks are independent and no cross-task reduction happens here.
+    /// out over `rayon::current_num_threads()` workers, each running
+    /// [`allocate_seq`](Self::allocate_seq)'s passes on its range and
+    /// writing a disjoint slice of `scratch.lats`. Bit-identical to
+    /// `allocate_seq` for any worker count because tasks are independent
+    /// and no cross-task reduction happens here.
     #[cfg(feature = "parallel")]
     pub fn allocate_par(&self, prices: &PriceState, scratch: &mut PlanScratch) {
-        debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
         let nt = self.num_tasks();
         let workers = rayon::current_num_threads().min(nt.max(1));
         if workers <= 1 {
@@ -534,53 +649,83 @@ impl Plan {
                 rest_lats = rl;
                 let (chunk_lambda, rb) = std::mem::take(&mut rest_lambda).split_at_mut(nsub);
                 rest_lambda = rb;
-                let base = self.task_sub_off[t0];
-                let range = t0..t1;
-                s.spawn(move || {
-                    for t in range {
-                        let a = self.task_sub_off[t] - base;
-                        let b = self.task_sub_off[t + 1] - base;
-                        self.allocate_one(
-                            t,
-                            prices,
-                            prev,
-                            &mut chunk_lambda[a..b],
-                            &mut chunk_lats[a..b],
-                        );
-                    }
-                });
+                let tasks = t0..t1;
+                s.spawn(move || self.allocate_tasks(tasks, prices, prev, chunk_lambda, chunk_lats));
                 t0 = t1;
             }
         });
     }
 
-    /// Runs the allocation kernel for one task over plan slices.
-    fn allocate_one(
+    /// The allocation of a contiguous task range whose subtasks are
+    /// `lambda_sum` and `out` (both start at the range's first subtask;
+    /// `prev` is the whole plan's warm start):
+    ///
+    /// 1. one λ-sum scatter over the range's paths in plan order, adding
+    ///    each nonzero `λ_p` to its subtasks (the reference's skip of
+    ///    zero-price paths) — skipped, buffer and all, when no path of the
+    ///    range has a price;
+    /// 2. one pass over the range's subtasks with the lowered `−w_s·f′`,
+    ///    exact for every linear task;
+    /// 3. the damped fixed point over each concave task's own slice,
+    ///    overwriting what the linear pass wrote there.
+    fn allocate_tasks(
         &self,
-        t: usize,
+        tasks: std::ops::Range<usize>,
         prices: &PriceState,
-        prev_all: &[f64],
+        prev: &[f64],
         lambda_sum: &mut [f64],
         out: &mut [f64],
     ) {
-        let sub = self.task_range(t);
-        let paths = self.task_path_off[t]..self.task_path_off[t + 1];
-        allocate_kernel(
-            &self.utility[t],
-            &self.weight[sub.clone()],
-            &self.demand[sub.clone()],
-            &self.correction[sub.clone()],
-            &self.lo[sub.clone()],
-            &self.hi[sub.clone()],
-            &self.sub_res[sub.clone()],
-            &self.path_sub_off[paths.start..=paths.end],
-            &self.path_subs,
-            prices.lambdas(t),
-            prices.mus(),
-            &prev_all[sub],
-            lambda_sum,
-            out,
-        );
+        debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
+        let subs = self.task_sub_off[tasks.start]..self.task_sub_off[tasks.end];
+        let paths = self.task_path_off[tasks.start]..self.task_path_off[tasks.end];
+        let base = subs.start;
+        let lambdas = &prices.flat_lambdas()[paths.clone()];
+        let lambda_sum = if lambdas.iter().all(|&lp| lp == 0.0) {
+            None
+        } else {
+            lambda_sum.fill(0.0);
+            for (pp, &lp) in paths.zip(lambdas) {
+                if lp != 0.0 {
+                    for &gs in self.path_subtasks(pp) {
+                        lambda_sum[gs as usize - base] += lp;
+                    }
+                }
+            }
+            Some(&*lambda_sum)
+        };
+
+        let mus = prices.mus();
+        let neg_wf = &self.neg_wf[subs.clone()];
+        self.cols(subs).solve(|s| neg_wf[s], lambda_sum, mus, out);
+
+        let first = self.concave.partition_point(|&t| (t as usize) < tasks.start);
+        for &t in self.concave[first..].iter().take_while(|&&t| (t as usize) < tasks.end) {
+            let range = self.task_range(t as usize);
+            let local = range.start - base..range.end - base;
+            let (cols, weight) = (self.cols(range.clone()), &self.weight[range.clone()]);
+            let lambda_sum = lambda_sum.map(|l| &l[local.clone()]);
+            fixed_point(
+                &self.utility[t as usize],
+                weight,
+                &prev[range],
+                &mut out[local],
+                |f, dst| {
+                    cols.solve(|s| -weight[s] * f, lambda_sum, mus, dst);
+                },
+            );
+        }
+    }
+
+    /// The allocation columns of the subtasks in `range`.
+    fn cols(&self, range: std::ops::Range<usize>) -> SubtaskCols<'_> {
+        SubtaskCols {
+            demand: &self.demand[range.clone()],
+            correction: &self.correction[range.clone()],
+            lo: &self.lo[range.clone()],
+            hi: &self.hi[range.clone()],
+            sub_res: &self.sub_res[range],
+        }
     }
 
     /// Per-resource usage `Σ_{s∈S_r} share(lat_s)` into `usage`
@@ -599,18 +744,18 @@ impl Plan {
         }
     }
 
-    /// Global path `pp`'s subtasks, as task-local subtask indices.
+    /// Global path `pp`'s subtasks, as global subtask indices.
     #[inline]
     fn path_subtasks(&self, pp: usize) -> &[u32] {
-        &self.path_subs[self.path_sub_off[pp]..self.path_sub_off[pp + 1]]
+        let (at, len) = self.path_span[pp];
+        &self.path_subs[at as usize..(at + len) as usize]
     }
 
-    /// `Σ_{s∈p} lat_s` for global path `pp` of the task whose subtasks
-    /// start at flat index `base`, replicating
+    /// `Σ_{s∈p} lat_s` for global path `pp`, replicating
     /// [`crate::graph::Path::latency`].
     #[inline]
-    fn path_latency(&self, base: usize, pp: usize, lats: &[f64]) -> f64 {
-        self.path_subtasks(pp).iter().map(|&s| lats[base + s as usize]).sum()
+    fn path_latency(&self, pp: usize, lats: &[f64]) -> f64 {
+        self.path_subtasks(pp).iter().map(|&s| lats[s as usize]).sum()
     }
 
     /// One full price-computation step (Eqs. 8–9) over the plan, from
@@ -645,7 +790,8 @@ impl Plan {
 
     /// The usage sweep, then the resource pass: per resource in index
     /// order, gradient `B_r − usage_r` → congestion bit → μ step →
-    /// violation (for `owned` resources only, when given).
+    /// violation (for `owned` resources only, when given), in one
+    /// [`PriceState`] batch.
     fn resource_pass(
         &self,
         prices: &mut PriceState,
@@ -656,22 +802,13 @@ impl Plan {
         let PlanScratch { lats, usage, congested, .. } = scratch;
         self.usage_into(lats, usage);
         prices.reset_step_tracking();
-        let mut worst = f64::NEG_INFINITY;
-        for (r, &u) in usage.iter().enumerate() {
-            if owned.is_none_or(|owned| owned[r]) {
-                let g = self.availability[r] - u;
-                congested[r] = g < 0.0;
-                prices.apply_resource_step(r, g);
-                worst = worst.max(u - self.availability[r]);
-            }
-        }
-        worst
+        prices.step_resources(&self.availability, usage, owned, congested)
     }
 
-    /// The per-path half of the price phase (Eq. 9), the path pass: per
-    /// path in plan order, one walk over its subtasks for the latency
+    /// The per-path half of the price phase (Eq. 9), the path pass: one
+    /// walk per path in plan order over its subtasks for the latency
     /// (summed from `-0.0` as `Iterator::sum` does) and the congestion
-    /// test, then violation → λ step.
+    /// test, then one [`PriceState`] batch of violations and λ steps.
     /// It reads the congestion bits already in `scratch`: the monolithic
     /// step sets them all in its resource pass, and sharded drivers call
     /// this *after* the coordinator has broadcast shared-resource
@@ -679,52 +816,61 @@ impl Plan {
     /// violation `path_latency/C_i − 1`.
     pub fn path_price_steps(&self, prices: &mut PriceState, scratch: &mut PlanScratch) -> f64 {
         debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
-        let PlanScratch { lats, path_lat, congested, .. } = scratch;
-        let mut worst = f64::NEG_INFINITY;
-        for t in 0..self.num_tasks() {
-            let ct = self.critical_time[t];
-            let base = self.task_sub_off[t];
-            for pp in self.task_path_range(t) {
+        let PlanScratch { lats, path_lat, path_congested, congested, .. } = scratch;
+        let (mut rest, mut ids) = (&self.path_subs[..], self.walk_order.iter());
+        for &(len, paths) in &self.walk_runs {
+            let (run, tail) = rest.split_at(len * paths);
+            rest = tail;
+            for (path, &pp) in run.chunks_exact(len).zip(ids.by_ref()) {
                 let (mut pl, mut traverses_congested) = (-0.0f64, false);
-                for &s in self.path_subtasks(pp) {
-                    let gs = base + s as usize;
-                    pl += lats[gs];
-                    traverses_congested |= congested[self.sub_res[gs] as usize];
+                for &gs in path {
+                    pl += lats[gs as usize];
+                    traverses_congested |= congested[self.sub_res[gs as usize] as usize];
                 }
-                path_lat[pp] = pl;
-                worst = worst.max(pl / ct - 1.0);
-                prices.step_path(pp, 1.0 - pl / ct, traverses_congested);
+                path_lat[pp as usize] = pl;
+                path_congested[pp as usize] = traverses_congested;
             }
         }
-        worst
+        prices.step_paths(path_lat, &self.path_ct, path_congested)
     }
 
     /// The dual function `D(μ, λ)` (Eq. 6) and its maximising latencies
     /// (nested `[t][s]`), evaluated exactly as the naive
     /// [`dual_value`](crate::lagrangian::dual_value) does: one allocation
     /// step from the problem's initial allocation, then the Lagrangian.
-    /// Allocates the three allocation buffers and the nested maximiser
-    /// only.
+    ///
+    /// Only a concave task reads its warm start, so an all-linear plan
+    /// skips the even split and its buffer; the Lagrangian's usage sum
+    /// reuses the λ-sum buffer, dead once the allocation is done. Beyond
+    /// those two buffers it allocates only the nested maximiser.
     pub(crate) fn dual(&self, prices: &PriceState) -> (f64, Vec<Vec<f64>>) {
         let ns = self.num_subtasks();
+        let mut prev = Vec::new();
+        if !self.concave.is_empty() {
+            prev.resize(ns, 0.0);
+            for &t in &self.concave {
+                // `Problem::initial_allocation`: an even split of `C_i`
+                // along the task's longest path (in hops).
+                let t = t as usize;
+                let hops = self.task_path_range(t).map(|pp| self.path_subtasks(pp).len());
+                let slice = self.critical_time[t] / hops.max().unwrap_or(1) as f64;
+                prev[self.task_range(t)].fill(slice);
+            }
+        }
         let mut scratch = PlanScratch {
-            prev: vec![0.0; ns],
+            prev,
             lats: vec![0.0; ns],
             lambda: vec![0.0; ns],
             usage: Vec::new(),
             path_lat: Vec::new(),
+            path_congested: Vec::new(),
             congested: Vec::new(),
         };
-        for t in 0..self.num_tasks() {
-            // `Problem::initial_allocation`: an even split of `C_i` along
-            // the task's longest path (in hops).
-            let hops = self.task_path_range(t).map(|pp| self.path_subtasks(pp).len());
-            let slice = self.critical_time[t] / hops.max().unwrap_or(1) as f64;
-            scratch.prev[self.task_range(t)].fill(slice);
-        }
         self.allocate_into(prices, &mut scratch);
-        let value = self.lagrangian_value(&scratch.lats, prices);
-        let maximizer = (0..self.num_tasks()).map(|t| scratch.lats[self.task_range(t)].to_vec());
+        let PlanScratch { lats, lambda: mut usage, .. } = scratch;
+        usage.resize(self.num_resources(), 0.0);
+        let value = self.lagrangian_in(&lats, prices, &mut usage);
+        let maximizer = (0..self.num_tasks()).map(|t| lats[self.task_range(t)].to_vec());
         (value, maximizer.collect())
     }
 
@@ -770,14 +916,10 @@ impl Plan {
     /// `max_p (path_latency/C_i − 1)` from precomputed path latencies,
     /// replicating [`Problem::max_path_violation`].
     pub fn max_path_violation(&self, path_lat: &[f64]) -> f64 {
-        let mut worst = f64::NEG_INFINITY;
-        for t in 0..self.num_tasks() {
-            let ct = self.critical_time[t];
-            for &pl in &path_lat[self.task_path_off[t]..self.task_path_off[t + 1]] {
-                worst = worst.max(pl / ct - 1.0);
-            }
-        }
-        worst
+        path_lat
+            .iter()
+            .zip(&self.path_ct)
+            .fold(f64::NEG_INFINITY, |worst, (pl, ct)| worst.max(pl / ct - 1.0))
     }
 
     /// Per-task `critical_path_latency / C_i` ratios (trace column) from
@@ -800,20 +942,20 @@ impl Plan {
     /// The Lagrangian (Eq. 5) over a flat latency vector, replicating
     /// [`crate::lagrangian::lagrangian_value`].
     pub fn lagrangian_value(&self, lats: &[f64], prices: &PriceState) -> f64 {
+        self.lagrangian_in(lats, prices, &mut vec![0.0; self.num_resources()])
+    }
+
+    /// [`lagrangian_value`](Self::lagrangian_value) with the usage sum in
+    /// the caller's `usage` buffer (`num_resources` long).
+    fn lagrangian_in(&self, lats: &[f64], prices: &PriceState, usage: &mut [f64]) -> f64 {
         debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
         let mut value = self.total_utility(lats);
-        let mut usage = vec![0.0; self.num_resources()];
-        self.usage_into(lats, &mut usage);
+        self.usage_into(lats, usage);
         for (r, &u) in usage.iter().enumerate() {
             value -= prices.mu(r) * (u - self.availability[r]);
         }
-        for t in 0..self.num_tasks() {
-            let base = self.task_sub_off[t];
-            let lambdas = prices.lambdas(t);
-            for (p, pp) in self.task_path_range(t).enumerate() {
-                let pl = self.path_latency(base, pp, lats);
-                value -= lambdas[p] * (pl - self.critical_time[t]);
-            }
+        for (pp, &lp) in prices.flat_lambdas().iter().enumerate() {
+            value -= lp * (self.path_latency(pp, lats) - self.path_ct[pp]);
         }
         value
     }
@@ -864,15 +1006,13 @@ impl Plan {
         let mut stat = 0.0f64;
         let mut comp = 0.0f64;
         let mut worst_path = f64::NEG_INFINITY;
+        let lambda_sum = &mut scratch.lambda;
         for t in 0..self.num_tasks() {
             let sub = self.task_range(t);
-            let base = sub.start;
-            let tl = &lats[sub.clone()];
-            let a = dot(tl, &self.weight[sub.clone()]);
+            let a = dot(&lats[sub.clone()], &self.weight[sub.clone()]);
             let fprime = self.utility[t].derivative(a);
             let ct = self.critical_time[t];
-            let lambda_sum = &mut scratch.lambda[sub];
-            lambda_sum.fill(0.0);
+            lambda_sum[sub.clone()].fill(0.0);
             // Note: the KKT reference accumulates λ WITHOUT the
             // allocator's zero-skip; replicate that here.
             for (p, pp) in self.task_path_range(t).enumerate() {
@@ -880,14 +1020,14 @@ impl Plan {
                 let mut pl = 0.0;
                 for &s in self.path_subtasks(pp) {
                     lambda_sum[s as usize] += lp;
-                    pl += lats[base + s as usize];
+                    pl += lats[s as usize];
                 }
                 let slack = 1.0 - pl / ct;
                 comp = comp.max((lp * slack).abs());
                 worst_path = worst_path.max(pl / ct - 1.0);
             }
-            for (s, &lat) in tl.iter().enumerate() {
-                let gs = base + s;
+            for gs in sub {
+                let lat = lats[gs];
                 if lat - self.lo[gs] <= boundary_tol || self.hi[gs] - lat <= boundary_tol {
                     continue;
                 }
@@ -895,7 +1035,7 @@ impl Plan {
                 let dshare =
                     if eff <= 0.0 { f64::NEG_INFINITY } else { -self.demand[gs] / (eff * eff) };
                 let mu = prices.mu(self.sub_res[gs] as usize);
-                let residual = self.weight[gs] * fprime - lambda_sum[s] - mu * dshare;
+                let residual = self.weight[gs] * fprime - lambda_sum[gs] - mu * dshare;
                 stat = stat.max(residual.abs());
             }
         }
@@ -997,8 +1137,11 @@ impl TaskPlan {
     }
 
     /// One latency-allocation step for this task (bit-identical to
-    /// [`crate::allocation::allocate_task`]). `t` is the task's index for
-    /// λ lookups; `lambda_scratch` and `out` must both be `len()` long.
+    /// [`crate::allocation::allocate_task`]): the λ-sum scatter over the
+    /// task's paths, then [`Plan`]'s allocation pass over its subtasks
+    /// (once for a linear utility, by fixed point for a concave one). `t`
+    /// is the task's index for λ lookups; `lambda_scratch` and `out` must
+    /// both be `len()` long.
     pub fn allocate_into(
         &self,
         t: usize,
@@ -1007,22 +1150,29 @@ impl TaskPlan {
         lambda_scratch: &mut [f64],
         out: &mut [f64],
     ) {
-        allocate_kernel(
-            &self.utility,
-            &self.weight,
-            &self.demand,
-            &self.correction,
-            &self.lo,
-            &self.hi,
-            &self.sub_res,
-            &self.path_off,
-            &self.path_subs,
-            prices.lambdas(t),
-            prices.mus(),
-            previous,
-            lambda_scratch,
-            out,
-        );
+        lambda_scratch.fill(0.0);
+        for (p, &lp) in prices.lambdas(t).iter().enumerate() {
+            if lp != 0.0 {
+                for &s in &self.path_subs[self.path_off[p]..self.path_off[p + 1]] {
+                    lambda_scratch[s as usize] += lp;
+                }
+            }
+        }
+        let cols = SubtaskCols {
+            demand: &self.demand,
+            correction: &self.correction,
+            lo: &self.lo,
+            hi: &self.hi,
+            sub_res: &self.sub_res,
+        };
+        let lambda_sum = Some(&*lambda_scratch);
+        let solve = |f: f64, dst: &mut [f64]| {
+            cols.solve(|s| -self.weight[s] * f, lambda_sum, prices.mus(), dst);
+        };
+        match self.utility {
+            UtilityFn::Linear { .. } => solve(self.utility.derivative(0.0), out),
+            _ => fixed_point(&self.utility, &self.weight, previous, out, solve),
+        }
     }
 }
 

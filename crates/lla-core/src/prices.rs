@@ -29,6 +29,19 @@
 //! its own loop index, with no per-row lookup. The index-based API
 //! (`lambda(t, p)`, `lambdas(t)`, `apply_path_step(t, p, …)`) maps onto
 //! the flat arrays and checks `p` against its row.
+//!
+//! # One step rule, two drivers
+//!
+//! A dual step (Eq. 8 or 9 plus the policy's step-size rule) is written
+//! once, in the `#[inline]` `step_dual`, over one entry's `(price, γ,
+//! last gradient)` and a `StepTally` of the round's largest relative
+//! move, growth events and rejected samples. The single-step API
+//! ([`apply_resource_step`](PriceState::apply_resource_step),
+//! [`apply_path_step`](PriceState::apply_path_step)) that distributed
+//! agents call wraps it for one entry. The batch passes a plan runs
+//! (`step_resources`, `step_paths`) match the policy once, keep the tally
+//! in a local for the whole pass and store it back at the end, so each
+//! step is a few flops on the entry's own three slots.
 
 use crate::problem::{MembershipReport, Problem};
 use serde::{Deserialize, Serialize};
@@ -120,6 +133,121 @@ impl StepSizePolicy {
             StepSizePolicy::SignAdaptive { initial, .. } => initial,
         }
     }
+
+    /// The step size of a dual's next step, from its current `gamma`, the
+    /// new gradient `grad`, the previous gradient `last_grad` and its
+    /// current `price`. `grow` is the adaptive heuristic's congestion
+    /// signal: the resource's own (`grad < 0`) for μ, and whether the path
+    /// traverses a congested resource for λ.
+    #[inline(always)]
+    fn next_gamma(self, gamma: f64, grad: f64, last_grad: f64, price: f64, grow: bool) -> f64 {
+        match self {
+            StepSizePolicy::Fixed { gamma } => gamma,
+            StepSizePolicy::Adaptive { initial, factor, max } => {
+                // Paper §5.2: double while congested, revert on decongestion.
+                if grow {
+                    (gamma * factor).min(max)
+                } else {
+                    initial
+                }
+            }
+            StepSizePolicy::SignAdaptive { initial, factor, max } => {
+                // Grow while the gradient sign persists (and the projected
+                // price is actually moving); reset on a sign flip.
+                let same = grad.signum() == last_grad.signum();
+                let moving = grad < 0.0 || price > 0.0;
+                if same && moving && last_grad != 0.0 {
+                    (gamma * factor).min(max)
+                } else {
+                    initial
+                }
+            }
+        }
+    }
+}
+
+/// Folds `x` into a running maximum `acc` that is never NaN: the same
+/// value as `acc.max(x)` (a NaN `x` is ignored, a tie keeps `acc`) as a
+/// single compare, so the loop-carried chain is one `maxsd` long.
+#[inline(always)]
+fn fold_max(acc: f64, x: f64) -> f64 {
+    if x > acc {
+        x
+    } else {
+        acc
+    }
+}
+
+/// Runs `$body` with `$policy` (a local [`StepSizePolicy`]) rebound in
+/// each arm to a value of that arm's variant, so a batch loop written once
+/// compiles once per policy and `next_gamma`'s `match` folds out of it.
+macro_rules! per_policy {
+    ($policy:ident, $body:expr) => {
+        match $policy {
+            StepSizePolicy::Fixed { gamma } => {
+                let $policy = StepSizePolicy::Fixed { gamma };
+                $body
+            }
+            StepSizePolicy::Adaptive { initial, factor, max } => {
+                let $policy = StepSizePolicy::Adaptive { initial, factor, max };
+                $body
+            }
+            StepSizePolicy::SignAdaptive { initial, factor, max } => {
+                let $policy = StepSizePolicy::SignAdaptive { initial, factor, max };
+                $body
+            }
+        }
+    };
+}
+
+/// The bookkeeping every dual step feeds: the largest relative price move
+/// since the last [`reset_step_tracking`](PriceState::reset_step_tracking),
+/// the step-size growth events and the rejected non-finite samples.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct StepTally {
+    max_rel_step: f64,
+    doublings: u64,
+    rejected: u64,
+}
+
+/// One projected-gradient step of one dual (Eq. 8 for a μ, Eq. 9 for a λ)
+/// with the policy's step-size rule: the only definition of a step, shared
+/// by the single-step API and the batch passes. A non-finite `grad` is
+/// dropped (counted in `tally.rejected`) and the price kept. Returns the
+/// new price.
+#[inline(always)]
+fn step_dual(
+    policy: StepSizePolicy,
+    price: &mut f64,
+    gamma: &mut f64,
+    last_grad: &mut f64,
+    grad: f64,
+    grow: bool,
+    tally: &mut StepTally,
+) -> f64 {
+    // A NaN/∞ gradient (zero-availability resource after a fault, corrupt
+    // message) would poison the price and `last_grad` permanently; drop
+    // the sample and keep the previous finite price.
+    if !grad.is_finite() {
+        tally.rejected += 1;
+        return *price;
+    }
+    let prev_gamma = *gamma;
+    *gamma = policy.next_gamma(prev_gamma, grad, *last_grad, *price, grow);
+    // Only the multiply arm can raise γ (the other arms hold or reset to
+    // `initial`), so a strict increase is exactly a doubling event.
+    tally.doublings += u64::from(*gamma > prev_gamma);
+    let new = (*price - *gamma * grad).max(0.0);
+    // The relative move `|Δ|/(1 + new)` is at most `|Δ|` (`new ≥ 0`), so
+    // the divide runs only for a move that could raise the running max;
+    // a price that stays put (most of them, near the optimum) skips it.
+    let moved = (new - *price).abs();
+    if moved > tally.max_rel_step {
+        tally.max_rel_step = fold_max(tally.max_rel_step, moved / (1.0 + new));
+    }
+    *price = new;
+    *last_grad = grad;
+    new
 }
 
 impl Default for StepSizePolicy {
@@ -147,9 +275,7 @@ pub struct PriceState {
     lambda: Vec<f64>,
     gamma_p: Vec<f64>,
     last_grad_p: Vec<f64>,
-    last_max_rel_step: f64,
-    rejected_samples: u64,
-    gamma_doublings: u64,
+    tally: StepTally,
     policy: StepSizePolicy,
 }
 
@@ -184,9 +310,7 @@ impl PriceState {
             lambda: vec![0.0; paths],
             gamma_p: vec![g0; paths],
             last_grad_p: vec![0.0; paths],
-            last_max_rel_step: f64::INFINITY,
-            rejected_samples: 0,
-            gamma_doublings: 0,
+            tally: StepTally { max_rel_step: f64::INFINITY, doublings: 0, rejected: 0 },
             policy,
         }
     }
@@ -246,9 +370,7 @@ impl PriceState {
                 }
             }
         }
-        next.last_max_rel_step = self.last_max_rel_step;
-        next.rejected_samples = self.rejected_samples;
-        next.gamma_doublings = self.gamma_doublings;
+        next.tally = self.tally;
         next
     }
 
@@ -256,7 +378,7 @@ impl PriceState {
     /// [`set_mu`](Self::set_mu) and the step appliers). A nonzero count
     /// under faults means the guards saved the duals from NaN/∞ poisoning.
     pub fn rejected_samples(&self) -> u64 {
-        self.rejected_samples
+        self.tally.rejected
     }
 
     /// How many step-size growth events the adaptive policies have taken
@@ -264,14 +386,14 @@ impl PriceState {
     /// zero under [`StepSizePolicy::Fixed`]. Telemetry reads deltas of
     /// this to expose a doubling rate.
     pub fn gamma_doublings(&self) -> u64 {
-        self.gamma_doublings
+        self.tally.doublings
     }
 
     /// The largest relative price movement `|Δprice|/(1 + price)` of the
     /// most recent [`update`](Self::update) — the optimizer's price
     /// quiescence signal. `∞` before the first update.
     pub fn last_max_rel_step(&self) -> f64 {
-        self.last_max_rel_step
+        self.tally.max_rel_step
     }
 
     /// The resource price `μ_r` for resource index `r`.
@@ -294,6 +416,11 @@ impl PriceState {
         &self.lambda[self.row(t)]
     }
 
+    /// Every path price, in flat path order (a plan's path index).
+    pub(crate) fn flat_lambdas(&self) -> &[f64] {
+        &self.lambda
+    }
+
     /// Overwrites the resource price (used by the distributed runtime when
     /// a price message arrives).
     ///
@@ -302,7 +429,7 @@ impl PriceState {
     /// bumping [`rejected_samples`](Self::rejected_samples).
     pub fn set_mu(&mut self, r: usize, value: f64) {
         if !value.is_finite() {
-            self.rejected_samples += 1;
+            self.tally.rejected += 1;
             return;
         }
         self.mu[r] = value.max(0.0);
@@ -312,7 +439,7 @@ impl PriceState {
     /// non-finite values like [`set_mu`](Self::set_mu).
     pub fn set_lambda(&mut self, t: usize, p: usize, value: f64) {
         if !value.is_finite() {
-            self.rejected_samples += 1;
+            self.tally.rejected += 1;
             return;
         }
         let i = self.path_index(t, p);
@@ -396,9 +523,7 @@ impl PriceState {
         rejected: u64,
         doublings: u64,
     ) {
-        self.last_max_rel_step = last_max_rel_step;
-        self.rejected_samples = rejected;
-        self.gamma_doublings = doublings;
+        self.tally = StepTally { max_rel_step: last_max_rel_step, doublings, rejected };
     }
 
     /// Remediation hook for gamma-thrash (supervisor §12): resets every
@@ -473,7 +598,7 @@ impl PriceState {
     /// distributed drivers call this at round boundaries before applying
     /// per-entity steps.
     pub fn reset_step_tracking(&mut self) {
-        self.last_max_rel_step = 0.0;
+        self.tally.max_rel_step = 0.0;
     }
 
     /// Applies one resource price step (Eq. 8) given the dual gradient
@@ -482,47 +607,15 @@ impl PriceState {
     /// performs locally. Returns the new `μ_r`.
     #[inline]
     pub fn apply_resource_step(&mut self, r: usize, grad: f64) -> f64 {
-        // A NaN/∞ gradient (zero-availability resource after a fault,
-        // corrupt message) would poison μ_r and `last_grad` permanently;
-        // drop the sample and keep the previous finite price.
-        if !grad.is_finite() {
-            self.rejected_samples += 1;
-            return self.mu[r];
-        }
-        let congested = grad < 0.0;
-        let prev_gamma = self.gamma_r[r];
-        self.gamma_r[r] = match self.policy {
-            StepSizePolicy::Fixed { gamma } => gamma,
-            StepSizePolicy::Adaptive { initial, factor, max } => {
-                // Paper §5.2: double while congested, revert on decongestion.
-                if congested {
-                    (self.gamma_r[r] * factor).min(max)
-                } else {
-                    initial
-                }
-            }
-            StepSizePolicy::SignAdaptive { initial, factor, max } => {
-                // Grow while the gradient sign persists (and the projected
-                // price is actually moving); reset on a sign flip.
-                let same = grad.signum() == self.last_grad_r[r].signum();
-                let moving = congested || self.mu[r] > 0.0;
-                if same && moving && self.last_grad_r[r] != 0.0 {
-                    (self.gamma_r[r] * factor).min(max)
-                } else {
-                    initial
-                }
-            }
-        };
-        // Only the multiply arm can raise γ (the other arms hold or reset
-        // to `initial`), so a strict increase is exactly a doubling event.
-        if self.gamma_r[r] > prev_gamma {
-            self.gamma_doublings += 1;
-        }
-        let new = (self.mu[r] - self.gamma_r[r] * grad).max(0.0);
-        self.last_max_rel_step = self.last_max_rel_step.max((new - self.mu[r]).abs() / (1.0 + new));
-        self.mu[r] = new;
-        self.last_grad_r[r] = grad;
-        new
+        step_dual(
+            self.policy,
+            &mut self.mu[r],
+            &mut self.gamma_r[r],
+            &mut self.last_grad_r[r],
+            grad,
+            grad < 0.0,
+            &mut self.tally,
+        )
     }
 
     /// Applies one path price step (Eq. 9) given the relative slack
@@ -539,46 +632,118 @@ impl PriceState {
         traverses_congested: bool,
     ) -> f64 {
         let i = self.path_index(t, p);
-        self.step_path(i, grad, traverses_congested)
+        step_dual(
+            self.policy,
+            &mut self.lambda[i],
+            &mut self.gamma_p[i],
+            &mut self.last_grad_p[i],
+            grad,
+            traverses_congested,
+            &mut self.tally,
+        )
     }
 
-    /// [`apply_path_step`](Self::apply_path_step) on flat path index `i`
-    /// (a plan's global path index): the form the plan's path pass calls.
-    #[inline]
-    pub(crate) fn step_path(&mut self, i: usize, grad: f64, traverses_congested: bool) -> f64 {
-        if !grad.is_finite() {
-            self.rejected_samples += 1;
-            return self.lambda[i];
-        }
-        let prev_gamma = self.gamma_p[i];
-        self.gamma_p[i] = match self.policy {
-            StepSizePolicy::Fixed { gamma } => gamma,
-            StepSizePolicy::Adaptive { initial, factor, max } => {
-                if traverses_congested {
-                    (self.gamma_p[i] * factor).min(max)
-                } else {
-                    initial
-                }
+    /// The batch form of [`apply_resource_step`](Self::apply_resource_step):
+    /// for every resource `r` in index order — only those with `owned[r]`
+    /// when a mask is given — the gradient `availability[r] − usage[r]`,
+    /// its congestion bit into `congested[r]`, and one μ step. Returns the
+    /// worst violation `usage_r − B_r` over the stepped resources
+    /// (`-∞` if none).
+    pub(crate) fn step_resources(
+        &mut self,
+        availability: &[f64],
+        usage: &[f64],
+        owned: Option<&[bool]>,
+        congested: &mut [bool],
+    ) -> f64 {
+        match owned {
+            None => self.step_resources_where(availability, usage, congested, |_| true),
+            Some(owned) => {
+                let owned = &owned[..self.mu.len()];
+                self.step_resources_where(availability, usage, congested, |r| owned[r])
             }
-            StepSizePolicy::SignAdaptive { initial, factor, max } => {
-                let same = grad.signum() == self.last_grad_p[i].signum();
-                let moving = grad < 0.0 || self.lambda[i] > 0.0;
-                if same && moving && self.last_grad_p[i] != 0.0 {
-                    (self.gamma_p[i] * factor).min(max)
-                } else {
-                    initial
-                }
-            }
-        };
-        if self.gamma_p[i] > prev_gamma {
-            self.gamma_doublings += 1;
         }
-        let new = (self.lambda[i] - self.gamma_p[i] * grad).max(0.0);
-        self.last_max_rel_step =
-            self.last_max_rel_step.max((new - self.lambda[i]).abs() / (1.0 + new));
-        self.lambda[i] = new;
-        self.last_grad_p[i] = grad;
-        new
+    }
+
+    /// [`step_resources`](Self::step_resources) over the resources `r`
+    /// with `take(r)`, compiled once per mask and per policy.
+    #[inline(always)]
+    fn step_resources_where(
+        &mut self,
+        availability: &[f64],
+        usage: &[f64],
+        congested: &mut [bool],
+        take: impl Fn(usize) -> bool,
+    ) -> f64 {
+        let n = self.mu.len();
+        let (availability, usage, congested) =
+            (&availability[..n], &usage[..n], &mut congested[..n]);
+        let (mu, gamma, last_grad) =
+            (&mut self.mu[..], &mut self.gamma_r[..n], &mut self.last_grad_r[..n]);
+        let mut tally = self.tally;
+        let mut worst = f64::NEG_INFINITY;
+        let policy = self.policy;
+        per_policy!(policy, {
+            for r in 0..n {
+                if !take(r) {
+                    continue;
+                }
+                let grad = availability[r] - usage[r];
+                congested[r] = grad < 0.0;
+                step_dual(
+                    policy,
+                    &mut mu[r],
+                    &mut gamma[r],
+                    &mut last_grad[r],
+                    grad,
+                    grad < 0.0,
+                    &mut tally,
+                );
+                worst = fold_max(worst, usage[r] - availability[r]);
+            }
+        });
+        self.tally = tally;
+        worst
+    }
+
+    /// The batch form of [`apply_path_step`](Self::apply_path_step): for
+    /// every path `i` in flat order, the relative slack
+    /// `1 − latency[i]/critical_time[i]` and one λ step with congestion
+    /// signal `traverses_congested[i]`. Returns the worst path violation
+    /// `latency_i/C_i − 1` (`-∞` if there are no paths).
+    pub(crate) fn step_paths(
+        &mut self,
+        latency: &[f64],
+        critical_time: &[f64],
+        traverses_congested: &[bool],
+    ) -> f64 {
+        let n = self.lambda.len();
+        let (latency, critical_time, traverses_congested) =
+            (&latency[..n], &critical_time[..n], &traverses_congested[..n]);
+        let (lambda, gamma, last_grad) =
+            (&mut self.lambda[..], &mut self.gamma_p[..n], &mut self.last_grad_p[..n]);
+        let mut tally = self.tally;
+        let mut worst = f64::NEG_INFINITY;
+        let policy = self.policy;
+        per_policy!(policy, {
+            for i in 0..n {
+                let (pl, ct) = (latency[i], critical_time[i]);
+                worst = fold_max(worst, pl / ct - 1.0);
+                let grad = 1.0 - pl / ct;
+                let grow = traverses_congested[i];
+                step_dual(
+                    policy,
+                    &mut lambda[i],
+                    &mut gamma[i],
+                    &mut last_grad[i],
+                    grad,
+                    grow,
+                    &mut tally,
+                );
+            }
+        });
+        self.tally = tally;
+        worst
     }
 }
 

@@ -139,6 +139,7 @@ fn plan_matches_naive_on_every_shape_family() {
 /// single-core CI runners.
 #[test]
 fn parallel_allocation_is_bit_identical_to_sequential() {
+    let _env = RAYON_ENV.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     std::env::set_var("RAYON_NUM_THREADS", "5");
     let settings = AllocationSettings::default();
     let policy = StepSizePolicy::sign_adaptive(1.0);
@@ -293,5 +294,213 @@ fn memoised_plan_dual_matches_naive_across_every_mutator() {
         assert_dual_is_naive(&clone, &clone_prices, &format!("clone taken before {name}"));
         opt.step();
         assert_dual_is_naive(opt.problem(), opt.prices(), &format!("step after {name}"));
+    }
+}
+
+/// Builds `count` tasks that interleave Linear, Quadratic and
+/// ExponentialPenalty utilities over six resources. Every task fans a root
+/// out to three leaves, and every third task puts a middle stage before
+/// them, so a root lies on three paths and its λ-sum adds three terms.
+/// The utilities are flat (`|f′|` well below the λ-sum), so a change of
+/// summation order that moves the λ-sum's last bit moves the latency too.
+fn mixed_builders(count: usize) -> Vec<TaskBuilder> {
+    (0..count)
+        .map(|k| {
+            let r = |i: usize| ResourceId::new((k + i) % 6);
+            let mut b = TaskBuilder::new(format!("mixed{k}"));
+            let root = b.subtask("root", r(0), 1.0 + 0.25 * k as f64);
+            let head = if k % 3 == 2 {
+                let mid = b.subtask("mid", r(1), 1.5);
+                b.edge(root, mid).expect("valid edge");
+                mid
+            } else {
+                root
+            };
+            for leaf in 0..3 {
+                let s = b.subtask(format!("leaf{leaf}"), r(2 + leaf), 0.5 + 0.5 * leaf as f64);
+                b.edge(head, s).expect("valid edge");
+            }
+            b.critical_time(30.0 + 7.0 * k as f64).utility(match k % 3 {
+                0 => UtilityFn::Linear { offset: 400.0, slope: -0.05 - 0.01 * k as f64 },
+                1 => UtilityFn::Quadratic { offset: 500.0, lin: 0.05, quad: 0.001 },
+                _ => UtilityFn::ExponentialPenalty { offset: 300.0, a: 0.5, b: 0.02 },
+            });
+            b
+        })
+        .collect()
+}
+
+/// The problem made of `builders[k]` for every `k` in `pick`, in that
+/// order, over the same six resources, with a latency correction on the
+/// root of builders 0, 1, 4, 5 and 8.
+fn mixed_problem(builders: &[TaskBuilder], pick: &[usize]) -> Problem {
+    let resources = (0..6)
+        .map(|r| Resource::new(ResourceId::new(r), ResourceKind::Cpu).with_lag(0.5))
+        .collect();
+    let tasks = pick
+        .iter()
+        .enumerate()
+        .map(|(id, &k)| builders[k].build(TaskId::new(id)).expect("valid task"))
+        .collect();
+    let mut problem = Problem::new(resources, tasks).expect("valid problem");
+    for (local, _) in pick.iter().enumerate().filter(|(_, &k)| k % 4 < 2) {
+        let s = problem.tasks()[local].subtask_id(0);
+        problem.set_correction(s, 0.3);
+    }
+    problem
+}
+
+/// Nonzero starting duals, the same on both sides: λ = 0.1, 0.2, 0.3 on
+/// each task's three paths, whose sum depends on its order
+/// (`0.1 + 0.2 + 0.3 ≠ 0.3 + 0.2 + 0.1` in `f64`), and a μ on every
+/// resource high enough to keep the roots inside their clamping boxes.
+fn seed_duals(problem: &Problem, prices: &mut PriceState) {
+    for (t, task) in problem.tasks().iter().enumerate() {
+        for p in 0..task.graph().paths().len() {
+            prices.set_lambda(t, p, [0.1, 0.2, 0.3][p % 3]);
+        }
+    }
+    for r in 0..problem.resources().len() {
+        prices.set_mu(r, 20.0 + r as f64);
+    }
+}
+
+fn assert_bits(a: &[f64], b: &[f64], what: &str) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(a), bits(b), "{what}: {a:?} vs {b:?}");
+}
+
+/// Asserts that two price states agree bit for bit on μ, λ, both step
+/// sizes and the three counters (and on everything else by `PartialEq`).
+fn assert_prices_bitwise(problem: &Problem, got: &PriceState, want: &PriceState, what: &str) {
+    assert_bits(got.mus(), want.mus(), &format!("{what}: μ"));
+    let res = 0..problem.resources().len();
+    let gammas = |p: &PriceState| res.clone().map(|r| p.gamma_r(r)).collect::<Vec<_>>();
+    assert_bits(&gammas(got), &gammas(want), &format!("{what}: γ_r"));
+    for (t, task) in problem.tasks().iter().enumerate() {
+        assert_bits(got.lambdas(t), want.lambdas(t), &format!("{what}: λ row {t}"));
+        let paths = 0..task.graph().paths().len();
+        let gammas = |p: &PriceState| paths.clone().map(|i| p.gamma_p(t, i)).collect::<Vec<_>>();
+        assert_bits(&gammas(got), &gammas(want), &format!("{what}: γ_p row {t}"));
+    }
+    assert_eq!(
+        got.last_max_rel_step().to_bits(),
+        want.last_max_rel_step().to_bits(),
+        "{what}: last_max_rel_step"
+    );
+    assert_eq!(got.rejected_samples(), want.rejected_samples(), "{what}: rejected samples");
+    assert_eq!(got.gamma_doublings(), want.gamma_doublings(), "{what}: γ doublings");
+    assert_eq!(got, want, "{what}: price state");
+}
+
+/// The round at which the first task's latencies are overwritten after
+/// the allocation, on both sides: its root at 0 (below its correction)
+/// makes its resource's usage infinite, and a leaf at ∞ makes a path
+/// infinitely long, so that round's price step meets a non-finite μ and
+/// λ gradient.
+const POISONED_ROUND: usize = 4;
+
+/// Which plan kernels a run drives.
+#[derive(Clone, Copy, Debug)]
+enum Driver {
+    /// `allocate_seq` + `price_update` on the full plan.
+    Sequential,
+    /// `allocate_par` (three workers) + `price_update` on the full plan.
+    Parallel,
+    /// A `lower_subset` plan over the even tasks, with resources of odd
+    /// index unowned: `allocate_seq`, `owned_resource_steps`, the unowned
+    /// μ steps as a coordinator takes them, then `path_price_steps`.
+    Shard,
+}
+
+/// Serialises the tests that set `RAYON_NUM_THREADS`.
+static RAYON_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Runs `rounds` rounds of `driver` against `allocate_latencies` +
+/// `PriceState::update` on the problem the plan describes, comparing
+/// latencies and duals bit for bit after every round.
+fn check_bit_identity(driver: Driver, policy: StepSizePolicy, rounds: usize) {
+    let builders = mixed_builders(9);
+    let all: Vec<usize> = (0..builders.len()).collect();
+    let full = mixed_problem(&builders, &all);
+    let settings = AllocationSettings::default();
+    let (plan, reference) = match driver {
+        Driver::Sequential | Driver::Parallel => (Plan::lower(&full, &settings), full.clone()),
+        Driver::Shard => {
+            let even: Vec<usize> = all.iter().copied().filter(|k| k % 2 == 0).collect();
+            (Plan::lower_subset(&full, &settings, &even), mixed_problem(&builders, &even))
+        }
+    };
+    let owned: Vec<bool> = (0..reference.resources().len()).map(|r| r % 2 == 0).collect();
+    let what = |round: usize| format!("{driver:?} under {policy:?}, round {round}");
+
+    let mut want_prices = PriceState::new(&reference, policy);
+    seed_duals(&reference, &mut want_prices);
+    let mut got_prices = want_prices.clone();
+    let mut want_lats = reference.initial_allocation();
+    let mut scratch = plan.scratch();
+    plan.flatten_into(&want_lats, scratch.prev_mut());
+
+    for round in 0..rounds {
+        want_lats = allocate_latencies(&reference, &want_prices, &settings, &want_lats);
+        match driver {
+            Driver::Sequential | Driver::Shard => plan.allocate_seq(&got_prices, &mut scratch),
+            Driver::Parallel => plan.allocate_par(&got_prices, &mut scratch),
+        }
+        if round == POISONED_ROUND {
+            // Task 0 is linear, so no fixed point reads these as a warm
+            // start in the next round.
+            let first = plan.task_range(0);
+            for (row, flat) in [(0, first.start), (want_lats[0].len() - 1, first.end - 1)] {
+                let poison = if row == 0 { 0.0 } else { f64::INFINITY };
+                want_lats[0][row] = poison;
+                scratch.lats_mut()[flat] = poison;
+            }
+        }
+        let mut flat = vec![0.0; plan.num_subtasks()];
+        plan.flatten_into(&want_lats, &mut flat);
+        assert_bits(scratch.lats(), &flat, &format!("{}: latencies", what(round)));
+
+        want_prices.update(&reference, &want_lats);
+        match driver {
+            Driver::Sequential | Driver::Parallel => {
+                plan.price_update(&mut got_prices, &mut scratch);
+            }
+            Driver::Shard => {
+                plan.owned_resource_steps(&mut got_prices, &mut scratch, &owned);
+                for (r, _) in owned.iter().enumerate().filter(|(_, &own)| !own) {
+                    let grad = plan.availability()[r] - scratch.usage()[r];
+                    got_prices.apply_resource_step(r, grad);
+                    scratch.congested_mut()[r] = grad < 0.0;
+                }
+                plan.path_price_steps(&mut got_prices, &mut scratch);
+            }
+        }
+        assert_prices_bitwise(&reference, &got_prices, &want_prices, &what(round));
+
+        let lats = scratch.lats().to_vec();
+        scratch.prev_mut().copy_from_slice(&lats);
+    }
+    assert!(got_prices.rejected_samples() > 0, "{}: no gradient was rejected", what(rounds));
+}
+
+/// The plan's flat kernels — λ-sum scatter, linear pass, concave fixed
+/// points, the resource and path passes — step by step equal the nested
+/// reference bit for bit on a plan mixing all three utility families,
+/// under every step-size policy, through the sequential, threaded and
+/// shard (owned-mask) drivers, including a round with non-finite
+/// gradients.
+#[test]
+fn flat_kernels_are_bit_identical_to_the_reference() {
+    let _env = RAYON_ENV.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    std::env::set_var("RAYON_NUM_THREADS", "3");
+    for policy in [
+        StepSizePolicy::fixed(0.5),
+        StepSizePolicy::adaptive(1.0),
+        StepSizePolicy::sign_adaptive(1.0),
+    ] {
+        for driver in [Driver::Sequential, Driver::Parallel, Driver::Shard] {
+            check_bit_identity(driver, policy, 12);
+        }
     }
 }
