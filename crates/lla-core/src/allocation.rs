@@ -99,13 +99,16 @@ pub fn clamping_box(
     settings: &AllocationSettings,
 ) -> (Vec<f64>, Vec<f64>) {
     (0..task.len())
-        .map(|s| subtask_box(problem, task, s, problem.share_model(task.subtask_id(s)), settings))
+        .map(|s| {
+            let (lo, cap) =
+                subtask_box(problem, task, s, problem.share_model(task.subtask_id(s)), settings);
+            (lo, cap.max(lo))
+        })
         .unzip()
 }
 
-/// Subtask `s`'s entry `(lat_lo, lat_hi)` of [`clamping_box`], given its
-/// share `model`, so a lowering that reads the model anyway looks it up
-/// once and writes the bounds straight into its own arrays.
+/// Subtask `s`'s `(lat_lo, cap)` of [`clamping_box`] given its share
+/// `model`, before an empty box (`cap < lat_lo`) collapses to `lat_lo`.
 pub(crate) fn subtask_box(
     problem: &Problem,
     task: &Task,
@@ -126,7 +129,7 @@ pub(crate) fn subtask_box(
             cap = cap.min(model.min_latency(min_share));
         }
     }
-    (lo, cap.max(lo))
+    (lo, cap)
 }
 
 /// Latency allocation for a single task controller (Algorithm "Latency
@@ -331,5 +334,80 @@ mod tests {
             assert!(lat > last, "latency must rise with resource price");
             last = lat;
         }
+    }
+
+    /// The premise of the schedulability probe's infeasibility proof:
+    /// every allocation that meets the resource and path constraints, the
+    /// per-subtask caps and (when enabled) the throughput floor lies inside
+    /// [`clamping_box`].
+    #[test]
+    fn every_feasible_allocation_lies_inside_the_box() {
+        use rand::{Rng, SeedableRng};
+        let resources = vec![
+            Resource::new(ResourceId::new(0), ResourceKind::Cpu).with_lag(1.0),
+            Resource::new(ResourceId::new(1), ResourceKind::NetworkLink)
+                .with_lag(0.5)
+                .with_availability(0.8),
+        ];
+        let mut chain = TaskBuilder::new("chain");
+        let a = chain.subtask("a", ResourceId::new(0), 2.0);
+        let b = chain.subtask("b", ResourceId::new(1), 3.0);
+        chain.edge(a, b).unwrap();
+        chain.critical_time(60.0);
+        let mut capped = TaskBuilder::new("capped");
+        capped.subtask_with_max_latency("s", ResourceId::new(0), 1.0, 30.0);
+        capped.critical_time(50.0).trigger(TriggerSpec::Periodic { period: 40.0 });
+        let mut fan = TaskBuilder::new("fan");
+        let root = fan.subtask("root", ResourceId::new(1), 1.0);
+        for (name, r, c) in [("l0", 0, 1.0), ("l1", 1, 2.0)] {
+            let leaf = fan.subtask(name, ResourceId::new(r), c);
+            fan.edge(root, leaf).unwrap();
+        }
+        fan.critical_time(80.0).trigger(TriggerSpec::Periodic { period: 25.0 });
+        let builders = [chain, capped, fan];
+        let tasks = builders.iter().enumerate().map(|(i, b)| b.build(TaskId::new(i)).unwrap());
+        let tasks = tasks.collect();
+        let p = Problem::new(resources, tasks).unwrap();
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut met = [0usize; 2];
+        for _ in 0..20_000 {
+            let lats: Vec<Vec<f64>> = p
+                .tasks()
+                .iter()
+                .map(|t| (0..t.len()).map(|_| rng.gen_range(0.0..t.critical_time())).collect())
+                .collect();
+            if !p.is_feasible(&lats, 0.0) {
+                continue;
+            }
+            for (k, throughput_floor) in [false, true].into_iter().enumerate() {
+                let settings = AllocationSettings { throughput_floor };
+                let meets = p.tasks().iter().all(|t| {
+                    t.subtasks().iter().enumerate().all(|(s, sub)| {
+                        let lat = lats[t.id().index()][s];
+                        let share = p.share_model(t.subtask_id(s)).share_for_latency(lat);
+                        sub.max_latency().is_none_or(|cap| lat <= cap)
+                            && (!throughput_floor
+                                || share >= t.trigger().mean_rate() * sub.exec_time())
+                    })
+                });
+                if !meets {
+                    continue;
+                }
+                met[k] += 1;
+                for t in p.tasks() {
+                    let (lo, hi) = clamping_box(&p, t, &settings);
+                    for (s, &lat) in lats[t.id().index()].iter().enumerate() {
+                        assert!(
+                            lo[s] <= lat && lat <= hi[s],
+                            "{lat} outside [{}, {}]",
+                            lo[s],
+                            hi[s]
+                        );
+                    }
+                }
+            }
+        }
+        assert!(met.iter().all(|&n| n >= 100), "too few feasible samples: {met:?}");
     }
 }

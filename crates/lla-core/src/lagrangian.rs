@@ -61,8 +61,9 @@ pub fn dual_value(
     settings: &AllocationSettings,
 ) -> DualReport {
     if let Some(plan) = problem.plan().filter(|p| p.settings() == settings && p.fits(prices)) {
-        let (value, maximizer) = plan.dual(prices);
-        return DualReport { value, maximizer };
+        let (value, lats) = plan.dual(prices, true);
+        let maximizer = (0..plan.num_tasks()).map(|t| lats[plan.task_range(t)].to_vec());
+        return DualReport { value, maximizer: maximizer.collect() };
     }
     let start = problem.initial_allocation();
     let maximizer = allocate_latencies(problem, prices, settings, &start);

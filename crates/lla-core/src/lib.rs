@@ -104,6 +104,7 @@ pub use plan::{Plan, PlanScratch, TaskPlan};
 pub use prices::{PriceState, StepSizePolicy};
 pub use problem::{MembershipReport, Problem};
 pub use resource::{Resource, ResourceKind};
+pub use round_book::Certificate;
 pub use schedulability::{analyze_schedulability, SchedulabilityConfig, SchedulabilityVerdict};
 pub use shard::{ResourceOwner, ShardSpec, ShardStepTiming, ShardedOptimizer};
 pub use share::ShareModel;

@@ -18,7 +18,7 @@ use crate::plan::{Plan, PlanScratch};
 use crate::prices::{PriceState, StepSizePolicy};
 use crate::problem::{MembershipReport, Problem};
 use crate::resource::Resource;
-use crate::round_book::{self, Driver, RoundBook};
+use crate::round_book::{self, Certificate, Driver, RoundBook};
 use crate::task::{Task, TaskBuilder};
 use crate::trace::{Trace, TraceRecord};
 use lla_telemetry::{
@@ -30,8 +30,8 @@ use std::time::Instant;
 
 /// Configuration of the [`Optimizer`].
 ///
-/// The convergence detector's thresholds are fixed; see
-/// [`has_converged`](Optimizer::has_converged).
+/// The stopping rule has no settings; see
+/// [`certify`](Optimizer::certify).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OptimizerConfig {
     /// Step-size policy for price updates (paper's best: adaptive, γ₀ = 1).
@@ -116,7 +116,7 @@ pub struct IterationReport {
 /// Outcome of [`Optimizer::run_to_convergence`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RunOutcome {
-    /// Whether the convergence criterion fired within the budget.
+    /// Whether a round was certified ([`Certificate::holds`]).
     pub converged: bool,
     /// Iterations actually executed in this call.
     pub iterations: usize,
@@ -132,8 +132,8 @@ pub struct RunOutcome {
 /// is deliberately *online*: [`Optimizer::step`] can be called forever, the
 /// problem can be mutated between steps
 /// ([`set_resource_availability`](Optimizer::set_resource_availability),
-/// [`set_correction`](Optimizer::set_correction)), and the convergence
-/// detector re-arms automatically after every change.
+/// [`set_correction`](Optimizer::set_correction)), and
+/// [`certify`](Optimizer::certify) always judges the current state.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     problem: Problem,
@@ -141,7 +141,7 @@ pub struct Optimizer {
     lats: Vec<Vec<f64>>,
     config: OptimizerConfig,
     trace: Trace,
-    /// Convergence detector and the shared `lla_opt_*` series.
+    /// Last round's utility and violations; the `lla_opt_*` series.
     book: RoundBook,
     /// Compiled iteration plan + scratch, lowered lazily and re-lowered
     /// whenever [`Problem::epoch`] moves past the plan's snapshot. The
@@ -219,10 +219,10 @@ impl Optimizer {
     /// Starts charging per-kernel wall time and call counts to
     /// `profiler`: every [`step`](Optimizer::step) opens a `step` scope
     /// with `allocate` / `price` / `lagrangian` / `trace` children, plan
-    /// (re-)lowering a `plan_lower` scope, and [`kkt`](Optimizer::kkt) a
-    /// `kkt` scope. Purely passive — it never touches a float the
-    /// algorithm uses — and a disabled profiler costs one branch per
-    /// scope.
+    /// (re-)lowering a `plan_lower` scope, and [`certify`](Optimizer::certify)
+    /// and [`kkt`](Optimizer::kkt) a scope each. Purely passive — it never
+    /// touches a float the algorithm uses — and a disabled profiler costs
+    /// one branch per scope.
     pub fn attach_profiler(&mut self, profiler: &Profiler) {
         self.profiler = profiler.clone();
     }
@@ -275,27 +275,21 @@ impl Optimizer {
         availability: f64,
     ) -> Result<(), ModelError> {
         self.problem.set_resource_availability(r, availability)?;
-        self.rearm();
+        self.book.invalidate();
         Ok(())
     }
 
     /// Updates a subtask's additive latency error correction `ê` (§6.3).
     pub fn set_correction(&mut self, s: crate::ids::SubtaskId, correction: f64) {
         self.problem.set_correction(s, correction);
-        self.rearm();
+        self.book.invalidate();
     }
 
     /// Updates a subtask's multiplicative demand correction (the
     /// demand-scaling alternative to §6.3's additive model).
     pub fn set_demand_scale(&mut self, s: crate::ids::SubtaskId, scale: f64) {
         self.problem.set_demand_scale(s, scale);
-        self.rearm();
-    }
-
-    /// Re-arms the convergence detector (call after any external change to
-    /// the problem).
-    pub fn rearm(&mut self) {
-        self.book.rearm();
+        self.book.invalidate();
     }
 
     /// Admits a task mid-run with warm-started duals: incumbents keep
@@ -392,7 +386,7 @@ impl Optimizer {
     ) -> Result<usize, ModelError> {
         let moved = self.problem.reassign_resource(from, to)?;
         if moved > 0 {
-            self.rearm();
+            self.book.invalidate();
         }
         Ok(moved)
     }
@@ -433,35 +427,30 @@ impl Optimizer {
     /// while remaining bit-identical to the naive nested evaluation.
     pub fn step(&mut self) -> IterationReport {
         self.ensure_plan();
-        let _step_prof = self.profiler.scope("step");
+        let mut prof = self.profiler.phases("step");
         // Phase timing only when telemetry is attached to a *live*
         // registry; the plain path performs no clock reads at all.
         let timed = self.phases.is_some();
         let mut ctx = self.plan.take().expect("ensure_plan always installs a plan");
         let PlanCtx { plan, scratch, warm } = &mut *ctx;
         let t0 = timed.then(Instant::now);
-        {
-            let _prof = self.profiler.scope("allocate");
-            if *warm {
-                scratch.advance();
-            } else {
-                plan.flatten_into(&self.lats, scratch.prev_mut());
-                *warm = true;
-            }
-            plan.allocate_into(&self.prices, scratch);
-            plan.unflatten_into(scratch.lats(), &mut self.lats);
+        prof.phase("allocate");
+        if *warm {
+            scratch.advance();
+        } else {
+            plan.flatten_into(&self.lats, scratch.prev_mut());
+            *warm = true;
         }
+        plan.allocate_into(&self.prices, scratch);
+        plan.unflatten_into(scratch.lats(), &mut self.lats);
         let t1 = timed.then(Instant::now);
-        let violations = {
-            let _prof = self.profiler.scope("price");
-            plan.price_update(&mut self.prices, scratch)
-        };
+        prof.phase("price");
+        let violations = plan.price_update(&mut self.prices, scratch);
         let t2 = timed.then(Instant::now);
 
-        let lagr_prof = self.profiler.scope("lagrangian");
+        prof.phase("lagrangian");
         let utility = plan.total_utility(scratch.lats());
-        drop(lagr_prof);
-        let _trace_prof = self.profiler.scope("trace");
+        prof.phase("trace");
         if self.config.record_trace {
             self.trace.push(TraceRecord {
                 iteration: self.book.iteration,
@@ -484,10 +473,15 @@ impl Optimizer {
         report
     }
 
-    /// Whether the convergence criterion currently holds: utility stable
-    /// to a relative `1e-6` for 10 consecutive iterations, the last
-    /// price step below `1e-4` relative, *and* the allocation feasible
-    /// within `1e-3`.
+    /// The duality-gap certificate of the current allocation, with
+    /// `D(μ, λ)` on the memoised plan (a temporary one after an edit): a
+    /// constant number of allocations at any problem size.
+    pub fn certify(&self) -> Certificate {
+        round_book::certify(self)
+    }
+
+    /// Whether the current allocation is certified
+    /// ([`Certificate::holds`]).
     pub fn has_converged(&self) -> bool {
         round_book::has_converged(self)
     }
@@ -497,7 +491,8 @@ impl Optimizer {
         (0..iters).map(|_| self.step()).collect()
     }
 
-    /// Runs until convergence or until `max_iters` iterations elapse.
+    /// Runs until a round is certified (checked only after rounds within
+    /// `1e-3` of every constraint) or `max_iters` iterations elapse.
     pub fn run_to_convergence(&mut self, max_iters: usize) -> RunOutcome {
         round_book::run_to_convergence(self, max_iters)
     }
@@ -585,8 +580,8 @@ impl Optimizer {
 
     /// Restores state captured with [`export_state`](Self::export_state).
     ///
-    /// The trace and convergence window restart empty (they are
-    /// diagnostics, not algorithm state).
+    /// The trace is a diagnostic, not algorithm state: it is neither
+    /// exported nor restored.
     ///
     /// # Panics
     ///
@@ -643,12 +638,18 @@ impl Driver for Optimizer {
         self.step()
     }
 
-    fn price_movement(&self) -> f64 {
-        self.prices.last_max_rel_step()
+    fn violation_walk(&self) -> f64 {
+        self.problem
+            .max_resource_violation(&self.lats)
+            .max(self.problem.max_path_violation(&self.lats))
     }
 
-    fn feasible_walk(&self) -> bool {
-        self.problem.is_feasible(&self.lats, round_book::FEASIBILITY_TOL)
+    fn dual(&self) -> f64 {
+        let _prof = self.profiler.scope("certify");
+        match self.plan.as_ref().filter(|ctx| ctx.plan.epoch() == self.problem.epoch()) {
+            Some(ctx) => ctx.plan.dual(&self.prices, true).0,
+            None => Plan::lower(&self.problem, &self.config.allocation).dual(&self.prices, true).0,
+        }
     }
 }
 
@@ -999,7 +1000,7 @@ mod tests {
         let u_before = opt.utility();
         // Halve resource 0's availability; re-converge.
         opt.set_resource_availability(ResourceId::new(0), 0.5).unwrap();
-        assert!(!opt.has_converged(), "detector must re-arm after a change");
+        assert!(!opt.has_converged(), "the change must void the old certificate");
         let second = opt.run_to_convergence(10_000);
         assert!(second.converged, "must re-converge after availability change");
         assert!(
@@ -1077,7 +1078,7 @@ mod tests {
         let id = opt.add_task(&b).unwrap();
         assert_eq!(id, TaskId::new(2));
         assert_eq!(opt.prices().mus(), &mu_before[..], "incumbent duals must carry over");
-        assert!(!opt.has_converged(), "membership change must re-arm the detector");
+        assert!(!opt.has_converged(), "a membership change must void the old certificate");
         assert!(opt.run_to_convergence(10_000).converged, "warm restart must re-converge");
         assert_eq!(opt.allocation().lats().len(), 3);
     }

@@ -463,7 +463,8 @@ impl Plan {
             let ct = task.critical_time();
             for (s, sub) in task.subtasks().iter().enumerate() {
                 let model = problem.share_model(task.subtask_id(s));
-                let (lo_s, hi_s) = subtask_box(problem, task, s, model, settings);
+                let (lo_s, cap) = subtask_box(problem, task, s, model, settings);
+                let hi_s = cap.max(lo_s);
                 demand.push(model.demand());
                 correction.push(model.correction());
                 lo.push(lo_s);
@@ -834,16 +835,11 @@ impl Plan {
         prices.step_paths(path_lat, &self.path_ct, path_congested)
     }
 
-    /// The dual function `D(μ, λ)` (Eq. 6) and its maximising latencies
-    /// (nested `[t][s]`), evaluated exactly as the naive
-    /// [`dual_value`](crate::lagrangian::dual_value) does: one allocation
-    /// step from the problem's initial allocation, then the Lagrangian.
-    ///
-    /// Only a concave task reads its warm start, so an all-linear plan
-    /// skips the even split and its buffer; the Lagrangian's usage sum
-    /// reuses the λ-sum buffer, dead once the allocation is done. Beyond
-    /// those two buffers it allocates only the nested maximiser.
-    pub(crate) fn dual(&self, prices: &PriceState) -> (f64, Vec<Vec<f64>>) {
+    /// `D(μ, λ)` (Eq. 6) and its flat maximiser, as the naive
+    /// [`dual_value`](crate::lagrangian::dual_value) evaluates them; without
+    /// `with_availability`, less `Σ_r μ_r·B_r` (a shard's partial dual).
+    /// Two allocations (three with a concave task) at any plan size.
+    pub(crate) fn dual(&self, prices: &PriceState, with_availability: bool) -> (f64, Vec<f64>) {
         let ns = self.num_subtasks();
         let mut prev = Vec::new();
         if !self.concave.is_empty() {
@@ -869,9 +865,8 @@ impl Plan {
         self.allocate_into(prices, &mut scratch);
         let PlanScratch { lats, lambda: mut usage, .. } = scratch;
         usage.resize(self.num_resources(), 0.0);
-        let value = self.lagrangian_in(&lats, prices, &mut usage);
-        let maximizer = (0..self.num_tasks()).map(|t| lats[self.task_range(t)].to_vec());
-        (value, maximizer.collect())
+        let value = self.lagrangian_in(&lats, prices, &mut usage, with_availability);
+        (value, lats)
     }
 
     /// Whether `prices` has this plan's shape: one μ per resource and one
@@ -942,17 +937,24 @@ impl Plan {
     /// The Lagrangian (Eq. 5) over a flat latency vector, replicating
     /// [`crate::lagrangian::lagrangian_value`].
     pub fn lagrangian_value(&self, lats: &[f64], prices: &PriceState) -> f64 {
-        self.lagrangian_in(lats, prices, &mut vec![0.0; self.num_resources()])
+        self.lagrangian_in(lats, prices, &mut vec![0.0; self.num_resources()], true)
     }
 
     /// [`lagrangian_value`](Self::lagrangian_value) with the usage sum in
-    /// the caller's `usage` buffer (`num_resources` long).
-    fn lagrangian_in(&self, lats: &[f64], prices: &PriceState, usage: &mut [f64]) -> f64 {
+    /// the caller's `usage` buffer; `u − 0.0` drops `μ·B` exactly.
+    fn lagrangian_in(
+        &self,
+        lats: &[f64],
+        prices: &PriceState,
+        usage: &mut [f64],
+        with_availability: bool,
+    ) -> f64 {
         debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
         let mut value = self.total_utility(lats);
         self.usage_into(lats, usage);
         for (r, &u) in usage.iter().enumerate() {
-            value -= prices.mu(r) * (u - self.availability[r]);
+            let b = if with_availability { self.availability[r] } else { 0.0 };
+            value -= prices.mu(r) * (u - b);
         }
         for (pp, &lp) in prices.flat_lambdas().iter().enumerate() {
             value -= lp * (self.path_latency(pp, lats) - self.path_ct[pp]);

@@ -74,7 +74,7 @@ use crate::optimizer::{
 use crate::plan::{Plan, PlanScratch};
 use crate::prices::PriceState;
 use crate::problem::{MembershipReport, Problem};
-use crate::round_book::{self, Driver, RoundBook};
+use crate::round_book::{self, Certificate, Driver, RoundBook};
 use crate::task::{Task, TaskBuilder};
 use lla_telemetry::{Counter, Gauge, MetricsRegistry, Profiler};
 
@@ -223,7 +223,7 @@ pub struct ShardedOptimizer {
     availability: Vec<f64>,
     /// Global task index → owning shard.
     task_shard: Vec<usize>,
-    /// Convergence detector and the shared `lla_opt_*` series.
+    /// Last round's utility and violations; the `lla_opt_*` series.
     book: RoundBook,
     /// Shard and coordinator series (`None` until
     /// [`attach_telemetry`](Self::attach_telemetry)).
@@ -498,7 +498,7 @@ impl ShardedOptimizer {
     }
 
     /// Deterministic tail of a round: fixed-shard-order reduction of
-    /// utility/violations, convergence bookkeeping, telemetry.
+    /// utility/violations, round bookkeeping, telemetry.
     fn merge_round(&mut self, coord_violation: f64) -> IterationReport {
         let _prof = self.profiler.scope("merge");
         let mut utility = 0.0;
@@ -596,10 +596,14 @@ impl ShardedOptimizer {
         }
     }
 
-    /// Whether the convergence criterion currently holds (the same
-    /// criterion as [`Optimizer::has_converged`](crate::Optimizer::has_converged):
-    /// utility stable for the window, prices quiescent, allocation
-    /// feasible).
+    /// The certificate of [`Optimizer::certify`](crate::Optimizer::certify):
+    /// `D(μ, λ)` is the shard plans' partial duals without `μ·B`, in shard
+    /// order, plus `Σ_r μ_r·B_r` once from the authoritative prices.
+    pub fn certify(&self) -> Certificate {
+        round_book::certify(self)
+    }
+
+    /// Whether the current allocation is certified.
     pub fn has_converged(&self) -> bool {
         round_book::has_converged(self)
     }
@@ -609,7 +613,7 @@ impl ShardedOptimizer {
         (0..iters).map(|_| self.step()).collect()
     }
 
-    /// Runs until convergence or until `max_iters` rounds elapse.
+    /// Runs until a round is certified or `max_iters` rounds elapse.
     pub fn run_to_convergence(&mut self, max_iters: usize) -> RunOutcome {
         round_book::run_to_convergence(self, max_iters)
     }
@@ -619,12 +623,6 @@ impl ShardedOptimizer {
     pub fn kkt(&self) -> KktReport {
         let state = self.export_state();
         kkt_report(&self.problem, state.lats(), state.prices(), &self.config.allocation, 1e-9)
-    }
-
-    /// Re-arms the convergence detector (call after any external change
-    /// to the problem).
-    pub fn rearm(&mut self) {
-        self.book.rearm();
     }
 
     /// Admits a task mid-run into `shard` (or the least-loaded shard when
@@ -754,7 +752,7 @@ impl ShardedOptimizer {
                 self.relower_shard(k);
             }
         }
-        self.rearm();
+        self.book.invalidate();
         Ok(())
     }
 
@@ -768,11 +766,7 @@ impl ShardedOptimizer {
     pub fn export_state(&self) -> OptimizerState {
         let mut prices = PriceState::new(&self.problem, self.config.step_policy);
         for r in 0..self.problem.resources().len() {
-            let raw = match self.owner[r] {
-                ResourceOwner::Shard(s) => self.shards[s].prices.resource_dual_raw(r),
-                ResourceOwner::Coordinator => self.coordinator.resource_dual_raw(r),
-            };
-            prices.set_resource_dual_raw(r, raw);
+            prices.set_resource_dual_raw(r, self.authority(r).resource_dual_raw(r));
         }
         let mut rejected = 0;
         for sh in &self.shards {
@@ -862,10 +856,7 @@ impl ShardedOptimizer {
             _ => ResourceOwner::Coordinator,
         };
         if new_owner != self.owner[r] {
-            let raw = match self.owner[r] {
-                ResourceOwner::Shard(j) => self.shards[j].prices.resource_dual_raw(r),
-                ResourceOwner::Coordinator => self.coordinator.resource_dual_raw(r),
-            };
+            let raw = self.authority(r).resource_dual_raw(r);
             match new_owner {
                 ResourceOwner::Shard(j) => self.shards[j].prices.set_resource_dual_raw(r, raw),
                 ResourceOwner::Coordinator => self.coordinator.set_resource_dual_raw(r, raw),
@@ -881,14 +872,19 @@ impl ShardedOptimizer {
                 series.coordinated_resources.set(self.coordinated.len() as f64);
             }
         }
-        let mu = match self.owner[r] {
-            ResourceOwner::Shard(j) => self.shards[j].prices.mu(r),
-            ResourceOwner::Coordinator => self.coordinator.mu(r),
-        };
+        let mu = self.authority(r).mu(r);
         for sh in self.shards.iter_mut() {
             if sh.touches[r] {
                 sh.prices.set_mu(r, mu);
             }
+        }
+    }
+
+    /// The price state holding resource `r`'s authoritative dual.
+    fn authority(&self, r: usize) -> &PriceState {
+        match self.owner[r] {
+            ResourceOwner::Shard(k) => &self.shards[k].prices,
+            ResourceOwner::Coordinator => &self.coordinator,
         }
     }
 
@@ -933,12 +929,16 @@ impl Driver for ShardedOptimizer {
         self.step()
     }
 
-    fn price_movement(&self) -> f64 {
-        self.max_rel_price_step()
+    fn violation_walk(&self) -> f64 {
+        let lats = self.nested_lats();
+        self.problem.max_resource_violation(&lats).max(self.problem.max_path_violation(&lats))
     }
 
-    fn feasible_walk(&self) -> bool {
-        self.problem.is_feasible(&self.nested_lats(), round_book::FEASIBILITY_TOL)
+    fn dual(&self) -> f64 {
+        let _prof = self.profiler.scope("certify");
+        let partial: f64 = self.shards.iter().map(|sh| sh.plan.dual(&sh.prices, false).0).sum();
+        let priced = self.availability.iter().enumerate().map(|(r, b)| self.authority(r).mu(r) * b);
+        partial + priced.sum::<f64>()
     }
 }
 

@@ -64,7 +64,7 @@ pub use diagnostics::{
 };
 pub use events::{Event, EventLog, Value};
 pub use health::{HealthSnapshot, ResourceHealth, HEALTHY_MAX_VIOLATION_FACTOR};
-pub use profile::{ProfileCtx, ProfileFrame, ProfileGuard, ProfileSnapshot, Profiler};
+pub use profile::{PhaseScope, ProfileCtx, ProfileFrame, ProfileGuard, ProfileSnapshot, Profiler};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use slo::{AlertCmp, AlertSeverity, AlertState, FiringAlert, SloEngine, SloRule};
 pub use spans::{PathStep, RoundCriticalPath, Span, SpanRecorder, TraceCtx};

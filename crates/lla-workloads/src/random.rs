@@ -126,10 +126,11 @@ impl RandomWorkloadConfig {
             })
             .collect();
 
-        // Phase 1: draw structures.
+        // Phase 1: draw structures, every task from the whole resource set.
+        let pool: Vec<usize> = (0..self.num_resources).collect();
         let mut drafts = Vec::with_capacity(self.num_tasks);
         for t in 0..self.num_tasks {
-            drafts.push(self.draw_task(t, &mut rng)?);
+            drafts.push(self.draw_task_in_pool(t, &mut rng, &pool)?);
         }
 
         self.assemble(resources, &drafts)
@@ -222,11 +223,6 @@ impl RandomWorkloadConfig {
             return Err(ModelError::InvalidParameter { what: "exec time range", value: lo });
         }
         Ok(())
-    }
-
-    fn draw_task(&self, index: usize, rng: &mut StdRng) -> Result<TaskDraft, ModelError> {
-        let pool: Vec<usize> = (0..self.num_resources).collect();
-        self.draw_task_in_pool(index, rng, &pool)
     }
 
     /// Draws one task whose resources come from `pool` (global resource
@@ -336,6 +332,74 @@ mod tests {
                 assert_eq!(sa.exec_time(), sb.exec_time());
             }
         }
+    }
+
+    /// FNV-1a over everything a generated problem is built from: each
+    /// resource's kind, lag and availability, and each task's name,
+    /// critical time, utility, trigger, subtasks (resource, execution
+    /// time) and root-to-leaf paths.
+    fn fingerprint(p: &Problem) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for r in p.resources() {
+            eat(format!("{:?}", r.kind()).as_bytes());
+            eat(&r.lag().to_bits().to_le_bytes());
+            eat(&r.availability().to_bits().to_le_bytes());
+        }
+        for t in p.tasks() {
+            eat(t.name().as_bytes());
+            eat(&t.critical_time().to_bits().to_le_bytes());
+            eat(format!("{:?}{:?}", t.utility_fn(), t.trigger()).as_bytes());
+            for sub in t.subtasks() {
+                eat(&(sub.resource().index() as u64).to_le_bytes());
+                eat(&sub.exec_time().to_bits().to_le_bytes());
+            }
+            for path in t.graph().paths() {
+                for &s in path.subtasks() {
+                    eat(&(s as u64).to_le_bytes());
+                }
+                eat(b";");
+            }
+        }
+        h
+    }
+
+    /// Generation is byte-identical for existing seeds: flat workloads
+    /// (the default config, the large-scale sweep, every shape) and
+    /// clustered ones (the sweep and the default config).
+    #[test]
+    fn generated_problems_match_pinned_hashes() {
+        let flat = [
+            RandomWorkloadConfig::default().generate().unwrap(),
+            large_scale_workload(2_000, 1).unwrap(),
+            RandomWorkloadConfig {
+                num_resources: 1_500,
+                num_tasks: 500,
+                max_subtasks: 6,
+                target_load: 0.85,
+                seed: 7,
+                ..RandomWorkloadConfig::default()
+            }
+            .generate()
+            .unwrap(),
+        ];
+        let clustered = [
+            crate::clustered_workload(400, 4, 3).unwrap().0,
+            crate::ClusteredWorkloadConfig::default().generate().unwrap().0,
+        ];
+        let hashes: Vec<u64> = flat.iter().chain(&clustered).map(fingerprint).collect();
+        let pinned = [
+            0xb623_3ace_99db_90b3,
+            0x738b_72b7_e1d4_75b6,
+            0x4534_cbd3_19f3_1df4,
+            0x35b1_5a9f_556a_a613,
+            0x3884_b4ab_8e4d_186b,
+        ];
+        assert_eq!(hashes, pinned, "generated problems changed: {hashes:x?}");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Using LLA as a schedulability test (§5.4).
 //!
 //! Builds progressively heavier variants of a workload and asks
-//! [`analyze_schedulability`] for a verdict: convergence to a feasible
-//! allocation means schedulable; persistent constraint violations without
-//! convergence mean unschedulable.
+//! [`analyze_schedulability`] for a verdict. Each verdict is a proof from
+//! the dual bound `D(μ, λ)`: a certified allocation (feasible, with
+//! `D − U` within `1e-4·|D|`) means schedulable; `D` below `U_floor`, the
+//! least utility any allocation inside the clamping box can have, means
+//! unschedulable.
 //!
 //! Run with `cargo run --example schedulability_check`.
 
@@ -37,21 +39,21 @@ fn main() {
     for n in [2usize, 4, 8, 16, 32] {
         let verdict = analyze_schedulability(workload(n, 60.0), &config);
         let text = match &verdict {
-            SchedulabilityVerdict::Schedulable { iterations, utility } => {
+            SchedulabilityVerdict::Schedulable { iterations, utility, gap } => {
                 last_schedulable = n;
-                format!("SCHEDULABLE   (converged in {iterations} iters, utility {utility:.1})")
+                format!(
+                    "SCHEDULABLE   (certified in {iterations} iters, utility {utility:.1}, \
+                     gap {gap:.2e})"
+                )
             }
-            SchedulabilityVerdict::Unschedulable {
-                max_violation_ratio,
-                max_resource_ratio,
-                ..
-            } => format!(
-                "UNSCHEDULABLE (critical paths up to {max_violation_ratio:.2}x, \
-                 resources up to {max_resource_ratio:.2}x)"
+            SchedulabilityVerdict::Unschedulable { iterations, dual, utility_floor } => format!(
+                "UNSCHEDULABLE (proved in {iterations} iters: D = {dual:.1} < \
+                 U_floor = {utility_floor:.1})"
             ),
-            SchedulabilityVerdict::Inconclusive { oscillation } => {
-                format!("INCONCLUSIVE  (utility oscillation {oscillation:.2})")
-            }
+            SchedulabilityVerdict::Inconclusive { certificate, utility_floor, .. } => format!(
+                "INCONCLUSIVE  (D = {:.1}, U = {:.1}, U_floor = {utility_floor:.1})",
+                certificate.dual, certificate.utility
+            ),
         };
         println!("  {n:>3} pipelines: {text}");
     }

@@ -2,7 +2,8 @@
 //! global allocator: an `Optimizer::step` without a trace allocates
 //! nothing, `dual_value` on an optimizer's problem (which carries the
 //! optimizer's memoised plan) allocates two flat buffers and the nested
-//! maximiser, not a nested walk's per-task temporaries, and a
+//! maximiser, not a nested walk's per-task temporaries, `certify`
+//! allocates the same few flat buffers at any size, and a
 //! `DistributedLla` round in wire mode moves every message without
 //! touching the heap.
 
@@ -78,6 +79,33 @@ fn step_allocates_nothing_and_dual_value_stays_flat() {
     let (dual, n) = allocations(|| dual_value(opt.problem(), opt.prices(), &config.allocation));
     assert!(n <= tasks + 3, "dual_value made {n} allocations at {tasks} tasks");
     assert_eq!(dual.maximizer.len(), tasks);
+}
+
+#[test]
+fn certify_allocates_a_constant_number_of_buffers() {
+    let counts: Vec<usize> = [100, 400]
+        .into_iter()
+        .map(|tasks| {
+            let problem = large_scale_workload(tasks, 3).expect("valid config");
+            let config = OptimizerConfig { record_trace: false, ..OptimizerConfig::default() };
+            let mut opt = Optimizer::new(problem, config);
+            opt.run(5);
+            // The value-only dual: the flat maximiser and the λ-sums,
+            // reused for the usage sum; no nested rows.
+            let (cert, n) = allocations(|| opt.certify());
+            assert!(cert.dual.is_finite());
+            let ((), steps) = allocations(|| {
+                for _ in 0..20 {
+                    opt.step();
+                    opt.certify();
+                }
+            });
+            assert_eq!(steps, 20 * n, "steps between certificates must allocate nothing");
+            n
+        })
+        .collect();
+    assert_eq!(counts[0], counts[1], "certify allocations grew with the task count");
+    assert!(counts[0] <= 3, "certify made {} allocations", counts[0]);
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! parallel allocation kernel must be *bit-identical* to the sequential
 //! one across long seeded runs, including a membership epoch mid-run. The
 //! dual value an optimizer's memoised plan computes must be bit-identical
-//! to the naive evaluation across every `Problem` mutator.
+//! to the naive evaluation across every `Problem` mutator, and so must the
+//! dual of the optimizer's certificate.
 
 use lla_core::{
     allocate_latencies, dual_value, kkt_report, lagrangian_value, AllocationSettings, Optimizer,
@@ -235,21 +236,19 @@ fn memo_config() -> OptimizerConfig {
     OptimizerConfig { record_trace: false, ..OptimizerConfig::default() }
 }
 
-/// `dual_value` on an optimizer's problem (which carries the optimizer's
-/// memoised plan) matches the naive walk before each mutator, right after
-/// it (the edit must drop the memo), and after the next step (which
-/// re-lowers and re-installs it); a clone taken before the edit keeps the
-/// plan that describes it.
-#[test]
-fn memoised_plan_dual_matches_naive_across_every_mutator() {
-    type Mutator = fn(&mut Optimizer);
+type Mutator = fn(&mut Optimizer);
+
+/// Every `Problem` mutator, applied through an optimizer (or, for the
+/// replica count, which has no optimizer setter, through a clone of its
+/// problem with the state carried over).
+fn mutators() -> [(&'static str, Mutator); 9] {
     fn first_subtask(o: &Optimizer) -> SubtaskId {
         o.problem().tasks()[0].subtask_id(0)
     }
     fn last_resource(o: &Optimizer) -> ResourceId {
         ResourceId::new(o.problem().resources().len() - 1)
     }
-    let mutators: [(&str, Mutator); 9] = [
+    [
         ("set_resource_availability", |o| {
             o.set_resource_availability(ResourceId::new(1), 0.7).expect("valid availability")
         }),
@@ -283,8 +282,17 @@ fn memoised_plan_dual_matches_naive_across_every_mutator() {
         ("reassign_resource", |o| {
             o.reassign_resource(ResourceId::new(4), last_resource(o)).expect("known resources");
         }),
-    ];
-    for (name, mutate) in mutators {
+    ]
+}
+
+/// `dual_value` on an optimizer's problem (which carries the optimizer's
+/// memoised plan) matches the naive walk before each mutator, right after
+/// it (the edit must drop the memo), and after the next step (which
+/// re-lowers and re-installs it); a clone taken before the edit keeps the
+/// plan that describes it.
+#[test]
+fn memoised_plan_dual_matches_naive_across_every_mutator() {
+    for (name, mutate) in mutators() {
         let mut opt = Optimizer::new(memo_problem(), memo_config());
         opt.run(40);
         assert_dual_is_naive(opt.problem(), opt.prices(), &format!("before {name}"));
@@ -294,6 +302,29 @@ fn memoised_plan_dual_matches_naive_across_every_mutator() {
         assert_dual_is_naive(&clone, &clone_prices, &format!("clone taken before {name}"));
         opt.step();
         assert_dual_is_naive(opt.problem(), opt.prices(), &format!("step after {name}"));
+    }
+}
+
+/// `Optimizer::certify` evaluates `D(μ, λ)` on the optimizer's own plan,
+/// or on a temporary one while an edit has left it stale; either way its
+/// dual is `dual_value` at the same prices, bit for bit.
+#[test]
+fn certify_dual_is_dual_value_bit_for_bit() {
+    let settings = memo_config().allocation;
+    let assert_same = |opt: &Optimizer, what: &str| {
+        let (cert, want) = (opt.certify(), dual_value(opt.problem(), opt.prices(), &settings));
+        assert_eq!(cert.dual.to_bits(), want.value.to_bits(), "{what}: {cert:?} vs {}", want.value);
+        assert_eq!(cert.gap, cert.dual - opt.utility(), "{what}");
+    };
+    for (name, mutate) in mutators() {
+        let mut opt = Optimizer::new(memo_problem(), memo_config());
+        assert_same(&opt, &format!("before any round, {name}"));
+        opt.run(40);
+        assert_same(&opt, &format!("before {name}"));
+        mutate(&mut opt);
+        assert_same(&opt, &format!("right after {name}"));
+        opt.step();
+        assert_same(&opt, &format!("step after {name}"));
     }
 }
 

@@ -6,7 +6,9 @@
 //! seeded property sweep then checks that *random* shard partitions
 //! preserve feasibility and KKT residuals.
 
-use lla::core::{Optimizer, OptimizerConfig, Problem, ShardSpec, ShardedOptimizer, StepSizePolicy};
+use lla::core::{
+    dual_value, Optimizer, OptimizerConfig, Problem, ShardSpec, ShardedOptimizer, StepSizePolicy,
+};
 use lla::workloads::{
     clustered_workload, large_scale_workload, partition_by_affinity, scaled_workload,
     RandomWorkloadConfig, TaskShape,
@@ -132,6 +134,43 @@ fn sharded_tracks_monolithic_on_clustered_partitions() {
     check_tracks(&problem, planted, 300, 1e-9, "clustered/planted");
     let affinity = partition_by_affinity(&problem, 4);
     check_tracks(&problem, affinity, 300, 1e-9, "clustered/affinity");
+}
+
+fn rel(a: f64, b: f64) -> f64 {
+    (a - b).abs() / a.abs().max(b.abs()).max(1.0)
+}
+
+/// `ShardedOptimizer::certify` assembles `D(μ, λ)` from per-shard partial
+/// duals plus `Σ_r μ_r·B_r` from the authoritative prices; at 1, 2 and 4
+/// shards it matches the monolithic certificate, and `dual_value` at the
+/// sharded driver's own exported prices, to 1e-9 relative.
+#[test]
+fn sharded_certificate_matches_monolithic() {
+    let (clustered, _) = clustered_workload(80, 4, 7).expect("valid geometry");
+    let large = large_scale_workload(200, 11).expect("valid config");
+    for (what, problem) in [("clustered", clustered), ("large_scale", large)] {
+        for shards in [1usize, 2, 4] {
+            let spec = ShardSpec::contiguous(problem.tasks().len(), shards);
+            let mut mono = Optimizer::new(problem.clone(), config());
+            let mut sharded =
+                ShardedOptimizer::new(problem.clone(), config(), spec).expect("partition");
+            for round in 0..=200 {
+                if round % 40 == 0 {
+                    let (m, s) = (mono.certify(), sharded.certify());
+                    let at = format!("{what}, {shards} shards, round {round}");
+                    assert!(rel(m.dual, s.dual) <= 1e-9, "{at}: dual {} vs {}", m.dual, s.dual);
+                    assert!(rel(m.utility, s.utility) <= 1e-9, "{at}: {m:?} vs {s:?}");
+                    assert!((m.viol - s.viol).abs() <= 1e-9, "{at}: {m:?} vs {s:?}");
+                    let state = sharded.export_state();
+                    let settings = config().allocation;
+                    let own = dual_value(sharded.problem(), state.prices(), &settings).value;
+                    assert!(rel(own, s.dual) <= 1e-9, "{at}: dual_value {own} vs {}", s.dual);
+                }
+                mono.step();
+                sharded.step();
+            }
+        }
+    }
 }
 
 fn random_shape(rng: &mut StdRng) -> TaskShape {
