@@ -150,7 +150,7 @@ impl ClosedLoop {
     ) -> Self {
         let mut optimizer = Optimizer::new(problem.clone(), optimizer_config);
         optimizer.run_to_convergence(OPTIMIZER_ITERS);
-        let shares = Self::shares_of(&optimizer);
+        let shares = Self::enactable_shares(&optimizer);
         let simulator = Simulator::new(problem.clone(), &shares, sim_config);
         let correctors = problem
             .tasks()
@@ -177,20 +177,39 @@ impl ClosedLoop {
         self.optimizer.attach_telemetry(registry);
     }
 
-    fn shares_of(optimizer: &Optimizer) -> Vec<Vec<f64>> {
-        let alloc = optimizer.allocation();
-        optimizer
-            .problem()
+    /// The shares the loop enacts for `optimizer`'s allocation: each
+    /// clamped to `[MIN_SHARE, 1]`, then scaled down in proportion on any
+    /// resource whose shares sum past its availability. A certified
+    /// allocation may overshoot a resource by up to 1e-3, and a
+    /// proportional-share resource isolates its sessions (§3.2) only
+    /// while their shares fit its availability.
+    pub fn enactable_shares(optimizer: &Optimizer) -> Vec<Vec<f64>> {
+        let (problem, alloc) = (optimizer.problem(), optimizer.allocation());
+        let mut shares: Vec<Vec<f64>> = problem
             .tasks()
             .iter()
             .map(|task| {
-                alloc
-                    .shares(optimizer.problem(), task)
-                    .into_iter()
-                    .map(|s| s.clamp(MIN_SHARE, 1.0))
-                    .collect()
+                alloc.shares(problem, task).into_iter().map(|s| s.clamp(MIN_SHARE, 1.0)).collect()
             })
-            .collect()
+            .collect();
+        let mut usage = vec![0.0; problem.resources().len()];
+        for (task, row) in problem.tasks().iter().zip(&shares) {
+            for (sub, &share) in task.subtasks().iter().zip(row) {
+                usage[sub.resource().index()] += share;
+            }
+        }
+        let scale: Vec<f64> = problem
+            .resources()
+            .iter()
+            .zip(&usage)
+            .map(|(r, &used)| if used > r.availability() { r.availability() / used } else { 1.0 })
+            .collect();
+        for (task, row) in problem.tasks().iter().zip(&mut shares) {
+            for (sub, share) in task.subtasks().iter().zip(row) {
+                *share *= scale[sub.resource().index()];
+            }
+        }
+        shares
     }
 
     /// The optimizer (for inspection).
@@ -291,7 +310,7 @@ impl ClosedLoop {
         }
 
         self.optimizer.run_to_convergence(OPTIMIZER_ITERS);
-        let shares = Self::shares_of(&self.optimizer);
+        let shares = Self::enactable_shares(&self.optimizer);
         // §4.4 batch mode: enact only on significant change.
         let max_rel_change = shares
             .iter()

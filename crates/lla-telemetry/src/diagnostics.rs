@@ -305,6 +305,31 @@ impl DiagnosticsEngine {
         self.samples.clear();
     }
 
+    /// Feeds up to `max_rounds` rounds and classifies the result. Each
+    /// call of `round` runs one round and returns its sample and whether
+    /// the round was certified. A run that gets certified stops once the
+    /// whole window lies after its first certified round, so the settling
+    /// transient before the certificate does not colour the verdict.
+    pub fn diagnose_run(
+        &mut self,
+        max_rounds: usize,
+        mut round: impl FnMut() -> (DiagSample, bool),
+    ) -> Diagnosis {
+        let mut since_certified = None;
+        for _ in 0..max_rounds {
+            let (sample, certified) = round();
+            self.push(sample);
+            since_certified = match since_certified {
+                None => certified.then_some(0),
+                Some(n) => Some(n + 1),
+            };
+            if since_certified == Some(self.window) {
+                break;
+            }
+        }
+        self.diagnose()
+    }
+
     /// Classify the retained window.
     ///
     /// Rules are checked in precedence order: explicit freezes (Stalled),
@@ -468,6 +493,35 @@ mod tests {
         assert!(d.confident);
         assert_eq!(d.samples, 16);
         assert!(d.utility_oscillation < OSCILLATION_BAND);
+    }
+
+    #[test]
+    fn certified_run_stops_one_window_past_the_certificate() {
+        // Rounds 0..10 thrash, round 10 is the first certified one, and
+        // the run stops once the window holds only rounds 11..=42.
+        let mut eng = DiagnosticsEngine::with_window(32);
+        let mut next = 0;
+        let d = eng.diagnose_run(1_000, || {
+            let mut s = sample(next);
+            if next < 10 {
+                s.utility = 10.0 + if next % 2 == 0 { 1.0 } else { -1.0 };
+                s.gamma_doublings = 2 * next;
+            } else {
+                s.gamma_doublings = 20;
+            }
+            next += 1;
+            (s, next > 10)
+        });
+        assert_eq!(next, 43, "rounds run");
+        assert_eq!(d.samples, 32);
+        assert_eq!(d.verdict, Verdict::Converging);
+        // A run never certified spends its whole budget.
+        let mut rounds = 0;
+        DiagnosticsEngine::new().diagnose_run(50, || {
+            rounds += 1;
+            (sample(rounds), false)
+        });
+        assert_eq!(rounds, 50);
     }
 
     #[test]
