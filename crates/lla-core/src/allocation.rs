@@ -145,6 +145,18 @@ pub fn allocate_task(
     settings: &AllocationSettings,
     previous: &[f64],
 ) -> Vec<f64> {
+    allocate_task_capped(problem, task, prices, settings, previous).0
+}
+
+/// [`allocate_task`], and whether a concave task's fixed point stopped at
+/// `FIXED_POINT_MAX_ITERS` instead of on its tolerance.
+pub(crate) fn allocate_task_capped(
+    problem: &Problem,
+    task: &Task,
+    prices: &PriceState,
+    settings: &AllocationSettings,
+    previous: &[f64],
+) -> (Vec<f64>, bool) {
     let n = task.len();
     assert_eq!(previous.len(), n, "allocation shape mismatch");
     let t = task.id().index();
@@ -179,23 +191,25 @@ pub fn allocate_task(
     if matches!(task.utility_fn(), UtilityFn::Linear { .. }) {
         // f' is constant: a single pass is exact.
         solve_pass(0.0, &mut lats);
-        return lats;
+        return (lats, false);
     }
 
     // General concave utility: damped fixed point on the aggregate A.
     let mut a = task.aggregate_latency(previous);
+    let mut capped = true;
     for _ in 0..FIXED_POINT_MAX_ITERS {
         solve_pass(a, &mut lats);
         let a_new = task.aggregate_latency(&lats);
         let next = (1.0 - DAMPING) * a + DAMPING * a_new;
         if (next - a).abs() <= FIXED_POINT_TOL * a.abs().max(1.0) {
             a = next;
+            capped = false;
             break;
         }
         a = next;
     }
     solve_pass(a, &mut lats);
-    lats
+    (lats, capped)
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! stationarity residuals vanish, complementary slackness holds, and the
 //! duality gap closes.
 
-use crate::allocation::{allocate_latencies, clamping_box, AllocationSettings};
+use crate::allocation::{allocate_task_capped, clamping_box, AllocationSettings};
+use crate::plan::PathPrices;
 use crate::prices::PriceState;
 use crate::problem::Problem;
 
@@ -39,8 +40,22 @@ pub fn lagrangian_value(problem: &Problem, lats: &[Vec<f64>], prices: &PriceStat
 pub struct DualReport {
     /// The dual value `D(μ, λ)`.
     pub value: f64,
-    /// The allocation achieving it.
-    pub maximizer: Vec<Vec<f64>>,
+    /// How many concave tasks' damped fixed points stopped at their
+    /// iteration cap instead of their tolerance. On such a task the
+    /// maximiser is not exact, so `value` may fall short of `D`.
+    pub capped_fixed_points: usize,
+    /// The maximising latencies, flat in (task, subtask) order.
+    lats: Vec<f64>,
+    /// Task `t`'s latencies are `lats[offsets[t]..offsets[t + 1]]`.
+    offsets: Vec<usize>,
+}
+
+impl DualReport {
+    /// The allocation achieving the value, as one row per task (built
+    /// from the flat buffer on each call).
+    pub fn maximizer(&self) -> Vec<Vec<f64>> {
+        self.offsets.windows(2).map(|w| self.lats[w[0]..w[1]].to_vec()).collect()
+    }
 }
 
 /// Computes the dual function at the given prices.
@@ -49,26 +64,47 @@ pub struct DualReport {
 /// gap closes at the optimum. This is the quantity the price-update step
 /// descends.
 ///
-/// When the problem carries the plan its [`Optimizer`](crate::Optimizer)
-/// memoised, lowered with `settings` and shaped like `prices`, the value is
-/// computed on that plan (bit-identical, without the nested walk);
-/// otherwise — e.g. for a problem driven by a
-/// [`ShardedOptimizer`](crate::ShardedOptimizer) — by the naive walk.
-/// This function never lowers or memoises a plan itself.
+/// When the problem carries the plans its driver memoised — an
+/// [`Optimizer`](crate::Optimizer)'s full plan or a
+/// [`ShardedOptimizer`](crate::ShardedOptimizer)'s shard plans — lowered
+/// with `settings`, and `prices` has the problem's shape, the value is
+/// computed on those plans: bit-identical to the nested walk, with a
+/// constant number of allocations at any problem size. Otherwise (e.g. for
+/// a `DistributedLla`'s problems, which carry none) it walks the nested
+/// problem. This function never lowers or memoises a plan itself.
 pub fn dual_value(
     problem: &Problem,
     prices: &PriceState,
     settings: &AllocationSettings,
 ) -> DualReport {
-    if let Some(plan) = problem.plan().filter(|p| p.settings() == settings && p.fits(prices)) {
-        let (value, lats) = plan.dual(prices, true);
-        let maximizer = (0..plan.num_tasks()).map(|t| lats[plan.task_range(t)].to_vec());
-        return DualReport { value, maximizer: maximizer.collect() };
+    let shaped = prices.mus().len() == problem.resources().len();
+    if let Some(memo) = problem.memo().filter(|m| shaped && m.settings() == settings) {
+        let (mut lats, mut offsets) = (Vec::new(), Vec::new());
+        let maximizer = Some((&mut lats, &mut offsets));
+        let global = PathPrices::Global(prices);
+        if let Some((value, capped)) = memo.dual(problem, |r| prices.mu(r), global, maximizer) {
+            return DualReport { value, capped_fixed_points: capped, lats, offsets };
+        }
     }
     let start = problem.initial_allocation();
-    let maximizer = allocate_latencies(problem, prices, settings, &start);
+    let mut capped_fixed_points = 0;
+    let maximizer: Vec<Vec<f64>> = problem
+        .tasks()
+        .iter()
+        .map(|task| {
+            let t = task.id().index();
+            let (lats, capped) = allocate_task_capped(problem, task, prices, settings, &start[t]);
+            capped_fixed_points += usize::from(capped);
+            lats
+        })
+        .collect();
     let value = lagrangian_value(problem, &maximizer, prices);
-    DualReport { value, maximizer }
+    let mut offsets = Vec::with_capacity(maximizer.len() + 1);
+    offsets.push(0);
+    for row in &maximizer {
+        offsets.push(offsets[offsets.len() - 1] + row.len());
+    }
+    DualReport { value, capped_fixed_points, lats: maximizer.concat(), offsets }
 }
 
 /// KKT optimality diagnostics at a primal/dual point.
@@ -234,10 +270,11 @@ mod tests {
         prices.set_mu(0, 20.0);
         prices.set_mu(1, 20.0);
         let dual = dual_value(&p, &prices, &settings);
-        let base = lagrangian_value(&p, &dual.maximizer, &prices);
+        let maximizer = dual.maximizer();
+        let base = lagrangian_value(&p, &maximizer, &prices);
         for (t, s) in [(0usize, 0usize), (0, 1)] {
             for delta in [-0.5, 0.5] {
-                let mut perturbed = dual.maximizer.clone();
+                let mut perturbed = maximizer.clone();
                 perturbed[t][s] = (perturbed[t][s] + delta).max(0.1);
                 let lv = lagrangian_value(&p, &perturbed, &prices);
                 assert!(lv <= base + 1e-9, "perturbation increased L: {lv} > {base}");
@@ -264,7 +301,7 @@ mod tests {
         prices.set_mu(0, 30.0);
         prices.set_mu(1, 30.0);
         let dual = dual_value(&p, &prices, &settings);
-        let report = kkt_report(&p, &dual.maximizer, &prices, &settings, 1e-9);
+        let report = kkt_report(&p, &dual.maximizer(), &prices, &settings, 1e-9);
         assert!(
             report.max_stationarity_residual < 1e-8,
             "allocator output must satisfy stationarity, got {}",

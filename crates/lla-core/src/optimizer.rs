@@ -14,7 +14,7 @@ use crate::allocation::AllocationSettings;
 use crate::error::ModelError;
 use crate::ids::{ResourceId, TaskId};
 use crate::lagrangian::{kkt_report, KktReport};
-use crate::plan::{Plan, PlanScratch};
+use crate::plan::{PathPrices, Plan, PlanMemo, PlanScratch};
 use crate::prices::{PriceState, StepSizePolicy};
 use crate::problem::{MembershipReport, Problem};
 use crate::resource::Resource;
@@ -25,6 +25,7 @@ use lla_telemetry::{
     DiagSample, HealthSnapshot, Histogram, MetricsRegistry, Profiler, ResourceHealth,
 };
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -138,6 +139,9 @@ pub struct RunOutcome {
 pub struct Optimizer {
     problem: Problem,
     prices: PriceState,
+    /// The latencies as one row per task; stale while the plan's flat
+    /// buffer holds the current ones (`PlanCtx::warm`), see
+    /// [`nested_lats`](Self::nested_lats).
     lats: Vec<Vec<f64>>,
     config: OptimizerConfig,
     trace: Trace,
@@ -161,9 +165,11 @@ pub struct Optimizer {
 struct PlanCtx {
     plan: Arc<Plan>,
     scratch: PlanScratch,
-    /// `scratch.lats` holds `lats` flattened, so the next allocation can
-    /// start from it without re-flattening. Cleared when the plan is
-    /// re-lowered or the latencies are replaced from outside a step.
+    /// `scratch.lats` holds the current latencies, flat, and the nested
+    /// `Optimizer::lats` rows may be stale: steps keep the latencies flat
+    /// and the next allocation starts from them. Cleared, after writing
+    /// the rows back, when the plan is re-lowered or a membership edit
+    /// needs the rows, and when a restore replaces the latencies.
     warm: bool,
 }
 
@@ -244,12 +250,35 @@ impl Optimizer {
 
     /// The current allocation.
     pub fn allocation(&self) -> Allocation {
-        Allocation::from_lats(self.lats.clone())
+        Allocation::from_lats(self.nested_lats().into_owned())
     }
 
     /// The current total utility.
     pub fn utility(&self) -> f64 {
-        self.problem.total_utility(&self.lats)
+        self.problem.total_utility(&self.nested_lats())
+    }
+
+    /// The current latencies as one row per task: the nested rows, or,
+    /// while steps keep them flat, rows built from the plan's buffer.
+    fn nested_lats(&self) -> Cow<'_, [Vec<f64>]> {
+        match self.plan.as_deref() {
+            Some(PlanCtx { plan, scratch, warm: true }) => {
+                let flat = scratch.lats();
+                Cow::Owned(
+                    (0..plan.num_tasks()).map(|t| flat[plan.task_range(t)].to_vec()).collect(),
+                )
+            }
+            _ => Cow::Borrowed(&self.lats),
+        }
+    }
+
+    /// Writes flat latencies a step left in the plan's buffer back into
+    /// the nested rows, which then hold the current latencies.
+    fn settle_lats(&mut self) {
+        if let Some(ctx) = self.plan.as_deref_mut().filter(|ctx| ctx.warm) {
+            ctx.plan.unflatten_into(ctx.scratch.lats(), &mut self.lats);
+            ctx.warm = false;
+        }
     }
 
     /// The recorded trace (empty when `record_trace` is off).
@@ -301,6 +330,7 @@ impl Optimizer {
     /// Any error from [`Problem::add_task`]; the optimizer is unchanged on
     /// error.
     pub fn add_task(&mut self, builder: &TaskBuilder) -> Result<TaskId, ModelError> {
+        self.settle_lats();
         let report = self.problem.add_task(builder)?;
         let id = report.added_task.expect("add_task reports the new id");
         self.prices = self.prices.remap(&self.problem, &report);
@@ -332,6 +362,7 @@ impl Optimizer {
     /// Any error from [`Problem::remove_task`]; the optimizer is unchanged
     /// on error.
     pub fn remove_task(&mut self, id: TaskId) -> Result<MembershipReport, ModelError> {
+        self.settle_lats();
         let report = self.problem.remove_task(id)?;
         self.prices = self.prices.remap(&self.problem, &report);
         let mut lats = vec![Vec::new(); self.problem.tasks().len()];
@@ -393,10 +424,14 @@ impl Optimizer {
 
     /// Lowers (or re-lowers) the iteration plan when absent or stale, and
     /// memoises it in the problem for [`dual_value`](crate::dual_value).
+    /// An edit that re-lowers keeps the task shapes (membership edits
+    /// settle the latencies before they change them), so the stale plan
+    /// still writes the flat latencies back into the rows.
     fn ensure_plan(&mut self) {
         if self.plan.as_ref().is_some_and(|ctx| ctx.plan.epoch() == self.problem.epoch()) {
             return;
         }
+        self.settle_lats();
         let _prof = self.profiler.scope("plan_lower");
         let plan = Arc::new(Plan::lower(&self.problem, &self.config.allocation));
         match &mut self.plan {
@@ -414,7 +449,8 @@ impl Optimizer {
                     Some(Box::new(PlanCtx { plan: Arc::clone(&plan), scratch, warm: false }));
             }
         }
-        self.problem.install_plan(plan);
+        let memo = PlanMemo::whole(&self.problem, plan);
+        self.problem.install_memo(memo);
         self.book.count_lowering();
     }
 
@@ -442,7 +478,6 @@ impl Optimizer {
             *warm = true;
         }
         plan.allocate_into(&self.prices, scratch);
-        plan.unflatten_into(scratch.lats(), &mut self.lats);
         let t1 = timed.then(Instant::now);
         prof.phase("price");
         let violations = plan.price_update(&mut self.prices, scratch);
@@ -474,8 +509,10 @@ impl Optimizer {
     }
 
     /// The duality-gap certificate of the current allocation, with
-    /// `D(μ, λ)` on the memoised plan (a temporary one after an edit): a
-    /// constant number of allocations at any problem size.
+    /// `D(μ, λ)` on the memoised plan (a temporary one after an edit), by
+    /// the evaluation [`dual_value`](crate::dual_value) runs: bit-identical
+    /// to it, and allocation-free on the memoised plan once the thread's
+    /// working buffers have grown to the problem.
     pub fn certify(&self) -> Certificate {
         round_book::certify(self)
     }
@@ -500,7 +537,7 @@ impl Optimizer {
     /// KKT optimality diagnostics at the current point.
     pub fn kkt(&self) -> KktReport {
         let _prof = self.profiler.scope("kkt");
-        kkt_report(&self.problem, &self.lats, &self.prices, &self.config.allocation, 1e-9)
+        kkt_report(&self.problem, &self.nested_lats(), &self.prices, &self.config.allocation, 1e-9)
     }
 
     /// A point-in-time [`HealthSnapshot`]: convergence + feasibility
@@ -513,6 +550,7 @@ impl Optimizer {
     /// `lla-bench`) overwrite those fields from their own counters.
     pub fn health_snapshot(&self) -> HealthSnapshot {
         let kkt = self.kkt();
+        let lats = self.nested_lats();
         let resources = self
             .problem
             .resources()
@@ -520,7 +558,7 @@ impl Optimizer {
             .map(|res| ResourceHealth {
                 name: res.name().to_owned(),
                 price: self.prices.mu(res.id().index()),
-                usage: self.problem.resource_usage(res.id(), &self.lats),
+                usage: self.problem.resource_usage(res.id(), &lats),
                 availability: res.availability(),
             })
             .collect();
@@ -528,12 +566,12 @@ impl Optimizer {
             converged: self.has_converged(),
             feasible: round_book::feasible(self),
             iteration: self.book.iteration as u64,
-            utility: self.problem.total_utility(&self.lats),
+            utility: self.problem.total_utility(&lats),
             max_stationarity_residual: kkt.max_stationarity_residual,
             max_resource_violation: kkt.max_resource_violation,
             max_path_violation: kkt.max_path_violation,
             max_complementary_slackness: kkt.max_complementary_slackness,
-            worst_violation_factor: self.worst_violation_factor(),
+            worst_violation_factor: self.problem.worst_violation_factor(&lats),
             resources,
             shed_count: 0,
             membership_changes: 0,
@@ -544,7 +582,7 @@ impl Optimizer {
     /// The worst constraint-violation factor at the current point (see
     /// [`Problem::worst_violation_factor`]).
     pub fn worst_violation_factor(&self) -> f64 {
-        self.problem.worst_violation_factor(&self.lats)
+        self.problem.worst_violation_factor(&self.nested_lats())
     }
 
     /// One [`DiagSample`] for the convergence-diagnostics engine
@@ -554,10 +592,11 @@ impl Optimizer {
     /// here — a centralized optimizer has no staleness freezes; the
     /// distributed facade overwrites that field from its own counters.
     pub fn diag_sample(&self) -> DiagSample {
+        let lats = self.nested_lats();
         DiagSample {
             iteration: self.book.iteration as u64,
-            utility: self.problem.total_utility(&self.lats),
-            worst_violation_factor: self.worst_violation_factor(),
+            utility: self.problem.total_utility(&lats),
+            worst_violation_factor: self.problem.worst_violation_factor(&lats),
             gamma_doublings: self.prices.gamma_doublings(),
             max_rel_price_step: self.prices.last_max_rel_step(),
             frozen_agents: 0,
@@ -572,7 +611,7 @@ impl Optimizer {
     pub fn export_state(&self) -> OptimizerState {
         OptimizerState {
             prices: self.prices.clone(),
-            lats: self.lats.clone(),
+            lats: self.nested_lats().into_owned(),
             iteration: self.book.iteration,
             epoch: None,
         }
@@ -639,17 +678,25 @@ impl Driver for Optimizer {
     }
 
     fn violation_walk(&self) -> f64 {
-        self.problem
-            .max_resource_violation(&self.lats)
-            .max(self.problem.max_path_violation(&self.lats))
+        let lats = self.nested_lats();
+        self.problem.max_resource_violation(&lats).max(self.problem.max_path_violation(&lats))
     }
 
-    fn dual(&self) -> f64 {
+    fn dual(&self) -> (f64, usize) {
         let _prof = self.profiler.scope("certify");
-        match self.plan.as_ref().filter(|ctx| ctx.plan.epoch() == self.problem.epoch()) {
-            Some(ctx) => ctx.plan.dual(&self.prices, true).0,
-            None => Plan::lower(&self.problem, &self.config.allocation).dual(&self.prices, true).0,
-        }
+        let settings = &self.config.allocation;
+        let temporary;
+        let memo = match self.problem.memo().filter(|memo| memo.settings() == settings) {
+            Some(memo) => memo,
+            None => {
+                let plan = Arc::new(Plan::lower(&self.problem, settings));
+                temporary = PlanMemo::whole(&self.problem, plan);
+                &temporary
+            }
+        };
+        let prices = &self.prices;
+        memo.dual(&self.problem, |r| prices.mu(r), PathPrices::Global(prices), None)
+            .expect("the optimizer's prices fit its problem")
     }
 }
 
@@ -801,7 +848,8 @@ mod tests {
     /// one, so the optimizer's flat warm start must track the naive round
     /// (`allocate_latencies` from the last latencies, then
     /// `PriceState::update`) bit for bit: across rounds, a checkpoint
-    /// restore that replaces the latencies, and a join that re-lowers.
+    /// restore that replaces the latencies, an availability edit that
+    /// re-lowers the plan while the latencies are kept flat, and a join.
     #[test]
     fn steps_match_the_naive_round_with_concave_utilities() {
         use crate::allocation::allocate_latencies;
@@ -832,6 +880,9 @@ mod tests {
                 (prices, lats) = (state.prices.clone(), state.lats.clone());
                 opt.import_state(state);
             }
+            if round == 30 {
+                opt.set_resource_availability(ResourceId::new(0), 0.9).unwrap();
+            }
             if round == 40 {
                 let mut b = TaskBuilder::new("late");
                 b.subtask("s", ResourceId::new(0), 1.0);
@@ -848,6 +899,34 @@ mod tests {
             assert_eq!(opt.allocation().lats(), &lats[..], "latencies diverged at round {round}");
             assert_eq!(opt.prices(), &prices, "prices diverged at round {round}");
         }
+    }
+
+    /// The certificate counts the concave tasks whose fixed point stopped
+    /// at its iteration cap while `D` was evaluated: a steep inelastic
+    /// task hits it on some rounds, and linear tasks never run one.
+    #[test]
+    fn certificate_counts_capped_fixed_points() {
+        let capped_rounds = |problem: Problem| {
+            let mut opt = Optimizer::new(problem, config());
+            (0..300)
+                .filter(|_| {
+                    opt.step();
+                    let cert = opt.certify();
+                    let dual = crate::dual_value(opt.problem(), opt.prices(), &config().allocation);
+                    assert_eq!(cert.capped_fixed_points, dual.capped_fixed_points);
+                    cert.capped_fixed_points > 0
+                })
+                .count()
+        };
+        assert_eq!(capped_rounds(small_problem()), 0, "an all-linear problem never caps");
+        let mut steep = small_problem();
+        let mut b = TaskBuilder::new("inelastic");
+        let a = b.subtask("a", ResourceId::new(0), 2.0);
+        let d = b.subtask("b", ResourceId::new(1), 3.0);
+        b.edge(a, d).unwrap();
+        b.critical_time(50.0).utility(UtilityFn::smooth_inelastic(10.0, 50.0, 12.0));
+        steep.add_task(&b).unwrap();
+        assert!(capped_rounds(steep) > 0, "sharpness 12 never hit the cap");
     }
 
     #[test]

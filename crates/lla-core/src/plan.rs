@@ -97,24 +97,40 @@
 //!
 //! # The memoised plan
 //!
-//! A `Problem` has one memo slot for its plan, so the certificate
+//! A `Problem` has one memo slot, so the certificate
 //! ([`dual_value`](crate::lagrangian::dual_value)) can evaluate on the
-//! plan the optimizer already holds instead of walking the nested
-//! problem. The rule:
+//! plans its driver already holds instead of walking the nested problem.
+//! The memo is a list of parts, each an `Arc<Plan>` the driver owns (no
+//! second copy) with the global tasks it lowers, stamped with the problem
+//! epoch it describes. The rule:
 //!
-//! - the owner installs it: [`Optimizer`](crate::optimizer::Optimizer)
-//!   shares each plan it lowers with its problem (one `Arc`, no copy);
+//! - the driver installs it: [`Optimizer`](crate::optimizer::Optimizer)
+//!   its one full plan, each time it lowers one;
+//!   [`ShardedOptimizer`](crate::shard::ShardedOptimizer) its shard plans,
+//!   after `new` and after each edit (a membership edit re-lowers one
+//!   shard, an availability edit the shards touching the resource);
 //! - the epoch bump clears it, so a memo always describes the problem it
 //!   sits in;
-//! - clones share it, so a problem cloned before an edit keeps the plan
-//!   that still describes it;
+//! - clones share it, so a problem cloned before an edit keeps the plans
+//!   that still describe it;
 //! - `dual_value` reads it when its settings and the prices' shape match,
-//!   and otherwise (e.g. under a
-//!   [`ShardedOptimizer`](crate::shard::ShardedOptimizer), which installs
-//!   none) walks the nested problem. It never lowers or fills the memo:
-//!   caching a plan there would keep a full-problem plan alive beside
-//!   every shard plan, and lowering one per call is no faster than the
-//!   walk.
+//!   and otherwise walks the nested problem (a `DistributedLla`'s problems
+//!   carry none). It never lowers or fills the memo: caching a plan there
+//!   would keep a full-problem plan alive beside every shard plan, and
+//!   lowering one per call is no faster than the walk.
+//!
+//! One evaluation of `D(μ, λ)` runs over the parts, and `dual_value`,
+//! `Optimizer::certify` and `ShardedOptimizer::certify` all call it. Each
+//! part allocates its tasks from the initial allocation at the global μ
+//! and its own tasks' λ rows; then the utility sum, each resource's usage
+//! sum and the λ terms are reduced in global (task, subtask) order, with
+//! `B_r` read from the live problem (a shard plan an availability edit
+//! did not touch still holds the old `availability`). The value is
+//! therefore bit-identical to the naive walk on any partition: interleaved
+//! groups, and a shard that `add_task` left non-contiguous. The
+//! allocation is the sequential kernel, so an evaluation spawns no thread,
+//! and its working buffers are one set per thread, reused across calls:
+//! an evaluation allocates nothing once they have grown to the problem.
 //!
 //! # Parallelism (`parallel` feature)
 //!
@@ -136,6 +152,8 @@ use crate::lagrangian::KktReport;
 use crate::prices::PriceState;
 use crate::problem::Problem;
 use crate::utility::UtilityFn;
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Fan out the parallel allocator only past this many subtasks; below it
 /// thread startup dwarfs the work and the sequential kernel wins.
@@ -214,27 +232,32 @@ impl SubtaskCols<'_> {
 /// The damped fixed point of a concave task's aggregate `A = Σ_s w_s·lat_s`
 /// (see [`crate::allocation`]): warm-started from `previous`, each pass
 /// `solve(f′(A), out)` writes the allocation at `A`, and the last pass
-/// leaves the allocation at the final `A` in `out`.
+/// leaves the allocation at the final `A` in `out`. Returns whether the
+/// iteration stopped at `FIXED_POINT_MAX_ITERS` rather than on its
+/// tolerance.
 fn fixed_point(
     utility: &UtilityFn,
     weight: &[f64],
     previous: &[f64],
     out: &mut [f64],
     mut solve: impl FnMut(f64, &mut [f64]),
-) {
+) -> bool {
     debug_assert_eq!(previous.len(), out.len(), "allocation shape mismatch");
     let mut a = dot(previous, weight);
+    let mut capped = true;
     for _ in 0..FIXED_POINT_MAX_ITERS {
         solve(utility.derivative(a), out);
         let a_new = dot(out, weight);
         let next = (1.0 - DAMPING) * a + DAMPING * a_new;
         if (next - a).abs() <= FIXED_POINT_TOL * a.abs().max(1.0) {
             a = next;
+            capped = false;
             break;
         }
         a = next;
     }
     solve(utility.derivative(a), out);
+    capped
 }
 
 /// Reusable scratch buffers for one [`Plan`]'s iteration kernels.
@@ -617,7 +640,8 @@ impl Plan {
     /// reference for the bit-identity contract).
     pub fn allocate_seq(&self, prices: &PriceState, scratch: &mut PlanScratch) {
         let PlanScratch { prev, lats, lambda, .. } = scratch;
-        self.allocate_tasks(0..self.num_tasks(), prices, prev, lambda, lats);
+        let (mus, lambdas) = (prices.mus(), prices.flat_lambdas());
+        self.allocate_tasks(0..self.num_tasks(), mus, lambdas, prev, lambda, lats);
     }
 
     /// The threaded latency-allocation kernel: contiguous task ranges fan
@@ -636,6 +660,7 @@ impl Plan {
         }
         let PlanScratch { prev, lats, lambda, .. } = scratch;
         let prev: &[f64] = prev;
+        let (mus, lambdas) = (prices.mus(), prices.flat_lambdas());
         rayon::scope(|s| {
             let mut rest_lats: &mut [f64] = lats;
             let mut rest_lambda: &mut [f64] = lambda;
@@ -651,7 +676,9 @@ impl Plan {
                 let (chunk_lambda, rb) = std::mem::take(&mut rest_lambda).split_at_mut(nsub);
                 rest_lambda = rb;
                 let tasks = t0..t1;
-                s.spawn(move || self.allocate_tasks(tasks, prices, prev, chunk_lambda, chunk_lats));
+                s.spawn(move || {
+                    self.allocate_tasks(tasks, mus, lambdas, prev, chunk_lambda, chunk_lats);
+                });
                 t0 = t1;
             }
         });
@@ -659,7 +686,9 @@ impl Plan {
 
     /// The allocation of a contiguous task range whose subtasks are
     /// `lambda_sum` and `out` (both start at the range's first subtask;
-    /// `prev` is the whole plan's warm start):
+    /// `prev` is the whole plan's warm start), at resource prices `mus`
+    /// (global resource order) and path prices `lambdas` (the plan's flat
+    /// path order):
     ///
     /// 1. one λ-sum scatter over the range's paths in plan order, adding
     ///    each nonzero `λ_p` to its subtasks (the reference's skip of
@@ -669,19 +698,23 @@ impl Plan {
     ///    exact for every linear task;
     /// 3. the damped fixed point over each concave task's own slice,
     ///    overwriting what the linear pass wrote there.
+    ///
+    /// Returns how many concave tasks' fixed points stopped at the
+    /// iteration cap.
     fn allocate_tasks(
         &self,
         tasks: std::ops::Range<usize>,
-        prices: &PriceState,
+        mus: &[f64],
+        lambdas: &[f64],
         prev: &[f64],
         lambda_sum: &mut [f64],
         out: &mut [f64],
-    ) {
-        debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
+    ) -> usize {
+        debug_assert_eq!(lambdas.len(), self.num_paths(), "price/plan path count mismatch");
         let subs = self.task_sub_off[tasks.start]..self.task_sub_off[tasks.end];
         let paths = self.task_path_off[tasks.start]..self.task_path_off[tasks.end];
         let base = subs.start;
-        let lambdas = &prices.flat_lambdas()[paths.clone()];
+        let lambdas = &lambdas[paths.clone()];
         let lambda_sum = if lambdas.iter().all(|&lp| lp == 0.0) {
             None
         } else {
@@ -696,17 +729,17 @@ impl Plan {
             Some(&*lambda_sum)
         };
 
-        let mus = prices.mus();
         let neg_wf = &self.neg_wf[subs.clone()];
         self.cols(subs).solve(|s| neg_wf[s], lambda_sum, mus, out);
 
         let first = self.concave.partition_point(|&t| (t as usize) < tasks.start);
+        let mut capped = 0;
         for &t in self.concave[first..].iter().take_while(|&&t| (t as usize) < tasks.end) {
             let range = self.task_range(t as usize);
             let local = range.start - base..range.end - base;
             let (cols, weight) = (self.cols(range.clone()), &self.weight[range.clone()]);
             let lambda_sum = lambda_sum.map(|l| &l[local.clone()]);
-            fixed_point(
+            capped += usize::from(fixed_point(
                 &self.utility[t as usize],
                 weight,
                 &prev[range],
@@ -714,8 +747,9 @@ impl Plan {
                 |f, dst| {
                     cols.solve(|s| -weight[s] * f, lambda_sum, mus, dst);
                 },
-            );
+            ));
         }
+        capped
     }
 
     /// The allocation columns of the subtasks in `range`.
@@ -739,10 +773,7 @@ impl Plan {
     /// terms in the same order as the naive walk.
     pub fn usage_into(&self, lats: &[f64], usage: &mut [f64]) {
         usage.fill(-0.0);
-        for (s, &r) in self.sub_res.iter().enumerate() {
-            let eff = lats[s] - self.correction[s];
-            usage[r as usize] += if eff <= 0.0 { f64::INFINITY } else { self.demand[s] / eff };
-        }
+        self.add_usage(0..self.num_subtasks(), lats, usage);
     }
 
     /// Global path `pp`'s subtasks, as global subtask indices.
@@ -835,44 +866,16 @@ impl Plan {
         prices.step_paths(path_lat, &self.path_ct, path_congested)
     }
 
-    /// `D(μ, λ)` (Eq. 6) and its flat maximiser, as the naive
-    /// [`dual_value`](crate::lagrangian::dual_value) evaluates them; without
-    /// `with_availability`, less `Σ_r μ_r·B_r` (a shard's partial dual).
-    /// Two allocations (three with a concave task) at any plan size.
-    pub(crate) fn dual(&self, prices: &PriceState, with_availability: bool) -> (f64, Vec<f64>) {
-        let ns = self.num_subtasks();
-        let mut prev = Vec::new();
-        if !self.concave.is_empty() {
-            prev.resize(ns, 0.0);
-            for &t in &self.concave {
-                // `Problem::initial_allocation`: an even split of `C_i`
-                // along the task's longest path (in hops).
-                let t = t as usize;
-                let hops = self.task_path_range(t).map(|pp| self.path_subtasks(pp).len());
-                let slice = self.critical_time[t] / hops.max().unwrap_or(1) as f64;
-                prev[self.task_range(t)].fill(slice);
-            }
+    /// Writes `Problem::initial_allocation`'s rows of the concave tasks
+    /// into `prev` (plan order): an even split of `C_i` along the task's
+    /// longest path, in hops. The only entries a fresh allocation reads.
+    fn initial_concave_into(&self, prev: &mut [f64]) {
+        for &t in &self.concave {
+            let t = t as usize;
+            let hops = self.task_path_range(t).map(|pp| self.path_subtasks(pp).len());
+            let slice = self.critical_time[t] / hops.max().unwrap_or(1) as f64;
+            prev[self.task_range(t)].fill(slice);
         }
-        let mut scratch = PlanScratch {
-            prev,
-            lats: vec![0.0; ns],
-            lambda: vec![0.0; ns],
-            usage: Vec::new(),
-            path_lat: Vec::new(),
-            path_congested: Vec::new(),
-            congested: Vec::new(),
-        };
-        self.allocate_into(prices, &mut scratch);
-        let PlanScratch { lats, lambda: mut usage, .. } = scratch;
-        usage.resize(self.num_resources(), 0.0);
-        let value = self.lagrangian_in(&lats, prices, &mut usage, with_availability);
-        (value, lats)
-    }
-
-    /// Whether `prices` has this plan's shape: one μ per resource and one
-    /// λ row per plan task with the task's path count.
-    pub(crate) fn fits(&self, prices: &PriceState) -> bool {
-        prices.mus().len() == self.num_resources() && prices.row_offsets() == self.task_path_off
     }
 
     /// Per-resource availability `B_r` as lowered (global resource order).
@@ -893,13 +896,26 @@ impl Plan {
     /// `Σ_i U_i` over a flat latency vector, replicating
     /// [`Problem::total_utility`].
     pub fn total_utility(&self, lats: &[f64]) -> f64 {
-        (0..self.num_tasks())
-            .map(|t| {
-                let sub = self.task_range(t);
-                let a = dot(&lats[sub.clone()], &self.weight[sub]);
-                self.utility[t].value(a)
-            })
-            .sum()
+        (0..self.num_tasks()).map(|t| self.task_utility(t, lats)).sum()
+    }
+
+    /// Task `t`'s utility `U_t(Σ_s w_s·lat_s)`, replicating
+    /// `Task::utility`.
+    fn task_utility(&self, t: usize, lats: &[f64]) -> f64 {
+        let sub = self.task_range(t);
+        self.utility[t].value(dot(&lats[sub.clone()], &self.weight[sub]))
+    }
+
+    /// Adds the share of each subtask in `subs` (`ShareModel::share_for_latency`
+    /// at its latency) to its resource's usage, in plan order.
+    #[inline]
+    fn add_usage(&self, subs: std::ops::Range<usize>, lats: &[f64], usage: &mut [f64]) {
+        let (res, lats) = (&self.sub_res[subs.clone()], &lats[subs.clone()]);
+        let (demand, correction) = (&self.demand[subs.clone()], &self.correction[subs]);
+        for (((&r, &lat), &m), &e) in res.iter().zip(lats).zip(demand).zip(correction) {
+            let eff = lat - e;
+            usage[r as usize] += if eff <= 0.0 { f64::INFINITY } else { m / eff };
+        }
     }
 
     /// `max_r (usage_r − B_r)` from a precomputed usage vector,
@@ -937,29 +953,14 @@ impl Plan {
     /// The Lagrangian (Eq. 5) over a flat latency vector, replicating
     /// [`crate::lagrangian::lagrangian_value`].
     pub fn lagrangian_value(&self, lats: &[f64], prices: &PriceState) -> f64 {
-        self.lagrangian_in(lats, prices, &mut vec![0.0; self.num_resources()], true)
-    }
-
-    /// [`lagrangian_value`](Self::lagrangian_value) with the usage sum in
-    /// the caller's `usage` buffer; `u − 0.0` drops `μ·B` exactly.
-    fn lagrangian_in(
-        &self,
-        lats: &[f64],
-        prices: &PriceState,
-        usage: &mut [f64],
-        with_availability: bool,
-    ) -> f64 {
         debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
-        let mut value = self.total_utility(lats);
-        self.usage_into(lats, usage);
-        for (r, &u) in usage.iter().enumerate() {
-            let b = if with_availability { self.availability[r] } else { 0.0 };
-            value -= prices.mu(r) * (u - b);
-        }
-        for (pp, &lp) in prices.flat_lambdas().iter().enumerate() {
-            value -= lp * (self.path_latency(pp, lats) - self.path_ct[pp]);
-        }
-        value
+        lagrangian_in(
+            &[Run { part: 0, tasks: 0..self.num_tasks(), global: 0 }],
+            |_| (self, lats, prices.flat_lambdas()),
+            prices.mus(),
+            |r| self.availability[r],
+            &mut vec![0.0; self.num_resources()],
+        )
     }
 
     /// KKT residuals (see [`crate::lagrangian::kkt_report`]) over a flat
@@ -1042,6 +1043,299 @@ impl Plan {
             }
         }
         (stat, comp, worst_path)
+    }
+}
+
+/// A run of consecutive global tasks, starting at `global`, that part
+/// `part` lowers as the consecutive plan-local `tasks`.
+#[derive(Debug, Clone)]
+struct Run {
+    part: usize,
+    tasks: std::ops::Range<usize>,
+    global: usize,
+}
+
+/// The Lagrangian (Eq. 5) over the latencies of one or more plans that
+/// jointly lower a problem, reduced as
+/// [`lagrangian_value`](crate::lagrangian::lagrangian_value) walks the
+/// nested problem: `runs` list every task once, in global task order, and
+/// `part(k)` gives part `k`'s plan, its flat latencies and its flat λ (both
+/// in the plan's order). The utility sum, each resource's usage sum and
+/// the λ terms all run in global (task, subtask) order, which is the order
+/// of `Problem::subtasks_on`, with one flat pass per run; `mus`,
+/// `availability(r)` and `usage` are by global resource.
+fn lagrangian_in<'a>(
+    runs: &[Run],
+    part: impl Fn(usize) -> (&'a Plan, &'a [f64], &'a [f64]),
+    mus: &[f64],
+    availability: impl Fn(usize) -> f64,
+    usage: &mut [f64],
+) -> f64 {
+    let utilities = runs.iter().flat_map(|run| {
+        let (plan, lats, _) = part(run.part);
+        run.tasks.clone().map(move |t| plan.task_utility(t, lats))
+    });
+    let mut value: f64 = utilities.sum();
+    usage.fill(-0.0);
+    for run in runs {
+        let (plan, lats, _) = part(run.part);
+        plan.add_usage(
+            plan.task_sub_off[run.tasks.start]..plan.task_sub_off[run.tasks.end],
+            lats,
+            usage,
+        );
+    }
+    for (r, (&u, &mu)) in usage.iter().zip(mus).enumerate() {
+        value -= mu * (u - availability(r));
+    }
+    for run in runs {
+        let (plan, lats, lambdas) = part(run.part);
+        let paths = plan.task_path_off[run.tasks.start]..plan.task_path_off[run.tasks.end];
+        for (pp, &lp) in paths.clone().zip(&lambdas[paths]) {
+            value -= lp * (plan.path_latency(pp, lats) - plan.path_ct[pp]);
+        }
+    }
+    value
+}
+
+/// Where [`PlanMemo::dual`] reads the path prices λ.
+#[derive(Clone, Copy)]
+pub(crate) enum PathPrices<'a> {
+    /// One price state with a λ row per global task (an `Optimizer`'s, or
+    /// one exported from a `ShardedOptimizer`).
+    Global(&'a PriceState),
+    /// Part `k`'s own price state, with a λ row per plan-local task (a
+    /// shard's).
+    PerPart(&'a dyn Fn(usize) -> &'a PriceState),
+}
+
+/// The working buffers of [`PlanMemo::dual`], one set per thread: every
+/// evaluation on the thread reuses them instead of allocating and freeing
+/// them per call (buffers freed after each call let the allocator return
+/// the heap top to the system, and the next set-up pays for fresh pages).
+/// They grow to the largest problem the thread evaluates.
+#[derive(Debug, Default)]
+struct DualScratch {
+    mus: Vec<f64>,
+    lambdas: Vec<f64>,
+    prev: Vec<f64>,
+    lambda_sum: Vec<f64>,
+    lats: Vec<f64>,
+    usage: Vec<f64>,
+}
+
+thread_local! {
+    static DUAL_SCRATCH: RefCell<DualScratch> = RefCell::default();
+}
+
+/// What `D(μ, λ)` is evaluated on: the plans a driver lowered for a
+/// problem, at one epoch (see [the memoised plan](self#the-memoised-plan)).
+/// The parts are the driver's own `Arc`s; together they lower every task
+/// of the problem once.
+#[derive(Debug)]
+pub(crate) struct PlanMemo {
+    /// The [`Problem::epoch`] the memo describes (a part its driver did
+    /// not re-lower may carry an older one).
+    epoch: u64,
+    parts: Vec<Arc<Plan>>,
+    /// Every task once, in global order.
+    runs: Vec<Run>,
+    num_tasks: usize,
+    /// Part `k`'s subtasks and paths start at `sub_base[k]` and
+    /// `path_base[k]` of the evaluation's flat buffers (one entry more
+    /// than there are parts).
+    sub_base: Vec<usize>,
+    path_base: Vec<usize>,
+}
+
+impl PlanMemo {
+    /// The memo of one plan of the whole of `problem`, lowered at its
+    /// current epoch.
+    pub(crate) fn whole(problem: &Problem, plan: Arc<Plan>) -> Self {
+        debug_assert_eq!(plan.epoch(), problem.epoch(), "a whole plan must be current");
+        let run = Run { part: 0, tasks: 0..plan.num_tasks(), global: 0 };
+        Self::new(problem, vec![plan], vec![run])
+    }
+
+    /// The memo of shard plans of `problem` at its current epoch: each
+    /// part lowers the global tasks listed with it, in plan-local order.
+    pub(crate) fn sharded<'a>(
+        problem: &Problem,
+        parts: impl IntoIterator<Item = (&'a Arc<Plan>, &'a [usize])>,
+    ) -> Self {
+        let mut locate = vec![(usize::MAX, 0); problem.tasks().len()];
+        let mut plans = Vec::new();
+        for (k, (plan, tasks)) in parts.into_iter().enumerate() {
+            debug_assert_eq!(plan.num_tasks(), tasks.len(), "shard plan and task list disagree");
+            for (local, &t) in tasks.iter().enumerate() {
+                locate[t] = (k, local);
+            }
+            plans.push(Arc::clone(plan));
+        }
+        let mut runs: Vec<Run> = Vec::new();
+        for (global, &(part, local)) in locate.iter().enumerate() {
+            assert_ne!(part, usize::MAX, "the parts must cover task {global}");
+            match runs.last_mut() {
+                Some(run) if run.part == part && run.tasks.end == local => run.tasks.end += 1,
+                _ => runs.push(Run { part, tasks: local..local + 1, global }),
+            }
+        }
+        Self::new(problem, plans, runs)
+    }
+
+    fn new(problem: &Problem, parts: Vec<Arc<Plan>>, runs: Vec<Run>) -> Self {
+        assert!(!parts.is_empty(), "a memo has at least one part");
+        let (mut sub_base, mut path_base) = (vec![0], vec![0]);
+        for plan in &parts {
+            sub_base.push(sub_base[sub_base.len() - 1] + plan.num_subtasks());
+            path_base.push(path_base[path_base.len() - 1] + plan.num_paths());
+        }
+        PlanMemo {
+            epoch: problem.epoch(),
+            parts,
+            runs,
+            num_tasks: problem.tasks().len(),
+            sub_base,
+            path_base,
+        }
+    }
+
+    /// The problem epoch the memo describes.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The allocation settings every part was lowered with.
+    pub(crate) fn settings(&self) -> &AllocationSettings {
+        self.parts[0].settings()
+    }
+
+    /// Number of tasks the parts lower.
+    pub(crate) fn num_tasks(&self) -> usize {
+        self.num_tasks
+    }
+
+    /// `D(μ, λ)` (Eq. 6) of `problem`, bit-identical to the naive
+    /// [`dual_value`](crate::lagrangian::dual_value) walk: every part
+    /// allocates its tasks from the initial allocation at the global
+    /// resource prices `mu(r)` and its tasks' λ rows from `lambdas`; then
+    /// [`lagrangian_in`] reduces the Lagrangian in global order with `B_r`
+    /// read from `problem` (a part lowered before an availability edit it
+    /// was not re-lowered for holds the old one).
+    ///
+    /// Returns `(D, concave tasks whose fixed point hit its cap)`, or
+    /// `None` when `lambdas` does not have one row per task with the
+    /// task's path count. With `maximizer`, also writes the maximising
+    /// latencies in global (task, subtask) order and their row offsets
+    /// there. Allocates nothing once the thread's working buffers have
+    /// grown to the problem, and nothing more with `maximizer`'s vectors
+    /// large enough.
+    pub(crate) fn dual(
+        &self,
+        problem: &Problem,
+        mu: impl Fn(usize) -> f64,
+        lambdas: PathPrices<'_>,
+        maximizer: Option<(&mut Vec<f64>, &mut Vec<usize>)>,
+    ) -> Option<(f64, usize)> {
+        debug_assert_eq!(problem.epoch(), self.epoch, "the memo must describe the problem");
+        if let PathPrices::Global(prices) = lambdas {
+            if prices.row_offsets().len() != self.num_tasks + 1 {
+                return None;
+            }
+        }
+        DUAL_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut scratch) => self.dual_in(&mut scratch, problem, mu, lambdas, maximizer),
+            Err(_) => self.dual_in(&mut DualScratch::default(), problem, mu, lambdas, maximizer),
+        })
+    }
+
+    /// [`dual`](Self::dual) in the given working buffers.
+    fn dual_in(
+        &self,
+        scratch: &mut DualScratch,
+        problem: &Problem,
+        mu: impl Fn(usize) -> f64,
+        lambdas: PathPrices<'_>,
+        maximizer: Option<(&mut Vec<f64>, &mut Vec<usize>)>,
+    ) -> Option<(f64, usize)> {
+        let DualScratch { mus, lambdas: gathered, prev, lambda_sum, lats, usage } = scratch;
+        let resources = problem.resources();
+        let k_end = self.parts.len();
+        let (ns, np) = (self.sub_base[k_end], self.path_base[k_end]);
+        mus.clear();
+        mus.extend((0..resources.len()).map(mu));
+        gathered.resize(np, 0.0);
+        for run in &self.runs {
+            let plan = &self.parts[run.part];
+            let (prices, rows) = match lambdas {
+                PathPrices::Global(prices) => (prices, run.global..run.global + run.tasks.len()),
+                PathPrices::PerPart(prices) => (prices(run.part), run.tasks.clone()),
+            };
+            let src = prices.row_offsets().get(rows.start..=rows.end)?;
+            let dst = &plan.task_path_off[run.tasks.start..=run.tasks.end];
+            if src.iter().zip(dst).any(|(s, d)| s - src[0] != d - dst[0]) {
+                return None;
+            }
+            let base = self.path_base[run.part];
+            gathered[base + dst[0]..base + dst[dst.len() - 1]]
+                .copy_from_slice(&prices.flat_lambdas()[src[0]..src[src.len() - 1]]);
+        }
+        // Only a concave task reads its warm start.
+        let concave = self.parts.iter().any(|plan| !plan.concave.is_empty());
+        prev.resize(if concave { ns } else { 0 }, 0.0);
+        lambda_sum.resize(ns, 0.0);
+        lats.resize(ns, 0.0);
+        usage.resize(resources.len(), 0.0);
+
+        let mut capped = 0;
+        for (k, plan) in self.parts.iter().enumerate() {
+            let (subs, paths) = (self.subs(k), self.paths(k));
+            let prev = match prev.get_mut(subs.clone()) {
+                Some(prev) => {
+                    plan.initial_concave_into(prev);
+                    &*prev
+                }
+                None => &[],
+            };
+            capped += plan.allocate_tasks(
+                0..plan.num_tasks(),
+                mus,
+                &gathered[paths],
+                prev,
+                &mut lambda_sum[subs.clone()],
+                &mut lats[subs],
+            );
+        }
+        let (lats, gathered) = (&lats[..], &gathered[..]);
+        let part = |k: usize| (&*self.parts[k], &lats[self.subs(k)], &gathered[self.paths(k)]);
+        let availability = |r: usize| resources[r].availability();
+        let value = lagrangian_in(&self.runs, part, mus, availability, usage);
+
+        if let Some((flat, offsets)) = maximizer {
+            flat.clear();
+            flat.reserve(lats.len());
+            offsets.clear();
+            offsets.reserve(self.num_tasks + 1);
+            offsets.push(0);
+            for run in &self.runs {
+                let (plan, lats, _) = part(run.part);
+                let (base, start) = (flat.len(), plan.task_sub_off[run.tasks.start]);
+                flat.extend_from_slice(&lats[start..plan.task_sub_off[run.tasks.end]]);
+                let ends = &plan.task_sub_off[run.tasks.start + 1..=run.tasks.end];
+                offsets.extend(ends.iter().map(|&end| base + end - start));
+            }
+        }
+        Some((value, capped))
+    }
+
+    /// Part `k`'s window of the evaluation's per-subtask buffers.
+    fn subs(&self, k: usize) -> std::ops::Range<usize> {
+        self.sub_base[k]..self.sub_base[k + 1]
+    }
+
+    /// Part `k`'s window of the evaluation's per-path buffer.
+    fn paths(&self, k: usize) -> std::ops::Range<usize> {
+        self.path_base[k]..self.path_base[k + 1]
     }
 }
 
@@ -1173,7 +1467,9 @@ impl TaskPlan {
         };
         match self.utility {
             UtilityFn::Linear { .. } => solve(self.utility.derivative(0.0), out),
-            _ => fixed_point(&self.utility, &self.weight, previous, out, solve),
+            _ => {
+                fixed_point(&self.utility, &self.weight, previous, out, solve);
+            }
         }
     }
 }
@@ -1281,6 +1577,46 @@ mod tests {
         let naive_kkt = kkt_report(&p, &lats, &prices, &settings, 1e-9);
         let plan_kkt = plan.kkt_report(&flat, &prices, 1e-9, &mut scratch);
         assert_eq!(naive_kkt, plan_kkt);
+    }
+
+    /// One memo over parts that lower the tasks out of order, one of them
+    /// before an availability edit on a resource only the other touches:
+    /// `D` and its maximiser equal the naive walk's bit for bit.
+    #[test]
+    fn memo_dual_is_bit_identical_to_naive_on_any_partition() {
+        let mut p = diamond_problem();
+        let settings = AllocationSettings::default();
+        let chain = Arc::new(Plan::lower_subset(&p, &settings, &[1]));
+        // Only the diamond task runs on resource 0.
+        p.set_resource_availability(ResourceId::new(0), 0.7).unwrap();
+        let diamond = Arc::new(Plan::lower_subset(&p, &settings, &[0]));
+        let parts = [(&chain, &[1usize][..]), (&diamond, &[0][..])];
+        let memo = PlanMemo::sharded(&p, parts);
+        let prices = priced(&p);
+        let (mut flat, mut offsets) = (Vec::new(), Vec::new());
+        let maximizer = Some((&mut flat, &mut offsets));
+        let global = PathPrices::Global(&prices);
+        let (value, capped) = memo.dual(&p, |r| prices.mu(r), global, maximizer).unwrap();
+
+        let naive = allocate_latencies(&p, &prices, &settings, &p.initial_allocation());
+        let want = lagrangian_value(&p, &naive, &prices);
+        assert_eq!(value.to_bits(), want.to_bits(), "{value} vs {want}");
+        assert_eq!(flat, naive.concat());
+        assert_eq!(offsets, [0, 4, 6]);
+        assert_eq!(capped, 0, "the quadratic task's fixed point converges");
+        // Rows of the wrong shape are refused rather than misread.
+        let other = PriceState::new(&p, StepSizePolicy::adaptive(1.0));
+        let mut chains = diamond_problem();
+        chains.remove_task(TaskId::new(0)).unwrap();
+        let mut b = TaskBuilder::new("second chain");
+        let x = b.subtask("x", ResourceId::new(1), 2.0);
+        let y = b.subtask("y", ResourceId::new(2), 2.0);
+        b.edge(x, y).unwrap();
+        chains.add_task(b.critical_time(40.0)).unwrap();
+        // Two one-path rows where the memo expects a two-path row first.
+        let misfit = PriceState::new(&chains, StepSizePolicy::adaptive(1.0));
+        assert!(memo.dual(&p, |r| other.mu(r), PathPrices::Global(&other), None).is_some());
+        assert!(memo.dual(&p, |r| misfit.mu(r), PathPrices::Global(&misfit), None).is_none());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::error::ModelError;
 use crate::ids::{ResourceId, SubtaskId, TaskId};
-use crate::plan::Plan;
+use crate::plan::PlanMemo;
 use crate::resource::Resource;
 use crate::share::ShareModel;
 use crate::task::{Task, TaskBuilder};
@@ -69,12 +69,15 @@ pub struct Problem {
     /// Excluded from equality — two problems that describe the same
     /// system compare equal regardless of their edit histories.
     epoch: u64,
-    /// The compiled plan of this problem at this epoch, installed by the
-    /// [`Optimizer`](crate::Optimizer) that owns the problem so
-    /// [`dual_value`](crate::dual_value) can evaluate on it. Cleared by
-    /// every epoch bump, shared by clones, excluded from equality, and
-    /// never filled by `dual_value` itself (see [`crate::plan`]).
-    plan: Option<Arc<Plan>>,
+    /// The compiled plans of this problem at this epoch — the
+    /// [`Optimizer`](crate::Optimizer)'s full plan or the
+    /// [`ShardedOptimizer`](crate::ShardedOptimizer)'s shard plans, shared
+    /// with the driver that owns the problem — so
+    /// [`dual_value`](crate::dual_value) and both drivers' `certify` can
+    /// evaluate on them. Cleared by every epoch bump, shared by clones,
+    /// excluded from equality, and never filled by `dual_value` itself
+    /// (see [`crate::plan`]).
+    memo: Option<Arc<PlanMemo>>,
 }
 
 impl std::fmt::Debug for Problem {
@@ -139,26 +142,27 @@ impl Problem {
             share_models.push(models);
         }
 
-        Ok(Problem { resources, tasks, subtasks_on, share_models, epoch: 0, plan: None })
+        Ok(Problem { resources, tasks, subtasks_on, share_models, epoch: 0, memo: None })
     }
 
-    /// Moves the mutation epoch forward and drops the memoised plan,
+    /// Moves the mutation epoch forward and drops the memoised plans,
     /// which described the problem before the edit.
     fn bump_epoch(&mut self) {
         self.epoch += 1;
-        self.plan = None;
+        self.memo = None;
     }
 
-    /// Memoises `plan`, lowered from this problem at its current epoch.
-    pub(crate) fn install_plan(&mut self, plan: Arc<Plan>) {
-        debug_assert_eq!(plan.epoch(), self.epoch, "memoised plan must match the epoch");
-        self.plan = Some(plan);
+    /// Memoises `memo`, which describes this problem at its current epoch.
+    pub(crate) fn install_memo(&mut self, memo: PlanMemo) {
+        debug_assert_eq!(memo.epoch(), self.epoch, "memoised plans must match the epoch");
+        debug_assert_eq!(memo.num_tasks(), self.tasks.len(), "memoised plans must cover the tasks");
+        self.memo = Some(Arc::new(memo));
     }
 
-    /// The memoised plan, if the owning optimizer installed one since the
+    /// The memoised plans, if the owning driver installed them since the
     /// last edit.
-    pub(crate) fn plan(&self) -> Option<&Plan> {
-        self.plan.as_deref()
+    pub(crate) fn memo(&self) -> Option<&PlanMemo> {
+        self.memo.as_deref()
     }
 
     /// The mutation epoch: a counter bumped by every mutating method so

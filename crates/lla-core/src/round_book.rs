@@ -31,6 +31,12 @@ pub struct Certificate {
     pub gap: f64,
     /// `max(max_r (usage_r − B_r), max_p (path_latency/C − 1))`.
     pub viol: f64,
+    /// Concave tasks whose damped fixed point stopped at its iteration
+    /// cap while `dual` was evaluated (see
+    /// [`DualReport::capped_fixed_points`](crate::DualReport::capped_fixed_points));
+    /// `dual` is exact only when this is 0. [`holds`](Self::holds) does not
+    /// read it.
+    pub capped_fixed_points: usize,
 }
 
 impl Certificate {
@@ -47,8 +53,9 @@ pub(crate) trait Driver {
     fn round(&mut self) -> IterationReport;
     /// The current allocation's worst violation by a full walk.
     fn violation_walk(&self) -> f64;
-    /// `D(μ, λ)` on the driver's own plans, in a `certify` scope.
-    fn dual(&self) -> f64;
+    /// `D(μ, λ)` on the driver's own plans, in a `certify` scope, and
+    /// the concave tasks whose fixed point hit its cap.
+    fn dual(&self) -> (f64, usize);
 }
 
 /// One driver's last utility and violations and shared metric handles.
@@ -176,8 +183,8 @@ pub(crate) fn feasible<D: Driver>(d: &D) -> bool {
 
 /// The certificate of the current allocation.
 pub(crate) fn certify<D: Driver>(d: &D) -> Certificate {
-    let (utility, dual) = (d.book().utility, d.dual());
-    Certificate { utility, dual, gap: dual - utility, viol: violation(d) }
+    let (utility, (dual, capped_fixed_points)) = (d.book().utility, d.dual());
+    Certificate { utility, dual, gap: dual - utility, viol: violation(d), capped_fixed_points }
 }
 
 /// Whether the current allocation is certified (`D` only if feasible).

@@ -71,12 +71,13 @@ use crate::lagrangian::{kkt_report, KktReport};
 use crate::optimizer::{
     Allocation, IterationReport, OptimizerConfig, OptimizerState, RunOutcome, StateImportError,
 };
-use crate::plan::{Plan, PlanScratch};
+use crate::plan::{PathPrices, Plan, PlanMemo, PlanScratch};
 use crate::prices::PriceState;
 use crate::problem::{MembershipReport, Problem};
 use crate::round_book::{self, Certificate, Driver, RoundBook};
 use crate::task::{Task, TaskBuilder};
 use lla_telemetry::{Counter, Gauge, MetricsRegistry, Profiler};
+use std::sync::Arc;
 
 /// Which authority applies the μ price step for a resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +136,8 @@ impl ShardSpec {
 struct Shard {
     /// Global task indices in plan-local order.
     tasks: Vec<usize>,
-    plan: Plan,
+    /// Shared with the problem's memo.
+    plan: Arc<Plan>,
     scratch: PlanScratch,
     /// λ rows for `tasks` (plan-local order); μ entries for *all* global
     /// resources. Authoritative for owned resources, a mirror refreshed
@@ -235,6 +237,7 @@ pub struct ShardedOptimizer {
 
 impl ShardedOptimizer {
     /// Partitions `problem` by `spec`, lowers one subset plan per shard,
+    /// memoises the shard plans in the problem (see [`certify`](Self::certify)),
     /// and classifies every resource's price authority.
     ///
     /// # Errors
@@ -314,7 +317,7 @@ impl ShardedOptimizer {
             .iter()
             .enumerate()
             .map(|(k, group)| {
-                let plan = Plan::lower_subset(&problem, &config.allocation, group);
+                let plan = Arc::new(Plan::lower_subset(&problem, &config.allocation, group));
                 let scratch = plan.scratch();
                 let prices = PriceState::for_shard(&problem, group, config.step_policy);
                 let lats: Vec<f64> = group.iter().flat_map(|&t| init[t].iter().copied()).collect();
@@ -337,7 +340,7 @@ impl ShardedOptimizer {
             .collect();
         let coordinator = PriceState::for_shard(&problem, &[], config.step_policy);
         let availability = problem.resources().iter().map(|r| r.availability()).collect();
-        Ok(ShardedOptimizer {
+        let mut opt = ShardedOptimizer {
             problem,
             config,
             shards,
@@ -349,7 +352,9 @@ impl ShardedOptimizer {
             book,
             series: None,
             profiler: Profiler::disabled(),
-        })
+        };
+        opt.install_memo();
+        Ok(opt)
     }
 
     /// The problem being optimized.
@@ -596,9 +601,11 @@ impl ShardedOptimizer {
         }
     }
 
-    /// The certificate of [`Optimizer::certify`](crate::Optimizer::certify):
-    /// `D(μ, λ)` is the shard plans' partial duals without `μ·B`, in shard
-    /// order, plus `Σ_r μ_r·B_r` once from the authoritative prices.
+    /// The certificate of [`Optimizer::certify`](crate::Optimizer::certify),
+    /// with `D(μ, λ)` evaluated on the shard plans memoised in the problem
+    /// at the authoritative μ and the shards' λ rows: the evaluation
+    /// [`dual_value`](crate::dual_value) runs, so `D` equals `dual_value`
+    /// at the [`export_state`](Self::export_state) prices bit for bit.
     pub fn certify(&self) -> Certificate {
         round_book::certify(self)
     }
@@ -668,6 +675,7 @@ impl ShardedOptimizer {
             self.reclassify(r);
         }
         self.relower_shard(k);
+        self.install_memo();
         let newcomer = self.problem.initial_task_allocation(id);
         self.shards[k].lats.extend_from_slice(&newcomer);
         debug_assert_eq!(self.shards[k].lats.len(), self.shards[k].plan.num_subtasks());
@@ -725,6 +733,7 @@ impl ShardedOptimizer {
             }
         }
         self.relower_shard(k);
+        self.install_memo();
         debug_assert_eq!(self.shards[k].lats.len(), self.shards[k].plan.num_subtasks());
         self.book.restart(self.utility());
         Ok(report)
@@ -752,6 +761,7 @@ impl ShardedOptimizer {
                 self.relower_shard(k);
             }
         }
+        self.install_memo();
         self.book.invalidate();
         Ok(())
     }
@@ -841,8 +851,16 @@ impl ShardedOptimizer {
         let sh = &mut self.shards[k];
         let plan = Plan::lower_subset(&self.problem, &self.config.allocation, &sh.tasks);
         sh.scratch.resize_for(&plan);
-        sh.plan = plan;
+        sh.plan = Arc::new(plan);
         self.book.count_lowering();
+    }
+
+    /// Memoises the shard plans in the problem at its current epoch,
+    /// after `new` and after every edit (which clears the memo).
+    fn install_memo(&mut self) {
+        let parts = self.shards.iter().map(|sh| (&sh.plan, &sh.tasks[..]));
+        let memo = PlanMemo::sharded(&self.problem, parts);
+        self.problem.install_memo(memo);
     }
 
     /// Recomputes resource `r`'s price authority from the current touch
@@ -934,11 +952,13 @@ impl Driver for ShardedOptimizer {
         self.problem.max_resource_violation(&lats).max(self.problem.max_path_violation(&lats))
     }
 
-    fn dual(&self) -> f64 {
+    fn dual(&self) -> (f64, usize) {
         let _prof = self.profiler.scope("certify");
-        let partial: f64 = self.shards.iter().map(|sh| sh.plan.dual(&sh.prices, false).0).sum();
-        let priced = self.availability.iter().enumerate().map(|(r, b)| self.authority(r).mu(r) * b);
-        partial + priced.sum::<f64>()
+        let memo = self.problem.memo().expect("every edit re-installs the shard plans");
+        let shard_prices = |k: usize| &self.shards[k].prices;
+        let mu = |r| self.authority(r).mu(r);
+        memo.dual(&self.problem, mu, PathPrices::PerPart(&shard_prices), None)
+            .expect("shard λ rows fit their plans")
     }
 }
 
@@ -1103,6 +1123,40 @@ mod tests {
         let kkt = sharded.kkt();
         assert!(kkt.max_resource_violation <= 1e-6, "{kkt:?}");
         assert!(kkt.max_path_violation <= 1e-6, "{kkt:?}");
+    }
+
+    /// The certificate's `D` is the naive walk's, bit for bit, on
+    /// interleaved shards, after a join leaves shard 0 non-contiguous and
+    /// after an availability edit re-lowers only the shard touching it.
+    #[test]
+    fn certify_dual_is_the_naive_walk_on_interleaved_shards() {
+        use crate::allocation::allocate_latencies;
+        use crate::lagrangian::lagrangian_value;
+        let p = clustered_problem();
+        let spec = ShardSpec::from_groups(vec![vec![0, 2, 3], vec![1]]);
+        let mut opt = ShardedOptimizer::new(p, config(), spec).unwrap();
+        let assert_naive = |opt: &ShardedOptimizer, what: &str| {
+            let state = opt.export_state();
+            let (problem, prices) = (opt.problem(), state.prices());
+            let start = problem.initial_allocation();
+            let naive = allocate_latencies(problem, prices, &config().allocation, &start);
+            let want = lagrangian_value(problem, &naive, prices);
+            assert_eq!(opt.certify().dual.to_bits(), want.to_bits(), "{what}");
+        };
+        opt.run(30);
+        assert_naive(&opt, "interleaved");
+        let mut b = TaskBuilder::new("late");
+        b.subtask("s", ResourceId::new(4), 1.0);
+        b.critical_time(60.0).utility(UtilityFn::linear_for_deadline(1.0, 60.0));
+        opt.add_task(&b, Some(0)).unwrap();
+        opt.run(30);
+        assert_naive(&opt, "after a join into shard 0");
+        // Only shard 0's tasks 2 and 3 run on CPU 2.
+        assert_eq!(opt.resource_owner(2), ResourceOwner::Shard(0));
+        opt.set_resource_availability(ResourceId::new(2), 0.8).unwrap();
+        assert_naive(&opt, "after an availability edit");
+        opt.run(30);
+        assert_naive(&opt, "after the edit and 30 rounds");
     }
 
     #[test]

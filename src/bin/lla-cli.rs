@@ -228,6 +228,11 @@ fn cmd_optimize(opts: &Options) -> Result<(), String> {
         "converged: {} after {} iterations, utility {:.3}, feasible {}",
         outcome.converged, outcome.iterations, outcome.final_utility, outcome.feasible
     );
+    let cert = opt.certify();
+    println!(
+        "certificate: dual {:.3}, gap {:.3e}, violation {:.3e}, capped fixed points {}",
+        cert.dual, cert.gap, cert.viol, cert.capped_fixed_points
+    );
     let alloc = opt.allocation();
     for task in opt.problem().tasks() {
         println!(

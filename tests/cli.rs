@@ -26,6 +26,7 @@ fn optimize_converges_and_reports() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("converged: true"), "did not converge: {stdout}");
     assert!(stdout.contains("feasible true"));
+    assert!(stdout.contains("capped fixed points"), "no certificate line: {stdout}");
     assert!(stdout.contains("strategy"));
 }
 

@@ -1,13 +1,14 @@
 //! Heap-allocation budgets of the hot paths, counted by this binary's
 //! global allocator: an `Optimizer::step` without a trace allocates
-//! nothing, `dual_value` on an optimizer's problem (which carries the
-//! optimizer's memoised plan) allocates two flat buffers and the nested
-//! maximiser, not a nested walk's per-task temporaries, `certify`
-//! allocates the same few flat buffers at any size, and a
-//! `DistributedLla` round in wire mode moves every message without
-//! touching the heap.
+//! nothing; `D(μ, λ)` on a driver's memoised plans grows the thread's
+//! working buffers to the problem and then allocates nothing for
+//! `certify` and only the flat maximiser and its row offsets for
+//! `dual_value`, the same at any problem size, for an `Optimizer` and a
+//! `ShardedOptimizer` alike; and a `DistributedLla` round in wire mode
+//! moves every message without touching the heap. Each test runs on a
+//! thread of its own, so its first evaluation starts from empty buffers.
 
-use lla::core::{dual_value, Optimizer, OptimizerConfig};
+use lla::core::{dual_value, Optimizer, OptimizerConfig, ShardSpec, ShardedOptimizer};
 use lla::dist::{DistConfig, DistributedLla};
 use lla::workloads::large_scale_workload;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -74,11 +75,15 @@ fn step_allocates_nothing_and_dual_value_stays_flat() {
     });
     assert_eq!(n, 0, "50 steps made {n} heap allocations");
 
-    // An all-linear plan's dual needs no warm start: the flat latencies,
-    // the λ-sums (reused for the usage sum), the maximiser and its rows.
+    // The first evaluation grows the thread's working buffers (five, or six
+    // with a concave task's warm start); the report adds the flat
+    // maximiser and its row offsets.
+    let (first, n) = allocations(|| dual_value(opt.problem(), opt.prices(), &config.allocation));
+    assert!(n <= 8, "the first dual_value made {n} allocations at {tasks} tasks");
     let (dual, n) = allocations(|| dual_value(opt.problem(), opt.prices(), &config.allocation));
-    assert!(n <= tasks + 3, "dual_value made {n} allocations at {tasks} tasks");
-    assert_eq!(dual.maximizer.len(), tasks);
+    assert_eq!(n, 2, "dual_value made {n} allocations at {tasks} tasks with its buffers grown");
+    assert_eq!(dual, first);
+    assert_eq!(dual.maximizer().len(), tasks);
 }
 
 #[test]
@@ -90,8 +95,8 @@ fn certify_allocates_a_constant_number_of_buffers() {
             let config = OptimizerConfig { record_trace: false, ..OptimizerConfig::default() };
             let mut opt = Optimizer::new(problem, config);
             opt.run(5);
-            // The value-only dual: the flat maximiser and the λ-sums,
-            // reused for the usage sum; no nested rows.
+            // The first value-only dual grows the working buffers, and the
+            // larger problem grows every one of them again.
             let (cert, n) = allocations(|| opt.certify());
             assert!(cert.dual.is_finite());
             let ((), steps) = allocations(|| {
@@ -100,12 +105,42 @@ fn certify_allocates_a_constant_number_of_buffers() {
                     opt.certify();
                 }
             });
-            assert_eq!(steps, 20 * n, "steps between certificates must allocate nothing");
+            assert_eq!(steps, 0, "steps and certificates must allocate nothing");
             n
         })
         .collect();
     assert_eq!(counts[0], counts[1], "certify allocations grew with the task count");
-    assert!(counts[0] <= 3, "certify made {} allocations", counts[0]);
+    assert!(counts[0] <= 6, "certify made {} allocations", counts[0]);
+}
+
+/// A two-shard driver's problem carries its shard plans, so `dual_value`
+/// at its exported prices makes the same allocations at 200 and at 2000
+/// tasks (the first call at each size grows the working buffers), and
+/// `certify` none once they have grown.
+#[test]
+fn sharded_dual_value_allocates_the_same_at_any_size() {
+    let counts: Vec<(usize, usize)> = [200, 2000]
+        .into_iter()
+        .map(|tasks| {
+            let problem = large_scale_workload(tasks, 3).expect("valid config");
+            let config = OptimizerConfig { record_trace: false, ..OptimizerConfig::default() };
+            let spec = ShardSpec::contiguous(tasks, 2);
+            let mut opt = ShardedOptimizer::new(problem, config, spec).expect("partition");
+            opt.run(5);
+            let state = opt.export_state();
+            let dual = || dual_value(opt.problem(), state.prices(), &config.allocation);
+            let (first, grown) = allocations(dual);
+            let (again, n) = allocations(dual);
+            assert_eq!(again, first);
+            assert_eq!(again.maximizer().len(), tasks);
+            let (cert, certify) = allocations(|| opt.certify());
+            assert_eq!(cert.dual.to_bits(), again.value.to_bits());
+            assert_eq!(certify, 0, "certify allocated {certify} times at {tasks} tasks");
+            (grown, n)
+        })
+        .collect();
+    assert_eq!(counts[0], counts[1], "dual_value allocations grew with the task count");
+    assert!(counts[0].0 <= 8 && counts[0].1 == 2, "dual_value allocations: {:?}", counts[0]);
 }
 
 #[test]

@@ -6,12 +6,14 @@
 //! one across long seeded runs, including a membership epoch mid-run. The
 //! dual value an optimizer's memoised plan computes must be bit-identical
 //! to the naive evaluation across every `Problem` mutator, and so must the
-//! dual of the optimizer's certificate.
+//! dual of the optimizer's certificate; the same holds for the shard plans
+//! a `ShardedOptimizer` memoises, on contiguous and interleaved partitions
+//! and across the sharded driver's edits.
 
 use lla_core::{
     allocate_latencies, dual_value, kkt_report, lagrangian_value, AllocationSettings, Optimizer,
-    OptimizerConfig, Plan, PriceState, Problem, Resource, ResourceId, ResourceKind, StepSizePolicy,
-    SubtaskId, TaskBuilder, TaskId, UtilityFn,
+    OptimizerConfig, Plan, PriceState, Problem, Resource, ResourceId, ResourceKind, ResourceOwner,
+    ShardSpec, ShardedOptimizer, StepSizePolicy, SubtaskId, TaskBuilder, TaskId, UtilityFn,
 };
 use lla_workloads::{large_scale_workload, RandomWorkloadConfig, TaskShape};
 
@@ -211,7 +213,7 @@ fn assert_dual_is_naive(problem: &Problem, prices: &PriceState, what: &str) {
     let maximizer = allocate_latencies(problem, prices, &settings, &problem.initial_allocation());
     let value = lagrangian_value(problem, &maximizer, prices);
     assert_eq!(dual.value.to_bits(), value.to_bits(), "{what}: {} vs {value}", dual.value);
-    assert_eq!(dual.maximizer, maximizer, "{what}: maximiser differs");
+    assert_eq!(dual.maximizer(), maximizer, "{what}: maximiser differs");
 }
 
 /// A workload with a concave-utility task (so the allocation reads its
@@ -325,6 +327,125 @@ fn certify_dual_is_dual_value_bit_for_bit() {
         assert_same(&opt, &format!("right after {name}"));
         opt.step();
         assert_same(&opt, &format!("step after {name}"));
+    }
+}
+
+/// [`memo_problem`] plus a task alone on a resource of its own, so every
+/// partition has a resource exactly one shard touches. Its two stages
+/// share that resource, which keeps it priced (`μ_solo > 0`), so `D`
+/// reads its `B_r`.
+fn sharded_memo_problem() -> (Problem, ResourceId) {
+    let mut problem = memo_problem();
+    let solo = ResourceId::new(problem.resources().len());
+    problem.add_resource(Resource::new(solo, ResourceKind::Cpu).with_lag(1.0)).expect("dense id");
+    let mut b = TaskBuilder::new("solo");
+    let first = b.subtask("first", solo, 2.0);
+    let second = b.subtask("second", solo, 2.0);
+    b.edge(first, second).expect("valid edge");
+    b.critical_time(40.0);
+    problem.add_task(&b).expect("admission");
+    (problem, solo)
+}
+
+/// Contiguous 2- and 4-shard specs and an interleaved one.
+fn shard_specs(tasks: usize) -> [(&'static str, ShardSpec); 3] {
+    let interleaved = (0..3).map(|k| (k..tasks).step_by(3).collect()).collect();
+    [
+        ("2 contiguous shards", ShardSpec::contiguous(tasks, 2)),
+        ("4 contiguous shards", ShardSpec::contiguous(tasks, 4)),
+        ("3 interleaved shards", ShardSpec::from_groups(interleaved)),
+    ]
+}
+
+type ShardMutator = fn(&mut ShardedOptimizer, ResourceId);
+
+/// The sharded driver's edits: a join into shard 0 (which leaves a
+/// contiguous shard non-contiguous), a leave, an availability dip on a
+/// resource one shard touches (which re-lowers that shard only), and a
+/// checkpoint restore.
+fn shard_mutators() -> [(&'static str, ShardMutator); 4] {
+    [
+        ("add_task into shard 0", |o, _| {
+            let mut b = TaskBuilder::new("late");
+            b.subtask("s", ResourceId::new(3), 1.0);
+            b.critical_time(300.0);
+            o.add_task(&b, Some(0)).expect("admission");
+        }),
+        ("remove_task", |o, _| {
+            o.remove_task(TaskId::new(2)).expect("known task");
+        }),
+        ("availability dip", |o, solo| {
+            assert!(matches!(o.resource_owner(solo.index()), ResourceOwner::Shard(_)));
+            assert!(
+                o.export_state().prices().mu(solo.index()) > 0.0,
+                "the solo resource is priced"
+            );
+            o.set_resource_availability(solo, 0.6).expect("valid availability");
+        }),
+        ("try_import_state", |o, _| {
+            let mut ahead = o.clone();
+            ahead.run(7);
+            o.try_import_state(ahead.export_state(), None).expect("same shape");
+        }),
+    ]
+}
+
+/// The sharded twin of `memoised_plan_dual_matches_naive_across_every_mutator`:
+/// a `ShardedOptimizer`'s problem carries its shard plans, and
+/// `dual_value` at the driver's exported prices matches the naive walk
+/// before each edit, right after it (which re-installs the plans), after
+/// the next round, and on a clone of the problem taken before the edit.
+#[test]
+fn sharded_memo_dual_matches_naive_across_every_mutator() {
+    let (problem, solo) = sharded_memo_problem();
+    for (spec_name, spec) in shard_specs(problem.tasks().len()) {
+        for (name, mutate) in shard_mutators() {
+            let what = |when: &str| format!("{spec_name}, {when} {name}");
+            let mut opt = ShardedOptimizer::new(problem.clone(), memo_config(), spec.clone())
+                .expect("partition");
+            opt.run(40);
+            let prices = opt.export_state().prices().clone();
+            assert_dual_is_naive(opt.problem(), &prices, &what("before"));
+            let clone = opt.problem().clone();
+            mutate(&mut opt, solo);
+            let after = opt.export_state().prices().clone();
+            assert_dual_is_naive(opt.problem(), &after, &what("right after"));
+            assert_dual_is_naive(&clone, &prices, &what("clone taken before"));
+            opt.step();
+            let stepped = opt.export_state().prices().clone();
+            assert_dual_is_naive(opt.problem(), &stepped, &what("step after"));
+        }
+    }
+}
+
+/// The sharded twin of `certify_dual_is_dual_value_bit_for_bit`:
+/// `ShardedOptimizer::certify` evaluates `D(μ, λ)` on its shard plans at
+/// the authoritative μ and the shards' λ rows, which is `dual_value` at
+/// the exported prices, bit for bit, across the same edits.
+#[test]
+fn sharded_certify_dual_is_dual_value_bit_for_bit() {
+    let settings = memo_config().allocation;
+    let assert_same = |opt: &ShardedOptimizer, what: &str| {
+        let state = opt.export_state();
+        let (cert, want) = (opt.certify(), dual_value(opt.problem(), state.prices(), &settings));
+        assert_eq!(cert.dual.to_bits(), want.value.to_bits(), "{what}: {cert:?} vs {}", want.value);
+        assert_eq!(cert.capped_fixed_points, want.capped_fixed_points, "{what}");
+        assert_eq!(cert.gap, cert.dual - opt.utility(), "{what}");
+    };
+    let (problem, solo) = sharded_memo_problem();
+    for (spec_name, spec) in shard_specs(problem.tasks().len()) {
+        for (name, mutate) in shard_mutators() {
+            let what = |when: &str| format!("{spec_name}, {when} {name}");
+            let mut opt = ShardedOptimizer::new(problem.clone(), memo_config(), spec.clone())
+                .expect("partition");
+            assert_same(&opt, &what("before any round,"));
+            opt.run(40);
+            assert_same(&opt, &what("before"));
+            mutate(&mut opt, solo);
+            assert_same(&opt, &what("right after"));
+            opt.step();
+            assert_same(&opt, &what("step after"));
+        }
     }
 }
 

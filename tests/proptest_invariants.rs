@@ -135,13 +135,13 @@ fn allocation_maximizes_lagrangian() {
         for r in 0..problem.resources().len() {
             prices.set_mu(r, mu);
         }
-        let dual = dual_value(&problem, &prices, &settings);
-        let base = lagrangian_value(&problem, &dual.maximizer, &prices);
+        let maximizer = dual_value(&problem, &prices, &settings).maximizer();
+        let base = lagrangian_value(&problem, &maximizer, &prices);
         for (t, task) in problem.tasks().iter().enumerate() {
             let (lo, hi) = lla::core::clamping_box(&problem, task, &settings);
             for s in 0..task.len() {
                 for sign in [-1.0, 1.0] {
-                    let mut perturbed = dual.maximizer.clone();
+                    let mut perturbed = maximizer.clone();
                     let candidate = (perturbed[t][s] + sign * delta).clamp(lo[s], hi[s]);
                     if (candidate - perturbed[t][s]).abs() < 1e-12 {
                         continue; // already at the box boundary

@@ -140,10 +140,10 @@ fn rel(a: f64, b: f64) -> f64 {
     (a - b).abs() / a.abs().max(b.abs()).max(1.0)
 }
 
-/// `ShardedOptimizer::certify` assembles `D(μ, λ)` from per-shard partial
-/// duals plus `Σ_r μ_r·B_r` from the authoritative prices; at 1, 2 and 4
-/// shards it matches the monolithic certificate, and `dual_value` at the
-/// sharded driver's own exported prices, to 1e-9 relative.
+/// `ShardedOptimizer::certify` evaluates `D(μ, λ)` on the shard plans
+/// memoised in its problem; at 1, 2 and 4 shards it matches the monolithic
+/// certificate to 1e-9 relative, and `dual_value` at the sharded driver's
+/// own exported prices bit for bit.
 #[test]
 fn sharded_certificate_matches_monolithic() {
     let (clustered, _) = clustered_workload(80, 4, 7).expect("valid geometry");
@@ -164,7 +164,12 @@ fn sharded_certificate_matches_monolithic() {
                     let state = sharded.export_state();
                     let settings = config().allocation;
                     let own = dual_value(sharded.problem(), state.prices(), &settings).value;
-                    assert!(rel(own, s.dual) <= 1e-9, "{at}: dual_value {own} vs {}", s.dual);
+                    assert_eq!(
+                        own.to_bits(),
+                        s.dual.to_bits(),
+                        "{at}: dual_value {own} vs {}",
+                        s.dual
+                    );
                 }
                 mono.step();
                 sharded.step();
