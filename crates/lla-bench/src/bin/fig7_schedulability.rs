@@ -10,8 +10,10 @@
 //! bound `D(μ, λ)` falls below `U_floor`, the least utility of any
 //! allocation inside the clamping box.
 
-use lla_bench::run_fig7;
-use lla_core::{analyze_schedulability, SchedulabilityConfig, SchedulabilityVerdict};
+use lla_bench::{paper_optimizer_config, run_fig7};
+use lla_core::{
+    analyze_schedulability, SchedulabilityConfig, SchedulabilityVerdict, StepSizePolicy,
+};
 use lla_workloads::scaled_workload;
 
 fn main() {
@@ -48,9 +50,12 @@ fn main() {
     }
 
     // The paper's §5.4 verdict via the schedulability API, proved by weak
-    // duality.
-    let verdict =
-        analyze_schedulability(scaled_workload(2, false), &SchedulabilityConfig::default());
+    // duality on the paper's gradient method.
+    let probe = SchedulabilityConfig {
+        optimizer: paper_optimizer_config(StepSizePolicy::adaptive(1.0)),
+        ..SchedulabilityConfig::default()
+    };
+    let verdict = analyze_schedulability(scaled_workload(2, false), &probe);
     println!("\nschedulability verdict: {verdict:?}");
     let proof = match verdict {
         SchedulabilityVerdict::Unschedulable { iterations, dual, utility_floor } => {

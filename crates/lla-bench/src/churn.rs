@@ -22,8 +22,8 @@
 
 use crate::Series;
 use lla_core::{
-    select_victim, shed_ranking, AllocationSettings, Optimizer, OptimizerConfig, OverloadConfig,
-    OverloadMonitor, ResourceId, StepSizePolicy, TaskBuilder, UtilityFn,
+    select_victim, shed_ranking, Optimizer, OverloadConfig, OverloadMonitor, ResourceId,
+    StepSizePolicy, TaskBuilder, UtilityFn,
 };
 use lla_dist::{
     Address, DistConfig, DistTelemetry, DistributedLla, FaultPlan, NetworkModel, RobustnessConfig,
@@ -206,16 +206,10 @@ fn exp_gap(rng: &mut StdRng, mean_rounds: f64) -> usize {
 }
 
 /// Centralized oracle: the current (dense) problem solved to
-/// convergence with the same step policy the deployment uses.
+/// convergence by the paper's gradient method with the same step policy
+/// the deployment uses.
 fn oracle_utility(dist: &DistributedLla, policy: StepSizePolicy) -> f64 {
-    let mut opt = Optimizer::new(
-        dist.problem().clone(),
-        OptimizerConfig {
-            step_policy: policy,
-            allocation: AllocationSettings::default(),
-            ..OptimizerConfig::default()
-        },
-    );
+    let mut opt = Optimizer::new(dist.problem().clone(), crate::paper_optimizer_config(policy));
     opt.run_to_convergence(20_000);
     opt.utility()
 }

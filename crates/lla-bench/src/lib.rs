@@ -24,7 +24,8 @@ pub mod render;
 pub mod supervised;
 
 use lla_core::{
-    Aggregation, Allocation, AllocationSettings, Optimizer, OptimizerConfig, StepSizePolicy,
+    Aggregation, Allocation, AllocationSettings, Optimizer, OptimizerConfig, PriceMethod,
+    StepSizePolicy,
 };
 use lla_sim::{ClosedLoop, ClosedLoopConfig, SimConfig};
 use lla_telemetry::{HealthSnapshot, ProfileSnapshot, Profiler};
@@ -38,6 +39,7 @@ use std::time::Instant;
 /// path-weighted utility handled by the workload itself.
 pub fn paper_optimizer_config(policy: StepSizePolicy) -> OptimizerConfig {
     OptimizerConfig {
+        price_method: PriceMethod::Gradient,
         step_policy: policy,
         allocation: AllocationSettings::default(),
         ..OptimizerConfig::default()

@@ -17,9 +17,12 @@
 //!    stationarity condition for its subtask latencies given current
 //!    resource prices `μ_r` and path prices `λ_p`
 //!    ([`allocation`]), and
-//! 2. **price computation** — every resource and path adjusts its price by
-//!    projected gradient ascent on the dual ([`prices`]), optionally with
-//!    the paper's adaptive step-size heuristic.
+//! 2. **price computation** — every resource and path adjusts its price:
+//!    by default it sets the price that clears its own constraint at the
+//!    others' prices (a market-clearing sweep, [`PriceMethod::Clearing`]),
+//!    or it takes the paper's projected-gradient step on the dual
+//!    ([`prices`]) with the adaptive step-size heuristic
+//!    ([`PriceMethod::Gradient`]).
 //!
 //! The algorithm runs continuously and adapts to workload and resource
 //! variations; it converges when they stabilize.
@@ -101,7 +104,7 @@ pub use optimizer::{
 pub use overload::{governed_step, select_victim, shed_ranking, OverloadConfig, OverloadMonitor};
 pub use percentile::{compose_path_percentile, PercentileSpec};
 pub use plan::{Plan, PlanScratch, TaskPlan};
-pub use prices::{PriceState, StepSizePolicy};
+pub use prices::{PriceMethod, PriceState, StepSizePolicy};
 pub use problem::{MembershipReport, Problem};
 pub use resource::{Resource, ResourceKind};
 pub use round_book::Certificate;

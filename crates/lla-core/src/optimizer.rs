@@ -7,15 +7,26 @@
 //! resource and path adjusts its price at fixed latencies). The algorithm
 //! iterates indefinitely; allocations may be enacted periodically or when
 //! significant changes occur. [`Optimizer`] embodies this loop in a single
-//! address space; the `lla-dist` crate runs the same steps as
+//! address space; the `lla-dist` crate runs the paper's steps as
 //! message-passing actors.
+//!
+//! [`OptimizerConfig::price_method`] picks how a round prices. The
+//! default, [`PriceMethod::Clearing`], sweeps the prices first — every
+//! resource clears its usage against `B_r`, then every path its latency
+//! against `C_i` (see [`crate::plan`]) — and then allocates at the new
+//! prices and measures that allocation, so a round's utility `U` and its
+//! `D(μ, λ)` share one set of prices and
+//! `D − U = Σ_r μ_r(B_r − usage_r) + Σ_p λ_p(C_i − lat_p)`. Under
+//! [`PriceMethod::Gradient`] a round allocates first and then takes the
+//! paper's gradient step (Eqs. 8–9) under the configured
+//! [`StepSizePolicy`], which no other method reads.
 
 use crate::allocation::AllocationSettings;
 use crate::error::ModelError;
 use crate::ids::{ResourceId, TaskId};
 use crate::lagrangian::{kkt_report, KktReport};
 use crate::plan::{PathPrices, Plan, PlanMemo, PlanScratch};
-use crate::prices::{PriceState, StepSizePolicy};
+use crate::prices::{PriceMethod, PriceState, StepSizePolicy};
 use crate::problem::{MembershipReport, Problem};
 use crate::resource::Resource;
 use crate::round_book::{self, Certificate, Driver, RoundBook};
@@ -27,7 +38,7 @@ use lla_telemetry::{
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Configuration of the [`Optimizer`].
 ///
@@ -35,7 +46,13 @@ use std::time::Instant;
 /// [`certify`](Optimizer::certify).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OptimizerConfig {
-    /// Step-size policy for price updates (paper's best: adaptive, γ₀ = 1).
+    /// How a round moves the prices: a market-clearing sweep (the
+    /// default) or the paper's gradient steps. A serialized config
+    /// without the field reads as [`PriceMethod::Clearing`].
+    #[serde(default)]
+    pub price_method: PriceMethod,
+    /// Step-size policy for the gradient steps (paper's best: adaptive,
+    /// γ₀ = 1); read only under [`PriceMethod::Gradient`].
     pub step_policy: StepSizePolicy,
     /// Latency-allocation solver settings.
     pub allocation: AllocationSettings,
@@ -51,6 +68,7 @@ pub struct OptimizerConfig {
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
+            price_method: PriceMethod::default(),
             step_policy: StepSizePolicy::default(),
             allocation: AllocationSettings::default(),
             record_trace: true,
@@ -454,13 +472,18 @@ impl Optimizer {
         self.book.count_lowering();
     }
 
-    /// Executes one LLA iteration: latency allocation at current prices,
-    /// then price computation at the new latencies.
+    /// Executes one LLA iteration. Under [`PriceMethod::Gradient`]:
+    /// latency allocation at the current prices, then one price step
+    /// (Eqs. 8–9) at the new latencies. Under [`PriceMethod::Clearing`]:
+    /// one market-clearing sweep of the prices (see [`crate::plan`]),
+    /// then the allocation at the new prices and one pass that measures
+    /// it, so the round's utility and `D(μ, λ)` share their prices.
     ///
     /// Runs over the compiled [`Plan`] (lowered lazily, re-lowered when the
     /// problem's mutation epoch moves), so the hot loop touches only flat
-    /// arrays and reusable scratch — zero per-iteration heap allocation —
-    /// while remaining bit-identical to the naive nested evaluation.
+    /// arrays and reusable scratch — zero per-iteration heap allocation.
+    /// The gradient round is bit-identical to the naive nested
+    /// evaluation.
     pub fn step(&mut self) -> IterationReport {
         self.ensure_plan();
         let mut prof = self.profiler.phases("step");
@@ -469,19 +492,38 @@ impl Optimizer {
         let timed = self.phases.is_some();
         let mut ctx = self.plan.take().expect("ensure_plan always installs a plan");
         let PlanCtx { plan, scratch, warm } = &mut *ctx;
-        let t0 = timed.then(Instant::now);
-        prof.phase("allocate");
+        let clock = || timed.then(Instant::now);
+        let span = |from: Option<Instant>, to: Option<Instant>| {
+            from.zip(to).map_or(Duration::ZERO, |(from, to)| to - from)
+        };
+        let t0 = clock();
+        let clearing = self.config.price_method == PriceMethod::Clearing;
+        prof.phase(if clearing { "price" } else { "allocate" });
         if *warm {
             scratch.advance();
         } else {
             plan.flatten_into(&self.lats, scratch.prev_mut());
             *warm = true;
         }
-        plan.allocate_into(&self.prices, scratch);
-        let t1 = timed.then(Instant::now);
-        prof.phase("price");
-        let violations = plan.price_update(&mut self.prices, scratch);
-        let t2 = timed.then(Instant::now);
+        // `[allocate, price]` wall time: a clearing round prices, then
+        // allocates, then measures (price again).
+        let (violations, spans) = if clearing {
+            plan.sweep(&mut self.prices, scratch);
+            let t1 = clock();
+            prof.phase("allocate");
+            plan.allocate_into(&self.prices, scratch);
+            let t2 = clock();
+            prof.phase("price");
+            let violations = plan.measure(scratch, None);
+            (violations, [span(t1, t2), span(t0, t1) + span(t2, clock())])
+        } else {
+            plan.allocate_into(&self.prices, scratch);
+            let t1 = clock();
+            prof.phase("price");
+            let violations = plan.price_update(&mut self.prices, scratch);
+            (violations, [span(t0, t1), span(t1, clock())])
+        };
+        let t_diagnostics = clock();
 
         prof.phase("lagrangian");
         let utility = plan.total_utility(scratch.lats());
@@ -499,8 +541,8 @@ impl Optimizer {
         let (price_step, doublings) =
             (self.prices.last_max_rel_step(), self.prices.gamma_doublings());
         let report = self.book.close_round(utility, violations, price_step, doublings);
-        if let (Some(phases), Some(t0), Some(t1), Some(t2)) = (&self.phases, t0, t1, t2) {
-            let spans = [t1 - t0, t2 - t1, t2.elapsed()];
+        if let (Some(phases), Some(t_diagnostics)) = (&self.phases, t_diagnostics) {
+            let spans = spans.into_iter().chain([t_diagnostics.elapsed()]);
             for (histogram, span) in phases.iter().zip(spans) {
                 histogram.observe(span.as_secs_f64());
             }
@@ -845,13 +887,14 @@ mod tests {
     }
 
     /// A concave utility makes each allocation start from the previous
-    /// one, so the optimizer's flat warm start must track the naive round
-    /// (`allocate_latencies` from the last latencies, then
+    /// one, so the optimizer's flat warm start must track the naive
+    /// gradient round (`allocate_latencies` from the last latencies, then
     /// `PriceState::update`) bit for bit: across rounds, a checkpoint
     /// restore that replaces the latencies, an availability edit that
     /// re-lowers the plan while the latencies are kept flat, and a join.
     #[test]
     fn steps_match_the_naive_round_with_concave_utilities() {
+        let config = || OptimizerConfig { price_method: PriceMethod::Gradient, ..config() };
         use crate::allocation::allocate_latencies;
         let mut p = small_problem();
         for t in 0..2 {

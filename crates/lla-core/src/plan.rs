@@ -87,6 +87,24 @@
 //! - the path pass starts only after the resource pass (and, in a sharded
 //!   round, the coordinator broadcast), so every congestion bit is set
 //!   before the first λ step reads one.
+//!
+//! # Market clearing
+//!
+//! Under [`PriceMethod::Clearing`](crate::prices::PriceMethod) a round
+//! runs its price passes first and steps nothing (the `clearing`
+//! submodule holds them and their solvers):
+//!
+//! - **pressures** — `−w_s·f′ + Σλ` per subtask, into the λ-sum buffer
+//!   (a concave task's `f′` at the previous allocation's aggregate);
+//! - **μ block** — per resource, one walk over its row of the lowered
+//!   resource → subtask index (`res_off`/`res_subs`, plan order, which is
+//!   `Problem::subtasks_on` order when the plan's tasks ascend) gathers
+//!   the share terms, and an exact piecewise-linear solve sets `μ_r`;
+//! - **λ block** — per path in plan order, a safeguarded Newton solve
+//!   sets `λ_p`, and its change enters the pressures of the path's
+//!   subtasks before the task's next path;
+//! - the allocation pass at the new prices, then **measurement**: the
+//!   usage sweep and the path walk, folding violations without a step.
 
 //! # Invalidation
 //!
@@ -154,6 +172,10 @@ use crate::problem::Problem;
 use crate::utility::UtilityFn;
 use std::cell::RefCell;
 use std::sync::Arc;
+
+mod clearing;
+
+pub(crate) use clearing::{clear_resource, PathTerm, ShareTerm};
 
 /// Fan out the parallel allocator only past this many subtasks; below it
 /// thread startup dwarfs the work and the sequential kernel wins.
@@ -268,6 +290,9 @@ fn fixed_point(
 pub struct PlanScratch {
     pub(crate) prev: Vec<f64>,
     pub(crate) lats: Vec<f64>,
+    /// Per subtask: the allocation's λ-sums; between a market-clearing
+    /// sweep's first pass and the allocation that ends it, the sweep's
+    /// pressures `−w_s·f′ + Σλ` instead.
     pub(crate) lambda: Vec<f64>,
     pub(crate) usage: Vec<f64>,
     pub(crate) path_lat: Vec<f64>,
@@ -275,6 +300,12 @@ pub struct PlanScratch {
     /// pass's congestion signal for the λ steps).
     pub(crate) path_congested: Vec<bool>,
     pub(crate) congested: Vec<bool>,
+    /// The sweep's breakpoint terms of one resource and one path, and
+    /// the sorted breakpoints of one resource; they grow to the largest
+    /// resource and path and are then reused.
+    pub(crate) terms: Vec<ShareTerm>,
+    pub(crate) path_terms: Vec<PathTerm>,
+    pub(crate) breakpoints: Vec<(f64, f64)>,
 }
 
 impl PlanScratch {
@@ -392,6 +423,11 @@ pub struct Plan {
     critical_time: Vec<f64>,
     utility: Vec<UtilityFn>,
     availability: Vec<f64>,
+    /// `res_subs[res_off[r]..res_off[r+1]]`: the plan's subtasks on
+    /// resource `r` in plan order (`Problem::subtasks_on` order when the
+    /// plan's tasks ascend), the rows the market-clearing μ block walks.
+    res_off: Vec<u32>,
+    res_subs: Vec<u32>,
 }
 
 impl Plan {
@@ -523,7 +559,21 @@ impl Plan {
             utility.push(task.utility_fn().clone());
         }
 
-        let availability = problem.resources().iter().map(|r| r.availability()).collect();
+        let availability: Vec<f64> = problem.resources().iter().map(|r| r.availability()).collect();
+        // The resource → subtask rows, by a counting sort in plan order.
+        let mut res_off = vec![0u32; availability.len() + 1];
+        for &r in &sub_res {
+            res_off[r as usize + 1] += 1;
+        }
+        for r in 0..availability.len() {
+            res_off[r + 1] += res_off[r];
+        }
+        let mut res_subs = vec![0u32; ns];
+        let mut next = res_off[..availability.len()].to_vec();
+        for (s, &r) in sub_res.iter().enumerate() {
+            res_subs[next[r as usize] as usize] = s as u32;
+            next[r as usize] += 1;
+        }
         Plan {
             epoch: problem.epoch(),
             settings: *settings,
@@ -545,6 +595,8 @@ impl Plan {
             critical_time,
             utility,
             availability,
+            res_off,
+            res_subs,
         }
     }
 
@@ -594,6 +646,9 @@ impl Plan {
             path_lat: vec![0.0; self.num_paths()],
             path_congested: vec![false; self.num_paths()],
             congested: vec![false; self.num_resources()],
+            terms: Vec::new(),
+            path_terms: Vec::new(),
+            breakpoints: Vec::new(),
         }
     }
 
@@ -849,21 +904,31 @@ impl Plan {
     pub fn path_price_steps(&self, prices: &mut PriceState, scratch: &mut PlanScratch) -> f64 {
         debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
         let PlanScratch { lats, path_lat, path_congested, congested, .. } = scratch;
+        self.walk_paths(|pp, path| {
+            let (mut pl, mut traverses_congested) = (-0.0f64, false);
+            for &gs in path {
+                pl += lats[gs as usize];
+                traverses_congested |= congested[self.sub_res[gs as usize] as usize];
+            }
+            path_lat[pp] = pl;
+            path_congested[pp] = traverses_congested;
+        });
+        prices.step_paths(path_lat, &self.path_ct, path_congested)
+    }
+
+    /// Calls `visit(pp, subtasks)` for every path in `path_subs` storage
+    /// order (shortest first), with its global index and global subtask
+    /// indices.
+    #[inline(always)]
+    fn walk_paths(&self, mut visit: impl FnMut(usize, &[u32])) {
         let (mut rest, mut ids) = (&self.path_subs[..], self.walk_order.iter());
         for &(len, paths) in &self.walk_runs {
             let (run, tail) = rest.split_at(len * paths);
             rest = tail;
             for (path, &pp) in run.chunks_exact(len).zip(ids.by_ref()) {
-                let (mut pl, mut traverses_congested) = (-0.0f64, false);
-                for &gs in path {
-                    pl += lats[gs as usize];
-                    traverses_congested |= congested[self.sub_res[gs as usize] as usize];
-                }
-                path_lat[pp as usize] = pl;
-                path_congested[pp as usize] = traverses_congested;
+                visit(pp as usize, path);
             }
         }
-        prices.step_paths(path_lat, &self.path_ct, path_congested)
     }
 
     /// Writes `Problem::initial_allocation`'s rows of the concave tasks

@@ -1,0 +1,493 @@
+//! Market clearing: the [`PriceMethod::Clearing`](crate::prices::PriceMethod)
+//! sweep, one block coordinate minimisation of the dual `D(μ, λ)` (Eq. 6)
+//! per round.
+//!
+//! The dual separates by constraint: `∂D/∂μ_r = B_r − usage_r` and
+//! `∂D/∂λ_p = C_i − lat_p`, so each price can be set to clear its own
+//! constraint at the others' prices instead of stepping along the
+//! gradient:
+//!
+//! - **μ block** — for fixed λ, a subtask's share depends on its own
+//!   resource's price alone. With `x = 1/√μ_r` and pressure
+//!   `P_s = −w_s·f′ + Σλ`, a linear subtask's share is
+//!   `clamp(x·√(m_s·P_s), m_s/(hi_s − ê_s), m_s/(lo_s − ê_s))`, so
+//!   `usage_r(x)` is nondecreasing and piecewise linear and one walk over
+//!   its sorted breakpoints solves `usage_r = B_r` exactly
+//!   ([`clear_resource`]). A resource whose usage at the box's lower
+//!   latency edge fits takes `μ_r = 0`.
+//! - **λ block** — for fixed μ, a path's latency is nonincreasing in its
+//!   own `λ_p`; a safeguarded Newton iteration inside the bracket
+//!   `[0, λ at which every subtask of the path sits at lo]` solves
+//!   `lat_p = C_i` ([`clear_path`]). The paths of a task share subtasks,
+//!   so they are cleared Gauss–Seidel, in path order, each at the λ its
+//!   predecessors just set.
+//!
+//! A concave task's `−w_s·f′(A)` is held at the aggregate of the previous
+//! allocation for the sweep; the allocation that follows runs its damped
+//! fixed point as usual. A constraint that no price can clear (minimum
+//! shares above `B_r`, or `Σ lo > C_i` on a path) doubles its price each
+//! sweep up to [`PRICE_CAP`], which drives `D` to `−∞` and lets
+//! [`analyze_schedulability`](crate::analyze_schedulability) prove the
+//! problem unschedulable.
+
+use super::{dot, Plan, PlanScratch};
+use crate::prices::PriceState;
+
+/// The price an unclearable constraint first takes from zero.
+const PRICE_SEED: f64 = 1.0;
+
+/// The price past which an unclearable constraint stops doubling, so
+/// prices stay finite however long a run lasts.
+const PRICE_CAP: f64 = 1e100;
+
+/// Relative tolerance `|lat_p − C_i| ≤ PATH_TOL·C_i` of the λ solve.
+const PATH_TOL: f64 = 1e-12;
+
+/// Iteration cap of the λ solve. Every step Newton cannot take halves
+/// the bracket; a solve that reaches the cap keeps its last point, which
+/// the next sweep starts from.
+const PATH_MAX_ITERS: usize = 200;
+
+/// The next price of a constraint no price can clear.
+fn grow(price: f64) -> f64 {
+    (2.0 * price).clamp(PRICE_SEED, PRICE_CAP)
+}
+
+/// One subtask's share as a function of `x = 1/√μ_r`:
+/// `clamp(a·x, lo, hi)` (the constant `lo` when `a` is 0, which is a
+/// subtask with no pressure sitting at its latency cap).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ShareTerm {
+    /// `√(m_s·P_s)`, or 0 when `P_s ≤ 0`.
+    pub(crate) a: f64,
+    /// The share at the latency cap, `m_s/(hi_s − ê_s)`.
+    pub(crate) lo: f64,
+    /// The share at the latency floor, `m_s/(lo_s − ê_s)`.
+    pub(crate) hi: f64,
+}
+
+/// The `μ_r` at which `Σ clamp(a·x, lo, hi) = b` with `x = 1/√μ_r`; 0
+/// when the usage at `μ_r = 0` (every share at its `hi`) fits `b`, and
+/// `prev` doubled when the least usage (every share at its `lo`) does
+/// not. `breakpoints` is a reusable buffer.
+pub(crate) fn clear_resource(
+    terms: &[ShareTerm],
+    breakpoints: &mut Vec<(f64, f64)>,
+    b: f64,
+    prev: f64,
+) -> f64 {
+    let (mut least, mut most) = (0.0, 0.0);
+    for t in terms {
+        least += t.lo;
+        most += if t.a > 0.0 { t.hi } else { t.lo };
+    }
+    if most <= b {
+        return 0.0;
+    }
+    if least >= b {
+        return grow(prev);
+    }
+    // Each rising term adds its slope at x = lo/a and takes it away at
+    // x = hi/a; between breakpoints usage(x) = level + slope·x.
+    breakpoints.clear();
+    for t in terms.iter().filter(|t| t.a > 0.0) {
+        breakpoints.push((t.lo / t.a, t.a));
+        breakpoints.push((t.hi / t.a, -t.a));
+    }
+    breakpoints.sort_unstable_by(|p, q| p.0.total_cmp(&q.0).then(p.1.total_cmp(&q.1)));
+    let (mut level, mut slope) = (least, 0.0);
+    let (mut from, mut to) = (0.0, f64::INFINITY);
+    for &(x, ds) in breakpoints.iter() {
+        if level + slope * x >= b {
+            to = x;
+            break;
+        }
+        slope += ds;
+        level -= ds * x;
+        from = x;
+    }
+    // No breakpoint lies inside (from, to): classify every term on it
+    // afresh, so the root does not carry the walk's running sums.
+    let (mut level, mut slope) = (0.0, 0.0);
+    for t in terms {
+        if t.a > 0.0 && t.hi / t.a <= from {
+            level += t.hi;
+        } else if t.a <= 0.0 || t.lo / t.a >= to {
+            level += t.lo;
+        } else {
+            slope += t.a;
+        }
+    }
+    let x = if slope > 0.0 {
+        ((b - level) / slope).clamp(from, to)
+    } else if to.is_finite() {
+        to
+    } else {
+        from
+    };
+    if x > 0.0 {
+        1.0 / (x * x)
+    } else {
+        grow(prev)
+    }
+}
+
+/// One subtask's latency as a function of its path's `λ`:
+/// `clamp(ê + √(k/(p0 + λ)), lo, hi)` — the allocation kernel's formula —
+/// or `hi` while `p0 + λ ≤ 0`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PathTerm {
+    /// The correction `ê_s`.
+    pub(crate) e: f64,
+    /// `μ_r⁺·m_s`.
+    pub(crate) k: f64,
+    /// The latency box.
+    pub(crate) lo: f64,
+    pub(crate) hi: f64,
+    /// The pressure without this path's λ.
+    pub(crate) p0: f64,
+}
+
+impl PathTerm {
+    /// `(latency, ∂latency/∂λ)` at `lambda`.
+    #[inline]
+    fn latency(&self, lambda: f64) -> (f64, f64) {
+        let p = self.p0 + lambda;
+        if p <= 0.0 {
+            return (self.hi, 0.0);
+        }
+        let lat = self.e + (self.k / p).sqrt();
+        if lat >= self.hi {
+            (self.hi, 0.0)
+        } else if lat <= self.lo {
+            (self.lo, 0.0)
+        } else {
+            (lat, -0.5 * (lat - self.e) / p)
+        }
+    }
+
+    /// The λ from which the term sits at `lo`.
+    fn floor_from(&self) -> f64 {
+        if self.k > 0.0 {
+            let gap = self.lo - self.e;
+            self.k / (gap * gap) - self.p0
+        } else {
+            -self.p0
+        }
+    }
+}
+
+/// The `λ_p ≥ 0` at which `Σ latency = ct`: 0 when the path meets `ct`
+/// at `λ_p = 0`, and `prev` doubled when it misses `ct` with every
+/// subtask at its floor. A safeguarded Newton iteration inside a bracket
+/// whose right end puts every subtask at its floor; it starts from
+/// `prev` when `prev` lies inside.
+pub(crate) fn clear_path(terms: &[PathTerm], ct: f64, prev: f64) -> f64 {
+    let eval = |lambda: f64| {
+        let (lat, slope) = terms.iter().fold((0.0, 0.0), |(l, d), t| {
+            let (lt, dt) = t.latency(lambda);
+            (l + lt, d + dt)
+        });
+        (lat - ct, slope)
+    };
+    let (g0, d0) = eval(0.0);
+    if g0 <= 0.0 {
+        return 0.0;
+    }
+    if terms.iter().map(|t| t.lo).sum::<f64>() > ct {
+        return grow(prev);
+    }
+    let mut right = terms.iter().map(PathTerm::floor_from).fold(0.0, f64::max);
+    // Rounding at the floor can leave the path a hair late there.
+    for _ in 0..64 {
+        if eval(right).0 <= 0.0 {
+            break;
+        }
+        right = 2.0 * right + f64::MIN_POSITIVE;
+    }
+    let mut left = 0.0;
+    let (mut x, (mut g, mut d)) =
+        if prev > left && prev < right { (prev, eval(prev)) } else { (0.0, (g0, d0)) };
+    for _ in 0..PATH_MAX_ITERS {
+        if g.abs() <= PATH_TOL * ct {
+            break;
+        }
+        if g > 0.0 {
+            left = x;
+        } else {
+            right = x;
+        }
+        let newton = x - g / d;
+        let next =
+            if d < 0.0 && newton > left && newton < right { newton } else { 0.5 * (left + right) };
+        if next == x {
+            break;
+        }
+        x = next;
+        (g, d) = eval(x);
+    }
+    x
+}
+
+impl PlanScratch {
+    /// The sweep's pressures, from
+    /// [`Plan::sweep_pressures`] until the allocation that ends the round
+    /// overwrites them.
+    pub(crate) fn pressure(&self) -> &[f64] {
+        &self.lambda
+    }
+}
+
+impl Plan {
+    /// One market-clearing sweep over the whole plan: pressures, then the
+    /// μ block over every resource, then the λ block over every path.
+    pub(crate) fn sweep(&self, prices: &mut PriceState, scratch: &mut PlanScratch) {
+        prices.reset_step_tracking();
+        self.sweep_pressures(prices, scratch);
+        self.clear_resources(prices, scratch, None);
+        self.clear_paths(prices, scratch);
+    }
+
+    /// The sweep's pressures into `scratch.lambda` (the allocation's
+    /// λ-sum buffer, which the allocation ending the round overwrites):
+    /// `−w_s·f′` (a concave task's at the aggregate of `scratch.prev`)
+    /// plus every λ of the paths through the subtask.
+    pub(crate) fn sweep_pressures(&self, prices: &PriceState, scratch: &mut PlanScratch) {
+        let PlanScratch { prev, lambda: pressure, .. } = scratch;
+        pressure.copy_from_slice(&self.neg_wf);
+        for &t in &self.concave {
+            let range = self.task_range(t as usize);
+            let a = dot(&prev[range.clone()], &self.weight[range.clone()]);
+            let fprime = self.utility[t as usize].derivative(a);
+            for s in range {
+                pressure[s] = -self.weight[s] * fprime;
+            }
+        }
+        for (pp, &lp) in prices.flat_lambdas().iter().enumerate() {
+            if lp != 0.0 {
+                for &s in self.path_subtasks(pp) {
+                    pressure[s as usize] += lp;
+                }
+            }
+        }
+    }
+
+    /// The μ block: every resource (only those with `owned[r]`, when a
+    /// mask is given) clears its own usage against `B_r` at the
+    /// pressures of [`sweep_pressures`](Self::sweep_pressures).
+    pub(crate) fn clear_resources(
+        &self,
+        prices: &mut PriceState,
+        scratch: &mut PlanScratch,
+        owned: Option<&[bool]>,
+    ) {
+        let PlanScratch { lambda: pressure, terms, breakpoints, .. } = scratch;
+        for r in 0..self.num_resources() {
+            if owned.is_some_and(|owned| !owned[r]) {
+                continue;
+            }
+            terms.clear();
+            self.push_terms(r, pressure, terms);
+            let mu = clear_resource(terms, breakpoints, self.availability[r], prices.mu(r));
+            prices.clear_mu(r, mu);
+        }
+    }
+
+    /// Appends the share terms of this plan's subtasks on resource `r`,
+    /// in plan order.
+    pub(crate) fn push_terms(&self, r: usize, pressure: &[f64], terms: &mut Vec<ShareTerm>) {
+        for &s in &self.res_subs[self.res_off[r] as usize..self.res_off[r + 1] as usize] {
+            let s = s as usize;
+            let (m, e, p) = (self.demand[s], self.correction[s], pressure[s]);
+            terms.push(ShareTerm {
+                a: if p > 0.0 { (m * p).sqrt() } else { 0.0 },
+                lo: m / (self.hi[s] - e),
+                hi: m / (self.lo[s] - e),
+            });
+        }
+    }
+
+    /// The λ block: every path, task by task and path by path, clears its
+    /// latency against `C_i` at the current μ, and its new λ enters the
+    /// pressures the next path of the task sees.
+    pub(crate) fn clear_paths(&self, prices: &mut PriceState, scratch: &mut PlanScratch) {
+        let PlanScratch { lambda: pressure, path_terms, .. } = scratch;
+        for pp in 0..self.num_paths() {
+            let old = prices.flat_lambdas()[pp];
+            path_terms.clear();
+            for &s in self.path_subtasks(pp) {
+                let s = s as usize;
+                let mu = prices.mu(self.sub_res[s] as usize).max(0.0);
+                path_terms.push(PathTerm {
+                    e: self.correction[s],
+                    k: mu * self.demand[s],
+                    lo: self.lo[s],
+                    hi: self.hi[s],
+                    p0: pressure[s] - old,
+                });
+            }
+            let new = clear_path(path_terms, self.path_ct[pp], old);
+            if new != old {
+                for &s in self.path_subtasks(pp) {
+                    pressure[s as usize] = (pressure[s as usize] - old) + new;
+                }
+            }
+            prices.clear_lambda(pp, new);
+        }
+    }
+
+    /// The measurement that closes a clearing round, stepping no price:
+    /// usage into `scratch.usage`, path latencies into
+    /// `scratch.path_lat`, and `(max_r (usage_r − B_r), max_p
+    /// (path_latency/C_i − 1))` — over the resources with `owned[r]`
+    /// only, when a mask is given.
+    pub(crate) fn measure(&self, scratch: &mut PlanScratch, owned: Option<&[bool]>) -> (f64, f64) {
+        let PlanScratch { lats, usage, path_lat, .. } = scratch;
+        self.usage_into(lats, usage);
+        let resource = match owned {
+            None => self.max_resource_violation(usage),
+            Some(owned) => (0..usage.len())
+                .filter(|&r| owned[r])
+                .map(|r| usage[r] - self.availability[r])
+                .fold(f64::NEG_INFINITY, f64::max),
+        };
+        self.walk_paths(|pp, path| {
+            path_lat[pp] = path.iter().map(|&gs| lats[gs as usize]).sum();
+        });
+        (resource, self.max_path_violation(path_lat))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A small deterministic generator for the random terms.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> f64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * self.next()
+        }
+    }
+
+    /// The root of a nondecreasing (or, with `rising = false`,
+    /// nonincreasing) `f` on `[lo, hi]` by plain bisection.
+    fn bisect(f: impl Fn(f64) -> f64, mut lo: f64, mut hi: f64, rising: bool) -> f64 {
+        for _ in 0..400 {
+            let mid = 0.5 * (lo + hi);
+            if (f(mid) < 0.0) == rising {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    fn usage(terms: &[ShareTerm], x: f64) -> f64 {
+        terms.iter().map(|t| if t.a > 0.0 { (t.a * x).clamp(t.lo, t.hi) } else { t.lo }).sum()
+    }
+
+    #[test]
+    fn mu_solve_matches_bisection_on_random_terms() {
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+        let mut breakpoints = Vec::new();
+        let (mut solved, mut free, mut grown) = (0, 0, 0);
+        for case in 0..2_000 {
+            let n = 1 + (rng.next() * 12.0) as usize;
+            let terms: Vec<ShareTerm> = (0..n)
+                .map(|_| {
+                    let lo = rng.range(0.001, 0.2);
+                    let a = if rng.next() < 0.1 { 0.0 } else { rng.range(0.01, 5.0) };
+                    ShareTerm { a, lo, hi: lo + rng.range(0.0, 0.8) }
+                })
+                .collect();
+            let b = rng.range(0.0, 0.6 * n as f64);
+            let mu = clear_resource(&terms, &mut breakpoints, b, 3.0);
+            let (least, most) = (usage(&terms, 0.0), usage(&terms, f64::INFINITY));
+            if most <= b {
+                assert_eq!(mu, 0.0, "case {case}: the lower edge fits");
+                free += 1;
+            } else if least >= b {
+                assert_eq!(mu, 6.0, "case {case}: an overloaded resource doubles its price");
+                grown += 1;
+            } else {
+                let top =
+                    terms.iter().filter(|t| t.a > 0.0).map(|t| t.hi / t.a).fold(0.0, f64::max);
+                let x = bisect(|x| usage(&terms, x) - b, 0.0, top, true);
+                let want = 1.0 / (x * x);
+                assert!(
+                    (mu - want).abs() <= 1e-9 * want,
+                    "case {case}: μ {mu} vs bisection {want}"
+                );
+                let cleared = usage(&terms, 1.0 / mu.sqrt());
+                assert!((cleared - b).abs() <= 1e-12 * b.max(1.0), "case {case}: {cleared} vs {b}");
+                solved += 1;
+            }
+        }
+        assert!(solved > 500 && free > 50 && grown > 50, "{solved} {free} {grown}");
+    }
+
+    fn path_latency(terms: &[PathTerm], lambda: f64) -> f64 {
+        terms.iter().map(|t| t.latency(lambda).0).sum()
+    }
+
+    #[test]
+    fn lambda_solve_matches_bisection_on_random_terms() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let (mut solved, mut free, mut grown) = (0, 0, 0);
+        for case in 0..2_000 {
+            let n = 1 + (rng.next() * 6.0) as usize;
+            let terms: Vec<PathTerm> = (0..n)
+                .map(|_| {
+                    let e = rng.range(-0.5, 0.5);
+                    let lo = e + rng.range(0.5, 5.0);
+                    let k = if rng.next() < 0.05 { 0.0 } else { rng.range(0.01, 400.0) };
+                    PathTerm { e, k, lo, hi: lo + rng.range(0.0, 60.0), p0: rng.range(0.05, 3.0) }
+                })
+                .collect();
+            let ct = rng.range(0.5, 1.2) * path_latency(&terms, 0.0);
+            let prev = if rng.next() < 0.5 { 0.0 } else { rng.range(0.0, 50.0) };
+            let lambda = clear_path(&terms, ct, prev);
+            let floor: f64 = terms.iter().map(|t| t.lo).sum();
+            if path_latency(&terms, 0.0) <= ct {
+                assert_eq!(lambda, 0.0, "case {case}: a path on time keeps no price");
+                free += 1;
+            } else if floor > ct {
+                assert_eq!(lambda, (2.0 * prev).max(PRICE_SEED), "case {case}");
+                grown += 1;
+            } else {
+                let top = terms.iter().map(PathTerm::floor_from).fold(0.0, f64::max);
+                let want = bisect(|l| path_latency(&terms, l) - ct, 0.0, top, false);
+                let got = path_latency(&terms, lambda);
+                assert!((got - ct).abs() <= 1e-10 * ct, "case {case}: latency {got} vs {ct}");
+                // Where the latency is flat in λ any λ on the flat clears
+                // it; elsewhere the roots agree.
+                let at = path_latency(&terms, want);
+                assert!((at - ct).abs() <= 1e-9 * ct, "case {case}: bisection missed");
+                if terms.iter().all(|t| t.latency(want).1 < 0.0) {
+                    assert!((lambda - want).abs() <= 1e-7 * want.max(1.0), "{lambda} vs {want}");
+                }
+                solved += 1;
+            }
+        }
+        assert!(solved > 500 && free > 50 && grown > 20, "{solved} {free} {grown}");
+    }
+
+    #[test]
+    fn unclearable_prices_stay_finite() {
+        let mut price = 0.0;
+        for _ in 0..5_000 {
+            price = grow(price);
+        }
+        assert_eq!(price, PRICE_CAP);
+    }
+}

@@ -1,8 +1,15 @@
-//! Price computation: projected gradient ascent on the dual (§4.3).
+//! Price computation (§4.3): the dual variables and the paper's
+//! projected-gradient steps.
 //!
 //! A price is associated with each resource (`μ_r`) and each path (`λ_p`)
-//! and reflects its level of congestion. Prices are adjusted opposite to
-//! the gradient of the dual objective and projected onto `[0, ∞)`:
+//! and reflects its level of congestion. The in-process drivers move the
+//! prices by one of two [`PriceMethod`]s. The default,
+//! [`PriceMethod::Clearing`], sets every price so that its own constraint
+//! clears at the others' prices, one block sweep per round (the plan's
+//! market clearing, DESIGN.md §18); it reads no step size. Under
+//! [`PriceMethod::Gradient`] — the paper's method, and the only one the
+//! distributed agents run — prices are adjusted opposite to the gradient
+//! of the dual objective and projected onto `[0, ∞)`:
 //!
 //! ```text
 //! μ_r(t+1) = [ μ_r(t) − γ_r · (B_r − Σ_{s∈S_r} share_r(s, lat_s)) ]⁺   (Eq. 8)
@@ -12,7 +19,8 @@
 //! Step sizes trade convergence speed against oscillation. The paper's
 //! adaptive heuristic (§5.2) doubles a resource's step size — and that of
 //! every path traversing it — for as long as the resource stays congested,
-//! and reverts to the initial value as soon as it decongests.
+//! and reverts to the initial value as soon as it decongests. The
+//! [`StepSizePolicy`] is read only under [`PriceMethod::Gradient`].
 //!
 //! # Flat dual layout
 //!
@@ -257,6 +265,20 @@ impl Default for StepSizePolicy {
     }
 }
 
+/// How the in-process drivers move the prices each round.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PriceMethod {
+    /// One block sweep of the dual per round: every resource sets `μ_r`
+    /// so that its usage meets `B_r`, then every path sets `λ_p` so that
+    /// its latency meets `C_i` (see [`crate::plan`]'s market clearing).
+    /// The step-size policy is not read.
+    #[default]
+    Clearing,
+    /// The paper's projected-gradient steps (Eqs. 8–9) under the
+    /// configured [`StepSizePolicy`].
+    Gradient,
+}
+
 /// The dual variables of LLA: one `μ_r` per resource and one `λ_p` per
 /// root-to-leaf path, plus their per-entity adaptive step sizes.
 ///
@@ -491,6 +513,28 @@ impl PriceState {
         self.last_grad_p[i] = raw.2;
     }
 
+    /// Copies `src`'s λ rows `src_rows` (λ, γ and last gradient) over
+    /// this state's rows from `dst_row` on, as three slice copies; the
+    /// rows must have the same path counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row windows differ in length.
+    pub(crate) fn copy_path_rows(
+        &mut self,
+        dst_row: usize,
+        src: &PriceState,
+        src_rows: std::ops::Range<usize>,
+    ) {
+        let from = src.row_off[src_rows.start]..src.row_off[src_rows.end];
+        let at = self.row_off[dst_row];
+        let to = at..at + from.len();
+        debug_assert_eq!(self.row_off[dst_row + src_rows.len()], to.end, "row shapes must match");
+        self.lambda[to.clone()].copy_from_slice(&src.lambda[from.clone()]);
+        self.gamma_p[to.clone()].copy_from_slice(&src.gamma_p[from.clone()]);
+        self.last_grad_p[to].copy_from_slice(&src.last_grad_p[from]);
+    }
+
     /// Appends a fresh zero-dual λ row of `paths` entries (a task joining
     /// a shard is appended at the end of its plan-local order).
     pub(crate) fn push_lambda_row(&mut self, paths: usize) {
@@ -513,6 +557,24 @@ impl PriceState {
         for off in &mut self.row_off[row + 1..] {
             *off -= len;
         }
+    }
+
+    /// Sets `μ_r` to a cleared price, folding the move into the round's
+    /// largest relative price step.
+    #[inline]
+    pub(crate) fn clear_mu(&mut self, r: usize, value: f64) {
+        self.tally.max_rel_step =
+            fold_max(self.tally.max_rel_step, (value - self.mu[r]).abs() / (1.0 + value));
+        self.mu[r] = value;
+    }
+
+    /// Sets the λ of flat path index `i` to a cleared price, like
+    /// [`clear_mu`](Self::clear_mu).
+    #[inline]
+    pub(crate) fn clear_lambda(&mut self, i: usize, value: f64) {
+        self.tally.max_rel_step =
+            fold_max(self.tally.max_rel_step, (value - self.lambda[i]).abs() / (1.0 + value));
+        self.lambda[i] = value;
     }
 
     /// Overwrites the diagnostic bookkeeping (used when assembling a

@@ -15,6 +15,15 @@
 //!   such allocation exists.
 //! - **Inconclusive**: the budget ran out with neither proof.
 //!
+//! The probe runs the configured [`OptimizerConfig`]. Under the default
+//! market-clearing sweep a schedulable problem certifies within a few
+//! dozen rounds (Figure 7's schedulable twin in 22), and a constraint
+//! that no price can clear — least shares above `B_r`, or latency
+//! floors above `C_i` on a path — doubles its price each round, which
+//! drives `D` below `U_floor`. Under the paper's gradient method the
+//! twin parks near utility −528 (optimum −446.6) and stays
+//! `Inconclusive` after 2000 rounds.
+//!
 //! Both proofs need `D` itself, `L` at its maximiser, which the closed
 //! form gives exactly for linear utilities. A concave task's maximiser is
 //! a damped fixed point that stops at a relative 1e-10 or after 60

@@ -39,13 +39,27 @@
 //!    path latencies, path violations and λ steps (Eq. 9) — with the
 //!    now-complete congestion bits.
 //!
+//! Under the default [`PriceMethod::Clearing`] the same three phases
+//! carry a market-clearing sweep instead of gradient steps:
+//!
+//! 1. **Shard-local**: the sweep's pressures at the shard's λ, then the
+//!    μ block over the *owned* resources.
+//! 2. **Coordinator**: each coordinator-owned resource, in ascending
+//!    index order, clears from the share terms of the shards touching
+//!    it, taken in shard order, and broadcasts its μ.
+//! 3. **Path phase**: each shard clears all its paths (every path lies
+//!    inside one shard), allocates at the new prices and measures the
+//!    allocation; the merge then sums the shared resources' usage in
+//!    shard order for their violations.
+//!
 //! Because every kernel reuses the plan module's bit-exact CSR kernels
 //! and all cross-shard reductions run in fixed shard order, a one-shard
-//! `ShardedOptimizer` is **bit-identical** to the monolithic `Optimizer`.
-//! Multi-shard runs differ from the monolithic fold only by the
-//! reassociation of shared-resource usage sums (a few ulps per round);
-//! `tests/shard_equivalence.rs` pins the resulting allocations to within
-//! `1e-9` of the monolithic ones.
+//! `ShardedOptimizer` is **bit-identical** to the monolithic `Optimizer`
+//! under either price method. Multi-shard runs differ from the
+//! monolithic fold only by the reassociation of shared-resource sums (a
+//! few ulps per round); `tests/shard_equivalence.rs` (gradient) and
+//! `tests/clearing.rs` pin the resulting allocations to within `1e-9` of
+//! the monolithic ones.
 //!
 //! # Incremental re-lowering
 //!
@@ -71,8 +85,8 @@ use crate::lagrangian::{kkt_report, KktReport};
 use crate::optimizer::{
     Allocation, IterationReport, OptimizerConfig, OptimizerState, RunOutcome, StateImportError,
 };
-use crate::plan::{PathPrices, Plan, PlanMemo, PlanScratch};
-use crate::prices::PriceState;
+use crate::plan::{clear_resource, PathPrices, Plan, PlanMemo, PlanScratch, ShareTerm};
+use crate::prices::{PriceMethod, PriceState};
 use crate::problem::{MembershipReport, Problem};
 use crate::round_book::{self, Certificate, Driver, RoundBook};
 use crate::task::{Task, TaskBuilder};
@@ -163,21 +177,49 @@ impl Shard {
     /// safe when shards are not already fanned out across threads).
     fn local_step(&mut self, inner_parallel: bool) {
         self.scratch.prev_mut().copy_from_slice(&self.lats);
+        self.allocate(inner_parallel);
+        self.res_violation =
+            self.plan.owned_resource_steps(&mut self.prices, &mut self.scratch, &self.owned);
+        self.utility = self.plan.total_utility(self.scratch.lats());
+    }
+
+    /// The allocation at the shard's prices from the warm start in
+    /// `scratch.prev`, kept in `lats`. `inner_parallel` permits the plan's
+    /// own threaded allocator (only safe when shards are not already
+    /// fanned out across threads).
+    fn allocate(&mut self, inner_parallel: bool) {
         if inner_parallel {
             self.plan.allocate_into(&self.prices, &mut self.scratch);
         } else {
             self.plan.allocate_seq(&self.prices, &mut self.scratch);
         }
         self.lats.copy_from_slice(self.scratch.lats());
-        self.res_violation =
-            self.plan.owned_resource_steps(&mut self.prices, &mut self.scratch, &self.owned);
-        self.utility = self.plan.total_utility(self.scratch.lats());
     }
 
     /// Phase 3: path latencies, path violations and λ steps with the
     /// coordinator-completed congestion bits.
     fn path_steps(&mut self) {
         self.path_violation = self.plan.path_price_steps(&mut self.prices, &mut self.scratch);
+    }
+
+    /// Clearing, phase 1: the sweep's pressures at the shard's λ, then
+    /// the μ block over the owned resources.
+    fn clear_owned(&mut self) {
+        self.scratch.prev_mut().copy_from_slice(&self.lats);
+        self.prices.reset_step_tracking();
+        self.plan.sweep_pressures(&self.prices, &mut self.scratch);
+        self.plan.clear_resources(&mut self.prices, &mut self.scratch, Some(&self.owned));
+    }
+
+    /// Clearing, phase 3: the λ block with every μ broadcast, then the
+    /// allocation at the new prices, its owned-resource and path
+    /// violations and its utility.
+    fn clear_paths_and_allocate(&mut self, inner_parallel: bool) {
+        self.plan.clear_paths(&mut self.prices, &mut self.scratch);
+        self.allocate(inner_parallel);
+        (self.res_violation, self.path_violation) =
+            self.plan.measure(&mut self.scratch, Some(&self.owned));
+        self.utility = self.plan.total_utility(self.scratch.lats());
     }
 }
 
@@ -192,11 +234,14 @@ struct ShardSeries {
 
 /// Wall-clock decomposition of one sequentially executed round, from
 /// [`ShardedOptimizer::step_timed`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardStepTiming {
-    /// Per-shard nanoseconds (local allocation + μ steps + λ steps).
+    /// Per-shard nanoseconds: the shard's allocation and its own price
+    /// work (μ of its owned resources, λ of its paths).
     pub shard_ns: Vec<f64>,
-    /// Coordinator-round nanoseconds (aggregate, step, broadcast).
+    /// Coordinator-round nanoseconds: aggregate and step (or, under
+    /// clearing, clear from the shards' terms), broadcast, and under
+    /// clearing the shared resources' usage sums of the merge.
     pub coordinator_ns: f64,
 }
 
@@ -233,6 +278,12 @@ pub struct ShardedOptimizer {
     /// Phase profiler (disabled by default; see
     /// [`attach_profiler`](Self::attach_profiler)).
     profiler: Profiler,
+    /// The coordinator's reusable share terms and breakpoints of one
+    /// shared resource under [`PriceMethod::Clearing`].
+    terms: Vec<ShareTerm>,
+    breakpoints: Vec<(f64, f64)>,
+    /// The last [`step_timed`](Self::step_timed) decomposition, reused.
+    timing: ShardStepTiming,
 }
 
 impl ShardedOptimizer {
@@ -352,6 +403,9 @@ impl ShardedOptimizer {
             book,
             series: None,
             profiler: Profiler::disabled(),
+            terms: Vec::new(),
+            breakpoints: Vec::new(),
+            timing: ShardStepTiming::default(),
         };
         opt.install_memo();
         Ok(opt)
@@ -472,10 +526,20 @@ impl ShardedOptimizer {
     /// Executes one three-phase round (see the [module docs](self)).
     pub fn step(&mut self) -> IterationReport {
         let _prof = self.profiler.scope("round");
-        self.allocation_phase();
-        let coord_violation = self.coordinator_round();
-        self.path_phase();
-        self.merge_round(coord_violation)
+        match self.config.price_method {
+            PriceMethod::Gradient => {
+                self.shard_phase("allocation_phase", "shard_local", Shard::local_step);
+                let coord_violation = self.coordinator_round();
+                self.shard_phase("path_phase", "shard_path", |sh, _| sh.path_steps());
+                self.merge_round(Some(coord_violation))
+            }
+            PriceMethod::Clearing => {
+                self.shard_phase("allocation_phase", "shard_local", |sh, _| sh.clear_owned());
+                self.clear_coordinated();
+                self.shard_phase("path_phase", "shard_path", Shard::clear_paths_and_allocate);
+                self.merge_round(None)
+            }
+        }
     }
 
     /// [`step`](Self::step) with a wall-clock decomposition of the round,
@@ -483,28 +547,55 @@ impl ShardedOptimizer {
     /// the `parallel` feature) so each shard's cost is measured in
     /// isolation. The shard-scaling bench uses this for its critical-path
     /// efficiency model: with one free core per shard, a round costs
-    /// `max_s(shard_ns[s]) + coordinator_ns`.
-    pub fn step_timed(&mut self) -> (IterationReport, ShardStepTiming) {
-        let mut shard_ns = vec![0.0; self.shards.len()];
+    /// `max_s(shard_ns[s]) + coordinator_ns`. The decomposition lives in
+    /// a buffer the driver reuses, so a round allocates nothing.
+    pub fn step_timed(&mut self) -> (IterationReport, &ShardStepTiming) {
+        let clearing = self.config.price_method == PriceMethod::Clearing;
+        let mut timing = std::mem::take(&mut self.timing);
+        timing.shard_ns.clear();
+        timing.shard_ns.resize(self.shards.len(), 0.0);
         for (s, sh) in self.shards.iter_mut().enumerate() {
             let t0 = std::time::Instant::now();
-            sh.local_step(false);
-            shard_ns[s] += t0.elapsed().as_secs_f64() * 1e9;
+            if clearing {
+                sh.clear_owned();
+            } else {
+                sh.local_step(false);
+            }
+            timing.shard_ns[s] += t0.elapsed().as_secs_f64() * 1e9;
         }
         let t0 = std::time::Instant::now();
-        let coord_violation = self.coordinator_round();
-        let coordinator_ns = t0.elapsed().as_secs_f64() * 1e9;
+        let coord_violation = if clearing {
+            self.clear_coordinated();
+            None
+        } else {
+            Some(self.coordinator_round())
+        };
+        timing.coordinator_ns = t0.elapsed().as_secs_f64() * 1e9;
         for (s, sh) in self.shards.iter_mut().enumerate() {
             let t0 = std::time::Instant::now();
-            sh.path_steps();
-            shard_ns[s] += t0.elapsed().as_secs_f64() * 1e9;
+            if clearing {
+                sh.clear_paths_and_allocate(false);
+            } else {
+                sh.path_steps();
+            }
+            timing.shard_ns[s] += t0.elapsed().as_secs_f64() * 1e9;
         }
-        (self.merge_round(coord_violation), ShardStepTiming { shard_ns, coordinator_ns })
+        let t0 = std::time::Instant::now();
+        let report = self.merge_round(coord_violation);
+        if clearing {
+            // The merge sums the shared resources' usage, the coordinator's
+            // half of a clearing round's measurement.
+            timing.coordinator_ns += t0.elapsed().as_secs_f64() * 1e9;
+        }
+        self.timing = timing;
+        (report, &self.timing)
     }
 
     /// Deterministic tail of a round: fixed-shard-order reduction of
-    /// utility/violations, round bookkeeping, telemetry.
-    fn merge_round(&mut self, coord_violation: f64) -> IterationReport {
+    /// utility/violations (with the shared resources' violation measured
+    /// here when the round did not step them, `None`), round
+    /// bookkeeping, telemetry.
+    fn merge_round(&mut self, coord_violation: Option<f64>) -> IterationReport {
         let _prof = self.profiler.scope("merge");
         let mut utility = 0.0;
         let mut res_v = f64::NEG_INFINITY;
@@ -514,7 +605,7 @@ impl ShardedOptimizer {
             res_v = res_v.max(sh.res_violation);
             path_v = path_v.max(sh.path_violation);
         }
-        res_v = res_v.max(coord_violation);
+        res_v = res_v.max(coord_violation.unwrap_or_else(|| self.coordinated_violation()));
         if let Some(series) = &self.series {
             series.coordinator_rounds.inc();
         }
@@ -522,28 +613,34 @@ impl ShardedOptimizer {
         self.book.close_round(utility, (res_v, path_v), price_step, doublings)
     }
 
-    /// Phase 1: shard-local allocation + owned μ steps. Fans out one
-    /// worker per shard under the `parallel` feature; single-shard runs
-    /// keep the plan's *inner* task-level fan-out instead.
-    fn allocation_phase(&mut self) {
-        let _prof = self.profiler.scope("allocation_phase");
+    /// Runs `work(shard, inner_parallel)` on every shard, in a `name`
+    /// scope with a `child` scope per shard. Fans out one worker per
+    /// shard under the `parallel` feature; single-shard runs keep the
+    /// plan's *inner* task-level fan-out instead (`inner_parallel`).
+    fn shard_phase(
+        &mut self,
+        name: &'static str,
+        child: &'static str,
+        work: impl Fn(&mut Shard, bool) + Sync,
+    ) {
+        let _prof = self.profiler.scope(name);
         #[cfg(feature = "parallel")]
         if self.shards.len() > 1 {
             let ctx = self.profiler.ctx();
-            let profiler = &self.profiler;
+            let (profiler, work) = (&self.profiler, &work);
             rayon::scope(|s| {
                 for sh in self.shards.iter_mut() {
                     s.spawn(move || {
-                        let _shard_prof = profiler.scope_in(ctx, "shard_local");
-                        sh.local_step(false);
+                        let _shard_prof = profiler.scope_in(ctx, child);
+                        work(sh, false);
                     });
                 }
             });
             return;
         }
         for sh in self.shards.iter_mut() {
-            let _shard_prof = self.profiler.scope("shard_local");
-            sh.local_step(true);
+            let _shard_prof = self.profiler.scope(child);
+            work(sh, true);
         }
     }
 
@@ -558,10 +655,7 @@ impl ShardedOptimizer {
         self.coordinator.reset_step_tracking();
         let mut worst = f64::NEG_INFINITY;
         for &r in &self.coordinated {
-            let mut total = 0.0;
-            for sh in &self.shards {
-                total += sh.scratch.usage()[r];
-            }
+            let total = self.shared_usage(r);
             let g = self.availability[r] - total;
             let congested = g < 0.0;
             self.coordinator.apply_resource_step(r, g);
@@ -578,27 +672,38 @@ impl ShardedOptimizer {
         worst
     }
 
-    /// Phase 3: per-shard λ steps (fans out under `parallel`).
-    fn path_phase(&mut self) {
-        let _prof = self.profiler.scope("path_phase");
-        #[cfg(feature = "parallel")]
-        if self.shards.len() > 1 {
-            let ctx = self.profiler.ctx();
-            let profiler = &self.profiler;
-            rayon::scope(|s| {
-                for sh in self.shards.iter_mut() {
-                    s.spawn(move || {
-                        let _shard_prof = profiler.scope_in(ctx, "shard_path");
-                        sh.path_steps();
-                    });
-                }
-            });
-            return;
+    /// Clearing, phase 2: each coordinator-owned resource in ascending
+    /// index order clears from the share terms of the shards touching
+    /// it, taken in shard order, and broadcasts its μ to them.
+    fn clear_coordinated(&mut self) {
+        let _prof = self.profiler.scope("coordinator");
+        self.coordinator.reset_step_tracking();
+        for &r in &self.coordinated {
+            self.terms.clear();
+            for sh in self.shards.iter().filter(|sh| sh.touches[r]) {
+                sh.plan.push_terms(r, sh.scratch.pressure(), &mut self.terms);
+            }
+            let (b, prev) = (self.availability[r], self.coordinator.mu(r));
+            let mu = clear_resource(&self.terms, &mut self.breakpoints, b, prev);
+            self.coordinator.clear_mu(r, mu);
+            let _bcast_prof = self.profiler.scope("broadcast");
+            for sh in self.shards.iter_mut().filter(|sh| sh.touches[r]) {
+                sh.prices.set_mu(r, mu);
+            }
         }
-        for sh in self.shards.iter_mut() {
-            let _shard_prof = self.profiler.scope("shard_path");
-            sh.path_steps();
-        }
+    }
+
+    /// The worst violation `usage_r − B_r` over the coordinator-owned
+    /// resources.
+    fn coordinated_violation(&self) -> f64 {
+        let violation = |&r: &usize| self.shared_usage(r) - self.availability[r];
+        self.coordinated.iter().map(violation).fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// Resource `r`'s usage: the shards' partial usages of the last
+    /// round, summed in shard order.
+    fn shared_usage(&self, r: usize) -> f64 {
+        self.shards.iter().fold(0.0, |total, sh| total + sh.scratch.usage()[r])
     }
 
     /// The certificate of [`Optimizer::certify`](crate::Optimizer::certify),
@@ -781,9 +886,12 @@ impl ShardedOptimizer {
         let mut rejected = 0;
         for sh in &self.shards {
             rejected += sh.prices.rejected_samples();
-            for (local, &gt) in sh.tasks.iter().enumerate() {
-                for p in 0..sh.plan.num_task_paths(local) {
-                    prices.set_path_dual_raw(gt, p, sh.prices.path_dual_raw(local, p));
+            // One copy per run of consecutive global tasks.
+            let mut start = 0;
+            for local in 1..=sh.tasks.len() {
+                if local == sh.tasks.len() || sh.tasks[local] != sh.tasks[local - 1] + 1 {
+                    prices.copy_path_rows(sh.tasks[start], &sh.prices, start..local);
+                    start = local;
                 }
             }
         }
@@ -1002,6 +1110,12 @@ mod tests {
         }
     }
 
+    /// [`config`] under each price method.
+    fn configs() -> [OptimizerConfig; 2] {
+        [PriceMethod::Clearing, PriceMethod::Gradient]
+            .map(|price_method| OptimizerConfig { price_method, ..config() })
+    }
+
     #[test]
     fn spec_validation_rejects_non_partitions() {
         let p = clustered_problem();
@@ -1044,10 +1158,16 @@ mod tests {
 
     #[test]
     fn single_shard_is_bit_identical_to_monolithic() {
+        for config in configs() {
+            single_shard_is_bit_identical_under(config);
+        }
+    }
+
+    fn single_shard_is_bit_identical_under(config: OptimizerConfig) {
         let p = clustered_problem();
-        let mut mono = Optimizer::new(p.clone(), config());
+        let mut mono = Optimizer::new(p.clone(), config);
         let mut sharded =
-            ShardedOptimizer::new(p.clone(), config(), ShardSpec::contiguous(4, 1)).unwrap();
+            ShardedOptimizer::new(p.clone(), config, ShardSpec::contiguous(4, 1)).unwrap();
         for i in 0..400 {
             let a = mono.step();
             let b = sharded.step();
@@ -1066,9 +1186,15 @@ mod tests {
 
     #[test]
     fn single_shard_publishes_the_same_shared_series_as_monolithic() {
+        for config in configs() {
+            single_shard_publishes_the_same_series_under(config);
+        }
+    }
+
+    fn single_shard_publishes_the_same_series_under(config: OptimizerConfig) {
         let p = clustered_problem();
-        let mut mono = Optimizer::new(p.clone(), config());
-        let mut sharded = ShardedOptimizer::new(p, config(), ShardSpec::contiguous(4, 1)).unwrap();
+        let mut mono = Optimizer::new(p.clone(), config);
+        let mut sharded = ShardedOptimizer::new(p, config, ShardSpec::contiguous(4, 1)).unwrap();
         // Both drivers count only lowerings after attachment; the
         // monolithic one lowers lazily on its first round, the sharded one
         // eagerly in `new`, so each runs one round before attaching.
@@ -1102,15 +1228,22 @@ mod tests {
             }
         }
         assert_eq!(mono_reg.counter("lla_opt_plan_lowerings_total", "").get(), 1);
-        assert!(mono_reg.counter("lla_opt_gamma_doublings_total", "").get() > 0);
+        let doublings = mono_reg.counter("lla_opt_gamma_doublings_total", "").get();
+        assert_eq!(doublings > 0, config.price_method == PriceMethod::Gradient, "{doublings}");
     }
 
     #[test]
     fn two_shards_track_monolithic_within_tolerance() {
+        for config in configs() {
+            two_shards_track_monolithic_under(config);
+        }
+    }
+
+    fn two_shards_track_monolithic_under(config: OptimizerConfig) {
         let p = clustered_problem();
-        let mut mono = Optimizer::new(p.clone(), config());
+        let mut mono = Optimizer::new(p.clone(), config);
         let spec = ShardSpec::from_groups(vec![vec![0, 1], vec![2, 3]]);
-        let mut sharded = ShardedOptimizer::new(p, config(), spec).unwrap();
+        let mut sharded = ShardedOptimizer::new(p, config, spec).unwrap();
         mono.run(600);
         sharded.run(600);
         let (ma, sa) = (mono.allocation(), sharded.allocation());
@@ -1250,12 +1383,18 @@ mod tests {
 
     #[test]
     fn export_state_imports_into_monolithic_and_continues_exactly() {
+        for config in configs() {
+            export_state_imports_into_monolithic_under(config);
+        }
+    }
+
+    fn export_state_imports_into_monolithic_under(config: OptimizerConfig) {
         let p = clustered_problem();
         let mut sharded =
-            ShardedOptimizer::new(p.clone(), config(), ShardSpec::contiguous(4, 1)).unwrap();
+            ShardedOptimizer::new(p.clone(), config, ShardSpec::contiguous(4, 1)).unwrap();
         sharded.run(120);
         let state = sharded.export_state();
-        let mut mono = Optimizer::new(p, config());
+        let mut mono = Optimizer::new(p, config);
         mono.try_import_state(state, None).unwrap();
         assert_eq!(mono.iterations(), 120);
         for i in 0..150 {

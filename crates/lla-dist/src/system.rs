@@ -948,7 +948,8 @@ impl DistributedLla {
 mod tests {
     use super::*;
     use lla_core::{
-        Optimizer, OptimizerConfig, Resource, ResourceId, ResourceKind, TaskBuilder, TaskId,
+        Optimizer, OptimizerConfig, PriceMethod, Resource, ResourceId, ResourceKind, TaskBuilder,
+        TaskId,
     };
 
     fn problem() -> Problem {
@@ -984,6 +985,7 @@ mod tests {
         let mut opt = Optimizer::new(
             problem(),
             OptimizerConfig {
+                price_method: PriceMethod::Gradient,
                 allocation: AllocationSettings { throughput_floor: false },
                 ..OptimizerConfig::default()
             },
@@ -1010,6 +1012,7 @@ mod tests {
         let mut opt = Optimizer::new(
             problem(),
             OptimizerConfig {
+                price_method: PriceMethod::Gradient,
                 allocation: AllocationSettings { throughput_floor: false },
                 ..OptimizerConfig::default()
             },
@@ -1055,6 +1058,7 @@ mod tests {
         let mut opt = Optimizer::new(
             problem(),
             OptimizerConfig {
+                price_method: PriceMethod::Gradient,
                 allocation: AllocationSettings { throughput_floor: false },
                 ..OptimizerConfig::default()
             },
@@ -1149,6 +1153,7 @@ mod tests {
         let mut oracle = Optimizer::new(
             dist.problem().clone(),
             OptimizerConfig {
+                price_method: PriceMethod::Gradient,
                 allocation: AllocationSettings { throughput_floor: false },
                 ..OptimizerConfig::default()
             },
@@ -1176,6 +1181,7 @@ mod tests {
         let mut oracle = Optimizer::new(
             dist.problem().clone(),
             OptimizerConfig {
+                price_method: PriceMethod::Gradient,
                 allocation: AllocationSettings { throughput_floor: false },
                 ..OptimizerConfig::default()
             },
@@ -1264,6 +1270,7 @@ mod tests {
         let mut opt = Optimizer::new(
             leave.problem().clone(),
             OptimizerConfig {
+                price_method: PriceMethod::Gradient,
                 step_policy: StepSizePolicy::adaptive(1.0),
                 ..OptimizerConfig::default()
             },
@@ -1464,6 +1471,7 @@ mod tests {
         let mut opt = Optimizer::new(
             p.clone(),
             OptimizerConfig {
+                price_method: PriceMethod::Gradient,
                 allocation: AllocationSettings { throughput_floor: false },
                 ..OptimizerConfig::default()
             },

@@ -15,7 +15,9 @@
 //!
 //! options:
 //!   --iters N          iteration budget (default 10000)
-//!   --policy P         adaptive | sign | fixed=<gamma>   (default sign)
+//!   --policy P         clearing | adaptive | sign | fixed=<gamma>
+//!                      (default clearing: market-clearing sweeps; the
+//!                      others take the paper's gradient steps)
 //!   --csv FILE         write the optimizer trace as CSV
 //!   --windows N        closed-loop windows (simulate; default 10)
 //!   --window MS        window length in ms (simulate; default 2000)
@@ -47,7 +49,7 @@
 //! `examples/workloads/*.lla` for samples.
 
 use lla::core::{
-    analyze_schedulability, Optimizer, OptimizerConfig, Problem, SchedulabilityConfig,
+    analyze_schedulability, Optimizer, OptimizerConfig, PriceMethod, Problem, SchedulabilityConfig,
     StepSizePolicy,
 };
 use lla::sim::{ClosedLoop, ClosedLoopConfig, SimConfig};
@@ -57,7 +59,7 @@ use std::process::ExitCode;
 struct Options {
     spec_path: String,
     iters: usize,
-    policy: StepSizePolicy,
+    optimizer: OptimizerConfig,
     csv: Option<String>,
     windows: usize,
     window_ms: f64,
@@ -81,7 +83,7 @@ enum OutputFormat {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: lla-cli <check|optimize|schedulability|simulate|telemetry|profile|fleet> \
-         <spec.lla> [--iters N] [--policy adaptive|sign|fixed=G] [--csv FILE] \
+         <spec.lla> [--iters N] [--policy clearing|adaptive|sign|fixed=G] [--csv FILE] \
          [--windows N] [--window MS] [--no-correction] \
          [--format text|prometheus|json|folded] [--top N] [--diagnose] \
          [--rounds N] [--seed S] [--loss P]"
@@ -93,7 +95,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         spec_path: String::new(),
         iters: 10_000,
-        policy: StepSizePolicy::sign_adaptive(1.0),
+        optimizer: OptimizerConfig::default(),
         csv: None,
         windows: 10,
         window_ms: 2_000.0,
@@ -118,13 +120,19 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--policy" => {
                 let v = it.next().ok_or("--policy needs a value")?;
-                opts.policy = match v.as_str() {
-                    "adaptive" => StepSizePolicy::adaptive(1.0),
-                    "sign" => StepSizePolicy::sign_adaptive(1.0),
+                let gradient = |step_policy| OptimizerConfig {
+                    price_method: PriceMethod::Gradient,
+                    step_policy,
+                    ..OptimizerConfig::default()
+                };
+                opts.optimizer = match v.as_str() {
+                    "clearing" => OptimizerConfig::default(),
+                    "adaptive" => gradient(StepSizePolicy::adaptive(1.0)),
+                    "sign" => gradient(StepSizePolicy::sign_adaptive(1.0)),
                     other => match other.strip_prefix("fixed=") {
-                        Some(g) => StepSizePolicy::fixed(
+                        Some(g) => gradient(StepSizePolicy::fixed(
                             g.parse().map_err(|_| "fixed=<gamma> needs a number")?,
-                        ),
+                        )),
                         None => return Err(format!("unknown policy `{other}`")),
                     },
                 };
@@ -219,10 +227,7 @@ fn summarize(problem: &Problem) {
 
 fn cmd_optimize(opts: &Options) -> Result<(), String> {
     let problem = load(&opts.spec_path)?;
-    let mut opt = Optimizer::new(
-        problem,
-        OptimizerConfig { step_policy: opts.policy, ..OptimizerConfig::default() },
-    );
+    let mut opt = Optimizer::new(problem, opts.optimizer);
     let outcome = opt.run_to_convergence(opts.iters);
     println!(
         "converged: {} after {} iterations, utility {:.3}, feasible {}",
@@ -271,10 +276,7 @@ fn cmd_optimize(opts: &Options) -> Result<(), String> {
 fn cmd_telemetry(opts: &Options) -> Result<ExitCode, String> {
     let problem = load(&opts.spec_path)?;
     let registry = MetricsRegistry::new();
-    let mut opt = Optimizer::new(
-        problem,
-        OptimizerConfig { step_policy: opts.policy, ..OptimizerConfig::default() },
-    );
+    let mut opt = Optimizer::new(problem, opts.optimizer);
     opt.attach_telemetry(&registry);
     if opts.diagnose {
         // Step manually so every iteration feeds the diagnostics engine;
@@ -329,10 +331,7 @@ fn fmt_ns(ns: u64) -> String {
 
 fn cmd_profile(opts: &Options) -> Result<(), String> {
     let problem = load(&opts.spec_path)?;
-    let mut opt = Optimizer::new(
-        problem,
-        OptimizerConfig { step_policy: opts.policy, ..OptimizerConfig::default() },
-    );
+    let mut opt = Optimizer::new(problem, opts.optimizer);
     let profiler = Profiler::recording();
     opt.attach_profiler(&profiler);
     let outcome = opt.run_to_convergence(opts.iters);
@@ -436,10 +435,7 @@ fn cmd_fleet(opts: &Options) -> Result<ExitCode, String> {
 
 fn cmd_schedulability(opts: &Options) -> Result<(), String> {
     let problem = load(&opts.spec_path)?;
-    let config = SchedulabilityConfig {
-        optimizer: OptimizerConfig { step_policy: opts.policy, ..OptimizerConfig::default() },
-        max_iters: opts.iters,
-    };
+    let config = SchedulabilityConfig { optimizer: opts.optimizer, max_iters: opts.iters };
     let verdict = analyze_schedulability(problem, &config);
     println!("{verdict:?}");
     Ok(())
@@ -449,7 +445,7 @@ fn cmd_simulate(opts: &Options) -> Result<(), String> {
     let problem = load(&opts.spec_path)?;
     let mut cl = ClosedLoop::new(
         problem,
-        OptimizerConfig { step_policy: opts.policy, ..OptimizerConfig::default() },
+        opts.optimizer,
         SimConfig::default(),
         ClosedLoopConfig {
             window: opts.window_ms,

@@ -5,20 +5,24 @@
 //! the [`DiagSample`](lla::telemetry::DiagSample) stream.
 
 use lla::core::{
-    Optimizer, OptimizerConfig, Problem, Resource, ResourceId, ResourceKind, StepSizePolicy,
-    TaskBuilder, TaskId,
+    Optimizer, OptimizerConfig, PriceMethod, Problem, Resource, ResourceId, ResourceKind,
+    StepSizePolicy, TaskBuilder, TaskId,
 };
 use lla::dist::{Address, DistConfig, DistributedLla, FaultPlan, RobustnessConfig};
 use lla::telemetry::{Diagnosis, DiagnosticsEngine, Verdict, DIVERGENCE_FACTOR};
 use lla::workloads::scaled_workload;
 
-/// Steps `problem` under `policy` for up to `iters` iterations through
-/// [`DiagnosticsEngine::diagnose_run`] (the path `lla telemetry
-/// --diagnose` takes) and returns its diagnosis.
+/// Steps `problem` by the paper's gradient method under `policy` for up
+/// to `iters` iterations through [`DiagnosticsEngine::diagnose_run`] (the
+/// path `lla telemetry --diagnose` takes) and returns its diagnosis.
 fn diagnose_run(problem: Problem, policy: StepSizePolicy, iters: usize) -> Diagnosis {
     let names: Vec<String> = problem.resources().iter().map(|r| r.name().to_string()).collect();
-    let mut opt =
-        Optimizer::new(problem, OptimizerConfig { step_policy: policy, ..Default::default() });
+    let config = OptimizerConfig {
+        price_method: PriceMethod::Gradient,
+        step_policy: policy,
+        ..Default::default()
+    };
+    let mut opt = Optimizer::new(problem, config);
     DiagnosticsEngine::new().with_resource_names(names).diagnose_run(iters, || {
         opt.step();
         (opt.diag_sample(), opt.has_converged())

@@ -3,7 +3,7 @@
 //! perfect synchronous network, and degrade gracefully (not
 //! catastrophically) under loss, jitter, and delay.
 
-use lla::core::{AllocationSettings, Optimizer, OptimizerConfig, StepSizePolicy};
+use lla::core::{AllocationSettings, Optimizer, OptimizerConfig, PriceMethod, StepSizePolicy};
 use lla::dist::{DistConfig, DistributedLla, NetworkModel};
 use lla::workloads::{base_workload, RandomWorkloadConfig};
 
@@ -15,6 +15,7 @@ fn centralized_reference(rounds: usize) -> Vec<f64> {
     let mut opt = Optimizer::new(
         base_workload(),
         OptimizerConfig {
+            price_method: PriceMethod::Gradient,
             step_policy: StepSizePolicy::adaptive(1.0),
             allocation: settings(),
             ..OptimizerConfig::default()
@@ -63,6 +64,7 @@ fn virtual_runtime_matches_centralized_on_random_workloads() {
         let mut opt = Optimizer::new(
             cfg.generate().unwrap(),
             OptimizerConfig {
+                price_method: PriceMethod::Gradient,
                 step_policy: StepSizePolicy::adaptive(1.0),
                 allocation: settings(),
                 ..OptimizerConfig::default()
@@ -87,6 +89,7 @@ fn heavy_loss_degrades_gracefully() {
     let mut reference = Optimizer::new(
         base_workload(),
         OptimizerConfig {
+            price_method: PriceMethod::Gradient,
             step_policy: StepSizePolicy::sign_adaptive(1.0),
             allocation: settings(),
             ..OptimizerConfig::default()

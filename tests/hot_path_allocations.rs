@@ -1,6 +1,7 @@
 //! Heap-allocation budgets of the hot paths, counted by this binary's
 //! global allocator: an `Optimizer::step` without a trace allocates
-//! nothing; `D(μ, λ)` on a driver's memoised plans grows the thread's
+//! nothing, and neither does a `ShardedOptimizer::step_timed` under the
+//! default market-clearing price method; `D(μ, λ)` on a driver's memoised plans grows the thread's
 //! working buffers to the problem and then allocates nothing for
 //! `certify` and only the flat maximiser and its row offsets for
 //! `dual_value`, the same at any problem size, for an `Optimizer` and a
@@ -8,7 +9,7 @@
 //! moves every message without touching the heap. Each test runs on a
 //! thread of its own, so its first evaluation starts from empty buffers.
 
-use lla::core::{dual_value, Optimizer, OptimizerConfig, ShardSpec, ShardedOptimizer};
+use lla::core::{dual_value, Optimizer, OptimizerConfig, PriceMethod, ShardSpec, ShardedOptimizer};
 use lla::dist::{DistConfig, DistributedLla};
 use lla::workloads::large_scale_workload;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -141,6 +142,49 @@ fn sharded_dual_value_allocates_the_same_at_any_size() {
         .collect();
     assert_eq!(counts[0], counts[1], "dual_value allocations grew with the task count");
     assert!(counts[0].0 <= 8 && counts[0].1 == 2, "dual_value allocations: {:?}", counts[0]);
+}
+
+/// Market-clearing rounds (the default price method) allocate nothing
+/// once the sweep's term buffers have grown to the largest resource and
+/// path: an `Optimizer::step` and a two-shard `ShardedOptimizer::step_timed`
+/// (whose decomposition lives in a buffer the driver reuses), at 200 and
+/// at 2000 tasks. At 2000 tasks the `Optimizer`'s allocation kernel fans
+/// out over worker threads (this binary builds lla-core with `parallel`),
+/// and spawning them allocates under either price method, so there the
+/// clearing step is held to the gradient step's count.
+#[test]
+fn clearing_rounds_allocate_nothing() {
+    for tasks in [200, 2000] {
+        let problem = large_scale_workload(tasks, 3).expect("valid config");
+        let config = OptimizerConfig { record_trace: false, ..OptimizerConfig::default() };
+        let steps = |config: OptimizerConfig| {
+            let mut opt = Optimizer::new(problem.clone(), config);
+            opt.run(5);
+            allocations(|| {
+                for _ in 0..20 {
+                    opt.step();
+                }
+            })
+            .1
+        };
+        let n = steps(config);
+        let fan_out = steps(OptimizerConfig { price_method: PriceMethod::Gradient, ..config });
+        assert_eq!(fan_out == 0, tasks == 200, "{fan_out} allocations in 20 gradient steps");
+        assert_eq!(n, fan_out, "20 clearing steps made {n} heap allocations at {tasks} tasks");
+
+        let spec = ShardSpec::contiguous(tasks, 2);
+        let mut sharded = ShardedOptimizer::new(problem, config, spec).expect("partition");
+        for _ in 0..5 {
+            sharded.step_timed();
+        }
+        let ((), n) = allocations(|| {
+            for _ in 0..20 {
+                let (_, timing) = sharded.step_timed();
+                assert_eq!(timing.shard_ns.len(), 2);
+            }
+        });
+        assert_eq!(n, 0, "20 sharded clearing rounds made {n} heap allocations at {tasks} tasks");
+    }
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! per table/figure (fast variants of the `lla-bench` experiments).
 
 use lla::core::{
-    analyze_schedulability, Aggregation, Optimizer, OptimizerConfig, SchedulabilityConfig,
-    SchedulabilityVerdict, StepSizePolicy,
+    analyze_schedulability, Aggregation, Optimizer, OptimizerConfig, PriceMethod,
+    SchedulabilityConfig, SchedulabilityVerdict, StepSizePolicy,
 };
 use lla::sim::{ClosedLoop, ClosedLoopConfig, SimConfig};
 use lla::workloads::{
@@ -11,8 +11,13 @@ use lla::workloads::{
 };
 use lla_bench::run_fig7;
 
+/// The paper's gradient method under `policy`.
 fn paper_config(policy: StepSizePolicy) -> OptimizerConfig {
-    OptimizerConfig { step_policy: policy, ..OptimizerConfig::default() }
+    OptimizerConfig {
+        price_method: PriceMethod::Gradient,
+        step_policy: policy,
+        ..OptimizerConfig::default()
+    }
 }
 
 /// Table 1: LLA converges on the base workload with every critical path
@@ -100,8 +105,11 @@ fn fig6_linear_utility_scaling() {
 /// shows: share sums far above capacity.
 #[test]
 fn fig7_unschedulable_detection() {
-    let verdict =
-        analyze_schedulability(scaled_workload(2, false), &SchedulabilityConfig::default());
+    let gradient = SchedulabilityConfig {
+        optimizer: paper_config(StepSizePolicy::adaptive(1.0)),
+        ..SchedulabilityConfig::default()
+    };
+    let verdict = analyze_schedulability(scaled_workload(2, false), &gradient);
     match verdict {
         SchedulabilityVerdict::Unschedulable { dual, utility_floor, .. } => {
             assert!(dual < utility_floor, "the proof is D < U_floor: {dual} vs {utility_floor}");
@@ -126,16 +134,20 @@ fn fig7_unschedulable_detection() {
 }
 
 /// §5.4's caveat: slow convergence can look like neither verdict. Under
-/// the default probe (adaptive γ, 2000 rounds) Figure 7's schedulable
-/// twin parks on a feasible allocation with utility near −528, against
-/// a certified optimum of −446.6 (`sign_adaptive(1.0)` reaches it in
-/// 373 rounds). The gap stays open and the dual bound stays far above
-/// the floor, so neither proof arrives and the verdict is
-/// `Inconclusive`.
+/// the paper's gradient probe (adaptive γ, 2000 rounds) Figure 7's
+/// schedulable twin parks on a feasible allocation with utility near
+/// −528, against a certified optimum of −446.6 (`sign_adaptive(1.0)`
+/// reaches it in 373 rounds). The gap stays open and the dual bound
+/// stays far above the floor, so neither proof arrives and the verdict
+/// is `Inconclusive`. (The default market-clearing probe certifies the
+/// twin; `tests/clearing.rs` checks it.)
 #[test]
 fn fig7_slow_schedulable_twin_is_inconclusive() {
-    let verdict =
-        analyze_schedulability(scaled_workload(2, true), &SchedulabilityConfig::default());
+    let gradient = SchedulabilityConfig {
+        optimizer: paper_config(StepSizePolicy::adaptive(1.0)),
+        ..SchedulabilityConfig::default()
+    };
+    let verdict = analyze_schedulability(scaled_workload(2, true), &gradient);
     match verdict {
         SchedulabilityVerdict::Inconclusive { iterations, certificate, utility_floor } => {
             assert_eq!(iterations, 2_000);

@@ -7,7 +7,8 @@
 //! preserve feasibility and KKT residuals.
 
 use lla::core::{
-    dual_value, Optimizer, OptimizerConfig, Problem, ShardSpec, ShardedOptimizer, StepSizePolicy,
+    dual_value, Optimizer, OptimizerConfig, PriceMethod, Problem, ShardSpec, ShardedOptimizer,
+    StepSizePolicy,
 };
 use lla::workloads::{
     clustered_workload, large_scale_workload, partition_by_affinity, scaled_workload,
@@ -23,8 +24,11 @@ fn cases(salt: u64) -> impl Iterator<Item = StdRng> {
     (0..CASES as u64).map(move |i| StdRng::seed_from_u64(salt.wrapping_mul(0x9e37_79b9) + i))
 }
 
+/// The paper's gradient method (`tests/clearing.rs` covers the
+/// market-clearing sweep's shard equivalence).
 fn config() -> OptimizerConfig {
     OptimizerConfig {
+        price_method: PriceMethod::Gradient,
         step_policy: StepSizePolicy::sign_adaptive(1.0),
         ..OptimizerConfig::default()
     }
