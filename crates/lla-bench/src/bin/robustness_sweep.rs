@@ -20,7 +20,7 @@
 //! stdout carries only the two machine-readable CSV documents (which are
 //! also written under `results/`).
 
-use lla_bench::{paper_optimizer_config, render::sparkline, Series};
+use lla_bench::{paper_dist_config, paper_optimizer_config, render::sparkline, Series};
 use lla_core::{Optimizer, StepSizePolicy};
 use lla_dist::{Address, DistConfig, DistributedLla, FaultPlan, NetworkModel, RobustnessConfig};
 use lla_telemetry::{Event, EventLog};
@@ -85,7 +85,6 @@ fn fault_sweep(progress: &EventLog) {
                 let mut dist = DistributedLla::new(
                     problem,
                     DistConfig {
-                        step_policy: StepSizePolicy::adaptive(1.0),
                         network: NetworkModel::lossy(0.5, 1.0, loss),
                         seed: 7,
                         robustness: RobustnessConfig {
@@ -94,7 +93,7 @@ fn fault_sweep(progress: &EventLog) {
                             retransmit_interval: ROUND,
                             ..RobustnessConfig::default()
                         },
-                        ..DistConfig::default()
+                        ..paper_dist_config(StepSizePolicy::adaptive(1.0))
                     },
                 );
 

@@ -20,7 +20,7 @@
 //! Everything runs on the seeded virtual runtime, so the emitted
 //! `churn_sweep.csv` is byte-deterministic for a fixed config.
 
-use crate::Series;
+use crate::{paper_dist_config, Series};
 use lla_core::{
     select_victim, shed_ranking, Optimizer, OverloadConfig, OverloadMonitor, ResourceId,
     StepSizePolicy, TaskBuilder, UtilityFn,
@@ -263,7 +263,6 @@ pub fn run_churn_soak_instrumented(config: &ChurnConfig, hub: &TelemetryHub) -> 
     let mut dist = DistributedLla::with_telemetry(
         base_workload(),
         DistConfig {
-            step_policy: policy,
             network: NetworkModel::lossy(0.5, 1.0, config.loss),
             seed: config.seed,
             robustness: RobustnessConfig {
@@ -271,7 +270,7 @@ pub fn run_churn_soak_instrumented(config: &ChurnConfig, hub: &TelemetryHub) -> 
                 retransmit_interval: ROUND,
                 ..RobustnessConfig::default()
             },
-            ..DistConfig::default()
+            ..paper_dist_config(policy)
         },
         tel.clone(),
     );

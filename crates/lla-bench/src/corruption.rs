@@ -24,8 +24,8 @@
 //!    with enough forged-but-valid frames delivered per round, recovery
 //!    is the supervisor's job (quarantine), not the codec's.
 
-use crate::Series;
-use lla_core::{Problem, Resource, ResourceId, ResourceKind, TaskBuilder, TaskId};
+use crate::{paper_dist_config, Series};
+use lla_core::{Problem, Resource, ResourceId, ResourceKind, StepSizePolicy, TaskBuilder, TaskId};
 use lla_dist::{DistConfig, DistributedLla};
 use lla_telemetry::{DiagnosticsEngine, Verdict};
 
@@ -122,7 +122,12 @@ pub fn sweep_problem() -> Problem {
 
 /// Runs one arm at the given sustained corruption rate.
 pub fn run_arm(rate: f64, seed: u64) -> SweepPoint {
-    let config = DistConfig { seed, wire_mode: true, corruption: rate, ..DistConfig::default() };
+    let config = DistConfig {
+        seed,
+        wire_mode: true,
+        corruption: rate,
+        ..paper_dist_config(StepSizePolicy::default())
+    };
     let mut dist = DistributedLla::new(sweep_problem(), config);
     dist.run_rounds(SOAK_ROUNDS);
     let mut tail = DiagnosticsEngine::new();

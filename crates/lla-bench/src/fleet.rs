@@ -8,6 +8,8 @@
 //! two soaks with the same config produce byte-identical alert
 //! timelines — the determinism the golden-file CI smoke test pins.
 
+use crate::paper_dist_config;
+use lla_core::StepSizePolicy;
 use lla_dist::fault::FaultPlan;
 use lla_dist::{DistConfig, DistTelemetry, DistributedLla, NetworkModel};
 use lla_telemetry::{Event, TelemetryHub};
@@ -108,7 +110,7 @@ pub fn run_fleet_soak(config: &FleetSoakConfig, hub: &TelemetryHub) -> FleetSoak
                 .with_duplication(config.duplication),
             seed: config.seed,
             report_cadence: ROUND,
-            ..DistConfig::default()
+            ..paper_dist_config(StepSizePolicy::default())
         },
         DistTelemetry::from_hub(hub),
     );

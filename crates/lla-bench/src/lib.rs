@@ -27,6 +27,7 @@ use lla_core::{
     Aggregation, Allocation, AllocationSettings, Optimizer, OptimizerConfig, PriceMethod,
     StepSizePolicy,
 };
+use lla_dist::DistConfig;
 use lla_sim::{ClosedLoop, ClosedLoopConfig, SimConfig};
 use lla_telemetry::{HealthSnapshot, ProfileSnapshot, Profiler};
 use lla_workloads::{base_workload_with, prototype_workload, scaled_workload, PrototypeParams};
@@ -44,6 +45,13 @@ pub fn paper_optimizer_config(policy: StepSizePolicy) -> OptimizerConfig {
         allocation: AllocationSettings::default(),
         ..OptimizerConfig::default()
     }
+}
+
+/// The deployment configuration of the distributed experiments: the
+/// paper's protocol (§4), gradient price steps under `policy`, the step
+/// rule the soaks' remediations act on and their recorded series follow.
+pub fn paper_dist_config(policy: StepSizePolicy) -> DistConfig {
+    DistConfig { price_method: PriceMethod::Gradient, step_policy: policy, ..DistConfig::default() }
 }
 
 /// A rendered experiment series: column headers plus rows of numbers.

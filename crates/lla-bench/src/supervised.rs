@@ -26,7 +26,7 @@
 //! `supervised_soak.csv` is byte-deterministic and the comparison is
 //! apples-to-apples.
 
-use crate::Series;
+use crate::{paper_dist_config, Series};
 use lla_core::{
     select_victim, IterationReport, OverloadMonitor, ResourceId, ResourceKind, StepSizePolicy,
     TaskBuilder, UtilityFn,
@@ -191,10 +191,9 @@ fn build_dist(sc: &Scenario) -> DistributedLla {
     DistributedLla::new(
         (sc.problem)(),
         DistConfig {
-            step_policy: sc.policy,
             network: NetworkModel::lossy(0.5, 1.0, LOSS),
             seed: sc.seed,
-            ..DistConfig::default()
+            ..paper_dist_config(sc.policy)
         },
     )
 }

@@ -103,11 +103,11 @@ pub use optimizer::{
 };
 pub use overload::{governed_step, select_victim, shed_ranking, OverloadConfig, OverloadMonitor};
 pub use percentile::{compose_path_percentile, PercentileSpec};
-pub use plan::{Plan, PlanScratch, TaskPlan};
+pub use plan::{Plan, PlanScratch, ResourcePlan, TaskPlan};
 pub use prices::{PriceMethod, PriceState, StepSizePolicy};
 pub use problem::{MembershipReport, Problem};
 pub use resource::{Resource, ResourceKind};
-pub use round_book::Certificate;
+pub use round_book::{Certificate, FEASIBILITY_TOL};
 pub use schedulability::{analyze_schedulability, SchedulabilityConfig, SchedulabilityVerdict};
 pub use shard::{ResourceOwner, ShardSpec, ShardStepTiming, ShardedOptimizer};
 pub use share::ShareModel;

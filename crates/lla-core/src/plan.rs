@@ -175,7 +175,8 @@ use std::sync::Arc;
 
 mod clearing;
 
-pub(crate) use clearing::{clear_resource, PathTerm, ShareTerm};
+pub(crate) use clearing::{clear_resource, ShareTerm};
+pub use clearing::{PathTerm, ResourcePlan};
 
 /// Fan out the parallel allocator only past this many subtasks; below it
 /// thread startup dwarfs the work and the sequential kernel wins.
@@ -1480,21 +1481,32 @@ impl TaskPlan {
         self.critical_time
     }
 
+    /// The task's per-subtask columns.
+    fn cols(&self) -> SubtaskCols<'_> {
+        SubtaskCols {
+            demand: &self.demand,
+            correction: &self.correction,
+            lo: &self.lo,
+            hi: &self.hi,
+            sub_res: &self.sub_res,
+        }
+    }
+
+    /// Local path `p`'s task-local subtask indices, root to leaf.
+    fn path(&self, p: usize) -> &[u32] {
+        &self.path_subs[self.path_off[p]..self.path_off[p + 1]]
+    }
+
     /// `Σ_{s∈p} lat_s` for local path `p`, replicating
     /// [`crate::graph::Path::latency`].
     pub fn path_latency(&self, p: usize, lats: &[f64]) -> f64 {
-        self.path_subs[self.path_off[p]..self.path_off[p + 1]]
-            .iter()
-            .map(|&s| lats[s as usize])
-            .sum()
+        self.path(p).iter().map(|&s| lats[s as usize]).sum()
     }
 
     /// Whether local path `p` traverses a resource flagged in `congested`
     /// (indexed by global resource index).
     pub fn path_traverses(&self, p: usize, congested: &[bool]) -> bool {
-        self.path_subs[self.path_off[p]..self.path_off[p + 1]]
-            .iter()
-            .any(|&s| congested[self.sub_res[s as usize] as usize])
+        self.path(p).iter().any(|&s| congested[self.sub_res[s as usize] as usize])
     }
 
     /// One latency-allocation step for this task (bit-identical to
@@ -1514,18 +1526,12 @@ impl TaskPlan {
         lambda_scratch.fill(0.0);
         for (p, &lp) in prices.lambdas(t).iter().enumerate() {
             if lp != 0.0 {
-                for &s in &self.path_subs[self.path_off[p]..self.path_off[p + 1]] {
+                for &s in self.path(p) {
                     lambda_scratch[s as usize] += lp;
                 }
             }
         }
-        let cols = SubtaskCols {
-            demand: &self.demand,
-            correction: &self.correction,
-            lo: &self.lo,
-            hi: &self.hi,
-            sub_res: &self.sub_res,
-        };
+        let cols = self.cols();
         let lambda_sum = Some(&*lambda_scratch);
         let solve = |f: f64, dst: &mut [f64]| {
             cols.solve(|s| -self.weight[s] * f, lambda_sum, prices.mus(), dst);

@@ -24,14 +24,24 @@
 //!
 //! A concave task's `−w_s·f′(A)` is held at the aggregate of the previous
 //! allocation for the sweep; the allocation that follows runs its damped
-//! fixed point as usual. A constraint that no price can clear (minimum
+//! fixed point as usual.
+//!
+//! Both blocks are local to the agent that owns the price, so a
+//! distributed deployment runs the same solves: a [`ResourcePlan`] clears
+//! one resource's `μ_r` from the pressures its subtasks' controllers
+//! report, and [`TaskPlan::clear_lambdas`] clears one task's λ at the μ
+//! its controller holds. A constraint that no price can clear (minimum
 //! shares above `B_r`, or `Σ lo > C_i` on a path) doubles its price each
 //! sweep up to [`PRICE_CAP`], which drives `D` to `−∞` and lets
 //! [`analyze_schedulability`](crate::analyze_schedulability) prove the
 //! problem unschedulable.
 
-use super::{dot, Plan, PlanScratch};
+use super::{dot, Plan, PlanScratch, SubtaskCols, TaskPlan};
+use crate::allocation::{subtask_box, AllocationSettings};
+use crate::ids::ResourceId;
 use crate::prices::PriceState;
+use crate::problem::Problem;
+use crate::utility::UtilityFn;
 
 /// The price an unclearable constraint first takes from zero.
 const PRICE_SEED: f64 = 1.0;
@@ -64,6 +74,23 @@ pub(crate) struct ShareTerm {
     pub(crate) lo: f64,
     /// The share at the latency floor, `m_s/(lo_s − ê_s)`.
     pub(crate) hi: f64,
+}
+
+impl ShareTerm {
+    /// The term of a subtask of demand `m` under pressure `p`, with share
+    /// bounds `lo` and `hi` from [`share_bounds`].
+    #[inline]
+    fn new(m: f64, p: f64, lo: f64, hi: f64) -> Self {
+        ShareTerm { a: if p > 0.0 { (m * p).sqrt() } else { 0.0 }, lo, hi }
+    }
+}
+
+/// The `(share at the latency cap, share at the latency floor)` of a
+/// subtask of demand `m` and correction `e` with latency box
+/// `[lat_lo, lat_hi]`.
+#[inline]
+fn share_bounds(m: f64, e: f64, lat_lo: f64, lat_hi: f64) -> (f64, f64) {
+    (m / (lat_hi - e), m / (lat_lo - e))
 }
 
 /// The `μ_r` at which `Σ clamp(a·x, lo, hi) = b` with `x = 1/√μ_r`; 0
@@ -134,9 +161,10 @@ pub(crate) fn clear_resource(
 
 /// One subtask's latency as a function of its path's `λ`:
 /// `clamp(ê + √(k/(p0 + λ)), lo, hi)` — the allocation kernel's formula —
-/// or `hi` while `p0 + λ ≤ 0`.
+/// or `hi` while `p0 + λ ≤ 0`. Public only as the element of the reusable
+/// buffer [`TaskPlan::clear_lambdas`] takes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct PathTerm {
+pub struct PathTerm {
     /// The correction `ê_s`.
     pub(crate) e: f64,
     /// `μ_r⁺·m_s`.
@@ -229,6 +257,41 @@ pub(crate) fn clear_path(terms: &[PathTerm], ct: f64, prev: f64) -> f64 {
     x
 }
 
+impl SubtaskCols<'_> {
+    /// The new λ of one path, whose subtasks (indices into these columns)
+    /// are `path`: cleared from `old` against `ct` at resource prices
+    /// `mus`, after which it replaces `old` in the path's `pressure`
+    /// entries. `terms` is a reusable buffer.
+    fn clear_path_lambda(
+        &self,
+        path: &[u32],
+        mus: &[f64],
+        ct: f64,
+        old: f64,
+        pressure: &mut [f64],
+        terms: &mut Vec<PathTerm>,
+    ) -> f64 {
+        terms.clear();
+        for &s in path {
+            let s = s as usize;
+            terms.push(PathTerm {
+                e: self.correction[s],
+                k: mus[self.sub_res[s] as usize].max(0.0) * self.demand[s],
+                lo: self.lo[s],
+                hi: self.hi[s],
+                p0: pressure[s] - old,
+            });
+        }
+        let new = clear_path(terms, ct, old);
+        if new != old {
+            for &s in path {
+                pressure[s as usize] = (pressure[s as usize] - old) + new;
+            }
+        }
+        new
+    }
+}
+
 impl PlanScratch {
     /// The sweep's pressures, from
     /// [`Plan::sweep_pressures`] until the allocation that ends the round
@@ -298,12 +361,9 @@ impl Plan {
     pub(crate) fn push_terms(&self, r: usize, pressure: &[f64], terms: &mut Vec<ShareTerm>) {
         for &s in &self.res_subs[self.res_off[r] as usize..self.res_off[r + 1] as usize] {
             let s = s as usize;
-            let (m, e, p) = (self.demand[s], self.correction[s], pressure[s]);
-            terms.push(ShareTerm {
-                a: if p > 0.0 { (m * p).sqrt() } else { 0.0 },
-                lo: m / (self.hi[s] - e),
-                hi: m / (self.lo[s] - e),
-            });
+            let m = self.demand[s];
+            let (lo, hi) = share_bounds(m, self.correction[s], self.lo[s], self.hi[s]);
+            terms.push(ShareTerm::new(m, pressure[s], lo, hi));
         }
     }
 
@@ -312,26 +372,11 @@ impl Plan {
     /// pressures the next path of the task sees.
     pub(crate) fn clear_paths(&self, prices: &mut PriceState, scratch: &mut PlanScratch) {
         let PlanScratch { lambda: pressure, path_terms, .. } = scratch;
+        let cols = self.cols(0..self.num_subtasks());
         for pp in 0..self.num_paths() {
             let old = prices.flat_lambdas()[pp];
-            path_terms.clear();
-            for &s in self.path_subtasks(pp) {
-                let s = s as usize;
-                let mu = prices.mu(self.sub_res[s] as usize).max(0.0);
-                path_terms.push(PathTerm {
-                    e: self.correction[s],
-                    k: mu * self.demand[s],
-                    lo: self.lo[s],
-                    hi: self.hi[s],
-                    p0: pressure[s] - old,
-                });
-            }
-            let new = clear_path(path_terms, self.path_ct[pp], old);
-            if new != old {
-                for &s in self.path_subtasks(pp) {
-                    pressure[s as usize] = (pressure[s as usize] - old) + new;
-                }
-            }
+            let (path, ct) = (self.path_subtasks(pp), self.path_ct[pp]);
+            let new = cols.clear_path_lambda(path, prices.mus(), ct, old, pressure, path_terms);
             prices.clear_lambda(pp, new);
         }
     }
@@ -355,6 +400,116 @@ impl Plan {
             path_lat[pp] = path.iter().map(|&gs| lats[gs as usize]).sum();
         });
         (resource, self.max_path_violation(path_lat))
+    }
+}
+
+impl TaskPlan {
+    /// The market-clearing pressures `P_s = −w_s·f′ + Σ_{p∋s} λ_p` of the
+    /// task's subtasks into `pressure`, rebuilt the way
+    /// `Plan::sweep_pressures` builds them: a concave task's `f′` at the
+    /// aggregate of `previous`, then each nonzero λ of row `t` added in
+    /// path order. These are what a controller reports with its
+    /// latencies, so that the resource agents can clear their μ.
+    pub fn pressures_into(
+        &self,
+        t: usize,
+        prices: &PriceState,
+        previous: &[f64],
+        pressure: &mut [f64],
+    ) {
+        let fprime = match self.utility {
+            UtilityFn::Linear { .. } => self.utility.derivative(0.0),
+            _ => self.utility.derivative(dot(previous, &self.weight)),
+        };
+        for (p, &w) in pressure.iter_mut().zip(&self.weight) {
+            *p = -w * fprime;
+        }
+        for (p, &lp) in prices.lambdas(t).iter().enumerate() {
+            if lp != 0.0 {
+                for &s in self.path(p) {
+                    pressure[s as usize] += lp;
+                }
+            }
+        }
+    }
+
+    /// The λ block of the market-clearing sweep for this task (row `t` of
+    /// `prices`): each path, in path order, clears its latency against
+    /// `C_i` at the μ held in `prices`, and its new λ enters the pressures
+    /// the next path sees — `Plan::clear_paths` over one task. Starts
+    /// from [`pressures_into`](Self::pressures_into) at `previous`;
+    /// `pressure` is left holding the block's last pressures and `terms`
+    /// is a reusable buffer.
+    pub fn clear_lambdas(
+        &self,
+        t: usize,
+        prices: &mut PriceState,
+        previous: &[f64],
+        pressure: &mut [f64],
+        terms: &mut Vec<PathTerm>,
+    ) {
+        self.pressures_into(t, prices, previous, pressure);
+        let cols = self.cols();
+        for p in 0..self.num_paths() {
+            let old = prices.lambda(t, p);
+            let ct = self.critical_time;
+            let new = cols.clear_path_lambda(self.path(p), prices.mus(), ct, old, pressure, terms);
+            prices.set_lambda(t, p, new);
+        }
+    }
+}
+
+/// A single-resource lowering for a distributed resource agent: the μ
+/// block of the market-clearing sweep over the subtasks one resource
+/// hosts, the resource-side counterpart of [`TaskPlan`]. It holds each
+/// hosted subtask's demand and share bounds in [`Problem::subtasks_on`]
+/// order (O(hosted subtasks), lowered by the code of
+/// [`clamping_box`](crate::clamping_box)), plus the solve's reusable
+/// breakpoint buffer.
+#[derive(Debug, Clone)]
+pub struct ResourcePlan {
+    availability: f64,
+    demand: Vec<f64>,
+    /// One term per hosted subtask: the share bounds are lowered, the
+    /// slope is rewritten from the pressures on every solve.
+    terms: Vec<ShareTerm>,
+    breakpoints: Vec<(f64, f64)>,
+}
+
+impl ResourcePlan {
+    /// Lowers the subtasks `problem` hosts on resource `r`.
+    pub fn lower(problem: &Problem, r: ResourceId, settings: &AllocationSettings) -> ResourcePlan {
+        let hosted = problem.subtasks_on(r);
+        let mut demand = Vec::with_capacity(hosted.len());
+        let mut terms = Vec::with_capacity(hosted.len());
+        for &sid in hosted {
+            let model = problem.share_model(sid);
+            let task = problem.task(sid.task());
+            let (lo, cap) = subtask_box(problem, task, sid.index(), model, settings);
+            let m = model.demand();
+            let (at_cap, at_floor) = share_bounds(m, model.correction(), lo, cap.max(lo));
+            demand.push(m);
+            terms.push(ShareTerm { a: 0.0, lo: at_cap, hi: at_floor });
+        }
+        ResourcePlan {
+            availability: problem.resource(r).availability(),
+            demand,
+            terms,
+            breakpoints: Vec::new(),
+        }
+    }
+
+    /// The `μ_r` at which the hosted subtasks' usage meets `B_r`, at
+    /// `pressure` (one per hosted subtask, in lowering order), by the
+    /// breakpoint walk of `Plan::clear_resources`: 0 when the usage at
+    /// the latency floors fits, `prev` doubled when the usage at the caps
+    /// does not.
+    pub fn clear_mu(&mut self, pressure: &[f64], prev: f64) -> f64 {
+        debug_assert_eq!(pressure.len(), self.demand.len(), "one pressure per hosted subtask");
+        for ((term, &m), &p) in self.terms.iter_mut().zip(&self.demand).zip(pressure) {
+            *term = ShareTerm::new(m, p, term.lo, term.hi);
+        }
+        clear_resource(&self.terms, &mut self.breakpoints, self.availability, prev)
     }
 }
 

@@ -308,6 +308,13 @@ impl PriceState {
         Self::with_rows(problem.resources().len(), rows, policy)
     }
 
+    /// Zero prices for every resource of `problem` and no λ row: the duals
+    /// of an agent that prices resources alone (a distributed resource
+    /// agent), without the per-path arrays of [`new`](Self::new).
+    pub fn for_resources(problem: &Problem, policy: StepSizePolicy) -> Self {
+        Self::with_rows(problem.resources().len(), std::iter::empty(), policy)
+    }
+
     /// Zero prices for `resources` resources and one λ row per entry of
     /// `rows` (its path count), every step size at the policy's initial
     /// value.
@@ -375,13 +382,7 @@ impl PriceState {
     /// different path set would be meaningless.
     pub fn remap(&self, problem: &Problem, report: &MembershipReport) -> PriceState {
         let mut next = PriceState::new(problem, self.policy);
-        for (old, m) in report.resource_map.iter().enumerate() {
-            if let Some(new) = *m {
-                next.mu[new] = self.mu[old];
-                next.gamma_r[new] = self.gamma_r[old];
-                next.last_grad_r[new] = self.last_grad_r[old];
-            }
-        }
+        next.carry_resources(self, &report.resource_map);
         for (old, m) in report.task_map.iter().enumerate() {
             if let Some(new) = *m {
                 let (from, to) = (self.row(old), next.row(new));
@@ -392,8 +393,31 @@ impl PriceState {
                 }
             }
         }
-        next.tally = self.tally;
         next
+    }
+
+    /// [`remap`](Self::remap) for a state of
+    /// [`for_resources`](Self::for_resources): the surviving resources of
+    /// `resource_map` (old index → new index) keep their duals, into a
+    /// state without λ rows.
+    pub fn remap_resources(&self, problem: &Problem, resource_map: &[Option<usize>]) -> Self {
+        let mut next = Self::for_resources(problem, self.policy);
+        next.carry_resources(self, resource_map);
+        next
+    }
+
+    /// Copies `old`'s resource duals (μ, step size, last gradient) and
+    /// diagnostic tally into this fresh state, resource by resource along
+    /// `resource_map`.
+    fn carry_resources(&mut self, old: &PriceState, resource_map: &[Option<usize>]) {
+        for (from, m) in resource_map.iter().enumerate() {
+            if let Some(to) = *m {
+                self.mu[to] = old.mu[from];
+                self.gamma_r[to] = old.gamma_r[from];
+                self.last_grad_r[to] = old.last_grad_r[from];
+            }
+        }
+        self.tally = old.tally;
     }
 
     /// How many non-finite price samples have been rejected (see
@@ -827,6 +851,33 @@ mod tests {
         b.edge(a, c).unwrap();
         b.critical_time(20.0);
         Problem::new(resources, vec![b.build(TaskId::new(0)).unwrap()]).unwrap()
+    }
+
+    #[test]
+    fn resource_duals_carry_like_the_full_remap() {
+        let p = problem();
+        let (mut full, mut rows) = (
+            PriceState::new(&p, StepSizePolicy::adaptive(1.0)),
+            PriceState::for_resources(&p, StepSizePolicy::adaptive(1.0)),
+        );
+        assert_eq!(rows.num_paths(), 0, "a resource-only state has no λ");
+        for grad in [-1.0, -0.5, 0.25] {
+            full.apply_resource_step(1, grad);
+            rows.apply_resource_step(1, grad);
+        }
+        // Resource 1 moves to index 0, resource 0 is gone.
+        let report = MembershipReport {
+            task_map: vec![Some(0)],
+            resource_map: vec![None, Some(0)],
+            added_task: None,
+            added_resource: None,
+        };
+        let (full, rows) =
+            (full.remap(&p, &report), rows.remap_resources(&p, &report.resource_map));
+        assert_eq!(rows.num_paths(), 0);
+        assert_eq!(rows.mus(), full.mus());
+        assert_eq!(rows.gamma_r(0), full.gamma_r(0));
+        assert_eq!(rows.gamma_doublings(), full.gamma_doublings());
     }
 
     #[test]

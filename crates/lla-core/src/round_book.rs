@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// δ: slack on `max_r (usage_r − B_r)` and `max_p (path_latency/C − 1)`
 /// when declaring an allocation feasible.
-pub(crate) const FEASIBILITY_TOL: f64 = 1e-3;
+pub const FEASIBILITY_TOL: f64 = 1e-3;
 
 /// ε: relative duality gap `(D − U)/|D|` of a certified allocation.
 pub(crate) const GAP_TOL: f64 = 1e-4;

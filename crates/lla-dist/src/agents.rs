@@ -1,6 +1,19 @@
 //! The actor kinds of distributed LLA: resource price agents, task
 //! controllers, and the control-plane agent that disseminates availability
 //! changes reliably.
+//!
+//! A round is one controller tick then one resource tick. Under
+//! [`PriceMethod::Gradient`] (the paper's protocol) the controller steps
+//! its path prices on the previous allocation's slack and allocates, and
+//! the resource steps `μ_r` on `B_r − usage_r`. Under
+//! [`PriceMethod::Clearing`] the two ticks run the blocks of the
+//! in-process market-clearing sweep (DESIGN §18): the controller clears
+//! its paths' λ at the μ it holds ([`TaskPlan::clear_lambdas`]),
+//! allocates, and reports each latency with its subtask's pressure; the
+//! resource clears `μ_r` from those pressures
+//! ([`ResourcePlan::clear_mu`]). On a perfect synchronous network the
+//! deployment then runs the [`Optimizer`](lla_core::Optimizer)'s
+//! clearing rounds one round late.
 
 use crate::fleet::{
     AgentTelemetry, M_CHECKPOINTS, M_DEGRADED_TICKS, M_LATENCY_UPDATES, M_MESSAGES_IN,
@@ -9,9 +22,10 @@ use crate::fleet::{
 use crate::protocol::{Address, Message};
 use crate::runtime::{Actor, Outbox};
 use crate::telemetry::DistTelemetry;
+use lla_core::plan::PathTerm;
 use lla_core::{
-    AllocationSettings, MembershipReport, ModelError, OptimizerState, PriceState, Problem,
-    StateImportError, StepSizePolicy, TaskPlan,
+    AllocationSettings, MembershipReport, ModelError, OptimizerState, PriceMethod, PriceState,
+    Problem, ResourcePlan, StateImportError, StepSizePolicy, TaskPlan, FEASIBILITY_TOL,
 };
 use lla_telemetry::Event as TelemetryEvent;
 use parking_lot::Mutex;
@@ -293,9 +307,12 @@ fn epoch_report(
 /// The price agent of one resource (§4.3, "Resource Price Computation").
 ///
 /// Receives the latencies controllers assigned to the subtasks hosted
-/// here, and on every tick recomputes `μ_r` by a projected gradient step
-/// and broadcasts it (with the congestion bit) to the controllers of all
-/// tasks with subtasks on this resource.
+/// here, and on every tick recomputes `μ_r` and broadcasts it (with the
+/// congestion bit) to the controllers of all tasks with subtasks on this
+/// resource. Under [`PriceMethod::Gradient`] the new `μ_r` is a projected
+/// gradient step on `B_r − usage_r`; under [`PriceMethod::Clearing`] it is
+/// the price at which the hosted subtasks' shares meet `B_r` at the
+/// pressures their controllers last reported ([`ResourcePlan::clear_mu`]).
 #[derive(Debug)]
 pub struct ResourceAgent {
     r: usize,
@@ -305,10 +322,20 @@ pub struct ResourceAgent {
     /// This agent's view of the deployment's shared problem (copy on
     /// write).
     problem: Arc<Problem>,
+    method: PriceMethod,
     policy: StepSizePolicy,
+    /// The clamping boxes' settings, which the share bounds of `market`
+    /// are lowered with.
+    settings: AllocationSettings,
     prices: PriceState,
     /// Last received latency per hosted subtask, aligned with `hosted`.
     latencies: Vec<f64>,
+    /// Last received pressure per hosted subtask, aligned with `hosted`
+    /// (0, no pressure, until a controller reports one).
+    pressures: Vec<f64>,
+    /// The hosted subtasks' share bounds for the μ solve, in `hosted`
+    /// order; re-lowered whenever the problem view changes.
+    market: ResourcePlan,
     /// `(task slot, subtask index)` key of each hosted subtask, aligned
     /// with `latencies` — the epoch-stable identity warm state is carried
     /// under across membership changes. Sorted, since
@@ -348,17 +375,28 @@ impl ResourceAgent {
     /// creation; [`with_membership`](Self::with_membership) overrides the
     /// slot for agents joining a churned deployment. Pass an
     /// `Arc<Problem>` to share one problem between agents.
-    pub fn new(r: usize, problem: impl Into<Arc<Problem>>, policy: StepSizePolicy) -> Self {
+    pub fn new(
+        r: usize,
+        problem: impl Into<Arc<Problem>>,
+        method: PriceMethod,
+        policy: StepSizePolicy,
+        settings: AllocationSettings,
+    ) -> Self {
         let problem = problem.into();
-        let prices = PriceState::new(&problem, policy);
+        let prices = PriceState::for_resources(&problem, policy);
         let task_slots: Vec<usize> = (0..problem.tasks().len()).collect();
+        let market = ResourcePlan::lower(&problem, problem.resources()[r].id(), &settings);
         let mut agent = ResourceAgent {
             r,
             slot: r,
             problem,
+            method,
             policy,
+            settings,
             prices,
             latencies: Vec::new(),
+            pressures: Vec::new(),
+            market,
             hosted: Vec::new(),
             subscribers: Vec::new(),
             task_slots,
@@ -417,6 +455,7 @@ impl ResourceAgent {
                 self.task_slots = te.task_slots.clone();
                 self.hosted.clear();
                 self.latencies.clear();
+                self.pressures.clear();
                 self.resync_from_problem();
             }
         }
@@ -474,22 +513,30 @@ impl ResourceAgent {
             .sum()
     }
 
-    /// Rebuilds `hosted`/`latencies`/`subscribers` from the current
-    /// problem view, preserving warm latencies for subtasks that survive
-    /// (keyed by task slot + subtask index) and seeding newcomers from
-    /// their task's initial-allocation row.
+    /// Rebuilds `hosted`/`latencies`/`pressures`/`subscribers` from the
+    /// current problem view, preserving warm latencies and pressures for
+    /// subtasks that survive (keyed by task slot + subtask index) and
+    /// seeding newcomers from their task's initial-allocation row, with no
+    /// pressure.
     fn resync_from_problem(&mut self) {
-        let warm: HashMap<(usize, usize), f64> =
-            self.hosted.iter().copied().zip(self.latencies.iter().copied()).collect();
+        let warm: HashMap<(usize, usize), (f64, f64)> = self
+            .hosted
+            .iter()
+            .copied()
+            .zip(self.latencies.iter().copied().zip(self.pressures.iter().copied()))
+            .collect();
         let rid = self.problem.resources()[self.r].id();
         let mut hosted = Vec::new();
         let mut latencies = Vec::new();
+        let mut pressures = Vec::new();
         let mut subscribers = Vec::new();
         for sid in self.problem.subtasks_on(rid) {
             let key = (self.task_slots[sid.task().index()], sid.index());
             hosted.push(key);
-            let initial = || self.problem.initial_task_allocation(sid.task())[sid.index()];
-            latencies.push(warm.get(&key).copied().unwrap_or_else(initial));
+            let initial = || (self.problem.initial_task_allocation(sid.task())[sid.index()], 0.0);
+            let (latency, pressure) = warm.get(&key).copied().unwrap_or_else(initial);
+            latencies.push(latency);
+            pressures.push(pressure);
             subscribers.push(key.0);
         }
         subscribers.sort_unstable();
@@ -497,14 +544,21 @@ impl ResourceAgent {
         debug_assert!(hosted.windows(2).all(|w| w[0] < w[1]), "hosted keys must be sorted");
         self.hosted = hosted;
         self.latencies = latencies;
+        self.pressures = pressures;
         self.subscribers = subscribers;
+    }
+
+    /// Re-lowers the μ solve's share bounds from the current problem
+    /// view: the hosted set and `B_r` both feed them.
+    fn relower_market(&mut self) {
+        let rid = self.problem.resources()[self.r].id();
+        self.market = ResourcePlan::lower(&self.problem, rid, &self.settings);
     }
 
     /// Adopts a newer topology epoch: rebind the dense index behind this
     /// agent's slot, warm-carry the price, and re-derive the hosted set.
     /// A retired slot sends the agent dormant.
     fn apply_epoch(&mut self, te: &TopologyEpoch) {
-        let report = epoch_report(&self.task_slots, &[self.slot], te);
         self.epoch = te.epoch;
         let Some(new_r) = te.resource_slots.iter().position(|&s| s == self.slot) else {
             // Drain-and-handoff already moved the hosted subtasks in the
@@ -512,28 +566,20 @@ impl ResourceAgent {
             self.dormant = true;
             self.hosted.clear();
             self.latencies.clear();
+            self.pressures.clear();
             self.subscribers.clear();
             return;
         };
-        // `epoch_report` built the resource map for this agent's slot
-        // alone; widen it to the full old problem so the price remap stays
-        // shaped correctly.
-        let full_report = MembershipReport {
-            resource_map: self
-                .problem
-                .resources()
-                .iter()
-                .enumerate()
-                .map(|(i, _)| if i == self.r { Some(new_r) } else { None })
-                .collect(),
-            ..report
-        };
+        // The agent carries its own resource's dual alone.
+        let resource_map: Vec<Option<usize>> =
+            (0..self.problem.resources().len()).map(|i| (i == self.r).then_some(new_r)).collect();
         self.tel.warm_start_hits.inc();
-        self.prices = self.prices.remap(&te.problem, &full_report);
+        self.prices = self.prices.remap_resources(&te.problem, &resource_map);
         self.problem = Arc::clone(&te.problem);
         self.r = new_r;
         self.task_slots = te.task_slots.clone();
         self.resync_from_problem();
+        self.relower_market();
     }
 
     /// Handles a membership message; returns `true` if it was one.
@@ -549,7 +595,7 @@ impl ResourceAgent {
                 if rehab && !self.dormant {
                     // An eviction epoch means sustained overload poisoned
                     // the duals — restart the price (see MembershipCause).
-                    self.prices = PriceState::new(&self.problem, self.policy);
+                    self.prices = PriceState::for_resources(&self.problem, self.policy);
                 }
             }
         }
@@ -568,7 +614,9 @@ impl ResourceAgent {
     /// rejects (non-finite or outside `[0, 1]`) — a corrupted or hostile
     /// update must not poison `B_r` and with it every price gradient.
     fn apply_availability(&mut self, now: f64, availability: f64) {
-        if set_availability_cow(&mut self.problem, self.r, availability).is_err() {
+        if set_availability_cow(&mut self.problem, self.r, availability).is_ok() {
+            self.relower_market();
+        } else {
             self.tel.values_rejected.inc();
             self.ftel.inc(M_VALUE_REJECTIONS);
             self.tel.events.emit(
@@ -660,12 +708,25 @@ impl Actor for ResourceAgent {
             let usage = self.usage();
             let availability = self.problem.resources()[self.r].availability();
             let grad = availability - usage;
-            self.congested = grad < 0.0;
+            self.congested = match self.method {
+                PriceMethod::Gradient => grad < 0.0,
+                // A cleared resource sits at `B_r` by construction, where
+                // a strict test reads rounding as overload: count only
+                // what the certificate would call infeasible.
+                PriceMethod::Clearing => -grad > FEASIBILITY_TOL,
+            };
             if self.congested {
                 self.ftel.inc(M_OVERLOADED_TICKS);
             }
             self.ftel.inc(M_PRICE_UPDATES);
-            self.prices.apply_resource_step(self.r, grad)
+            match self.method {
+                PriceMethod::Gradient => self.prices.apply_resource_step(self.r, grad),
+                PriceMethod::Clearing => {
+                    let mu = self.market.clear_mu(&self.pressures, self.prices.mu(self.r));
+                    self.prices.set_mu(self.r, mu);
+                    self.prices.mu(self.r)
+                }
+            }
         };
         for &t in &self.subscribers {
             outbox.send(
@@ -686,27 +747,38 @@ impl Actor for ResourceAgent {
             return;
         }
         match msg {
-            Message::Latency { task, subtask, latency } => {
+            Message::Latency { task, subtask, latency, pressure } => {
                 // `task` is a slot; `hosted` is keyed by slot, so stale
                 // messages from departed tasks simply miss.
                 if self.dormant {
                     return;
                 }
-                if !latency.is_finite() || latency <= 0.0 {
-                    // A non-positive latency would push the price gradient
-                    // through `share(lat) → ∞`; refuse it at the boundary.
+                // A non-positive latency would push the price gradient
+                // through `share(lat) → ∞`, a non-finite pressure the μ
+                // solve through NaN; refuse both at the boundary.
+                let rejected = if !latency.is_finite() || latency <= 0.0 {
+                    Some("latency")
+                } else if pressure.is_some_and(|p| !p.is_finite()) {
+                    Some("pressure")
+                } else {
+                    None
+                };
+                if let Some(field) = rejected {
                     self.tel.values_rejected.inc();
                     self.ftel.inc(M_VALUE_REJECTIONS);
                     self.tel.events.emit(
                         TelemetryEvent::new(now, "value_rejected")
                             .with("agent", "resource")
                             .with("slot", self.slot)
-                            .with("field", "latency"),
+                            .with("field", field),
                     );
                     return;
                 }
                 if let Ok(pos) = self.hosted.binary_search(&(task, subtask)) {
                     self.latencies[pos] = latency;
+                    if let Some(pressure) = pressure {
+                        self.pressures[pos] = pressure;
+                    }
                     self.last_heard = now;
                 }
             }
@@ -739,12 +811,13 @@ impl Actor for ResourceAgent {
 
     fn on_crash(&mut self, _now: f64) {
         // All algorithm state is volatile: the restarted agent re-learns
-        // latencies from controller traffic and restarts its price from
-        // the initial point.
+        // latencies and pressures from controller traffic and restarts
+        // its price from the initial point.
         self.hosted.clear();
         self.latencies.clear();
+        self.pressures.clear();
         self.resync_from_problem();
-        self.prices = PriceState::new(&self.problem, self.policy);
+        self.prices = PriceState::for_resources(&self.problem, self.policy);
         self.last_heard = 0.0;
         self.congested = false;
         self.degraded = false;
@@ -774,6 +847,11 @@ impl Actor for ResourceAgent {
 /// Holds the latest resource prices received from the price agents,
 /// updates its paths' prices locally, re-solves its latency allocation,
 /// and sends the new latencies to the resources its subtasks run on.
+/// Under [`PriceMethod::Gradient`] a path price takes a projected
+/// gradient step on the previous allocation's slack; under
+/// [`PriceMethod::Clearing`] the paths clear their own λ at the held μ
+/// ([`TaskPlan::clear_lambdas`]), and each latency goes out with its
+/// subtask's pressure at the new prices.
 ///
 /// Fault tolerance (all opt-in via [`RobustnessConfig`]): the controller
 /// records when it last heard each relevant resource's price and degrades
@@ -789,6 +867,7 @@ pub struct TaskController {
     /// This controller's view of the deployment's shared problem (copy on
     /// write).
     problem: Arc<Problem>,
+    method: PriceMethod,
     policy: StepSizePolicy,
     prices: PriceState,
     congested: Vec<bool>,
@@ -824,11 +903,15 @@ pub struct TaskController {
     /// Compiled single-task allocation kernel (lla-core's plan lowering),
     /// re-lowered whenever the problem or this controller's task changes.
     plan: TaskPlan,
-    /// Σλ accumulator reused by the plan kernel every tick.
+    /// Per subtask: the Σλ accumulator the plan kernel reuses every tick;
+    /// under market clearing also the λ block's pressures before the
+    /// allocation and the reported ones after it.
     lambda_scratch: Vec<f64>,
     /// Output double-buffer the kernel writes into, then swapped with
     /// `lats` — no per-tick matrix allocation.
     next_lats: Vec<f64>,
+    /// The λ block's reusable term buffer.
+    path_terms: Vec<PathTerm>,
     tel: DistTelemetry,
     /// Per-agent fleet scope + shipping books (durable across crashes,
     /// like the checkpoint store — see [`AgentTelemetry`]).
@@ -843,6 +926,7 @@ impl TaskController {
     pub fn new(
         t: usize,
         problem: impl Into<Arc<Problem>>,
+        method: PriceMethod,
         policy: StepSizePolicy,
         settings: AllocationSettings,
         telemetry: SharedLats,
@@ -865,6 +949,7 @@ impl TaskController {
             t,
             slot: t,
             problem,
+            method,
             policy,
             prices,
             congested,
@@ -889,6 +974,7 @@ impl TaskController {
             plan,
             lambda_scratch,
             next_lats,
+            path_terms: Vec::new(),
             tel: DistTelemetry::disabled(),
             ftel: AgentTelemetry::noop(),
         }
@@ -1061,6 +1147,29 @@ impl TaskController {
         self.next_lats.resize(self.plan.len(), 0.0);
     }
 
+    /// Sends each subtask's latency to the resource it runs on; under
+    /// market clearing with its pressure at the current latencies and
+    /// prices (the new λ, and a concave task's f′ at the new allocation),
+    /// rebuilt into `lambda_scratch`.
+    fn send_latencies(&mut self, outbox: &mut Outbox) {
+        let clearing = self.method == PriceMethod::Clearing;
+        if clearing {
+            self.plan.pressures_into(self.t, &self.prices, &self.lats, &mut self.lambda_scratch);
+        }
+        let task = &self.problem.tasks()[self.t];
+        for (s, sub) in task.subtasks().iter().enumerate() {
+            outbox.send(
+                Address::Resource(self.resource_slots[sub.resource().index()]),
+                Message::Latency {
+                    task: self.slot,
+                    subtask: s,
+                    latency: self.lats[s],
+                    pressure: clearing.then(|| self.lambda_scratch[s]),
+                },
+            );
+        }
+    }
+
     /// Incremental follow-up to a single resource's availability change:
     /// `B_r` feeds the clamping boxes, so the compiled plan is re-lowered
     /// only when this controller's task actually runs on `r`.
@@ -1170,13 +1279,7 @@ impl TaskController {
                     // Re-send the current latencies so stalled resources'
                     // staleness clocks refresh without waiting for the
                     // next tick phase.
-                    let task = &self.problem.tasks()[self.t];
-                    for (s, sub) in task.subtasks().iter().enumerate() {
-                        outbox.send(
-                            Address::Resource(self.resource_slots[sub.resource().index()]),
-                            Message::Latency { task: self.slot, subtask: s, latency: self.lats[s] },
-                        );
-                    }
+                    self.send_latencies(outbox);
                 }
                 _ => unreachable!("command_seq() only matches supervisor commands"),
             }
@@ -1223,16 +1326,30 @@ impl Actor for TaskController {
             self.tel.degraded_ticks.inc();
             self.ftel.inc(M_DEGRADED_TICKS);
         } else {
-            // Path price computation from the *previous* allocation —
-            // matching the centralized iteration order, where prices
-            // computed at the end of step k−1 feed the allocation of step
-            // k. The compiled plan replays the same expressions over flat
-            // arrays.
-            let ct = self.plan.critical_time();
-            for p in 0..self.plan.num_paths() {
-                let grad = 1.0 - self.plan.path_latency(p, &self.lats) / ct;
-                let traverses_congested = self.plan.path_traverses(p, &self.congested);
-                self.prices.apply_path_step(self.t, p, grad, traverses_congested);
+            match self.method {
+                PriceMethod::Gradient => {
+                    // Path price computation from the *previous*
+                    // allocation — matching the centralized iteration
+                    // order, where prices computed at the end of step k−1
+                    // feed the allocation of step k. The compiled plan
+                    // replays the same expressions over flat arrays.
+                    let ct = self.plan.critical_time();
+                    for p in 0..self.plan.num_paths() {
+                        let grad = 1.0 - self.plan.path_latency(p, &self.lats) / ct;
+                        let traverses_congested = self.plan.path_traverses(p, &self.congested);
+                        self.prices.apply_path_step(self.t, p, grad, traverses_congested);
+                    }
+                }
+                // The λ block of the centralized sweep, at the μ the
+                // resources broadcast last round: the μ block of that
+                // sweep ran on the resource agents.
+                PriceMethod::Clearing => self.plan.clear_lambdas(
+                    self.t,
+                    &mut self.prices,
+                    &self.lats,
+                    &mut self.lambda_scratch,
+                    &mut self.path_terms,
+                ),
             }
 
             // Latency allocation at the stored resource prices, into the
@@ -1247,15 +1364,9 @@ impl Actor for TaskController {
             std::mem::swap(&mut self.lats, &mut self.next_lats);
             self.telemetry.lock()[self.slot].clone_from(&self.lats);
 
-            let task = &self.problem.tasks()[self.t];
-            for (s, sub) in task.subtasks().iter().enumerate() {
-                outbox.send(
-                    Address::Resource(self.resource_slots[sub.resource().index()]),
-                    Message::Latency { task: self.slot, subtask: s, latency: self.lats[s] },
-                );
-            }
+            self.send_latencies(outbox);
             self.ftel.inc(M_LATENCY_UPDATES);
-            self.ftel.add(M_MESSAGES_OUT, task.subtasks().len() as u64);
+            self.ftel.add(M_MESSAGES_OUT, self.lats.len() as u64);
         }
 
         if let Some(store) = &self.checkpoints {
@@ -1739,23 +1850,37 @@ mod tests {
         Problem::new(resources, vec![b.build(TaskId::new(0)).unwrap()]).unwrap()
     }
 
+    fn settings() -> AllocationSettings {
+        AllocationSettings { throughput_floor: false }
+    }
+
     #[test]
     fn resource_agent_tracks_latencies_and_usage() {
         let p = problem();
-        let mut agent = ResourceAgent::new(0, p, StepSizePolicy::fixed(1.0));
+        let mut agent =
+            ResourceAgent::new(0, p, PriceMethod::Gradient, StepSizePolicy::fixed(1.0), settings());
         // Initial allocation: 15ms each => usage = 3/15 = 0.2.
         assert!((agent.usage() - 0.2).abs() < 1e-12);
         let mut outbox = Outbox::default();
-        agent.on_message(0.0, Message::Latency { task: 0, subtask: 0, latency: 3.0 }, &mut outbox);
+        agent.on_message(
+            0.0,
+            Message::Latency { task: 0, subtask: 0, latency: 3.0, pressure: None },
+            &mut outbox,
+        );
         assert!((agent.usage() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn resource_agent_broadcasts_price_on_tick() {
         let p = problem();
-        let mut agent = ResourceAgent::new(0, p, StepSizePolicy::fixed(1.0));
+        let mut agent =
+            ResourceAgent::new(0, p, PriceMethod::Gradient, StepSizePolicy::fixed(1.0), settings());
         let mut outbox = Outbox::default();
-        agent.on_message(0.0, Message::Latency { task: 0, subtask: 0, latency: 1.0 }, &mut outbox);
+        agent.on_message(
+            0.0,
+            Message::Latency { task: 0, subtask: 0, latency: 1.0, pressure: None },
+            &mut outbox,
+        );
         agent.on_tick(0.0, &mut outbox);
         assert_eq!(outbox.len(), 1, "one subscriber");
         assert!(agent.mu() > 0.0, "congestion must raise the price");
@@ -1768,8 +1893,9 @@ mod tests {
         let mut ctl = TaskController::new(
             0,
             p.clone(),
+            PriceMethod::Gradient,
             StepSizePolicy::fixed(1.0),
-            AllocationSettings { throughput_floor: false },
+            settings(),
             Arc::clone(&telemetry),
         );
         let mut outbox = Outbox::default();
@@ -1789,14 +1915,66 @@ mod tests {
     }
 
     #[test]
+    fn clearing_latencies_carry_pressures_and_gradient_ones_none() {
+        let p = problem();
+        for (method, carried) in [(PriceMethod::Clearing, true), (PriceMethod::Gradient, false)] {
+            let telemetry: SharedLats = Arc::new(Mutex::new(p.initial_allocation()));
+            let mut ctl = TaskController::new(
+                0,
+                p.clone(),
+                method,
+                StepSizePolicy::fixed(1.0),
+                settings(),
+                telemetry,
+            );
+            let mut outbox = Outbox::default();
+            ctl.on_tick(0.0, &mut outbox);
+            let msgs = outbox.into_messages();
+            assert_eq!(msgs.len(), 2, "one latency per subtask");
+            for (_, msg) in msgs {
+                let Message::Latency { pressure, .. } = msg else { panic!("{msg:?}") };
+                // No path price yet: the pressure is the linear task's −w·f′.
+                assert_eq!(pressure.is_some_and(|p| p > 0.0), carried, "{method:?}: {pressure:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn clearing_resource_refuses_a_non_finite_pressure() {
+        let hub = lla_telemetry::TelemetryHub::recording();
+        let mut agent = ResourceAgent::new(
+            0,
+            problem(),
+            PriceMethod::Clearing,
+            StepSizePolicy::fixed(1.0),
+            settings(),
+        )
+        .with_telemetry(DistTelemetry::from_hub(&hub));
+        let mut outbox = Outbox::default();
+        let latency = |pressure| Message::Latency { task: 0, subtask: 0, latency: 3.0, pressure };
+        agent.on_message(0.0, latency(Some(f64::NAN)), &mut outbox);
+        assert!((agent.usage() - 0.2).abs() < 1e-12, "the poisoned report is dropped whole");
+        let rejected = hub.events.snapshot();
+        assert_eq!(rejected.len(), 1);
+        assert_eq!(rejected[0].field("field").map(|f| f.to_string()), Some("pressure".into()));
+        // No pressure heard yet: the hosted subtask sits at its latency
+        // cap, which fits, so the cleared price is 0.
+        agent.on_tick(1.0, &mut outbox);
+        assert_eq!(agent.mu(), 0.0);
+        agent.on_message(2.0, latency(Some(1.0)), &mut outbox);
+        assert!((agent.usage() - 1.0).abs() < 1e-12, "a finite report is taken");
+    }
+
+    #[test]
     fn controller_degrades_on_stale_prices_and_recovers() {
         let p = problem();
         let telemetry: SharedLats = Arc::new(Mutex::new(p.initial_allocation()));
         let mut ctl = TaskController::new(
             0,
             p,
+            PriceMethod::Gradient,
             StepSizePolicy::fixed(1.0),
-            AllocationSettings { throughput_floor: false },
+            settings(),
             telemetry,
         )
         .with_robustness(RobustnessConfig { staleness_ttl: 20.0, ..Default::default() });
@@ -1840,8 +2018,9 @@ mod tests {
         let mut ctl = TaskController::new(
             0,
             p,
+            PriceMethod::Gradient,
             StepSizePolicy::fixed(1.0),
-            AllocationSettings { throughput_floor: false },
+            settings(),
             telemetry,
         )
         .with_robustness(RobustnessConfig { checkpoint_interval: 5.0, ..Default::default() })
@@ -1866,7 +2045,8 @@ mod tests {
     #[test]
     fn resource_agent_dedupes_by_sequence_and_acks() {
         let p = problem();
-        let mut agent = ResourceAgent::new(0, p, StepSizePolicy::fixed(1.0));
+        let mut agent =
+            ResourceAgent::new(0, p, PriceMethod::Gradient, StepSizePolicy::fixed(1.0), settings());
         let mut outbox = Outbox::default();
         let update = Message::AvailabilityUpdate { resource: 0, availability: 0.5, seq: 3 };
         agent.on_message(0.0, update.clone(), &mut outbox);
@@ -1984,7 +2164,8 @@ mod tests {
     #[test]
     fn resource_agent_dedupes_commands_and_acks_stale_ones() {
         let p = problem();
-        let mut agent = ResourceAgent::new(0, p, StepSizePolicy::fixed(1.0));
+        let mut agent =
+            ResourceAgent::new(0, p, PriceMethod::Gradient, StepSizePolicy::fixed(1.0), settings());
         let mut outbox = Outbox::default();
         agent.on_message(0.0, Message::GammaCalm { max_multiple: 8.0, seq: 5 }, &mut outbox);
         // A stale (lower-seq) command is acked — the original ack may have
@@ -2014,8 +2195,9 @@ mod tests {
         let mut ctl = TaskController::new(
             0,
             p,
+            PriceMethod::Gradient,
             StepSizePolicy::fixed(1.0),
-            AllocationSettings { throughput_floor: false },
+            settings(),
             telemetry,
         );
         let mut outbox = Outbox::default();

@@ -20,7 +20,11 @@
 //!
 //! * `len` — byte length of the body (tag + payload); bounded by
 //!   [`MAX_BODY`] so a corrupted length prefix cannot demand gigabytes.
-//! * `tag` — one byte per [`Message`] variant, in declaration order.
+//! * `tag` — one byte per [`Message`] variant, in declaration order,
+//!   then `0x10` for a [`Message::Latency`] that carries a pressure (the
+//!   market-clearing protocol's): the same payload with the pressure
+//!   appended, so the gradient protocol's latency frames keep their
+//!   layout.
 //! * `crc32` — IEEE CRC-32 over the body. Catches every single-bit flip
 //!   (pinned exhaustively in tests) and all but ~2⁻³² of multi-bit burst
 //!   errors.
@@ -33,7 +37,8 @@
 //!
 //! Decoding is only half the pipeline: a frame that parses still passes
 //! through [`validate`], which enforces the *semantic* domain of every
-//! field — finite floats, `μ_r ≥ 0`, latency `> 0`, availability in
+//! field — finite floats, `μ_r ≥ 0`, latency `> 0`, `|pressure|` under
+//! [`MAX_WIRE_PRICE`], availability in
 //! `(0, 1]`, ids/epochs/sequences under sanity caps. This is the layer
 //! that stops a "byzantine sender" (valid framing and checksum, garbage
 //! values — modeled by the field-fuzz corruption in
@@ -251,6 +256,7 @@ const TAG_GAMMA_CALM: u8 = 0x0C;
 const TAG_DUAL_RESYNC: u8 = 0x0D;
 const TAG_COMMAND_ACK: u8 = 0x0E;
 const TAG_TELEMETRY_REPORT: u8 = 0x0F;
+const TAG_LATENCY_PRESSURE: u8 = 0x10;
 
 const ADDR_RESOURCE: u8 = 0x00;
 const ADDR_CONTROLLER: u8 = 0x01;
@@ -331,11 +337,14 @@ fn put_body(buf: &mut Vec<u8>, msg: &Message) {
             put_f64(buf, mu);
             put_bool(buf, congested);
         }
-        Message::Latency { task, subtask, latency } => {
-            buf.push(TAG_LATENCY);
+        Message::Latency { task, subtask, latency, pressure } => {
+            buf.push(if pressure.is_some() { TAG_LATENCY_PRESSURE } else { TAG_LATENCY });
             put_id(buf, task);
             put_id(buf, subtask);
             put_f64(buf, latency);
+            if let Some(pressure) = pressure {
+                put_f64(buf, pressure);
+            }
         }
         Message::AvailabilityUpdate { resource, availability, seq } => {
             buf.push(TAG_AVAILABILITY_UPDATE);
@@ -553,9 +562,13 @@ pub fn validate(msg: &Message) -> Result<(), FrameError> {
             finite("price mu", mu)?;
             in_domain("price mu", mu, false, 0.0, MAX_WIRE_PRICE)?;
         }
-        Message::Latency { latency, .. } => {
+        Message::Latency { latency, pressure, .. } => {
             finite("latency", latency)?;
             in_domain("latency", latency, true, 0.0, MAX_WIRE_LATENCY)?;
+            if let Some(pressure) = pressure {
+                finite("latency pressure", pressure)?;
+                in_domain("latency pressure", pressure, false, -MAX_WIRE_PRICE, MAX_WIRE_PRICE)?;
+            }
         }
         Message::AvailabilityUpdate { availability, .. } => {
             finite("availability", availability)?;
@@ -667,10 +680,11 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Message, usize), FrameError> {
             mu: rd.f64()?,
             congested: rd.boolean("price congested")?,
         },
-        TAG_LATENCY => Message::Latency {
+        TAG_LATENCY | TAG_LATENCY_PRESSURE => Message::Latency {
             task: rd.id("latency task")?,
             subtask: rd.id("latency subtask")?,
             latency: rd.f64()?,
+            pressure: if tag == TAG_LATENCY_PRESSURE { Some(rd.f64()?) } else { None },
         },
         TAG_AVAILABILITY_UPDATE => Message::AvailabilityUpdate {
             resource: rd.id("availability resource")?,
@@ -757,7 +771,8 @@ mod tests {
         let from = Address::Controller(3);
         vec![
             Message::Price { resource: 2, mu: 1.75, congested: true },
-            Message::Latency { task: 1, subtask: 4, latency: 12.5 },
+            Message::Latency { task: 1, subtask: 4, latency: 12.5, pressure: None },
+            Message::Latency { task: 1, subtask: 4, latency: 12.5, pressure: Some(-0.75) },
             Message::AvailabilityUpdate { resource: 0, availability: 0.9, seq: 7 },
             Message::AvailabilityAck { resource: 0, seq: 7, from },
             Message::TaskJoin { slot: 5, epoch: 2, seq: 9 },
@@ -873,6 +888,16 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let frame = encode(&Message::Price { resource: 0, mu: bad, congested: false });
             assert_eq!(decode(&frame), Err(FrameError::NonFiniteFloat { field: "price mu" }));
+            let frame = encode(&Message::Latency {
+                task: 0,
+                subtask: 0,
+                latency: 1.0,
+                pressure: Some(bad),
+            });
+            assert_eq!(
+                decode(&frame),
+                Err(FrameError::NonFiniteFloat { field: "latency pressure" })
+            );
         }
     }
 
@@ -881,8 +906,9 @@ mod tests {
         let cases = [
             Message::Price { resource: 0, mu: -1.0, congested: false },
             Message::Price { resource: 0, mu: MAX_WIRE_PRICE * 2.0, congested: false },
-            Message::Latency { task: 0, subtask: 0, latency: 0.0 },
-            Message::Latency { task: 0, subtask: 0, latency: -2.0 },
+            Message::Latency { task: 0, subtask: 0, latency: 0.0, pressure: None },
+            Message::Latency { task: 0, subtask: 0, latency: -2.0, pressure: Some(1.0) },
+            Message::Latency { task: 0, subtask: 0, latency: 1.0, pressure: Some(-2e300) },
             Message::AvailabilityUpdate { resource: 0, availability: 0.0, seq: 1 },
             Message::AvailabilityUpdate { resource: 0, availability: 1.5, seq: 1 },
             Message::GammaCalm { max_multiple: 0.5, seq: 1 },
@@ -948,7 +974,12 @@ mod tests {
     #[test]
     fn validate_rejects_struct_passed_poison() {
         assert!(validate(&Message::Price { resource: 0, mu: f64::NAN, congested: false }).is_err());
-        assert!(validate(&Message::Latency { task: 0, subtask: 0, latency: -1.0 }).is_err());
+        assert!(validate(&Message::Latency { task: 0, subtask: 0, latency: -1.0, pressure: None })
+            .is_err());
+        let pressure =
+            |p| Message::Latency { task: 0, subtask: 0, latency: 1.0, pressure: Some(p) };
+        assert!(validate(&pressure(f64::NAN)).is_err());
+        assert!(validate(&pressure(-MAX_WIRE_PRICE)).is_ok());
         assert!(validate(&Message::DualResync { seq: 3 }).is_ok());
     }
 

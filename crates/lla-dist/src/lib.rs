@@ -40,8 +40,10 @@
 //!   deterministic fleet view and evaluates SLO alert rules.
 //! * [`system`] — [`DistributedLla`]: a full deployment on the virtual
 //!   runtime. With a perfect network and round-based ticking it is
-//!   **bit-equivalent** to the centralized [`lla_core::Optimizer`] (tested);
-//!   with delay/jitter/loss it exercises LLA's tolerance to stale prices.
+//!   **bit-equivalent** to the centralized [`lla_core::Optimizer`] (tested;
+//!   one round late under market clearing, whose first allocation is at
+//!   zero prices); with delay/jitter/loss it exercises LLA's tolerance to
+//!   stale prices.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,6 +5,14 @@
 //! it; each *task controller* computes path prices locally and sends newly
 //! allocated latencies to the resources where its subtasks run.
 //!
+//! Under [`PriceMethod::Clearing`](lla_core::PriceMethod) a round is the
+//! same exchange: a controller's [`Message::Latency`] also carries the
+//! subtask's *pressure* `P_s = −w_s·f′ + Σ_{p∋s} λ_p`, from which the
+//! resource agent clears its own `μ_r` exactly (the μ block of the
+//! market-clearing sweep); the [`Message::Price`] it broadcasts back is
+//! unchanged. Under [`PriceMethod::Gradient`](lla_core::PriceMethod) the
+//! pressure is absent and the frames are the paper protocol's.
+//!
 //! Control-plane traffic (availability changes, membership changes)
 //! travels over the same lossy network as data-plane traffic, made
 //! reliable by sequence numbers and retransmit-until-ack (see
@@ -73,6 +81,11 @@ pub enum Message {
         subtask: usize,
         /// Assigned latency (ms).
         latency: f64,
+        /// The subtask's pressure `−w_s·f′ + Σ_{p∋s} λ_p` at the prices
+        /// the latency was allocated with, which a market-clearing
+        /// resource agent clears its `μ_r` from; `None` under the
+        /// gradient protocol, which does not send it.
+        pressure: Option<f64>,
     },
     /// Control plane → any agent: a resource's availability `B_r` changed
     /// (failure, competing reservation). Resources use it in their price
@@ -336,7 +349,7 @@ mod tests {
         let from = Address::Controller(0);
         let msgs = [
             (Message::Price { resource: 0, mu: 1.0, congested: false }, "price"),
-            (Message::Latency { task: 0, subtask: 0, latency: 1.0 }, "latency"),
+            (Message::Latency { task: 0, subtask: 0, latency: 1.0, pressure: None }, "latency"),
             (
                 Message::AvailabilityUpdate { resource: 0, availability: 0.5, seq: 1 },
                 "availability-update",

@@ -11,8 +11,8 @@ use crate::protocol::{Address, Message};
 use crate::runtime::VirtualRuntime;
 use crate::telemetry::DistTelemetry;
 use lla_core::{
-    Allocation, AllocationSettings, ModelError, Problem, Resource, ResourceId, StepSizePolicy,
-    TaskBuilder, TaskId,
+    Allocation, AllocationSettings, ModelError, PriceMethod, Problem, Resource, ResourceId,
+    StepSizePolicy, TaskBuilder, TaskId,
 };
 use lla_telemetry::{DiagSample, Event as TelemetryEvent};
 use parking_lot::Mutex;
@@ -21,7 +21,15 @@ use std::sync::Arc;
 /// Configuration of a [`DistributedLla`] deployment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistConfig {
-    /// Price step-size policy used by every agent.
+    /// How the agents move their prices each round, as
+    /// [`OptimizerConfig::price_method`](lla_core::OptimizerConfig::price_method)
+    /// moves the in-process ones: a market-clearing sweep split across
+    /// the agents (the default; each resource clears its own `μ_r` from
+    /// the pressures its controllers report, each controller its own
+    /// paths' λ), or the paper's gradient steps.
+    pub price_method: PriceMethod,
+    /// Price step-size policy used by every agent; read only under
+    /// [`PriceMethod::Gradient`].
     pub step_policy: StepSizePolicy,
     /// Latency-allocation solver settings used by every controller.
     pub allocation: AllocationSettings,
@@ -32,9 +40,10 @@ pub struct DistConfig {
     /// Virtual length of one protocol round (ms). Controllers tick at
     /// `0.25·round`, resource agents at `0.75·round`; with one-way delays
     /// below a quarter round the protocol is *synchronous* and
-    /// bit-equivalent to the centralized optimizer, with larger delays or
-    /// loss the agents naturally fall back to stale state (the algorithm
-    /// tolerates it).
+    /// bit-equivalent to the centralized optimizer (under market clearing,
+    /// one round late: the controllers' first allocation is at zero
+    /// prices), with larger delays or loss the agents naturally fall back
+    /// to stale state (the algorithm tolerates it).
     pub round_length: f64,
     /// Fraction of the round length by which each agent's tick interval
     /// and phase are randomly perturbed (seeded). `0` gives the
@@ -71,6 +80,7 @@ pub struct DistConfig {
 impl Default for DistConfig {
     fn default() -> Self {
         DistConfig {
+            price_method: PriceMethod::default(),
             step_policy: StepSizePolicy::default(),
             allocation: AllocationSettings::default(),
             network: NetworkModel::perfect(),
@@ -201,6 +211,7 @@ impl DistributedLla {
                     TaskController::new(
                         t,
                         Arc::clone(&problem),
+                        config.price_method,
                         config.step_policy,
                         config.allocation,
                         Arc::clone(&telemetry),
@@ -224,15 +235,21 @@ impl DistributedLla {
             runtime.register(
                 Address::Resource(r),
                 Box::new(
-                    ResourceAgent::new(r, Arc::clone(&problem), config.step_policy)
-                        .with_robustness(config.robustness)
-                        .with_membership(topology.clone(), r, 0)
-                        .with_telemetry(tel.clone())
-                        .with_fleet(AgentTelemetry::new(
-                            &tel,
-                            Address::Resource(r),
-                            config.report_cadence,
-                        )),
+                    ResourceAgent::new(
+                        r,
+                        Arc::clone(&problem),
+                        config.price_method,
+                        config.step_policy,
+                        config.allocation,
+                    )
+                    .with_robustness(config.robustness)
+                    .with_membership(topology.clone(), r, 0)
+                    .with_telemetry(tel.clone())
+                    .with_fleet(AgentTelemetry::new(
+                        &tel,
+                        Address::Resource(r),
+                        config.report_cadence,
+                    )),
                 ),
                 interval,
                 phase,
@@ -655,6 +672,7 @@ impl DistributedLla {
                 TaskController::new(
                     dense,
                     Arc::clone(&self.problem),
+                    self.config.price_method,
                     self.config.step_policy,
                     self.config.allocation,
                     Arc::clone(&self.telemetry),
@@ -771,15 +789,21 @@ impl DistributedLla {
         self.runtime.register(
             Address::Resource(slot),
             Box::new(
-                ResourceAgent::new(dense, Arc::clone(&self.problem), self.config.step_policy)
-                    .with_robustness(self.config.robustness)
-                    .with_membership(self.topology.clone(), slot, self.epoch)
-                    .with_telemetry(self.tel.clone())
-                    .with_fleet(AgentTelemetry::new(
-                        &self.tel,
-                        Address::Resource(slot),
-                        self.config.report_cadence,
-                    )),
+                ResourceAgent::new(
+                    dense,
+                    Arc::clone(&self.problem),
+                    self.config.price_method,
+                    self.config.step_policy,
+                    self.config.allocation,
+                )
+                .with_robustness(self.config.robustness)
+                .with_membership(self.topology.clone(), slot, self.epoch)
+                .with_telemetry(self.tel.clone())
+                .with_fleet(AgentTelemetry::new(
+                    &self.tel,
+                    Address::Resource(slot),
+                    self.config.report_cadence,
+                )),
             ),
             self.config.round_length,
             self.next_phase(0.75),
@@ -978,25 +1002,30 @@ mod tests {
 
     #[test]
     fn perfect_network_matches_centralized_exactly() {
-        let rounds = 300;
-        let mut dist = DistributedLla::new(problem(), config());
-        dist.run_rounds(rounds);
+        // The gradient protocol matches round for round; market clearing
+        // one round late, since the controllers' first allocation is at
+        // zero prices.
+        for (price_method, lag) in [(PriceMethod::Gradient, 0), (PriceMethod::Clearing, 1)] {
+            let rounds = 300;
+            let mut dist = DistributedLla::new(problem(), DistConfig { price_method, ..config() });
+            dist.run_rounds(rounds);
 
-        let mut opt = Optimizer::new(
-            problem(),
-            OptimizerConfig {
-                price_method: PriceMethod::Gradient,
-                allocation: AllocationSettings { throughput_floor: false },
-                ..OptimizerConfig::default()
-            },
-        );
-        let reports = opt.run(rounds);
-        for (round, (d, c)) in dist.utilities().iter().zip(reports.iter()).enumerate() {
-            assert!(
-                (d - c.utility).abs() < 1e-9,
-                "round {round}: distributed {d} != centralized {}",
-                c.utility
+            let mut opt = Optimizer::new(
+                problem(),
+                OptimizerConfig {
+                    price_method,
+                    allocation: AllocationSettings { throughput_floor: false },
+                    ..OptimizerConfig::default()
+                },
             );
+            let reports = opt.run(rounds - lag);
+            for (round, (d, c)) in dist.utilities()[lag..].iter().zip(&reports).enumerate() {
+                assert!(
+                    (d - c.utility).abs() < 1e-9,
+                    "{price_method:?} round {round}: distributed {d} != centralized {}",
+                    c.utility
+                );
+            }
         }
     }
 
@@ -1245,9 +1274,12 @@ mod tests {
         // Leave warm-starts the survivors' duals; evict — which only
         // happens after detected sustained overload — restarts them (the
         // epoch's MembershipCause carries the distinction). Both must
-        // land on the same per-epoch optimum.
-        let mut leave = DistributedLla::new(problem(), config());
-        let mut evict = DistributedLla::new(problem(), config());
+        // land on the same per-epoch optimum. Only gradient prices carry
+        // their history: a clearing sweep lands on the same prices from
+        // warm and restarted duals alike.
+        let config = DistConfig { price_method: PriceMethod::Gradient, ..config() };
+        let mut leave = DistributedLla::new(problem(), config);
+        let mut evict = DistributedLla::new(problem(), config);
         leave.run_rounds(400);
         evict.run_rounds(400);
         leave.leave_task(0).unwrap();
@@ -1471,13 +1503,13 @@ mod tests {
         let mut opt = Optimizer::new(
             p.clone(),
             OptimizerConfig {
-                price_method: PriceMethod::Gradient,
                 allocation: AllocationSettings { throughput_floor: false },
                 ..OptimizerConfig::default()
             },
         );
         let mut dist = DistributedLla::new(p, config());
-        opt.run(50);
+        // The deployment runs the optimizer's clearing rounds one late.
+        opt.run(49);
         dist.run_rounds(50);
 
         let central = opt.diag_sample().worst_violation_factor;

@@ -35,8 +35,9 @@
 //! ```
 //!
 //! `fleet` runs the spec on the virtual-time distributed deployment with
-//! per-agent telemetry shipping enabled (one report per round). `--format
-//! text` prints the collector's merged per-agent table plus the alert
+//! per-agent telemetry shipping enabled (one report per round), its
+//! agents moving their prices as `--policy` says. `--format text` prints
+//! the price method, the collector's merged per-agent table plus the alert
 //! timeline; `--format json` emits the alert events as JSONL; `--format
 //! prometheus` dumps the full exposition including the `agent`-labeled
 //! fleet series. Exits 3 while any SLO alert is still firing at the end
@@ -372,11 +373,23 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// How `config` moves the prices: `clearing`, or `gradient (<policy>)`.
+fn method_label(config: &OptimizerConfig) -> String {
+    match config.price_method {
+        PriceMethod::Clearing => "clearing".to_owned(),
+        PriceMethod::Gradient => format!("gradient ({:?})", config.step_policy),
+    }
+}
+
 fn cmd_fleet(opts: &Options) -> Result<ExitCode, String> {
     use lla::dist::{DistConfig, DistTelemetry, DistributedLla, NetworkModel};
     let problem = load(&opts.spec_path)?;
     let hub = lla::telemetry::TelemetryHub::recording();
+    let OptimizerConfig { price_method, step_policy, allocation, .. } = opts.optimizer;
     let config = DistConfig {
+        price_method,
+        step_policy,
+        allocation,
         network: if opts.loss > 0.0 {
             NetworkModel::lossy(0.5, 1.0, opts.loss)
         } else {
@@ -393,6 +406,7 @@ fn cmd_fleet(opts: &Options) -> Result<ExitCode, String> {
         hub.events.snapshot().into_iter().filter(|e| e.kind == "alert").collect();
     match opts.format {
         OutputFormat::Text => {
+            println!("price method: {}", method_label(&opts.optimizer));
             let view = dist.fleet_view().expect("fleet plane is on");
             print!("{}", view.render_table());
             if alerts.is_empty() {

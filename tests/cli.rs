@@ -197,3 +197,24 @@ fn fixed_policy_flag_parses() {
         .expect("spawn");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }
+
+#[test]
+fn fleet_runs_the_selected_price_method() {
+    let fleet = |extra: &[&str]| {
+        cli().args(["fleet", "examples/workloads/trading.lla"]).args(extra).output().expect("spawn")
+    };
+    // Market clearing (the default): the zero-price first round
+    // overloads the CPUs, the alert resolves once the prices clear.
+    let out = fleet(&[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stdout: {stdout}");
+    assert!(stdout.contains("price method: clearing"), "{stdout}");
+    assert!(stdout.contains("resolved  fleet-overload"), "{stdout}");
+    // The paper's gradient steps are still above availability after the
+    // 200 rounds, so the alert is firing at exit.
+    let out = fleet(&["--policy", "adaptive"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(3), "stdout: {stdout}");
+    assert!(stdout.contains("price method: gradient (Adaptive"), "{stdout}");
+    assert!(stdout.contains("FIRING: fleet-overload"), "{stdout}");
+}

@@ -9,7 +9,8 @@
 //! explicit seeded RNG with a fixed case count.
 
 use lla_core::{
-    Problem, Resource, ResourceId, ResourceKind, StepSizePolicy, TaskBuilder, TaskId, UtilityFn,
+    PriceMethod, Problem, Resource, ResourceId, ResourceKind, StepSizePolicy, TaskBuilder, TaskId,
+    UtilityFn,
 };
 use lla_dist::{
     run_supervised, DistConfig, DistTelemetry, DistributedLla, NetworkModel, RemediationKind,
@@ -42,8 +43,11 @@ fn thrash_problem() -> Problem {
     Problem::new(resources, tasks).expect("static workload")
 }
 
+/// The gradient protocol under an over-aggressive step policy: the step
+/// sizes thrash, which is what GammaCalm remediates.
 fn thrash_config(seed: u64, loss: f64) -> DistConfig {
     DistConfig {
+        price_method: PriceMethod::Gradient,
         step_policy: StepSizePolicy::SignAdaptive { initial: 4.0, factor: 8.0, max: 2048.0 },
         network: NetworkModel::lossy(0.5, 1.0, loss),
         seed,

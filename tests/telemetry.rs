@@ -8,8 +8,8 @@
 use lla_bench::churn::{run_churn_soak_instrumented, ChurnConfig};
 use lla_bench::run_table1_health;
 use lla_core::{
-    Aggregation, Optimizer, OptimizerConfig, Problem, Resource, ResourceId, ResourceKind,
-    TaskBuilder, TaskId,
+    Aggregation, Optimizer, OptimizerConfig, PriceMethod, Problem, Resource, ResourceId,
+    ResourceKind, TaskBuilder, TaskId,
 };
 use lla_dist::{DistConfig, DistTelemetry, DistributedLla, NetworkModel};
 use lla_telemetry::{SpanRecorder, TelemetryHub};
@@ -111,6 +111,7 @@ fn traced_run_chrome_json() -> String {
     let mut dist = DistributedLla::with_telemetry(
         trace_problem(),
         DistConfig {
+            price_method: PriceMethod::Gradient,
             network: NetworkModel::lossy(0.5, 1.0, 0.2),
             seed: 7,
             ..DistConfig::default()

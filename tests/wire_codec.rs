@@ -48,6 +48,9 @@ fn random_message(rng: &mut StdRng) -> Message {
             task: slot,
             subtask: rng.gen_range(0usize..64),
             latency: rng.gen_range(1e-6..1e6f64),
+            // Market clearing's pressures (either sign), or none under
+            // the gradient protocol.
+            pressure: rng.gen_bool(0.5).then(|| rng.gen_range(-1e9..1e9f64)),
         },
         2 => Message::AvailabilityUpdate {
             resource: slot,
@@ -300,6 +303,32 @@ fn fuzz_smoke_decoder_never_panics() {
             }
         }
     }
+}
+
+/// The seed corpus's `valid_*` frames are live encodings: each decodes,
+/// validates and re-encodes to its own bytes, so a codec change that
+/// retires a layout fails here instead of leaving a dead seed. The
+/// corpus covers both latency layouts.
+#[test]
+fn fuzz_corpus_valid_seeds_round_trip() {
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/fuzz/corpus/frame_decode");
+    let (mut seeds, mut layouts) = (0, [false; 2]);
+    for entry in std::fs::read_dir(corpus).expect("committed seed corpus") {
+        let path = entry.expect("corpus entry").path();
+        if !path.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with("valid_")) {
+            continue;
+        }
+        let bytes = std::fs::read(&path).expect("corpus bytes");
+        let msg = codec::decode(&bytes).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        codec::validate(&msg).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(codec::encode(&msg), bytes, "{} must re-encode to itself", path.display());
+        if let Message::Latency { pressure, .. } = msg {
+            layouts[usize::from(pressure.is_some())] = true;
+        }
+        seeds += 1;
+    }
+    assert!(seeds >= 15, "the corpus holds a valid seed per layout, found {seeds}");
+    assert_eq!(layouts, [true; 2], "both latency layouts have a seed");
 }
 
 fn wire_config(wire_mode: bool, corruption: f64, seed: u64) -> DistConfig {
