@@ -173,8 +173,8 @@ pub struct Optimizer {
     /// [`attach_telemetry`](Optimizer::attach_telemetry) got a live
     /// registry — the plain path reads no clock).
     phases: Option<Box<[Histogram; 3]>>,
-    /// Phase profiler (disabled by default — a disabled handle's scopes
-    /// are branch-on-bool no-ops, see
+    /// Phase profiler (disabled by default — a disabled handle holds
+    /// nothing and its scopes are one-branch no-ops, see
     /// [`attach_profiler`](Optimizer::attach_profiler)).
     profiler: Profiler,
 }

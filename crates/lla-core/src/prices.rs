@@ -308,11 +308,12 @@ impl PriceState {
         Self::with_rows(problem.resources().len(), rows, policy)
     }
 
-    /// Zero prices for every resource of `problem` and no λ row: the duals
-    /// of an agent that prices resources alone (a distributed resource
-    /// agent), without the per-path arrays of [`new`](Self::new).
-    pub fn for_resources(problem: &Problem, policy: StepSizePolicy) -> Self {
-        Self::with_rows(problem.resources().len(), std::iter::empty(), policy)
+    /// A zero price for one resource, at index 0, and no λ row: the duals
+    /// of a distributed resource agent, which prices its own resource
+    /// alone. Its index never changes, so the state carries across
+    /// membership epochs as it is.
+    pub fn single_resource(policy: StepSizePolicy) -> Self {
+        Self::with_rows(1, std::iter::empty(), policy)
     }
 
     /// Zero prices for `resources` resources and one λ row per entry of
@@ -393,16 +394,6 @@ impl PriceState {
                 }
             }
         }
-        next
-    }
-
-    /// [`remap`](Self::remap) for a state of
-    /// [`for_resources`](Self::for_resources): the surviving resources of
-    /// `resource_map` (old index → new index) keep their duals, into a
-    /// state without λ rows.
-    pub fn remap_resources(&self, problem: &Problem, resource_map: &[Option<usize>]) -> Self {
-        let mut next = Self::for_resources(problem, self.policy);
-        next.carry_resources(self, resource_map);
         next
     }
 
@@ -854,30 +845,30 @@ mod tests {
     }
 
     #[test]
-    fn resource_duals_carry_like_the_full_remap() {
+    fn single_resource_duals_step_and_carry_like_the_full_remap() {
         let p = problem();
-        let (mut full, mut rows) = (
-            PriceState::new(&p, StepSizePolicy::adaptive(1.0)),
-            PriceState::for_resources(&p, StepSizePolicy::adaptive(1.0)),
-        );
-        assert_eq!(rows.num_paths(), 0, "a resource-only state has no λ");
+        let policy = StepSizePolicy::adaptive(1.0);
+        let (mut full, mut own) =
+            (PriceState::new(&p, policy), PriceState::single_resource(policy));
+        assert_eq!(own.num_paths(), 0, "a one-resource state has no λ");
         for grad in [-1.0, -0.5, 0.25] {
-            full.apply_resource_step(1, grad);
-            rows.apply_resource_step(1, grad);
+            assert_eq!(
+                full.apply_resource_step(1, grad).to_bits(),
+                own.apply_resource_step(0, grad).to_bits()
+            );
         }
-        // Resource 1 moves to index 0, resource 0 is gone.
+        // Resource 1 moves to index 0, resource 0 is gone; the one-resource
+        // state carries over unchanged.
         let report = MembershipReport {
             task_map: vec![Some(0)],
             resource_map: vec![None, Some(0)],
             added_task: None,
             added_resource: None,
         };
-        let (full, rows) =
-            (full.remap(&p, &report), rows.remap_resources(&p, &report.resource_map));
-        assert_eq!(rows.num_paths(), 0);
-        assert_eq!(rows.mus(), full.mus());
-        assert_eq!(rows.gamma_r(0), full.gamma_r(0));
-        assert_eq!(rows.gamma_doublings(), full.gamma_doublings());
+        let full = full.remap(&p, &report);
+        assert_eq!(own.mu(0).to_bits(), full.mu(0).to_bits());
+        assert_eq!(own.gamma_r(0), full.gamma_r(0));
+        assert_eq!(own.gamma_doublings(), full.gamma_doublings());
     }
 
     #[test]

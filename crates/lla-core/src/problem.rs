@@ -576,12 +576,28 @@ impl Problem {
         self.initial_task_row(&self.tasks[id.index()])
     }
 
-    fn initial_task_row(&self, t: &Task) -> Vec<f64> {
-        // Longest path length (in hops) determines the even split.
-        let max_len = t.graph().paths().iter().map(|p| p.len()).max().unwrap_or(1);
-        let slice = t.critical_time() / max_len as f64;
-        vec![slice; t.len()]
+    /// One subtask's entry of the
+    /// [`initial_allocation`](Self::initial_allocation), without building
+    /// its task's row: distributed resource agents seed the subtasks they
+    /// host from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub fn initial_subtask_latency(&self, s: SubtaskId) -> f64 {
+        initial_slice(&self.tasks[s.task().index()])
     }
+
+    fn initial_task_row(&self, t: &Task) -> Vec<f64> {
+        vec![initial_slice(t); t.len()]
+    }
+}
+
+/// The initial latency of every subtask of `t`: an even split of its
+/// critical time over its longest path (in hops).
+fn initial_slice(t: &Task) -> f64 {
+    let max_len = t.graph().paths().iter().map(|p| p.len()).max().unwrap_or(1);
+    t.critical_time() / max_len as f64
 }
 
 #[cfg(test)]
@@ -877,6 +893,10 @@ mod tests {
         let full = p.initial_allocation();
         for t in p.tasks() {
             assert_eq!(p.initial_task_allocation(t.id()), full[t.id().index()]);
+            for (s, &lat) in full[t.id().index()].iter().enumerate() {
+                let sid = SubtaskId::new(t.id(), s);
+                assert_eq!(p.initial_subtask_latency(sid).to_bits(), lat.to_bits());
+            }
         }
     }
 

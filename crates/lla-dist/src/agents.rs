@@ -189,8 +189,9 @@ pub enum MembershipCause {
 
 /// One version of the deployment's topology: the problem at a given
 /// membership epoch plus the slot assignment of its dense indices. The
-/// problem is shared with the facade and every agent that adopted the
-/// epoch; nobody writes through it (writers copy on write).
+/// problem and the slot tables are shared with the facade and every agent
+/// that adopted the epoch; nobody writes through them (the problem's
+/// writers copy on write, and a membership change builds new tables).
 ///
 /// Protocol-level indices are *slots* — stable, never-reused identifiers
 /// (see the [`protocol`](crate::protocol) docs) — while the
@@ -206,10 +207,10 @@ pub struct TopologyEpoch {
     /// `task_slots[dense task index] = slot`, strictly increasing:
     /// slots are handed out in join order and departures keep the order,
     /// so agents find a slot's dense index by binary search.
-    pub task_slots: Vec<usize>,
+    pub task_slots: Arc<[usize]>,
     /// `resource_slots[dense resource index] = slot`, strictly increasing
     /// like `task_slots`.
-    pub resource_slots: Vec<usize>,
+    pub resource_slots: Arc<[usize]>,
 }
 
 /// The durable, shared log of topology epochs — the membership analogue of
@@ -313,6 +314,11 @@ fn epoch_report(
 /// gradient step on `B_r − usage_r`; under [`PriceMethod::Clearing`] it is
 /// the price at which the hosted subtasks' shares meet `B_r` at the
 /// pressures their controllers last reported ([`ResourcePlan::clear_mu`]).
+///
+/// Like a deployed agent, it keeps the state of its own constraint only:
+/// the duals of one resource, and the latencies, pressures and share
+/// bounds of the subtasks it hosts. Apart from the shared problem view,
+/// nothing it holds grows with the deployment.
 #[derive(Debug)]
 pub struct ResourceAgent {
     r: usize,
@@ -327,6 +333,8 @@ pub struct ResourceAgent {
     /// The clamping boxes' settings, which the share bounds of `market`
     /// are lowered with.
     settings: AllocationSettings,
+    /// The duals of this resource alone ([`PriceState::single_resource`],
+    /// index 0): they carry across epochs unchanged.
     prices: PriceState,
     /// Last received latency per hosted subtask, aligned with `hosted`.
     latencies: Vec<f64>,
@@ -344,8 +352,6 @@ pub struct ResourceAgent {
     hosted: Vec<(usize, usize)>,
     /// Controller *slots* to broadcast the price to.
     subscribers: Vec<usize>,
-    /// `task_slots[dense task index] = slot` in the applied epoch.
-    task_slots: Vec<usize>,
     robustness: RobustnessConfig,
     topology: Option<TopologyStore>,
     /// Applied topology epoch.
@@ -383,9 +389,9 @@ impl ResourceAgent {
         settings: AllocationSettings,
     ) -> Self {
         let problem = problem.into();
-        let prices = PriceState::for_resources(&problem, policy);
-        let task_slots: Vec<usize> = (0..problem.tasks().len()).collect();
         let market = ResourcePlan::lower(&problem, problem.resources()[r].id(), &settings);
+        let tel = DistTelemetry::disabled();
+        let ftel = AgentTelemetry::new(&tel, Address::Resource(r), 0.0);
         let mut agent = ResourceAgent {
             r,
             slot: r,
@@ -393,13 +399,12 @@ impl ResourceAgent {
             method,
             policy,
             settings,
-            prices,
+            prices: PriceState::single_resource(policy),
             latencies: Vec::new(),
             pressures: Vec::new(),
             market,
             hosted: Vec::new(),
             subscribers: Vec::new(),
-            task_slots,
             robustness: RobustnessConfig::default(),
             topology: None,
             epoch: 0,
@@ -409,10 +414,10 @@ impl ResourceAgent {
             degraded: false,
             last_avail_seq: 0,
             last_cmd_seq: 0,
-            tel: DistTelemetry::disabled(),
-            ftel: AgentTelemetry::noop(),
+            tel,
+            ftel,
         };
-        agent.resync_from_problem();
+        agent.resync_from_problem(|t| t);
         agent
     }
 
@@ -449,14 +454,20 @@ impl ResourceAgent {
         self.slot = slot;
         self.epoch = epoch;
         if let Some(te) = store.at(epoch) {
-            if te.task_slots != self.task_slots {
+            let rid = self.problem.resources()[self.r].id();
+            let rekeyed = self
+                .problem
+                .subtasks_on(rid)
+                .iter()
+                .zip(&self.hosted)
+                .any(|(sid, key)| te.task_slots[sid.task().index()] != key.0);
+            if rekeyed {
                 // Churn reordered the slots: re-key the hosted set. It
                 // holds only initial latencies yet, so nothing warm is lost.
-                self.task_slots = te.task_slots.clone();
                 self.hosted.clear();
                 self.latencies.clear();
                 self.pressures.clear();
-                self.resync_from_problem();
+                self.resync_from_problem(|t| te.task_slots[t]);
             }
         }
         self.topology = Some(store);
@@ -487,7 +498,7 @@ impl ResourceAgent {
 
     /// The current price `μ_r`.
     pub fn mu(&self) -> f64 {
-        self.prices.mu(self.r)
+        self.prices.mu(0)
     }
 
     /// Whether the agent is currently holding its price because its
@@ -514,27 +525,25 @@ impl ResourceAgent {
     }
 
     /// Rebuilds `hosted`/`latencies`/`pressures`/`subscribers` from the
-    /// current problem view, preserving warm latencies and pressures for
-    /// subtasks that survive (keyed by task slot + subtask index) and
-    /// seeding newcomers from their task's initial-allocation row, with no
-    /// pressure.
-    fn resync_from_problem(&mut self) {
-        let warm: HashMap<(usize, usize), (f64, f64)> = self
-            .hosted
-            .iter()
-            .copied()
-            .zip(self.latencies.iter().copied().zip(self.pressures.iter().copied()))
-            .collect();
+    /// current problem view, with `task_slot` mapping a dense task index to
+    /// its slot in the applied epoch. Warm latencies and pressures are
+    /// preserved for subtasks that survive (keyed by task slot + subtask
+    /// index, found by binary search in the sorted old `hosted`);
+    /// newcomers start from their initial latency, with no pressure.
+    fn resync_from_problem(&mut self, task_slot: impl Fn(usize) -> usize) {
         let rid = self.problem.resources()[self.r].id();
-        let mut hosted = Vec::new();
-        let mut latencies = Vec::new();
-        let mut pressures = Vec::new();
-        let mut subscribers = Vec::new();
-        for sid in self.problem.subtasks_on(rid) {
-            let key = (self.task_slots[sid.task().index()], sid.index());
+        let on = self.problem.subtasks_on(rid);
+        let mut hosted = Vec::with_capacity(on.len());
+        let mut latencies = Vec::with_capacity(on.len());
+        let mut pressures = Vec::with_capacity(on.len());
+        let mut subscribers = Vec::with_capacity(on.len());
+        for &sid in on {
+            let key = (task_slot(sid.task().index()), sid.index());
             hosted.push(key);
-            let initial = || (self.problem.initial_task_allocation(sid.task())[sid.index()], 0.0);
-            let (latency, pressure) = warm.get(&key).copied().unwrap_or_else(initial);
+            let (latency, pressure) = match self.hosted.binary_search(&key) {
+                Ok(old) => (self.latencies[old], self.pressures[old]),
+                Err(_) => (self.problem.initial_subtask_latency(sid), 0.0),
+            };
             latencies.push(latency);
             pressures.push(pressure);
             subscribers.push(key.0);
@@ -570,15 +579,11 @@ impl ResourceAgent {
             self.subscribers.clear();
             return;
         };
-        // The agent carries its own resource's dual alone.
-        let resource_map: Vec<Option<usize>> =
-            (0..self.problem.resources().len()).map(|i| (i == self.r).then_some(new_r)).collect();
+        // The agent's one-resource duals carry over as they are.
         self.tel.warm_start_hits.inc();
-        self.prices = self.prices.remap_resources(&te.problem, &resource_map);
         self.problem = Arc::clone(&te.problem);
         self.r = new_r;
-        self.task_slots = te.task_slots.clone();
-        self.resync_from_problem();
+        self.resync_from_problem(|t| te.task_slots[t]);
         self.relower_market();
     }
 
@@ -595,7 +600,7 @@ impl ResourceAgent {
                 if rehab && !self.dormant {
                     // An eviction epoch means sustained overload poisoned
                     // the duals — restart the price (see MembershipCause).
-                    self.prices = PriceState::for_resources(&self.problem, self.policy);
+                    self.prices = PriceState::single_resource(self.policy);
                 }
             }
         }
@@ -653,7 +658,7 @@ impl ResourceAgent {
                     // Re-announce the current price immediately so stalled
                     // controllers' staleness clocks refresh without
                     // waiting for the next tick phase.
-                    let mu = self.prices.mu(self.r);
+                    let mu = self.prices.mu(0);
                     for &t in &self.subscribers {
                         outbox.send(
                             Address::Controller(t),
@@ -703,7 +708,7 @@ impl Actor for ResourceAgent {
             // Latency inputs are stale (partition, crashed controllers):
             // integrating the frozen gradient would drift the price away
             // from the operating point. Hold and keep announcing it.
-            self.prices.mu(self.r)
+            self.prices.mu(0)
         } else {
             let usage = self.usage();
             let availability = self.problem.resources()[self.r].availability();
@@ -720,11 +725,11 @@ impl Actor for ResourceAgent {
             }
             self.ftel.inc(M_PRICE_UPDATES);
             match self.method {
-                PriceMethod::Gradient => self.prices.apply_resource_step(self.r, grad),
+                PriceMethod::Gradient => self.prices.apply_resource_step(0, grad),
                 PriceMethod::Clearing => {
-                    let mu = self.market.clear_mu(&self.pressures, self.prices.mu(self.r));
-                    self.prices.set_mu(self.r, mu);
-                    self.prices.mu(self.r)
+                    let mu = self.market.clear_mu(&self.pressures, self.prices.mu(0));
+                    self.prices.set_mu(0, mu);
+                    self.prices.mu(0)
                 }
             }
         };
@@ -812,12 +817,16 @@ impl Actor for ResourceAgent {
     fn on_crash(&mut self, _now: f64) {
         // All algorithm state is volatile: the restarted agent re-learns
         // latencies and pressures from controller traffic and restarts
-        // its price from the initial point.
-        self.hosted.clear();
-        self.latencies.clear();
-        self.pressures.clear();
-        self.resync_from_problem();
-        self.prices = PriceState::for_resources(&self.problem, self.policy);
+        // its price from the initial point. The hosted set is
+        // configuration (the problem view and the applied epoch), so it
+        // stays.
+        let rid = self.problem.resources()[self.r].id();
+        let on = self.problem.subtasks_on(rid);
+        for (&sid, latency) in on.iter().zip(&mut self.latencies) {
+            *latency = self.problem.initial_subtask_latency(sid);
+        }
+        self.pressures.fill(0.0);
+        self.prices = PriceState::single_resource(self.policy);
         self.last_heard = 0.0;
         self.congested = false;
         self.degraded = false;
@@ -882,11 +891,12 @@ pub struct TaskController {
     /// Departed (left or evicted): acknowledge control traffic, do
     /// nothing else.
     dormant: bool,
-    /// `task_slots[dense task index] = slot` in the applied epoch.
-    task_slots: Vec<usize>,
+    /// `task_slots[dense task index] = slot` in the applied epoch (the
+    /// epoch's shared table once membership is attached).
+    task_slots: Arc<[usize]>,
     /// `resource_slots[dense resource index] = slot` in the applied
     /// epoch; strictly increasing (see [`TopologyEpoch`]).
-    resource_slots: Vec<usize>,
+    resource_slots: Arc<[usize]>,
     last_checkpoint: f64,
     /// Virtual time of the newest price heard, per (dense) resource.
     last_heard: Vec<f64>,
@@ -945,6 +955,8 @@ impl TaskController {
         let plan = TaskPlan::lower(&problem, problem.tasks()[t].id(), &settings);
         let lambda_scratch = vec![0.0; plan.len()];
         let next_lats = vec![0.0; plan.len()];
+        let tel = DistTelemetry::disabled();
+        let ftel = AgentTelemetry::new(&tel, Address::Controller(t), 0.0);
         TaskController {
             t,
             slot: t,
@@ -975,8 +987,8 @@ impl TaskController {
             lambda_scratch,
             next_lats,
             path_terms: Vec::new(),
-            tel: DistTelemetry::disabled(),
-            ftel: AgentTelemetry::noop(),
+            tel,
+            ftel,
         }
     }
 
@@ -1013,8 +1025,8 @@ impl TaskController {
         self.slot = slot;
         self.epoch = epoch;
         if let Some(te) = store.at(epoch) {
-            self.task_slots = te.task_slots.clone();
-            self.resource_slots = te.resource_slots.clone();
+            self.task_slots = Arc::clone(&te.task_slots);
+            self.resource_slots = Arc::clone(&te.resource_slots);
         }
         self.topology = Some(store);
         self
@@ -1217,8 +1229,8 @@ impl TaskController {
         self.last_heard = last_heard;
         self.problem = Arc::clone(&te.problem);
         self.t = new_t;
-        self.task_slots = te.task_slots.clone();
-        self.resource_slots = te.resource_slots.clone();
+        self.task_slots = Arc::clone(&te.task_slots);
+        self.resource_slots = Arc::clone(&te.resource_slots);
         // The task's own subtask row never changes shape across epochs
         // (drain only rebinds resources), so the warm `lats` stay valid.
         let mut used: Vec<usize> =

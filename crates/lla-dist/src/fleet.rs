@@ -93,28 +93,17 @@ pub struct AgentTelemetry {
 
 impl AgentTelemetry {
     /// A scope labeled `agent = addr` on `tel`'s registry; shipping every
-    /// `cadence` virtual ms (`0.0` disables shipping entirely).
+    /// `cadence` virtual ms (`0.0` disables shipping entirely). On a
+    /// disabled registry without shipping it holds nothing and allocates
+    /// nothing: the inert default of an agent built outside a deployment.
     pub fn new(tel: &DistTelemetry, addr: Address, cadence: f64) -> Self {
-        let scope = AgentScope::new(&tel.registry, &addr.to_string(), AGENT_METRICS);
+        let scope = AgentScope::new(&tel.registry, addr, AGENT_METRICS);
         let shipper = (cadence > 0.0).then(|| Shipper {
             tracker: DeltaTracker::new(AGENT_METRICS.len()),
             cadence,
             next_at: cadence,
         });
         AgentTelemetry { scope, shipper }
-    }
-
-    /// An inert scope (disabled registry, no shipping) — the default for
-    /// agents constructed outside a deployment.
-    pub fn noop() -> Self {
-        AgentTelemetry {
-            scope: AgentScope::new(
-                &lla_telemetry::MetricsRegistry::disabled(),
-                "noop",
-                AGENT_METRICS,
-            ),
-            shipper: None,
-        }
     }
 
     /// Increment dictionary slot `slot` by one.
@@ -286,8 +275,9 @@ mod tests {
     }
 
     #[test]
-    fn noop_agent_telemetry_never_ships() {
-        let mut agent = AgentTelemetry::noop();
+    fn disabled_agent_telemetry_never_ships() {
+        let tel = DistTelemetry::disabled();
+        let mut agent = AgentTelemetry::new(&tel, Address::Resource(0), 0.0);
         agent.inc(M_TICKS);
         assert!(tick(&mut agent, 1e9, Address::Resource(0)).is_empty());
         assert_eq!(agent.emitted(), 0);

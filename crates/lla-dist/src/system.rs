@@ -172,8 +172,8 @@ impl DistributedLla {
             epoch: 0,
             cause: MembershipCause::Genesis,
             problem: Arc::clone(&problem),
-            task_slots: task_slots.clone(),
-            resource_slots: resource_slots.clone(),
+            task_slots: task_slots.as_slice().into(),
+            resource_slots: resource_slots.as_slice().into(),
         });
         let mut runtime = VirtualRuntime::new(config.network, config.seed);
         runtime.attach_telemetry(tel.clone());
@@ -626,8 +626,8 @@ impl DistributedLla {
             epoch: self.epoch,
             cause,
             problem: Arc::clone(&self.problem),
-            task_slots: self.task_slots.clone(),
-            resource_slots: self.resource_slots.clone(),
+            task_slots: self.task_slots.as_slice().into(),
+            resource_slots: self.resource_slots.as_slice().into(),
         });
     }
 

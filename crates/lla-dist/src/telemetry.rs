@@ -3,9 +3,11 @@
 //! [`DistTelemetry`] bundles the counter handles and the event log that
 //! the runtime, the agents, and the
 //! [`DistributedLla`](crate::system::DistributedLla) facade all share. Every handle is cheap to clone
-//! (`Arc`s inside) and collapses to a branch-on-bool no-op when built
-//! from a disabled hub, so the default deployment carries telemetry at
-//! zero algorithmic cost — instrumentation is strictly *passive*: it
+//! (`Arc`s inside) and collapses to a one-branch no-op when built from a
+//! disabled hub. A disabled handle holds no `Arc` at all, so
+//! [`DistTelemetry::disabled`] and its clones allocate nothing and every
+//! agent of a default deployment carries telemetry at zero cost, in time
+//! and in memory. Instrumentation is strictly *passive*: it
 //! never sends messages, draws randomness, or touches a float the
 //! algorithm uses, which is what keeps the perfect-network runs
 //! bit-equivalent to the centralized optimizer.
@@ -216,7 +218,9 @@ impl DistTelemetry {
         self
     }
 
-    /// All-no-op handles (the default for an un-instrumented deployment).
+    /// All-no-op handles (the default for an un-instrumented deployment
+    /// and for every agent before `with_telemetry`). A disabled registry
+    /// formats no metric name, so this allocates nothing.
     pub fn disabled() -> Self {
         DistTelemetry::new(&MetricsRegistry::disabled(), EventLog::disabled())
     }

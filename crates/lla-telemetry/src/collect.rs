@@ -29,7 +29,7 @@
 use crate::fmt_f64;
 use crate::registry::{Counter, MetricsRegistry};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// One slot in the fleet metric dictionary, shared verbatim between the
 /// reporting agents and the collector — reports carry slot indices, not
@@ -48,49 +48,68 @@ pub struct MetricDef {
 pub const MAX_REORDER_HORIZON: usize = 64;
 
 /// An agent's scoped counter set: one labeled counter series per
-/// dictionary slot, all carrying this agent's `agent` label. Handles from
-/// a disabled registry are no-ops, so scopes can be threaded
-/// unconditionally.
+/// dictionary slot, all carrying this agent's `agent` label. A scope on a
+/// disabled registry keeps no label and no series — building it formats
+/// nothing and allocates nothing — and its slots read 0, so scopes can be
+/// threaded unconditionally.
 #[derive(Debug, Clone)]
 pub struct AgentScope {
+    /// The `agent` label (empty on a disabled registry).
     agent: String,
+    /// One series per dictionary slot (none on a disabled registry).
     counters: Vec<Counter>,
+    /// The dictionary's length.
+    slots: usize,
 }
 
 impl AgentScope {
     /// Registers this agent's labeled series for every dictionary slot.
-    pub fn new(registry: &MetricsRegistry, agent: &str, dictionary: &[MetricDef]) -> Self {
+    /// The label is rendered only when `registry` is enabled.
+    pub fn new(
+        registry: &MetricsRegistry,
+        agent: impl fmt::Display,
+        dictionary: &[MetricDef],
+    ) -> Self {
+        let slots = dictionary.len();
+        if !registry.is_enabled() {
+            return AgentScope { agent: String::new(), counters: Vec::new(), slots };
+        }
+        let agent = agent.to_string();
         let counters = dictionary
             .iter()
             .map(|def| {
                 registry.counter_with(
                     &format!("lla_agent_{}_total", def.name),
                     def.help,
-                    &[("agent", agent)],
+                    &[("agent", &agent)],
                 )
             })
             .collect();
-        AgentScope { agent: agent.to_owned(), counters }
+        AgentScope { agent, counters, slots }
     }
 
-    /// The agent label this scope is keyed by.
+    /// The agent label this scope is keyed by (empty on a disabled
+    /// registry).
     pub fn agent(&self) -> &str {
         &self.agent
     }
 
     /// Increment slot `slot` by one.
     pub fn inc(&self, slot: usize) {
-        self.counters[slot].inc();
+        self.add(slot, 1);
     }
 
-    /// Increment slot `slot` by `n`.
+    /// Increment slot `slot` by `n` (a no-op on a disabled registry).
     pub fn add(&self, slot: usize, n: u64) {
-        self.counters[slot].add(n);
+        if !self.counters.is_empty() {
+            self.counters[slot].add(n);
+        }
     }
 
-    /// Current value of every slot, in dictionary order.
+    /// Current value of every slot, in dictionary order (all 0 on a
+    /// disabled registry).
     pub fn totals(&self) -> Vec<u64> {
-        self.counters.iter().map(Counter::get).collect()
+        (0..self.slots).map(|slot| self.counters.get(slot).map_or(0, Counter::get)).collect()
     }
 }
 
@@ -440,6 +459,17 @@ mod tests {
         scope.inc(1);
         assert_eq!(tracker.drain(&scope, 30.0).deltas, vec![(1, 1)]);
         assert_eq!(tracker.emitted(), 3);
+    }
+
+    #[test]
+    fn scope_on_a_disabled_registry_keeps_nothing_and_reads_zero() {
+        let scope = AgentScope::new(&MetricsRegistry::disabled(), "resource[0]", DICT);
+        scope.inc(0);
+        scope.add(1, 3);
+        assert_eq!(scope.agent(), "", "no label is rendered");
+        assert_eq!(scope.clone().totals(), vec![0, 0]);
+        let report = DeltaTracker::new(DICT.len()).drain(&scope, 10.0);
+        assert!(report.deltas.is_empty());
     }
 
     #[test]

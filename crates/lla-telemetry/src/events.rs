@@ -170,13 +170,14 @@ struct LogState {
     seen: u64,
 }
 
-#[derive(Debug)]
-struct EventLogCore {
-    state: Mutex<LogState>,
+impl LogState {
+    /// What every reader of a disabled log sees.
+    const EMPTY: LogState = LogState { events: Vec::new(), capacity: None, stride: 1, seen: 0 };
 }
 
 /// A shared, append-only event log. Cloning shares the buffer. A disabled
-/// log drops every event at a branch; an echoing log additionally renders
+/// log holds no buffer (building and cloning it allocate nothing) and
+/// drops every event at a branch; an echoing log additionally renders
 /// each event to stderr as it arrives (used by the `lla-bench` bins to
 /// keep human progress off stdout).
 ///
@@ -187,41 +188,44 @@ struct EventLogCore {
 /// at uniform (power-of-two) spacing, oldest first.
 #[derive(Debug, Clone)]
 pub struct EventLog {
-    enabled: bool,
     echo_stderr: bool,
-    core: Arc<EventLogCore>,
+    /// The shared buffer (`None` when disabled).
+    state: Option<Arc<Mutex<LogState>>>,
 }
 
 impl EventLog {
-    fn with_capacity(enabled: bool, capacity: Option<usize>) -> Self {
+    fn with_capacity(capacity: Option<usize>) -> Self {
         EventLog {
-            enabled,
             echo_stderr: false,
-            core: Arc::new(EventLogCore {
-                state: Mutex::new(LogState {
-                    events: Vec::new(),
-                    capacity: capacity.map(|c| c.max(2)),
-                    stride: 1,
-                    seen: 0,
-                }),
-            }),
+            state: Some(Arc::new(Mutex::new(LogState {
+                capacity: capacity.map(|c| c.max(2)),
+                ..LogState::EMPTY
+            }))),
         }
     }
 
     /// A log that records events without bound.
     pub fn recording() -> Self {
-        EventLog::with_capacity(true, None)
+        EventLog::with_capacity(None)
     }
 
     /// A log keeping at most `capacity` events (clamped to ≥ 2) by
     /// stride-doubling downsampling.
     pub fn bounded(capacity: usize) -> Self {
-        EventLog::with_capacity(true, Some(capacity))
+        EventLog::with_capacity(Some(capacity))
     }
 
     /// A log that drops everything.
     pub fn disabled() -> Self {
-        EventLog::with_capacity(false, None)
+        EventLog { echo_stderr: false, state: None }
+    }
+
+    /// Runs `read` on the buffer (an empty one when disabled).
+    fn read<R>(&self, read: impl FnOnce(&LogState) -> R) -> R {
+        match &self.state {
+            Some(state) => read(&state.lock().expect("event log poisoned")),
+            None => read(&LogState::EMPTY),
+        }
     }
 
     /// Also render each recorded event to stderr as it arrives.
@@ -233,37 +237,35 @@ impl EventLog {
 
     /// Whether this log records anything.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.state.is_some()
     }
 
     /// The capacity this log was created with (`None` = unbounded).
     pub fn capacity(&self) -> Option<usize> {
-        self.core.state.lock().expect("event log poisoned").capacity
+        self.read(|s| s.capacity)
     }
 
     /// The current downsampling stride: one in every `stride` emitted
     /// events is retained (always 1 for an unbounded log).
     pub fn stride(&self) -> u64 {
-        self.core.state.lock().expect("event log poisoned").stride
+        self.read(|s| s.stride)
     }
 
     /// Total events offered to [`emit`](Self::emit), including ones the
     /// downsampler dropped (0 for a disabled log).
     pub fn seen(&self) -> u64 {
-        self.core.state.lock().expect("event log poisoned").seen
+        self.read(|s| s.seen)
     }
 
     /// Record one event (no-op when disabled). Bounded logs keep it only
     /// on the current stride, and compact (drop every other event,
     /// double the stride) when full.
     pub fn emit(&self, event: Event) {
-        if !self.enabled {
-            return;
-        }
+        let Some(state) = &self.state else { return };
         if self.echo_stderr {
             eprintln!("{}", event.render_line());
         }
-        let mut state = self.core.state.lock().expect("event log poisoned");
+        let mut state = state.lock().expect("event log poisoned");
         let keep = state.seen.is_multiple_of(state.stride);
         state.seen += 1;
         if !keep {
@@ -287,7 +289,7 @@ impl EventLog {
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.core.state.lock().expect("event log poisoned").events.len()
+        self.read(|s| s.events.len())
     }
 
     /// Whether the log is empty.
@@ -297,32 +299,26 @@ impl EventLog {
 
     /// Number of recorded events of the given kind.
     pub fn count_kind(&self, kind: &str) -> usize {
-        self.core
-            .state
-            .lock()
-            .expect("event log poisoned")
-            .events
-            .iter()
-            .filter(|e| e.kind == kind)
-            .count()
+        self.read(|s| s.events.iter().filter(|e| e.kind == kind).count())
     }
 
     /// A clone of the recorded events, in emission order.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.core.state.lock().expect("event log poisoned").events.clone()
+        self.read(|s| s.events.clone())
     }
 
     /// The whole log as JSONL: one `Event::to_json` object per line. For
     /// virtual-clock events this rendering is byte-deterministic given
     /// the same seed.
     pub fn to_jsonl(&self) -> String {
-        let state = self.core.state.lock().expect("event log poisoned");
-        let mut out = String::new();
-        for e in state.events.iter() {
-            out.push_str(&e.to_json());
-            out.push('\n');
-        }
-        out
+        self.read(|state| {
+            let mut out = String::new();
+            for e in state.events.iter() {
+                out.push_str(&e.to_json());
+                out.push('\n');
+            }
+            out
+        })
     }
 }
 

@@ -9,8 +9,8 @@
 //!
 //! * [`MetricsRegistry`] — counters, gauges, and fixed-bucket histograms
 //!   behind cheap cloneable handles. Handles are lock-free on the hot path
-//!   (plain atomics) and collapse to a branch-on-bool no-op when the
-//!   registry is disabled. Exposition is deterministic Prometheus text.
+//!   (plain atomics) and collapse to a one-branch no-op when the registry
+//!   is disabled. Exposition is deterministic Prometheus text.
 //! * [`EventLog`] / [`Event`] — structured, timestamped events. The
 //!   distributed runtime stamps events with its *virtual* clock, so chaos
 //!   soaks produce byte-identical JSONL logs across runs with the same
@@ -22,6 +22,14 @@
 //! * [`SpanRecorder`] / [`TraceCtx`] — causal spans on the virtual clock
 //!   with Chrome `trace_event` export and per-round critical-path
 //!   extraction, same no-op-when-disabled handle discipline.
+//!
+//! Every handle keeps its shared state behind an `Arc` in an `Option`
+//! that is `None` when disabled: a disabled [`Counter`], [`Gauge`],
+//! [`Histogram`], [`EventLog`], [`SpanRecorder`], [`Profiler`] or
+//! [`MetricsRegistry`] holds nothing, so building, cloning and dropping it
+//! allocate nothing and touch no atomic, and every operation on it is one
+//! branch. Telemetry that is off costs nothing to thread through a
+//! deployment of thousands of agents.
 //! * [`Profiler`] — hierarchical scoped-guard phase profiling: self and
 //!   total nanoseconds plus call counts per scope path, thread-aware
 //!   accumulation, folded-stack flamegraph export, and a deterministic
@@ -72,9 +80,10 @@ pub use spans::{PathStep, RoundCriticalPath, Span, SpanRecorder, TraceCtx};
 /// One bundle of the two telemetry channels — a metrics registry and an
 /// event log — so call sites thread a single handle through a stack.
 ///
-/// Both halves are cheap to clone (`Arc`s inside) and both support a
-/// disabled mode in which every operation is a branch-on-bool no-op, so a
-/// `TelemetryHub::disabled()` can be threaded unconditionally.
+/// Every channel is cheap to clone (`Arc`s inside) and supports a
+/// disabled mode that holds nothing and in which every operation is a
+/// one-branch no-op, so a `TelemetryHub::disabled()` can be threaded
+/// unconditionally.
 #[derive(Debug, Clone)]
 pub struct TelemetryHub {
     /// Counter/gauge/histogram registry (Prometheus text exposition).

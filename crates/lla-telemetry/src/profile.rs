@@ -5,9 +5,10 @@
 //! per-thread stack, dropping the guard pops it and charges the elapsed
 //! time to the node identified by the *path* of enclosing scopes. The
 //! same handle discipline as the rest of the crate applies — a disabled
-//! handle is a branch-on-bool no-op that reads no clock, takes no lock,
-//! and allocates nothing, so `Profiler::disabled()` can be threaded
-//! through hot loops unconditionally.
+//! handle holds no tree, and every operation on it is one branch that
+//! reads no clock, takes no lock, and allocates nothing, so
+//! `Profiler::disabled()` can be built, cloned and threaded through hot
+//! loops unconditionally.
 //!
 //! ## Determinism split
 //!
@@ -101,8 +102,8 @@ struct ProfCore {
 /// docs](self)).
 #[derive(Debug, Clone)]
 pub struct Profiler {
-    enabled: bool,
-    core: Arc<ProfCore>,
+    /// The shared tree (`None` when disabled).
+    core: Option<Arc<ProfCore>>,
 }
 
 impl Default for Profiler {
@@ -125,22 +126,18 @@ impl ProfileCtx {
 impl Profiler {
     /// A recording profiler with an empty scope tree.
     pub fn recording() -> Self {
-        Profiler { enabled: true, core: Arc::new(ProfCore::default()) }
+        Profiler { core: Some(Arc::new(ProfCore::default())) }
     }
 
-    /// A profiler whose every operation is a branch-on-bool no-op: no
+    /// A profiler whose every operation is a one-branch no-op: no
     /// clock reads, no locks, no allocation.
     pub fn disabled() -> Self {
-        Profiler { enabled: false, core: Arc::new(ProfCore::default()) }
+        Profiler { core: None }
     }
 
     /// Whether scopes record anything.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    fn core_addr(&self) -> usize {
-        Arc::as_ptr(&self.core) as usize
+        self.core.is_some()
     }
 
     /// Opens a scope named `name` nested under this thread's innermost
@@ -148,42 +145,18 @@ impl Profiler {
     /// charges elapsed nanoseconds and one call to the node on drop.
     #[must_use = "the guard's lifetime is the measured interval"]
     pub fn scope(&self, name: &'static str) -> ProfileGuard {
-        if !self.enabled {
-            return ProfileGuard { core: None, node: 0, saved: (0, 0), start: None };
-        }
-        let addr = self.core_addr();
+        let Some(core) = &self.core else { return ProfileGuard::OFF };
         let saved = CURRENT.with(Cell::get);
-        let parent = if saved.0 == addr { saved.1 } else { NONE };
-        self.enter(addr, parent, name, saved)
+        let parent = if saved.0 == core_addr(core) { saved.1 } else { NONE };
+        enter(core, parent, name, saved)
     }
 
     /// Opens a scope nested under the captured anchor `ctx` instead of
     /// this thread's stack — the fan-out entry point for worker threads.
     #[must_use = "the guard's lifetime is the measured interval"]
     pub fn scope_in(&self, ctx: ProfileCtx, name: &'static str) -> ProfileGuard {
-        if !self.enabled {
-            return ProfileGuard { core: None, node: 0, saved: (0, 0), start: None };
-        }
-        let addr = self.core_addr();
-        let saved = CURRENT.with(Cell::get);
-        self.enter(addr, ctx.0, name, saved)
-    }
-
-    fn enter(
-        &self,
-        addr: usize,
-        parent: usize,
-        name: &'static str,
-        saved: (usize, usize),
-    ) -> ProfileGuard {
-        let node = {
-            let mut tree = self.core.tree.lock().expect("profiler tree poisoned");
-            let node = tree.intern(parent, name);
-            tree.nodes[node].calls += 1;
-            node
-        };
-        CURRENT.with(|c| c.set((addr, node)));
-        ProfileGuard { core: Some(self.core.clone()), node, saved, start: Some(Instant::now()) }
+        let Some(core) = &self.core else { return ProfileGuard::OFF };
+        enter(core, ctx.0, name, CURRENT.with(Cell::get))
     }
 
     /// Opens scope `name` (as [`scope`](Self::scope)) whose body runs as
@@ -197,18 +170,15 @@ impl Profiler {
     /// Captures this thread's innermost open scope as an anchor for
     /// [`scope_in`](Self::scope_in) on worker threads.
     pub fn ctx(&self) -> ProfileCtx {
-        if !self.enabled {
-            return ProfileCtx::ROOT;
-        }
-        let addr = self.core_addr();
+        let Some(core) = &self.core else { return ProfileCtx::ROOT };
         let (owner, node) = CURRENT.with(Cell::get);
-        ProfileCtx(if owner == addr { node } else { NONE })
+        ProfileCtx(if owner == core_addr(core) { node } else { NONE })
     }
 
     /// Discards all recorded nodes (handles stay valid).
     pub fn reset(&self) {
-        if self.enabled {
-            *self.core.tree.lock().expect("profiler tree poisoned") = Tree::default();
+        if let Some(core) = &self.core {
+            *core.tree.lock().expect("profiler tree poisoned") = Tree::default();
         }
     }
 
@@ -216,8 +186,8 @@ impl Profiler {
     /// sorted by name, depth-first).
     pub fn snapshot(&self) -> ProfileSnapshot {
         let mut frames = Vec::new();
-        if self.enabled {
-            let tree = self.core.tree.lock().expect("profiler tree poisoned");
+        if let Some(core) = &self.core {
+            let tree = core.tree.lock().expect("profiler tree poisoned");
             let mut roots = tree.roots.clone();
             roots.sort_by_key(|&r| tree.nodes[r].name);
             for r in roots {
@@ -269,6 +239,30 @@ impl Profiler {
     }
 }
 
+/// The address that tells one profiler's scopes from another's on a
+/// thread's stack.
+fn core_addr(core: &Arc<ProfCore>) -> usize {
+    Arc::as_ptr(core) as usize
+}
+
+/// Enters scope `name` under `parent` of `core`'s tree, saving the
+/// thread's previous innermost scope for the guard to restore.
+fn enter(
+    core: &Arc<ProfCore>,
+    parent: usize,
+    name: &'static str,
+    saved: (usize, usize),
+) -> ProfileGuard {
+    let node = {
+        let mut tree = core.tree.lock().expect("profiler tree poisoned");
+        let node = tree.intern(parent, name);
+        tree.nodes[node].calls += 1;
+        node
+    };
+    CURRENT.with(|c| c.set((core_addr(core), node)));
+    ProfileGuard { core: Some(Arc::clone(core)), node, saved, start: Some(Instant::now()) }
+}
+
 fn sanitize_metric_name(name: &str) -> String {
     name.chars().map(|c| if c.is_ascii_alphanumeric() || c == ':' { c } else { '_' }).collect()
 }
@@ -301,6 +295,11 @@ pub struct ProfileGuard {
     node: usize,
     saved: (usize, usize),
     start: Option<Instant>,
+}
+
+impl ProfileGuard {
+    /// The guard of a disabled profiler: dropping it does nothing.
+    const OFF: ProfileGuard = ProfileGuard { core: None, node: 0, saved: (0, 0), start: None };
 }
 
 impl Drop for ProfileGuard {
@@ -341,7 +340,7 @@ impl PhaseScope {
             tree.nodes[node].calls += 1;
             node
         };
-        CURRENT.with(|c| c.set((Arc::as_ptr(core) as usize, node)));
+        CURRENT.with(|c| c.set((core_addr(core), node)));
         self.phase = Some((node, now));
     }
 }

@@ -4,7 +4,9 @@
 //! name and then cloned freely; updates touch only atomics, never the
 //! registry lock, so agents and the optimizer hot path can increment
 //! without contention. A handle obtained from a disabled registry keeps
-//! the same API but every update is a branch-on-bool no-op.
+//! the same API but holds nothing: its shared cell is `None`, so building,
+//! cloning and dropping it allocate nothing and touch no atomic, and every
+//! update is one branch.
 
 use crate::fmt_f64;
 use std::collections::BTreeMap;
@@ -15,14 +17,14 @@ use std::sync::{Arc, Mutex};
 /// A monotonically increasing counter.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    enabled: bool,
-    cell: Arc<AtomicU64>,
+    /// The series' shared cell (`None` when disabled).
+    cell: Option<Arc<AtomicU64>>,
 }
 
 impl Counter {
     /// A free-standing no-op counter (not attached to any registry).
     pub fn disabled() -> Self {
-        Counter { enabled: false, cell: Arc::new(AtomicU64::new(0)) }
+        Counter { cell: None }
     }
 
     /// Increment by one.
@@ -32,40 +34,40 @@ impl Counter {
 
     /// Increment by `n`.
     pub fn add(&self, n: u64) {
-        if self.enabled {
-            self.cell.fetch_add(n, Ordering::Relaxed);
+        if let Some(cell) = &self.cell {
+            cell.fetch_add(n, Ordering::Relaxed);
         }
     }
 
     /// Current value (always 0 for a disabled counter).
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
+        self.cell.as_ref().map_or(0, |cell| cell.load(Ordering::Relaxed))
     }
 }
 
 /// A gauge holding one `f64` (stored as bits in an atomic).
 #[derive(Debug, Clone)]
 pub struct Gauge {
-    enabled: bool,
-    bits: Arc<AtomicU64>,
+    /// The series' shared cell (`None` when disabled).
+    bits: Option<Arc<AtomicU64>>,
 }
 
 impl Gauge {
     /// A free-standing no-op gauge.
     pub fn disabled() -> Self {
-        Gauge { enabled: false, bits: Arc::new(AtomicU64::new(0f64.to_bits())) }
+        Gauge { bits: None }
     }
 
     /// Set the gauge.
     pub fn set(&self, v: f64) {
-        if self.enabled {
-            self.bits.store(v.to_bits(), Ordering::Relaxed);
+        if let Some(bits) = &self.bits {
+            bits.store(v.to_bits(), Ordering::Relaxed);
         }
     }
 
     /// Current value (always 0.0 for a disabled gauge).
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
+        self.bits.as_ref().map_or(0.0, |bits| f64::from_bits(bits.load(Ordering::Relaxed)))
     }
 }
 
@@ -86,12 +88,13 @@ struct HistogramCore {
 /// loop for the running sum.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    enabled: bool,
-    core: Arc<HistogramCore>,
+    /// The series' shared buckets (`None` when disabled: no finite bucket,
+    /// nothing observed).
+    core: Option<Arc<HistogramCore>>,
 }
 
 impl Histogram {
-    fn with_bounds(enabled: bool, bounds: &[f64]) -> Self {
+    fn with_bounds(bounds: &[f64]) -> Self {
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly increasing"
@@ -99,35 +102,32 @@ impl Histogram {
         assert!(bounds.iter().all(|b| b.is_finite()), "histogram bounds must be finite");
         let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
         Histogram {
-            enabled,
-            core: Arc::new(HistogramCore {
+            core: Some(Arc::new(HistogramCore {
                 bounds: bounds.to_vec(),
                 buckets,
                 sum_bits: AtomicU64::new(0f64.to_bits()),
                 count: AtomicU64::new(0),
-            }),
+            })),
         }
     }
 
     /// A free-standing no-op histogram with no finite buckets.
     pub fn disabled() -> Self {
-        Histogram::with_bounds(false, &[])
+        Histogram { core: None }
     }
 
     /// Record one observation. Values equal to a bound land in that
     /// bound's bucket (Prometheus `le` semantics); values above every
     /// bound land in the implicit `+Inf` bucket.
     pub fn observe(&self, v: f64) {
-        if !self.enabled {
-            return;
-        }
-        let idx = self.core.bounds.iter().position(|&b| v <= b).unwrap_or(self.core.bounds.len());
-        self.core.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.core.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.core.sum_bits.load(Ordering::Relaxed);
+        let Some(core) = &self.core else { return };
+        let idx = core.bounds.iter().position(|&b| v <= b).unwrap_or(core.bounds.len());
+        core.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        core.count.fetch_add(1, Ordering::Relaxed);
+        let mut cur = core.sum_bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + v).to_bits();
-            match self.core.sum_bits.compare_exchange_weak(
+            match core.sum_bits.compare_exchange_weak(
                 cur,
                 next,
                 Ordering::Relaxed,
@@ -141,23 +141,26 @@ impl Histogram {
 
     /// Total number of observations.
     pub fn count(&self) -> u64 {
-        self.core.count.load(Ordering::Relaxed)
+        self.core.as_ref().map_or(0, |core| core.count.load(Ordering::Relaxed))
     }
 
     /// Sum of observed values.
     pub fn sum(&self) -> f64 {
-        f64::from_bits(self.core.sum_bits.load(Ordering::Relaxed))
+        self.core.as_ref().map_or(0.0, |core| f64::from_bits(core.sum_bits.load(Ordering::Relaxed)))
     }
 
     /// The finite upper bounds this histogram was registered with.
     pub fn bounds(&self) -> &[f64] {
-        &self.core.bounds
+        self.core.as_ref().map_or(&[], |core| &core.bounds)
     }
 
     /// Per-bucket (non-cumulative) counts; the last entry is the implicit
     /// `+Inf` overflow bucket.
     pub fn bucket_counts(&self) -> Vec<u64> {
-        self.core.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
+        match &self.core {
+            Some(core) => core.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+            None => vec![0],
+        }
     }
 }
 
@@ -231,11 +234,12 @@ fn join_label_keys(key: &str, extra: &str) -> String {
 /// only at registration and exposition time, never on update.
 ///
 /// Cloning shares the underlying table; `MetricsRegistry::disabled()`
-/// hands out no-op handles and renders an empty exposition.
+/// holds no table, hands out no-op handles without formatting or
+/// recording a series name, and renders an empty exposition.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    enabled: bool,
-    table: Arc<Mutex<BTreeMap<String, Metric>>>,
+    /// The shared family table (`None` when disabled).
+    table: Option<Arc<Mutex<BTreeMap<String, Metric>>>>,
 }
 
 impl Default for MetricsRegistry {
@@ -247,31 +251,33 @@ impl Default for MetricsRegistry {
 impl MetricsRegistry {
     /// A live registry.
     pub fn new() -> Self {
-        MetricsRegistry { enabled: true, table: Arc::new(Mutex::new(BTreeMap::new())) }
+        MetricsRegistry { table: Some(Arc::new(Mutex::new(BTreeMap::new()))) }
     }
 
     /// A registry whose handles are all no-ops.
     pub fn disabled() -> Self {
-        MetricsRegistry { enabled: false, table: Arc::new(Mutex::new(BTreeMap::new())) }
+        MetricsRegistry { table: None }
     }
 
     /// Whether this registry records anything.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.table.is_some()
     }
 
     /// Registers (or looks up) a series in `name`'s family, creating the
     /// family on first registration. All series in a family must share
-    /// one metric kind.
+    /// one metric kind. `None` on a disabled registry, which formats
+    /// nothing.
     fn series(
         &self,
         name: &str,
         help: &'static str,
         labels: &[(&str, &str)],
         make: impl FnOnce() -> MetricKind,
-    ) -> MetricKind {
+    ) -> Option<MetricKind> {
+        let table = self.table.as_ref()?;
         let key = render_label_key(labels);
-        let mut table = self.table.lock().expect("metrics registry poisoned");
+        let mut table = table.lock().expect("metrics registry poisoned");
         let family = table
             .entry(name.to_owned())
             .or_insert_with(|| Metric { help, series: BTreeMap::new() });
@@ -282,9 +288,9 @@ impl MetricsRegistry {
                 entry.type_name() == existing,
                 "metric {name:?} already registered with a different kind"
             );
-            entry.clone()
+            Some(entry.clone())
         } else {
-            family.series.entry(key).or_insert_with(make).clone()
+            Some(family.series.entry(key).or_insert_with(make).clone())
         }
     }
 
@@ -299,14 +305,12 @@ impl MetricsRegistry {
     /// `(name, labels)` pair shares one cell; label order is irrelevant
     /// (pairs are canonicalized by label name).
     pub fn counter_with(&self, name: &str, help: &'static str, labels: &[(&str, &str)]) -> Counter {
-        if !self.enabled {
-            return Counter::disabled();
-        }
         match self.series(name, help, labels, || {
-            MetricKind::Counter(Counter { enabled: true, cell: Arc::new(AtomicU64::new(0)) })
+            MetricKind::Counter(Counter { cell: Some(Arc::new(AtomicU64::new(0))) })
         }) {
-            MetricKind::Counter(c) => c,
-            _ => panic!("metric {name:?} already registered with a different kind"),
+            None => Counter::disabled(),
+            Some(MetricKind::Counter(c)) => c,
+            Some(_) => panic!("metric {name:?} already registered with a different kind"),
         }
     }
 
@@ -317,17 +321,12 @@ impl MetricsRegistry {
 
     /// Register (or look up) a labeled gauge series.
     pub fn gauge_with(&self, name: &str, help: &'static str, labels: &[(&str, &str)]) -> Gauge {
-        if !self.enabled {
-            return Gauge::disabled();
-        }
         match self.series(name, help, labels, || {
-            MetricKind::Gauge(Gauge {
-                enabled: true,
-                bits: Arc::new(AtomicU64::new(0f64.to_bits())),
-            })
+            MetricKind::Gauge(Gauge { bits: Some(Arc::new(AtomicU64::new(0f64.to_bits()))) })
         }) {
-            MetricKind::Gauge(g) => g,
-            _ => panic!("metric {name:?} already registered with a different kind"),
+            None => Gauge::disabled(),
+            Some(MetricKind::Gauge(g)) => g,
+            Some(_) => panic!("metric {name:?} already registered with a different kind"),
         }
     }
 
@@ -346,14 +345,12 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         bounds: &[f64],
     ) -> Histogram {
-        if !self.enabled {
-            return Histogram::disabled();
-        }
-        match self.series(name, help, labels, || {
-            MetricKind::Histogram(Histogram::with_bounds(true, bounds))
-        }) {
-            MetricKind::Histogram(h) => h,
-            _ => panic!("metric {name:?} already registered with a different kind"),
+        match self
+            .series(name, help, labels, || MetricKind::Histogram(Histogram::with_bounds(bounds)))
+        {
+            None => Histogram::disabled(),
+            Some(MetricKind::Histogram(h)) => h,
+            Some(_) => panic!("metric {name:?} already registered with a different kind"),
         }
     }
 
@@ -362,8 +359,9 @@ impl MetricsRegistry {
     /// values. `# HELP` text and label values are escaped per the
     /// text-format spec ([`escape_help`], [`escape_label_value`]).
     pub fn prometheus_text(&self) -> String {
-        let table = self.table.lock().expect("metrics registry poisoned");
         let mut out = String::new();
+        let Some(table) = &self.table else { return out };
+        let table = table.lock().expect("metrics registry poisoned");
         for (name, metric) in table.iter() {
             let Some(first) = metric.series.values().next() else { continue };
             let _ = writeln!(out, "# HELP {name} {}", escape_help(metric.help));
@@ -458,6 +456,37 @@ mod tests {
         let off = MetricsRegistry::disabled().counter("lla_test_total", "x");
         off.inc();
         assert_eq!(off.get(), 0);
+    }
+
+    #[test]
+    fn disabled_handles_read_zero_and_enabled_clones_share_one_cell() {
+        let (c, g, h) = (Counter::disabled(), Gauge::disabled(), Histogram::disabled());
+        c.inc();
+        c.add(3);
+        g.set(2.5);
+        h.observe(1.0);
+        assert_eq!(c.clone().get(), 0);
+        assert_eq!(g.clone().get(), 0.0);
+        assert_eq!((h.count(), h.sum(), h.bucket_counts()), (0, 0.0, vec![0]));
+        assert!(h.bounds().is_empty());
+        let off = MetricsRegistry::disabled();
+        off.counter_with("lla_off_total", "off", &[("agent", "a")]).inc();
+        assert!(!off.clone().is_enabled());
+        assert_eq!(off.prometheus_text(), "", "a disabled registry records no series");
+
+        let reg = MetricsRegistry::new();
+        let c = reg.counter("lla_shared_total", "shared");
+        let twin = c.clone();
+        twin.add(2);
+        c.inc();
+        assert_eq!((c.get(), twin.get()), (3, 3));
+        let g = reg.gauge("lla_shared_gauge", "shared");
+        g.clone().set(-1.5);
+        assert_eq!(g.get(), -1.5);
+        let h = reg.histogram("lla_shared_seconds", "shared", &[1.0]);
+        h.clone().observe(0.5);
+        assert_eq!(h.bucket_counts(), vec![1, 0]);
+        assert!(reg.clone().prometheus_text().contains("lla_shared_total 3\n"));
     }
 
     #[test]

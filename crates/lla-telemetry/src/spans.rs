@@ -93,28 +93,37 @@ impl SpanStore {
 }
 
 /// A shared span recorder. Cloning shares the buffer; a disabled recorder
-/// drops every span at a branch and returns [`TraceCtx::NONE`], so
-/// instrumented code needs no `Option` plumbing.
+/// holds no buffer (building and cloning it allocate nothing), drops
+/// every span at a branch and returns [`TraceCtx::NONE`], so instrumented
+/// code needs no `Option` plumbing.
 #[derive(Debug, Clone)]
 pub struct SpanRecorder {
-    enabled: bool,
-    core: Arc<Mutex<SpanStore>>,
+    /// The shared store (`None` when disabled).
+    core: Option<Arc<Mutex<SpanStore>>>,
 }
 
 impl SpanRecorder {
     /// A recorder that records spans.
     pub fn recording() -> Self {
-        SpanRecorder { enabled: true, core: Arc::new(Mutex::new(SpanStore::default())) }
+        SpanRecorder { core: Some(Arc::new(Mutex::new(SpanStore::default()))) }
     }
 
     /// A recorder whose every operation is a no-op.
     pub fn disabled() -> Self {
-        SpanRecorder { enabled: false, core: Arc::new(Mutex::new(SpanStore::default())) }
+        SpanRecorder { core: None }
     }
 
     /// Whether this recorder records anything.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.core.is_some()
+    }
+
+    /// Runs `read` on the store (an empty one when disabled).
+    fn read<R>(&self, read: impl FnOnce(&SpanStore) -> R) -> R {
+        match &self.core {
+            Some(core) => read(&core.lock().expect("span store poisoned")),
+            None => read(&SpanStore::default()),
+        }
     }
 
     /// Record a span and return the context its children should use.
@@ -143,10 +152,8 @@ impl SpanRecorder {
         parent: TraceCtx,
         fields: Vec<(&'static str, Value)>,
     ) -> TraceCtx {
-        if !self.enabled {
-            return TraceCtx::NONE;
-        }
-        let mut store = self.core.lock().expect("span store poisoned");
+        let Some(core) = &self.core else { return TraceCtx::NONE };
+        let mut store = core.lock().expect("span store poisoned");
         let trace = if parent.trace == 0 {
             store.next_trace += 1;
             store.next_trace
@@ -178,7 +185,7 @@ impl SpanRecorder {
 
     /// Number of recorded spans.
     pub fn len(&self) -> usize {
-        self.core.lock().expect("span store poisoned").spans.len()
+        self.read(|store| store.spans.len())
     }
 
     /// Whether the recorder holds no spans.
@@ -188,24 +195,25 @@ impl SpanRecorder {
 
     /// A clone of the recorded spans, in record order.
     pub fn snapshot(&self) -> Vec<Span> {
-        self.core.lock().expect("span store poisoned").spans.clone()
+        self.read(|store| store.spans.clone())
     }
 
     /// Track names in interning order; [`Span::track`] indexes this list.
     pub fn track_names(&self) -> Vec<String> {
-        self.core.lock().expect("span store poisoned").tracks.clone()
+        self.read(|store| store.tracks.clone())
     }
 
     /// Distinct trace ids in first-seen order.
     pub fn trace_ids(&self) -> Vec<u64> {
-        let store = self.core.lock().expect("span store poisoned");
-        let mut out: Vec<u64> = Vec::new();
-        for s in &store.spans {
-            if !out.contains(&s.trace) {
-                out.push(s.trace);
+        self.read(|store| {
+            let mut out: Vec<u64> = Vec::new();
+            for s in &store.spans {
+                if !out.contains(&s.trace) {
+                    out.push(s.trace);
+                }
             }
-        }
-        out
+            out
+        })
     }
 
     /// Export every span as Chrome `trace_event` JSON, loadable in
@@ -279,7 +287,8 @@ impl SpanRecorder {
     /// Writes the track-metadata and span events shared by both Chrome
     /// exporters (byte-identical to the historical single-process form).
     fn write_chrome_events(&self, out: &mut String, first: &mut bool) {
-        let store = self.core.lock().expect("span store poisoned");
+        let Some(core) = &self.core else { return };
+        let store = core.lock().expect("span store poisoned");
         for (tid, name) in store.tracks.iter().enumerate() {
             push_event_sep(out, first);
             out.push_str(&format!(
@@ -314,8 +323,7 @@ impl SpanRecorder {
     /// ending at the trace's latest-ending span (earliest-recorded span
     /// wins ties). Empty if the trace id is unknown.
     pub fn critical_path(&self, trace: u64) -> Vec<PathStep> {
-        let store = self.core.lock().expect("span store poisoned");
-        critical_chain(&store, trace)
+        self.read(|store| critical_chain(store, trace))
     }
 
     /// Group traces into rounds of `round_length` by their root span's
@@ -331,7 +339,8 @@ impl SpanRecorder {
     /// Panics if `round_length` is not strictly positive.
     pub fn round_critical_paths(&self, round_length: f64) -> Vec<RoundCriticalPath> {
         assert!(round_length > 0.0, "round_length must be positive");
-        let store = self.core.lock().expect("span store poisoned");
+        let Some(core) = &self.core else { return Vec::new() };
+        let store = core.lock().expect("span store poisoned");
         // Per trace: the round of its root and its latest span end.
         let mut traces: Vec<(u64, u64, f64)> = Vec::new(); // (trace, round, latest_end)
         for s in &store.spans {

@@ -402,6 +402,50 @@ mod tests {
         assert_eq!(hashes, pinned, "generated problems changed: {hashes:x?}");
     }
 
+    /// `target_load` scales the witness latencies and nothing else: two
+    /// loads draw the same resources, subtasks, execution times and
+    /// graphs, and differ only in critical times (by the inverse load
+    /// ratio) and the utility offsets derived from them. The robustness
+    /// sweep's load axis is therefore a deadline-slack axis.
+    #[test]
+    fn target_load_only_scales_critical_times_and_utility_offsets() {
+        let (low, high) = (0.5, 0.95);
+        for seed in 0..20 {
+            let at = |target_load| {
+                let cfg = RandomWorkloadConfig {
+                    target_load,
+                    num_tasks: 5,
+                    deadline_headroom: 1.4,
+                    seed,
+                    ..Default::default()
+                };
+                cfg.generate().unwrap()
+            };
+            let (a, b) = (at(low), at(high));
+            assert_eq!(a.resources(), b.resources());
+            assert_eq!(a.tasks().len(), b.tasks().len());
+            for (ta, tb) in a.tasks().iter().zip(b.tasks()) {
+                assert_eq!(ta.name(), tb.name());
+                assert_eq!(ta.trigger(), tb.trigger());
+                assert_eq!(ta.aggregation(), tb.aggregation());
+                assert_eq!(ta.subtasks(), tb.subtasks());
+                assert_eq!(ta.graph().paths(), tb.graph().paths());
+                let ratio = tb.critical_time() / ta.critical_time();
+                assert!((ratio - low / high).abs() < 1e-12, "seed {seed}: ratio {ratio}");
+                match (ta.utility_fn(), tb.utility_fn()) {
+                    (
+                        UtilityFn::Linear { offset: oa, slope: sa },
+                        UtilityFn::Linear { offset: ob, slope: sb },
+                    ) => {
+                        assert_eq!(sa, sb);
+                        assert!((ob / oa - ratio).abs() < 1e-12, "seed {seed}");
+                    }
+                    other => panic!("unexpected utilities {other:?}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn different_seeds_differ() {
         let a = RandomWorkloadConfig::default().generate().unwrap();

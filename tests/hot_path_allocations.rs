@@ -6,42 +6,66 @@
 //! `certify` and only the flat maximiser and its row offsets for
 //! `dual_value`, the same at any problem size, for an `Optimizer` and a
 //! `ShardedOptimizer` alike; and a `DistributedLla` round in wire mode
-//! moves every message without touching the heap. Each test runs on a
+//! moves every message without touching the heap. Deploying one costs
+//! what its agents need: telemetry that is off allocates nothing, set-up
+//! stays under a flat number of allocations per agent, and a resource
+//! agent's bytes do not grow with the deployment. Each test runs on a
 //! thread of its own, so its first evaluation starts from empty buffers.
 
-use lla::core::{dual_value, Optimizer, OptimizerConfig, PriceMethod, ShardSpec, ShardedOptimizer};
-use lla::dist::{DistConfig, DistributedLla};
+use lla::core::{
+    dual_value, Optimizer, OptimizerConfig, PriceMethod, Problem, Resource, ResourceId,
+    ResourceKind, ShardSpec, ShardedOptimizer, TaskBuilder, TaskId,
+};
+use lla::dist::agents::ResourceAgent;
+use lla::dist::{
+    Address, AgentTelemetry, DistConfig, DistTelemetry, DistributedLla, AGENT_METRICS,
+};
+use lla::telemetry::{
+    AgentScope, Counter, Event, EventLog, Gauge, Histogram, MetricsRegistry, Profiler,
+    SpanRecorder, TelemetryHub, TraceCtx,
+};
 use lla::workloads::large_scale_workload;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-/// Counts allocations made on the current thread, so the test harness's
-/// own threads do not disturb a measurement.
+/// Counts allocations, and the bytes they request, made on the current
+/// thread, so the test harness's own threads do not disturb a
+/// measurement.
 struct Counting;
 
-thread_local! {
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+/// What a measured closure allocated: calls into the allocator and the
+/// bytes they requested (a `realloc` counts its new size).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Tally {
+    count: usize,
+    bytes: usize,
 }
 
-fn count() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+thread_local! {
+    static ALLOCATIONS: Cell<Tally> = const { Cell::new(Tally { count: 0, bytes: 0 }) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCATIONS
+        .try_with(|t| t.set(Tally { count: t.get().count + 1, bytes: t.get().bytes + bytes }));
 }
 
 // SAFETY: every method forwards to `System` unchanged; counting touches
 // only a const-initialised thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -53,11 +77,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Runs `f` and returns its result with the allocations it made.
-fn allocations<R>(f: impl FnOnce() -> R) -> (R, usize) {
+/// Runs `f` and returns its result with what it allocated.
+fn tally<R>(f: impl FnOnce() -> R) -> (R, Tally) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
+    let after = ALLOCATIONS.with(Cell::get);
+    (out, Tally { count: after.count - before.count, bytes: after.bytes - before.bytes })
+}
+
+/// Runs `f` and returns its result with the allocations it made.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let (out, t) = tally(f);
+    (out, t.count)
 }
 
 #[test]
@@ -205,4 +236,104 @@ fn dist_round_allocates_nothing_in_wire_mode() {
     // That is the only allocation allowed; messages, events, frames and
     // the round's utility rows make none.
     assert!(n <= 1, "10 wire-mode rounds made {n} heap allocations");
+}
+
+/// Telemetry that is switched off costs nothing: every disabled handle
+/// holds no shared cell, so building, cloning, updating and dropping one
+/// allocate nothing, and a scope on a disabled registry formats no series
+/// name. That covers the bundle each deployed agent carries.
+#[test]
+fn disabled_telemetry_allocates_nothing() {
+    let ((), n) = allocations(|| {
+        let counter = Counter::disabled();
+        counter.clone().inc();
+        let gauge = Gauge::disabled();
+        gauge.clone().set(1.5);
+        let histogram = Histogram::disabled();
+        histogram.clone().observe(1.5);
+        let events = EventLog::disabled();
+        events.clone().emit(Event::new(0.0, "off"));
+        let spans = SpanRecorder::disabled();
+        spans.clone().instant("off", "track", 0.0, TraceCtx::NONE);
+        let profiler = Profiler::disabled();
+        drop(profiler.clone().scope("off"));
+        let registry = MetricsRegistry::disabled();
+        registry.clone().counter_with("lla_off_total", "off", &[("agent", "off")]).inc();
+        drop(TelemetryHub::disabled().clone());
+        let tel = DistTelemetry::disabled();
+        tel.clone().messages_sent.inc();
+        let scope = AgentScope::new(&registry, "resource[0]", AGENT_METRICS);
+        scope.inc(0);
+        let agent = AgentTelemetry::new(&tel, Address::Resource(0), 0.0);
+        agent.inc(0);
+        assert_eq!(counter.get() + tel.messages_sent.get() + agent.emitted(), 0);
+    });
+    assert_eq!(n, 0, "disabled telemetry made {n} heap allocations");
+}
+
+/// Deploying costs what the agents need: at most 25 allocations per agent
+/// (controllers, resource agents and the control plane) with telemetry
+/// off, at 50 and at 200 tasks.
+#[test]
+fn dist_setup_allocations_stay_flat_per_agent() {
+    for tasks in [50, 200] {
+        let problem = large_scale_workload(tasks, 3).expect("valid config");
+        let agents = problem.tasks().len() + problem.resources().len() + 1;
+        let config = DistConfig { wire_mode: true, ..DistConfig::default() };
+        let (dist, n) = allocations(|| DistributedLla::new(problem, config));
+        assert_eq!(dist.rounds(), 0);
+        assert!(
+            n <= 25 * agents,
+            "DistributedLla::new made {n} allocations for {agents} agents at {tasks} tasks"
+        );
+    }
+}
+
+/// `tasks` single-subtask tasks, each on a resource of its own, plus a
+/// shared resource 0 that hosts the second subtask of tasks 0 and 1 only:
+/// the same hosted set at any size.
+fn two_on_shared_resource(tasks: usize) -> Problem {
+    let resources = (0..=tasks)
+        .map(|r| Resource::new(ResourceId::new(r), ResourceKind::Cpu).with_lag(1.0))
+        .collect();
+    let tasks = (0..tasks)
+        .map(|t| {
+            let mut b = TaskBuilder::new(format!("t{t}"));
+            let head = b.subtask("head", ResourceId::new(t + 1), 2.0);
+            if t < 2 {
+                let tail = b.subtask("tail", ResourceId::new(0), 2.0);
+                b.edge(head, tail).expect("acyclic");
+            }
+            b.critical_time(60.0);
+            b.build(TaskId::new(t)).expect("valid task")
+        })
+        .collect();
+    Problem::new(resources, tasks).expect("valid problem")
+}
+
+/// A resource agent holds the state of its own resource: the duals of
+/// one resource and its hosted subtasks, with no per-task or per-resource
+/// table. Its construction allocates the same bytes for a deployment of
+/// 50 tasks as for one of 400 hosting the same subtasks on it.
+#[test]
+fn resource_agent_bytes_do_not_grow_with_the_deployment() {
+    let config = DistConfig::default();
+    let tallies: Vec<Tally> = [50, 400]
+        .into_iter()
+        .map(|tasks| {
+            let problem = Arc::new(two_on_shared_resource(tasks));
+            let (agent, t) = tally(|| {
+                ResourceAgent::new(
+                    0,
+                    Arc::clone(&problem),
+                    config.price_method,
+                    config.step_policy,
+                    config.allocation,
+                )
+            });
+            assert_eq!(agent.mu(), 0.0);
+            t
+        })
+        .collect();
+    assert_eq!(tallies[0], tallies[1], "ResourceAgent::new grew with the deployment");
 }
