@@ -4,44 +4,164 @@
 //! ordering constraint. A *path* is a root-to-leaf sequence of subtasks; the
 //! end-to-end latency of a task instance is determined by its paths, and the
 //! *critical path* is the path of maximum latency.
+//!
+//! A validated graph keeps everything in one boxed slice: successor and
+//! predecessor lists and the paths as CSR rows (an offset table plus a flat
+//! index array), next to the leaves, the topological order and the path
+//! weights. Every accessor returns a slice of that block, so a graph is one
+//! heap allocation and a clone one copy (DESIGN §9.10).
 
 use crate::error::ModelError;
-use crate::ids::{PathId, TaskId};
+use crate::ids::TaskId;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
-/// A root-to-leaf path through a task's subtask graph.
+/// A root-to-leaf path through a task's subtask graph: a view of one row
+/// of the graph's path table.
 ///
-/// Stores per-task subtask indices in root-to-leaf order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Path {
-    id: PathId,
-    subtasks: Vec<usize>,
+/// Holds the per-task subtask indices in root-to-leaf order. The path's
+/// [`PathId`](crate::PathId) comes from the owning task
+/// ([`Task::path_id`](crate::Task::path_id)); the graph itself names no
+/// task, so a task that changes id keeps correct path ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Path<'a> {
+    index: usize,
+    subtasks: &'a [usize],
 }
 
-impl Path {
-    /// The path identifier.
-    pub fn id(&self) -> PathId {
-        self.id
+impl<'a> Path<'a> {
+    /// The path's index within its task's path enumeration.
+    pub fn index(self) -> usize {
+        self.index
     }
 
     /// Subtask indices (within the owning task) in root-to-leaf order.
-    pub fn subtasks(&self) -> &[usize] {
-        &self.subtasks
+    pub fn subtasks(self) -> &'a [usize] {
+        self.subtasks
     }
 
     /// Number of subtasks on this path.
-    pub fn len(&self) -> usize {
+    pub fn len(self) -> usize {
         self.subtasks.len()
     }
 
     /// Whether the path is empty (never true for a valid graph).
-    pub fn is_empty(&self) -> bool {
+    pub fn is_empty(self) -> bool {
         self.subtasks.is_empty()
     }
 
     /// Sum of the given per-subtask latencies along this path.
-    pub fn latency(&self, lats: &[f64]) -> f64 {
+    pub fn latency(self, lats: &[f64]) -> f64 {
         self.subtasks.iter().map(|&s| lats[s]).sum()
+    }
+}
+
+/// The root-to-leaf paths of a [`SubtaskGraph`], in enumeration order: a
+/// view of the graph's path table ([`SubtaskGraph::paths`]).
+#[derive(Clone, Copy)]
+pub struct Paths<'a> {
+    rows: Rows<'a, usize>,
+}
+
+impl<'a> Paths<'a> {
+    /// Number of paths.
+    pub fn len(self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether there are no paths (never true for a valid graph).
+    pub fn is_empty(self) -> bool {
+        self.rows.len() == 0
+    }
+
+    /// Path `index`, or `None` when out of range.
+    pub fn get(self, index: usize) -> Option<Path<'a>> {
+        (index < self.len()).then(|| Path { index, subtasks: self.rows.row(index) })
+    }
+
+    /// The paths in enumeration order.
+    pub fn iter(self) -> PathIter<'a> {
+        PathIter { paths: self, next: 0 }
+    }
+}
+
+impl<'a> IntoIterator for Paths<'a> {
+    type Item = Path<'a>;
+    type IntoIter = PathIter<'a>;
+
+    fn into_iter(self) -> PathIter<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq for Paths<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Paths<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter().map(Path::subtasks)).finish()
+    }
+}
+
+/// Iterator over [`Paths`].
+#[derive(Debug, Clone)]
+pub struct PathIter<'a> {
+    paths: Paths<'a>,
+    next: usize,
+}
+
+impl<'a> Iterator for PathIter<'a> {
+    type Item = Path<'a>;
+
+    fn next(&mut self) -> Option<Path<'a>> {
+        let path = self.paths.get(self.next)?;
+        self.next += 1;
+        Some(path)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.paths.len() - self.next;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for PathIter<'_> {}
+
+/// CSR rows: row `i` is `data[off[i]..off[i + 1]]`.
+pub(crate) struct Rows<'a, T> {
+    off: &'a [usize],
+    data: &'a [T],
+}
+
+impl<T> Clone for Rows<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Rows<'_, T> {}
+
+impl<'a, T> Rows<'a, T> {
+    pub(crate) fn new(off: &'a [usize], data: &'a [T]) -> Self {
+        Rows { off, data }
+    }
+
+    pub(crate) fn len(self) -> usize {
+        self.off.len() - 1
+    }
+
+    pub(crate) fn row(self, i: usize) -> &'a [T] {
+        &self.data[self.off[i]..self.off[i + 1]]
+    }
+}
+
+/// Lists the rows as nested lists, the way a `Vec<Vec<T>>` prints.
+impl<T: fmt::Debug> fmt::Debug for Rows<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries((0..self.len()).map(|i| self.row(i))).finish()
     }
 }
 
@@ -58,20 +178,23 @@ impl Path {
 /// let g = SubtaskGraph::new(TaskId::new(0), 3, &[(0, 1), (0, 2)])?;
 /// assert_eq!(g.root(), 0);
 /// assert_eq!(g.paths().len(), 2);
+/// assert_eq!(g.path(1).subtasks(), &[0, 2]);
 /// assert_eq!(g.path_weight(0), 2); // the root lies on both paths
 /// assert_eq!(g.path_weight(1), 1);
 /// # Ok::<(), lla_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct SubtaskGraph {
     n: usize,
-    succ: Vec<Vec<usize>>,
-    pred: Vec<Vec<usize>>,
     root: usize,
-    leaves: Vec<usize>,
-    topo: Vec<usize>,
-    paths: Vec<Path>,
-    weights: Vec<usize>,
+    edges: usize,
+    leaves: usize,
+    paths: usize,
+    /// The whole graph, section after section (lengths from the fields
+    /// above; `*_off` tables are relative to their own index array):
+    /// `succ_off[n+1] succ[edges] pred_off[n+1] pred[edges] leaves[leaves]
+    /// topo[n] weights[n] path_off[paths+1] path_subs[..]`.
+    block: Box<[usize]>,
 }
 
 impl SubtaskGraph {
@@ -161,10 +284,10 @@ impl SubtaskGraph {
 
         let leaves: Vec<usize> = (0..n).filter(|&v| succ[v].is_empty()).collect();
 
-        // Enumerate all root-to-leaf paths by DFS.
-        let mut paths = Vec::new();
+        // Enumerate all root-to-leaf paths by DFS into CSR rows.
+        let (mut path_off, mut path_subs) = (vec![0], Vec::new());
         let mut current = vec![root];
-        Self::enumerate(task, &succ, root, &mut current, &mut paths);
+        Self::enumerate(&succ, root, &mut current, &mut path_off, &mut path_subs);
 
         // Path weights: number of paths each node lies on. Computed by DP so
         // the weights stay cheap even when enumeration is the expensive part:
@@ -184,27 +307,53 @@ impl SubtaskGraph {
                 from_node[v] = succ[v].iter().map(|&w| from_node[w]).sum();
             }
         }
-        let weights: Vec<usize> = (0..n).map(|v| to_node[v] * from_node[v]).collect();
+        debug_assert_eq!(to_node[root] * from_node[root], path_off.len() - 1, "root weight");
 
-        debug_assert_eq!(weights[root], paths.len(), "root weight must equal total path count");
-
-        Ok(SubtaskGraph { n, succ, pred, root, leaves, topo, paths, weights })
+        let edges: usize = succ.iter().map(Vec::len).sum();
+        let paths = path_off.len() - 1;
+        let mut block = Vec::with_capacity(
+            4 * n + 2 + 2 * edges + leaves.len() + path_off.len() + path_subs.len(),
+        );
+        for lists in [&succ, &pred] {
+            block.push(0);
+            let mut at = 0;
+            for list in lists {
+                at += list.len();
+                block.push(at);
+            }
+            block.extend(lists.iter().flatten());
+        }
+        block.extend(&leaves);
+        block.extend(&topo);
+        block.extend((0..n).map(|v| to_node[v] * from_node[v]));
+        block.extend(&path_off);
+        block.extend(&path_subs);
+        debug_assert_eq!(block.len(), block.capacity());
+        Ok(SubtaskGraph {
+            n,
+            root,
+            edges,
+            leaves: leaves.len(),
+            paths,
+            block: block.into_boxed_slice(),
+        })
     }
 
     fn enumerate(
-        task: TaskId,
         succ: &[Vec<usize>],
         v: usize,
         current: &mut Vec<usize>,
-        out: &mut Vec<Path>,
+        path_off: &mut Vec<usize>,
+        path_subs: &mut Vec<usize>,
     ) {
         if succ[v].is_empty() {
-            out.push(Path { id: PathId::new(task, out.len()), subtasks: current.clone() });
+            path_subs.extend_from_slice(current);
+            path_off.push(path_subs.len());
             return;
         }
         for &w in &succ[v] {
             current.push(w);
-            Self::enumerate(task, succ, w, current, out);
+            Self::enumerate(succ, w, current, path_off, path_subs);
             current.pop();
         }
     }
@@ -217,6 +366,34 @@ impl SubtaskGraph {
     pub fn chain(task: TaskId, n: usize) -> Result<Self, ModelError> {
         let edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
         Self::new(task, n, &edges)
+    }
+
+    /// Where each section of the block starts: successor rows, predecessor
+    /// rows, leaves, topological order, weights, path rows.
+    fn sections(&self) -> [usize; 6] {
+        let (n, e) = (self.n, self.edges);
+        let succ = 0;
+        let pred = succ + n + 1 + e;
+        let leaves = pred + n + 1 + e;
+        let topo = leaves + self.leaves;
+        let weights = topo + n;
+        let paths = weights + n;
+        [succ, pred, leaves, topo, weights, paths]
+    }
+
+    /// The CSR rows whose offset table starts at `at` and has `rows + 1`
+    /// entries, its index array following it.
+    fn rows_at(&self, at: usize, rows: usize) -> Rows<'_, usize> {
+        let (off, rest) = self.block[at..].split_at(rows + 1);
+        Rows::new(off, &rest[..off[rows]])
+    }
+
+    fn succ(&self) -> Rows<'_, usize> {
+        self.rows_at(self.sections()[0], self.n)
+    }
+
+    fn pred(&self) -> Rows<'_, usize> {
+        self.rows_at(self.sections()[1], self.n)
     }
 
     /// Number of subtasks.
@@ -236,39 +413,64 @@ impl SubtaskGraph {
 
     /// Indices of the leaf (end) subtasks.
     pub fn leaves(&self) -> &[usize] {
-        &self.leaves
+        let at = self.sections()[2];
+        &self.block[at..at + self.leaves]
     }
 
     /// Successors of subtask `v`.
     pub fn successors(&self, v: usize) -> &[usize] {
-        &self.succ[v]
+        self.succ().row(v)
     }
 
     /// Predecessors of subtask `v`.
     pub fn predecessors(&self, v: usize) -> &[usize] {
-        &self.pred[v]
+        self.pred().row(v)
     }
 
     /// A topological order of the subtasks (root first).
     pub fn topological_order(&self) -> &[usize] {
-        &self.topo
+        let at = self.sections()[3];
+        &self.block[at..at + self.n]
     }
 
     /// All root-to-leaf paths, in enumeration order matching their
-    /// [`PathId`] indices.
-    pub fn paths(&self) -> &[Path] {
-        &self.paths
+    /// [`PathId`](crate::PathId) indices.
+    pub fn paths(&self) -> Paths<'_> {
+        Paths { rows: Rows::new(self.path_off(), self.path_subs()) }
+    }
+
+    /// Path `p` of [`paths`](Self::paths).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    pub fn path(&self, p: usize) -> Path<'_> {
+        self.paths().get(p).expect("path index out of range")
+    }
+
+    fn path_off(&self) -> &[usize] {
+        let at = self.sections()[5];
+        &self.block[at..at + self.paths + 1]
+    }
+
+    fn path_subs(&self) -> &[usize] {
+        &self.block[self.sections()[5] + self.paths + 1..]
     }
 
     /// Number of root-to-leaf paths the subtask `v` lies on (`w_s`).
     pub fn path_weight(&self, v: usize) -> usize {
-        self.weights[v]
+        self.weights()[v]
+    }
+
+    fn weights(&self) -> &[usize] {
+        let at = self.sections()[4];
+        &self.block[at..at + self.n]
     }
 
     /// Whether the graph is a simple chain (every node has at most one
     /// successor and one predecessor).
     pub fn is_chain(&self) -> bool {
-        self.paths.len() == 1 && self.paths[0].len() == self.n
+        self.paths == 1 && self.path_subs().len() == self.n
     }
 
     /// The number of subtasks on the *longest* root-to-leaf path passing
@@ -285,16 +487,17 @@ impl SubtaskGraph {
     /// Panics if `v` is out of range.
     pub fn max_path_len_through(&self, v: usize) -> usize {
         assert!(v < self.n, "subtask index out of range");
+        let succ = self.succ();
         // Longest chain of hops from the root to v and from v to a leaf.
         let mut to_node = vec![0usize; self.n];
-        for &u in &self.topo {
-            for &w in &self.succ[u] {
+        for &u in self.topological_order() {
+            for &w in succ.row(u) {
                 to_node[w] = to_node[w].max(to_node[u] + 1);
             }
         }
         let mut from_node = vec![0usize; self.n];
-        for &u in self.topo.iter().rev() {
-            for &w in &self.succ[u] {
+        for &u in self.topological_order().iter().rev() {
+            for &w in succ.row(u) {
                 from_node[u] = from_node[u].max(from_node[w] + 1);
             }
         }
@@ -311,13 +514,29 @@ impl SubtaskGraph {
     pub fn critical_path(&self, lats: &[f64]) -> (usize, f64) {
         assert_eq!(lats.len(), self.n, "latency vector length mismatch");
         let mut best = (0, f64::NEG_INFINITY);
-        for (i, p) in self.paths.iter().enumerate() {
+        for p in self.paths() {
             let l = p.latency(lats);
             if l > best.1 {
-                best = (i, l);
+                best = (p.index(), l);
             }
         }
         best
+    }
+}
+
+/// Prints the graph's lists the way the nested-`Vec` layout did.
+impl fmt::Debug for SubtaskGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SubtaskGraph")
+            .field("n", &self.n)
+            .field("succ", &self.succ())
+            .field("pred", &self.pred())
+            .field("root", &self.root)
+            .field("leaves", &self.leaves())
+            .field("topo", &self.topological_order())
+            .field("paths", &self.paths())
+            .field("weights", &self.weights())
+            .finish()
     }
 }
 
@@ -335,7 +554,7 @@ mod tests {
         assert_eq!(g.root(), 0);
         assert_eq!(g.leaves(), &[0]);
         assert_eq!(g.paths().len(), 1);
-        assert_eq!(g.paths()[0].subtasks(), &[0]);
+        assert_eq!(g.path(0).subtasks(), &[0]);
         assert_eq!(g.path_weight(0), 1);
         assert!(g.is_chain());
     }
@@ -345,7 +564,7 @@ mod tests {
         let g = SubtaskGraph::chain(t(), 4).unwrap();
         assert!(g.is_chain());
         assert_eq!(g.paths().len(), 1);
-        assert_eq!(g.paths()[0].subtasks(), &[0, 1, 2, 3]);
+        assert_eq!(g.path(0).subtasks(), &[0, 1, 2, 3]);
         for v in 0..4 {
             assert_eq!(g.path_weight(v), 1);
         }
@@ -437,7 +656,7 @@ mod tests {
         let g = SubtaskGraph::new(t(), 4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
         let (idx, lat) = g.critical_path(&[1.0, 5.0, 2.0, 9.0]);
         assert_eq!(lat, 10.0);
-        assert_eq!(g.paths()[idx].subtasks(), &[0, 3]);
+        assert_eq!(g.path(idx).subtasks(), &[0, 3]);
     }
 
     #[test]
@@ -463,7 +682,7 @@ mod tests {
     #[test]
     fn path_latency_sums_members() {
         let g = SubtaskGraph::chain(t(), 3).unwrap();
-        assert_eq!(g.paths()[0].latency(&[1.0, 2.0, 4.0]), 7.0);
+        assert_eq!(g.path(0).latency(&[1.0, 2.0, 4.0]), 7.0);
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub mod utility;
 pub use admission::{probe_admission, AdmissionConfig, AdmissionDecision};
 pub use allocation::{allocate_latencies, allocate_task, clamping_box, AllocationSettings};
 pub use error::ModelError;
-pub use graph::{Path, SubtaskGraph};
+pub use graph::{Path, PathIter, Paths, SubtaskGraph};
 pub use ids::{PathId, ResourceId, SubtaskId, TaskId};
 pub use lagrangian::{dual_value, kkt_report, lagrangian_value, DualReport, KktReport};
 pub use optimizer::{

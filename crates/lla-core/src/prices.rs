@@ -319,7 +319,7 @@ impl PriceState {
     /// Zero prices for `resources` resources and one λ row per entry of
     /// `rows` (its path count), every step size at the policy's initial
     /// value.
-    fn with_rows(
+    pub(crate) fn with_rows(
         resources: usize,
         rows: impl ExactSizeIterator<Item = usize>,
         policy: StepSizePolicy,

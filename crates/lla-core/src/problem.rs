@@ -2,6 +2,7 @@
 //! structural indices LLA needs (subtask↔resource maps, share models).
 
 use crate::error::ModelError;
+use crate::graph::{Path, Rows};
 use crate::ids::{ResourceId, SubtaskId, TaskId};
 use crate::plan::PlanMemo;
 use crate::resource::Resource;
@@ -56,14 +57,23 @@ impl MembershipReport {
 /// resource it runs on) and exposes it mutably so the online
 /// error-correction loop (§6.3) can update the additive correction while
 /// the optimizer runs.
+///
+/// The structural indices are flat tables (DESIGN §9.10): `S_r` is one
+/// CSR over all resources and the share models one array in global
+/// (task, subtask) order, so a clone copies a handful of arrays plus the
+/// tasks. Clones are deep copies: nothing is shared between them.
 #[derive(Clone)]
 pub struct Problem {
     resources: Vec<Resource>,
     tasks: Vec<Task>,
-    /// `subtasks_on[r]` lists every subtask running on resource `r`.
-    subtasks_on: Vec<Vec<SubtaskId>>,
-    /// `share_models[t][s]` for subtask `s` of task `t`.
-    share_models: Vec<Vec<ShareModel>>,
+    /// `res_subs[res_off[r]..res_off[r + 1]]` lists every subtask running
+    /// on resource `r` (tasks by id, then subtasks by index).
+    res_off: Vec<usize>,
+    res_subs: Vec<SubtaskId>,
+    /// `task_off[t] + s` is subtask `s` of task `t` in `share_models`
+    /// (`len == tasks + 1`).
+    task_off: Vec<usize>,
+    share_models: Vec<ShareModel>,
     /// Mutation epoch: bumped by every `&mut self` mutator so compiled
     /// iteration plans ([`crate::plan::Plan`]) know when to rebuild.
     /// Excluded from equality — two problems that describe the same
@@ -85,8 +95,8 @@ impl std::fmt::Debug for Problem {
         f.debug_struct("Problem")
             .field("resources", &self.resources)
             .field("tasks", &self.tasks)
-            .field("subtasks_on", &self.subtasks_on)
-            .field("share_models", &self.share_models)
+            .field("subtasks_on", &Rows::new(&self.res_off, &self.res_subs))
+            .field("share_models", &Rows::new(&self.task_off, &self.share_models))
             .field("epoch", &self.epoch)
             .finish_non_exhaustive()
     }
@@ -96,7 +106,8 @@ impl PartialEq for Problem {
     fn eq(&self, other: &Self) -> bool {
         self.resources == other.resources
             && self.tasks == other.tasks
-            && self.subtasks_on == other.subtasks_on
+            && self.res_off == other.res_off
+            && self.res_subs == other.res_subs
             && self.share_models == other.share_models
     }
 }
@@ -127,22 +138,32 @@ impl Problem {
             }
         }
 
-        let mut subtasks_on = vec![Vec::new(); resources.len()];
-        let mut share_models = Vec::with_capacity(tasks.len());
+        let mut task_off = Vec::with_capacity(tasks.len() + 1);
+        task_off.push(0);
+        let mut share_models = Vec::with_capacity(tasks.iter().map(Task::len).sum());
         for t in &tasks {
-            let mut models = Vec::with_capacity(t.len());
             for s in t.subtasks() {
                 let r = s.resource();
                 if r.index() >= resources.len() {
                     return Err(ModelError::UnknownResource { subtask: s.id(), resource: r });
                 }
-                subtasks_on[r.index()].push(s.id());
-                models.push(ShareModel::new(s.exec_time(), resources[r.index()].lag())?);
+                share_models.push(ShareModel::new(s.exec_time(), resources[r.index()].lag())?);
             }
-            share_models.push(models);
+            task_off.push(share_models.len());
         }
 
-        Ok(Problem { resources, tasks, subtasks_on, share_models, epoch: 0, memo: None })
+        let mut problem = Problem {
+            resources,
+            tasks,
+            res_off: Vec::new(),
+            res_subs: Vec::new(),
+            task_off,
+            share_models,
+            epoch: 0,
+            memo: None,
+        };
+        problem.rebuild_subtasks_on();
+        Ok(problem)
     }
 
     /// Moves the mutation epoch forward and drops the memoised plans,
@@ -249,8 +270,24 @@ impl Problem {
     }
 
     /// The subtasks competing for resource `r` (`S_r` in the paper).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
     pub fn subtasks_on(&self, r: ResourceId) -> &[SubtaskId] {
-        &self.subtasks_on[r.index()]
+        Rows::new(&self.res_off, &self.res_subs).row(r.index())
+    }
+
+    /// Subtask `s`'s slot in the flat per-subtask tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    fn flat_index(&self, s: SubtaskId) -> usize {
+        let t = s.task().index();
+        let at = self.task_off[t] + s.index();
+        assert!(at < self.task_off[t + 1], "subtask index out of range");
+        at
     }
 
     /// The share model of a subtask.
@@ -259,7 +296,7 @@ impl Problem {
     ///
     /// Panics if the id is out of range.
     pub fn share_model(&self, s: SubtaskId) -> &ShareModel {
-        &self.share_models[s.task().index()][s.index()]
+        &self.share_models[self.flat_index(s)]
     }
 
     /// Sets the additive latency error correction `ê` for a subtask (§6.3).
@@ -268,7 +305,8 @@ impl Problem {
     ///
     /// Panics if the id is out of range.
     pub fn set_correction(&mut self, s: SubtaskId, correction: f64) {
-        self.share_models[s.task().index()][s.index()].set_correction(correction);
+        let at = self.flat_index(s);
+        self.share_models[at].set_correction(correction);
         self.bump_epoch();
     }
 
@@ -279,13 +317,14 @@ impl Problem {
     ///
     /// Panics if the id is out of range.
     pub fn set_demand_scale(&mut self, s: SubtaskId, scale: f64) {
-        self.share_models[s.task().index()][s.index()].set_demand_scale(scale);
+        let at = self.flat_index(s);
+        self.share_models[at].set_demand_scale(scale);
         self.bump_epoch();
     }
 
     /// Total number of subtasks across all tasks.
     pub fn num_subtasks(&self) -> usize {
-        self.tasks.iter().map(Task::len).sum()
+        self.share_models.len()
     }
 
     /// Total number of root-to-leaf paths across all tasks.
@@ -297,11 +336,10 @@ impl Problem {
     /// (left-hand side of Eq. 3). `lats[t][s]` is the latency of subtask `s`
     /// of task `t`.
     pub fn resource_usage(&self, r: ResourceId, lats: &[Vec<f64>]) -> f64 {
-        self.subtasks_on[r.index()]
+        self.subtasks_on(r)
             .iter()
-            .map(|sid| {
-                self.share_models[sid.task().index()][sid.index()]
-                    .share_for_latency(lats[sid.task().index()][sid.index()])
+            .map(|&sid| {
+                self.share_model(sid).share_for_latency(lats[sid.task().index()][sid.index()])
             })
             .sum()
     }
@@ -368,18 +406,30 @@ impl Problem {
         worst
     }
 
-    /// Rebuilds `subtasks_on` from the current task set, in the same order
-    /// [`Problem::new`] builds it (tasks in id order, subtasks in index
-    /// order) so membership changes round-trip to structurally identical
-    /// problems.
+    /// Rebuilds the `S_r` rows from the current task set by a counting
+    /// sort, O(subtasks + resources), in the order every membership change
+    /// keeps (tasks in id order, subtasks in index order) so they
+    /// round-trip to structurally identical problems.
     fn rebuild_subtasks_on(&mut self) {
-        let mut subtasks_on = vec![Vec::new(); self.resources.len()];
-        for t in &self.tasks {
-            for s in t.subtasks() {
-                subtasks_on[s.resource().index()].push(s.id());
-            }
+        let nr = self.resources.len();
+        let subtasks = || self.tasks.iter().flat_map(Task::subtasks);
+        let mut res_off = vec![0; nr + 1];
+        for s in subtasks() {
+            res_off[s.resource().index() + 1] += 1;
         }
-        self.subtasks_on = subtasks_on;
+        for r in 0..nr {
+            res_off[r + 1] += res_off[r];
+        }
+        let placeholder = SubtaskId::new(TaskId::new(0), 0);
+        let mut res_subs = vec![placeholder; res_off[nr]];
+        let mut next = res_off[..nr].to_vec();
+        for s in subtasks() {
+            let r = s.resource().index();
+            res_subs[next[r]] = s.id();
+            next[r] += 1;
+        }
+        self.res_off = res_off;
+        self.res_subs = res_subs;
     }
 
     /// Admits a new task online, assigning it the next dense id.
@@ -404,11 +454,10 @@ impl Problem {
             }
             models.push(ShareModel::new(s.exec_time(), self.resources[r.index()].lag())?);
         }
-        for s in task.subtasks() {
-            self.subtasks_on[s.resource().index()].push(s.id());
-        }
         self.tasks.push(task);
-        self.share_models.push(models);
+        self.share_models.extend(models);
+        self.task_off.push(self.share_models.len());
+        self.rebuild_subtasks_on();
         self.bump_epoch();
         let mut report = MembershipReport::identity(self.tasks.len() - 1, self.resources.len());
         report.added_task = Some(id);
@@ -433,8 +482,12 @@ impl Problem {
         for m in report.task_map[idx + 1..].iter_mut() {
             *m = m.map(|i| i - 1);
         }
-        self.tasks.remove(idx);
-        self.share_models.remove(idx);
+        let removed = self.tasks.remove(idx).len();
+        self.share_models.drain(self.task_off[idx]..self.task_off[idx + 1]);
+        self.task_off.remove(idx + 1);
+        for off in &mut self.task_off[idx + 1..] {
+            *off -= removed;
+        }
         let identity: Vec<Option<usize>> = (0..self.resources.len()).map(Some).collect();
         for i in idx..self.tasks.len() {
             self.tasks[i] = self.tasks[i]
@@ -462,7 +515,7 @@ impl Problem {
         resource.validate()?;
         let id = resource.id();
         self.resources.push(resource);
-        self.subtasks_on.push(Vec::new());
+        self.res_off.push(self.res_subs.len());
         self.bump_epoch();
         let mut report = MembershipReport::identity(self.tasks.len(), self.resources.len() - 1);
         report.added_resource = Some(id);
@@ -484,11 +537,9 @@ impl Problem {
         if idx >= self.resources.len() {
             return Err(ModelError::UnknownResourceId { resource: id, len: self.resources.len() });
         }
-        if !self.subtasks_on[idx].is_empty() {
-            return Err(ModelError::ResourceInUse {
-                resource: id,
-                subtasks: self.subtasks_on[idx].len(),
-            });
+        let hosted = self.subtasks_on(id).len();
+        if hosted > 0 {
+            return Err(ModelError::ResourceInUse { resource: id, subtasks: hosted });
         }
         let mut report = MembershipReport::identity(self.tasks.len(), self.resources.len());
         report.resource_map[idx] = None;
@@ -530,20 +581,20 @@ impl Problem {
                 });
             }
         }
-        if from == to || self.subtasks_on[from.index()].is_empty() {
+        if from == to || self.subtasks_on(from).is_empty() {
             return Ok(0);
         }
-        let moved: Vec<SubtaskId> = self.subtasks_on[from.index()].clone();
+        let moved: Vec<SubtaskId> = self.subtasks_on(from).to_vec();
         let mut map: Vec<Option<usize>> = (0..self.resources.len()).map(Some).collect();
         map[from.index()] = Some(to.index());
         let lag = self.resources[to.index()].lag();
         for &sid in &moved {
-            let t = sid.task().index();
-            let old = &self.share_models[t][sid.index()];
+            let at = self.flat_index(sid);
+            let old = &self.share_models[at];
             let mut model = ShareModel::new(old.exec_time(), lag)?;
             model.set_correction(old.correction());
             model.set_demand_scale(old.demand_scale());
-            self.share_models[t][sid.index()] = model;
+            self.share_models[at] = model;
         }
         let hosts: std::collections::BTreeSet<usize> =
             moved.iter().map(|s| s.task().index()).collect();
@@ -595,8 +646,8 @@ impl Problem {
 
 /// The initial latency of every subtask of `t`: an even split of its
 /// critical time over its longest path (in hops).
-fn initial_slice(t: &Task) -> f64 {
-    let max_len = t.graph().paths().iter().map(|p| p.len()).max().unwrap_or(1);
+pub(crate) fn initial_slice(t: &Task) -> f64 {
+    let max_len = t.graph().paths().iter().map(Path::len).max().unwrap_or(1);
     t.critical_time() / max_len as f64
 }
 
@@ -768,6 +819,54 @@ mod tests {
             p.remove_task(TaskId::new(7)),
             Err(ModelError::UnknownTask { len: 2, .. })
         ));
+    }
+
+    #[test]
+    fn path_ids_follow_their_task_across_remove_task() {
+        let mut p = two_cpu_problem();
+        p.add_task(&third_task()).unwrap();
+        p.remove_task(TaskId::new(0)).unwrap();
+        for t in p.tasks() {
+            for path in t.graph().paths() {
+                let id = t.path_id(path.index());
+                assert_eq!(id.task(), t.id(), "path {} of {}", path.index(), t.id());
+                assert_eq!(id.index(), path.index());
+            }
+        }
+    }
+
+    #[test]
+    fn flat_tables_match_a_fresh_build_after_every_membership_edit() {
+        let mut p = two_cpu_problem();
+        let fresh = |p: &Problem| Problem::new(p.resources().to_vec(), p.tasks().to_vec());
+        p.add_task(&third_task()).unwrap();
+        assert_eq!(p, fresh(&p).unwrap());
+        p.add_resource(Resource::new(ResourceId::new(2), ResourceKind::Cpu)).unwrap();
+        assert_eq!(p, fresh(&p).unwrap());
+        p.remove_task(TaskId::new(0)).unwrap();
+        assert_eq!(p, fresh(&p).unwrap());
+        assert_eq!(p.num_subtasks(), 2);
+        let on1: Vec<SubtaskId> = p.subtasks_on(ResourceId::new(1)).to_vec();
+        assert_eq!(on1, vec![SubtaskId::new(TaskId::new(0), 0)]);
+        // A drain keeps corrections, so compare the structure only.
+        let sid = SubtaskId::new(TaskId::new(1), 0);
+        p.set_correction(sid, -0.25);
+        p.reassign_resource(ResourceId::new(0), ResourceId::new(2)).unwrap();
+        p.retire_resource(ResourceId::new(0)).unwrap();
+        assert_eq!(p.share_model(sid).correction(), -0.25);
+        p.set_correction(sid, 0.0);
+        assert_eq!(p, fresh(&p).unwrap());
+        // `Debug` still lists `S_r` as one row per resource.
+        let rows = vec![vec![SubtaskId::new(TaskId::new(0), 0)], vec![sid]];
+        assert!(format!("{p:?}").contains(&format!("subtasks_on: {rows:?}")));
+    }
+
+    #[test]
+    #[should_panic(expected = "subtask index out of range")]
+    fn share_model_rejects_a_subtask_past_its_task() {
+        let p = two_cpu_problem();
+        // Task 0 has two subtasks; index 2 would alias task 1's first.
+        p.share_model(SubtaskId::new(TaskId::new(0), 2));
     }
 
     #[test]

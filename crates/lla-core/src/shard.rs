@@ -87,7 +87,7 @@ use crate::optimizer::{
 };
 use crate::plan::{clear_resource, PathPrices, Plan, PlanMemo, PlanScratch, ShareTerm};
 use crate::prices::{PriceMethod, PriceState};
-use crate::problem::{MembershipReport, Problem};
+use crate::problem::{initial_slice, MembershipReport, Problem};
 use crate::round_book::{self, Certificate, Driver, RoundBook};
 use crate::task::{Task, TaskBuilder};
 use lla_telemetry::{Counter, Gauge, MetricsRegistry, Profiler};
@@ -338,12 +338,12 @@ impl ShardedOptimizer {
         }
 
         // Ownership: exclusive to a shard iff every subtask on the
-        // resource belongs to it.
+        // resource (its `S_r` row) belongs to it.
         let mut owner = vec![ResourceOwner::Coordinator; nr];
-        for (r, res) in problem.resources().iter().enumerate() {
+        for (r, slot) in owner.iter_mut().enumerate() {
             let mut touching = None;
             let mut shared = false;
-            for sid in problem.subtasks_on(res.id()) {
+            for sid in problem.subtasks_on(ResourceId::new(r)) {
                 let s = task_shard[sid.task().index()];
                 match touching {
                     None => touching = Some(s),
@@ -355,14 +355,25 @@ impl ShardedOptimizer {
                 }
             }
             if let (Some(s), false) = (touching, shared) {
-                owner[r] = ResourceOwner::Shard(s);
+                *slot = ResourceOwner::Shard(s);
             }
         }
         let coordinated: Vec<usize> =
             (0..nr).filter(|&r| owner[r] == ResourceOwner::Coordinator).collect();
 
-        let init = problem.initial_allocation();
-        let book = RoundBook::new(problem.total_utility(&init));
+        // The initial allocation's utility, summed in task order as
+        // `Problem::total_utility` sums it, over one reused row.
+        let mut row = Vec::new();
+        let initial_utility: f64 = problem
+            .tasks()
+            .iter()
+            .map(|t| {
+                row.clear();
+                row.resize(t.len(), initial_slice(t));
+                t.utility(&row)
+            })
+            .sum();
+        let book = RoundBook::new(initial_utility);
         let shards = spec
             .groups
             .iter()
@@ -371,7 +382,11 @@ impl ShardedOptimizer {
                 let plan = Arc::new(Plan::lower_subset(&problem, &config.allocation, group));
                 let scratch = plan.scratch();
                 let prices = PriceState::for_shard(&problem, group, config.step_policy);
-                let lats: Vec<f64> = group.iter().flat_map(|&t| init[t].iter().copied()).collect();
+                let mut lats = Vec::with_capacity(plan.num_subtasks());
+                for &t in group {
+                    let task = &problem.tasks()[t];
+                    lats.resize(lats.len() + task.len(), initial_slice(task));
+                }
                 let touches = touch_set(&problem, group);
                 let owned: Vec<bool> =
                     (0..nr).map(|r| owner[r] == ResourceOwner::Shard(k)).collect();
@@ -879,8 +894,16 @@ impl ShardedOptimizer {
     ///
     /// [`Optimizer::export_state`]: crate::Optimizer::export_state
     pub fn export_state(&self) -> OptimizerState {
-        let mut prices = PriceState::new(&self.problem, self.config.step_policy);
-        for r in 0..self.problem.resources().len() {
+        // The global shape, each task's path count read off its shard's plan.
+        let mut paths = vec![0; self.problem.tasks().len()];
+        for sh in &self.shards {
+            for (local, &gt) in sh.tasks.iter().enumerate() {
+                paths[gt] = sh.plan.num_task_paths(local);
+            }
+        }
+        let nr = self.problem.resources().len();
+        let mut prices = PriceState::with_rows(nr, paths.into_iter(), self.config.step_policy);
+        for r in 0..nr {
             prices.set_resource_dual_raw(r, self.authority(r).resource_dual_raw(r));
         }
         let mut rejected = 0;

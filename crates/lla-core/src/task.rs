@@ -2,7 +2,7 @@
 
 use crate::error::ModelError;
 use crate::graph::SubtaskGraph;
-use crate::ids::{ResourceId, SubtaskId, TaskId};
+use crate::ids::{PathId, ResourceId, SubtaskId, TaskId};
 use crate::percentile::PercentileSpec;
 use crate::subtask::Subtask;
 use crate::utility::UtilityFn;
@@ -215,6 +215,17 @@ impl Task {
     pub fn subtask_id(&self, idx: usize) -> SubtaskId {
         assert!(idx < self.subtasks.len());
         SubtaskId::new(self.id, idx)
+    }
+
+    /// The id of path `p` of this task's [graph](Self::graph): the graph
+    /// names no task, so path ids always follow the task's current id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    pub fn path_id(&self, p: usize) -> PathId {
+        assert!(p < self.graph.paths().len(), "path index out of range");
+        PathId::new(self.id, p)
     }
 
     /// Rebuilds this task under a new dense id with remapped resource
@@ -507,7 +518,7 @@ mod tests {
         let t = simple_task(Aggregation::Sum);
         let (idx, lat) = t.critical_path(&[5.0, 10.0, 20.0]);
         assert_eq!(lat, 25.0);
-        assert_eq!(t.graph().paths()[idx].subtasks(), &[0, 2]);
+        assert_eq!(t.graph().path(idx).subtasks(), &[0, 2]);
     }
 
     #[test]

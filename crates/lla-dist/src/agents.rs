@@ -29,6 +29,7 @@ use lla_core::{
 };
 use lla_telemetry::Event as TelemetryEvent;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -279,6 +280,45 @@ impl TopologyStore {
     /// Whether no epoch has been recorded.
     pub fn is_empty(&self) -> bool {
         self.inner.lock().is_empty()
+    }
+}
+
+/// Dense index → protocol slot under a controller's applied epoch.
+///
+/// Slot and dense index coincide until a topology epoch's table is
+/// adopted, so a controller starts on the identity and builds no table of
+/// its own; a deployment's controllers share the epoch's tables.
+#[derive(Debug, Clone)]
+enum SlotTable {
+    /// `slot == dense index`.
+    Identity,
+    /// A [`TopologyEpoch`] table, strictly increasing.
+    Shared(Arc<[usize]>),
+}
+
+impl SlotTable {
+    /// The slot of dense index `dense`.
+    fn slot(&self, dense: usize) -> usize {
+        match self {
+            SlotTable::Identity => dense,
+            SlotTable::Shared(table) => table[dense],
+        }
+    }
+
+    /// The dense index holding `slot` among `len` members, if any.
+    fn dense(&self, slot: usize, len: usize) -> Option<usize> {
+        match self {
+            SlotTable::Identity => (slot < len).then_some(slot),
+            SlotTable::Shared(table) => table.binary_search(&slot).ok(),
+        }
+    }
+
+    /// The table over `len` members.
+    fn to_table(&self, len: usize) -> Cow<'_, [usize]> {
+        match self {
+            SlotTable::Identity => Cow::Owned((0..len).collect()),
+            SlotTable::Shared(table) => Cow::Borrowed(table),
+        }
     }
 }
 
@@ -891,12 +931,10 @@ pub struct TaskController {
     /// Departed (left or evicted): acknowledge control traffic, do
     /// nothing else.
     dormant: bool,
-    /// `task_slots[dense task index] = slot` in the applied epoch (the
-    /// epoch's shared table once membership is attached).
-    task_slots: Arc<[usize]>,
-    /// `resource_slots[dense resource index] = slot` in the applied
-    /// epoch; strictly increasing (see [`TopologyEpoch`]).
-    resource_slots: Arc<[usize]>,
+    /// Dense task index → slot in the applied epoch.
+    task_slots: SlotTable,
+    /// Dense resource index → slot in the applied epoch.
+    resource_slots: SlotTable,
     last_checkpoint: f64,
     /// Virtual time of the newest price heard, per (dense) resource.
     last_heard: Vec<f64>,
@@ -950,8 +988,6 @@ impl TaskController {
         used_resources.sort_unstable();
         used_resources.dedup();
         let prices = PriceState::new(&problem, policy);
-        let task_slots = (0..problem.tasks().len()).collect();
-        let resource_slots = (0..problem.resources().len()).collect();
         let plan = TaskPlan::lower(&problem, problem.tasks()[t].id(), &settings);
         let lambda_scratch = vec![0.0; plan.len()];
         let next_lats = vec![0.0; plan.len()];
@@ -973,8 +1009,8 @@ impl TaskController {
             topology: None,
             epoch: 0,
             dormant: false,
-            task_slots,
-            resource_slots,
+            task_slots: SlotTable::Identity,
+            resource_slots: SlotTable::Identity,
             last_checkpoint: 0.0,
             last_heard,
             used_resources,
@@ -1025,8 +1061,8 @@ impl TaskController {
         self.slot = slot;
         self.epoch = epoch;
         if let Some(te) = store.at(epoch) {
-            self.task_slots = Arc::clone(&te.task_slots);
-            self.resource_slots = Arc::clone(&te.resource_slots);
+            self.task_slots = SlotTable::Shared(Arc::clone(&te.task_slots));
+            self.resource_slots = SlotTable::Shared(Arc::clone(&te.resource_slots));
         }
         self.topology = Some(store);
         self
@@ -1171,7 +1207,7 @@ impl TaskController {
         let task = &self.problem.tasks()[self.t];
         for (s, sub) in task.subtasks().iter().enumerate() {
             outbox.send(
-                Address::Resource(self.resource_slots[sub.resource().index()]),
+                Address::Resource(self.resource_slots.slot(sub.resource().index())),
                 Message::Latency {
                     task: self.slot,
                     subtask: s,
@@ -1199,7 +1235,7 @@ impl TaskController {
 
     /// Dense index of the resource in `slot` under the applied epoch.
     fn resource_dense(&self, slot: usize) -> Option<usize> {
-        self.resource_slots.binary_search(&slot).ok()
+        self.resource_slots.dense(slot, self.problem.resources().len())
     }
 
     /// Adopts a newer topology epoch: rebind this controller's dense
@@ -1207,7 +1243,11 @@ impl TaskController {
     /// congestion/staleness books. A departed slot sends the controller
     /// dormant.
     fn apply_epoch(&mut self, now: f64, te: &TopologyEpoch) {
-        let report = epoch_report(&self.task_slots, &self.resource_slots, te);
+        let report = epoch_report(
+            &self.task_slots.to_table(self.problem.tasks().len()),
+            &self.resource_slots.to_table(self.problem.resources().len()),
+            te,
+        );
         self.epoch = te.epoch;
         let Some(new_t) = te.task_slots.iter().position(|&s| s == self.slot) else {
             self.dormant = true;
@@ -1229,8 +1269,8 @@ impl TaskController {
         self.last_heard = last_heard;
         self.problem = Arc::clone(&te.problem);
         self.t = new_t;
-        self.task_slots = Arc::clone(&te.task_slots);
-        self.resource_slots = Arc::clone(&te.resource_slots);
+        self.task_slots = SlotTable::Shared(Arc::clone(&te.task_slots));
+        self.resource_slots = SlotTable::Shared(Arc::clone(&te.resource_slots));
         // The task's own subtask row never changes shape across epochs
         // (drain only rebinds resources), so the warm `lats` stay valid.
         let mut used: Vec<usize> =
@@ -1864,6 +1904,18 @@ mod tests {
 
     fn settings() -> AllocationSettings {
         AllocationSettings { throughput_floor: false }
+    }
+
+    #[test]
+    fn identity_slot_table_reads_like_the_materialised_one() {
+        let shared = SlotTable::Shared((0..4).collect());
+        for dense in 0..4 {
+            assert_eq!(SlotTable::Identity.slot(dense), shared.slot(dense));
+        }
+        for slot in 0..6 {
+            assert_eq!(SlotTable::Identity.dense(slot, 4), shared.dense(slot, 4));
+        }
+        assert_eq!(SlotTable::Identity.to_table(4), shared.to_table(4));
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! moves every message without touching the heap. Deploying one costs
 //! what its agents need: telemetry that is off allocates nothing, set-up
 //! stays under a flat number of allocations per agent, and a resource
-//! agent's bytes do not grow with the deployment. Each test runs on a
-//! thread of its own, so its first evaluation starts from empty buffers.
+//! agent's bytes do not grow with the deployment. A `Problem` clone
+//! copies a few flat tables and blocks per task, the same per task at any
+//! size. Each test runs on a thread of its own, so its first evaluation
+//! starts from empty buffers.
 
 use lla::core::{
     dual_value, Optimizer, OptimizerConfig, PriceMethod, Problem, Resource, ResourceId,
@@ -24,7 +26,7 @@ use lla::telemetry::{
     AgentScope, Counter, Event, EventLog, Gauge, Histogram, MetricsRegistry, Profiler,
     SpanRecorder, TelemetryHub, TraceCtx,
 };
-use lla::workloads::large_scale_workload;
+use lla::workloads::{large_scale_workload, RandomWorkloadConfig, TaskShape};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -336,4 +338,64 @@ fn resource_agent_bytes_do_not_grow_with_the_deployment() {
         })
         .collect();
     assert_eq!(tallies[0], tallies[1], "ResourceAgent::new grew with the deployment");
+}
+
+/// A flat random instance: three resources per task, three to six
+/// subtasks per task in mixed shapes (perfbench's `flat-cold` family).
+fn flat(tasks: usize) -> Problem {
+    let config = RandomWorkloadConfig {
+        num_resources: 3 * tasks,
+        num_tasks: tasks,
+        min_subtasks: 3,
+        max_subtasks: 6,
+        shape: TaskShape::Mixed,
+        exec_time_range: (1.0, 8.0),
+        lag: 1.0,
+        target_load: 0.85,
+        deadline_headroom: 1.5,
+        seed: 11,
+    };
+    config.generate().expect("valid config")
+}
+
+/// What one `Problem::clone` allocates per task, at 1k and 4k tasks.
+fn clone_tallies_per_task() -> Vec<(usize, f64, f64)> {
+    [1_000, 4_000]
+        .into_iter()
+        .map(|tasks| {
+            let problem = flat(tasks);
+            let (copy, t) = tally(|| problem.clone());
+            assert_eq!(copy, problem);
+            (tasks, t.count as f64 / tasks as f64, t.bytes as f64 / tasks as f64)
+        })
+        .collect()
+}
+
+/// The task model is stored flat: a clone makes at most 12 allocations
+/// per task at any size (11.5 measured: the names of the task, its
+/// subtasks and its three resources, the subtask and weight arrays and one
+/// graph block). One `Vec` per resource row of `S_r` would add about 1.8.
+#[test]
+fn problem_clone_allocations_stay_flat_per_task() {
+    for (tasks, per_task, _) in clone_tallies_per_task() {
+        assert!(
+            per_task <= 12.0,
+            "Problem::clone made {per_task:.2} allocations per task at {tasks}"
+        );
+    }
+}
+
+/// A clone requests at most 1.6 KB per task, and the same per task
+/// (within 10%) at 1k and 4k tasks.
+#[test]
+fn problem_bytes_per_task_do_not_grow() {
+    let tallies = clone_tallies_per_task();
+    for &(tasks, _, bytes) in &tallies {
+        assert!(bytes <= 1_600.0, "Problem::clone requested {bytes:.0} B per task at {tasks}");
+    }
+    let (small, large) = (tallies[0].2, tallies[1].2);
+    assert!(
+        (large - small).abs() <= 0.1 * small,
+        "bytes per task moved from {small:.0} to {large:.0} between 1k and 4k tasks"
+    );
 }
