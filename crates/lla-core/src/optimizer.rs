@@ -29,14 +29,13 @@ use crate::plan::{PathPrices, Plan, PlanMemo, PlanScratch};
 use crate::prices::{PriceMethod, PriceState, StepSizePolicy};
 use crate::problem::{MembershipReport, Problem};
 use crate::resource::Resource;
-use crate::round_book::{self, Certificate, Driver, RoundBook};
+use crate::round_book::{self, nested_rows, Certificate, Driver, RoundBook};
 use crate::task::{Task, TaskBuilder};
 use crate::trace::{Trace, TraceRecord};
 use lla_telemetry::{
     DiagSample, HealthSnapshot, Histogram, MetricsRegistry, Profiler, ResourceHealth,
 };
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -157,10 +156,11 @@ pub struct RunOutcome {
 pub struct Optimizer {
     problem: Problem,
     prices: PriceState,
-    /// The latencies as one row per task; stale while the plan's flat
-    /// buffer holds the current ones (`PlanCtx::warm`), see
-    /// [`nested_lats`](Self::nested_lats).
-    lats: Vec<Vec<f64>>,
+    /// The latencies, the one store: flat in task order
+    /// ([`Problem::task_range`], which is also the plan's task order). A
+    /// step swaps it in as the plan scratch's warm start and swaps the
+    /// new allocation out; edits and restores write it in place.
+    lats: Vec<f64>,
     config: OptimizerConfig,
     trace: Trace,
     /// Last round's utility and violations; the `lla_opt_*` series.
@@ -179,16 +179,13 @@ pub struct Optimizer {
     profiler: Profiler,
 }
 
+/// The compiled plan and its scratch. The scratch holds no latencies
+/// between steps: its buffers are spares that a step exchanges with
+/// [`Optimizer`]'s store.
 #[derive(Debug, Clone)]
 struct PlanCtx {
     plan: Arc<Plan>,
     scratch: PlanScratch,
-    /// `scratch.lats` holds the current latencies, flat, and the nested
-    /// `Optimizer::lats` rows may be stale: steps keep the latencies flat
-    /// and the next allocation starts from them. Cleared, after writing
-    /// the rows back, when the plan is re-lowered or a membership edit
-    /// needs the rows, and when a restore replaces the latencies.
-    warm: bool,
 }
 
 /// Wall-clock bucket bounds for the per-phase step timings (seconds):
@@ -213,9 +210,9 @@ impl Optimizer {
     /// Creates an optimizer with the problem's
     /// [`initial_allocation`](Problem::initial_allocation) and zero prices.
     pub fn new(problem: Problem, config: OptimizerConfig) -> Self {
-        let lats = problem.initial_allocation();
+        let lats = problem.initial_flat();
         let prices = PriceState::new(&problem, config.step_policy);
-        let last_utility = problem.total_utility(&lats);
+        let last_utility = problem.flat_utility(&lats);
         Optimizer {
             problem,
             prices,
@@ -268,35 +265,18 @@ impl Optimizer {
 
     /// The current allocation.
     pub fn allocation(&self) -> Allocation {
-        Allocation::from_lats(self.nested_lats().into_owned())
+        Allocation::from_lats(self.nested_lats())
     }
 
     /// The current total utility.
     pub fn utility(&self) -> f64 {
-        self.problem.total_utility(&self.nested_lats())
+        self.problem.flat_utility(&self.lats)
     }
 
-    /// The current latencies as one row per task: the nested rows, or,
-    /// while steps keep them flat, rows built from the plan's buffer.
-    fn nested_lats(&self) -> Cow<'_, [Vec<f64>]> {
-        match self.plan.as_deref() {
-            Some(PlanCtx { plan, scratch, warm: true }) => {
-                let flat = scratch.lats();
-                Cow::Owned(
-                    (0..plan.num_tasks()).map(|t| flat[plan.task_range(t)].to_vec()).collect(),
-                )
-            }
-            _ => Cow::Borrowed(&self.lats),
-        }
-    }
-
-    /// Writes flat latencies a step left in the plan's buffer back into
-    /// the nested rows, which then hold the current latencies.
-    fn settle_lats(&mut self) {
-        if let Some(ctx) = self.plan.as_deref_mut().filter(|ctx| ctx.warm) {
-            ctx.plan.unflatten_into(ctx.scratch.lats(), &mut self.lats);
-            ctx.warm = false;
-        }
+    /// The current latencies as one row per task.
+    fn nested_lats(&self) -> Vec<Vec<f64>> {
+        let nt = self.problem.tasks().len();
+        nested_rows(nt, (0..nt).map(|t| (t, &self.lats[self.problem.task_range(t)])))
     }
 
     /// The recorded trace (empty when `record_trace` is off).
@@ -348,11 +328,10 @@ impl Optimizer {
     /// Any error from [`Problem::add_task`]; the optimizer is unchanged on
     /// error.
     pub fn add_task(&mut self, builder: &TaskBuilder) -> Result<TaskId, ModelError> {
-        self.settle_lats();
         let report = self.problem.add_task(builder)?;
         let id = report.added_task.expect("add_task reports the new id");
         self.prices = self.prices.remap(&self.problem, &report);
-        self.lats.push(self.problem.initial_task_allocation(id));
+        self.lats.extend_from_slice(&self.problem.initial_task_allocation(id));
         self.book.restart(self.utility());
         Ok(id)
     }
@@ -380,16 +359,11 @@ impl Optimizer {
     /// Any error from [`Problem::remove_task`]; the optimizer is unchanged
     /// on error.
     pub fn remove_task(&mut self, id: TaskId) -> Result<MembershipReport, ModelError> {
-        self.settle_lats();
+        let known = id.index() < self.problem.tasks().len();
+        let departed = known.then(|| self.problem.task_range(id.index()));
         let report = self.problem.remove_task(id)?;
         self.prices = self.prices.remap(&self.problem, &report);
-        let mut lats = vec![Vec::new(); self.problem.tasks().len()];
-        for (old, m) in report.task_map.iter().enumerate() {
-            if let Some(new) = *m {
-                lats[new] = std::mem::take(&mut self.lats[old]);
-            }
-        }
-        self.lats = lats;
+        self.lats.drain(departed.expect("the problem removed a known task"));
         self.book.restart(self.utility());
         Ok(report)
     }
@@ -442,14 +416,10 @@ impl Optimizer {
 
     /// Lowers (or re-lowers) the iteration plan when absent or stale, and
     /// memoises it in the problem for [`dual_value`](crate::dual_value).
-    /// An edit that re-lowers keeps the task shapes (membership edits
-    /// settle the latencies before they change them), so the stale plan
-    /// still writes the flat latencies back into the rows.
     fn ensure_plan(&mut self) {
         if self.plan.as_ref().is_some_and(|ctx| ctx.plan.epoch() == self.problem.epoch()) {
             return;
         }
-        self.settle_lats();
         let _prof = self.profiler.scope("plan_lower");
         let plan = Arc::new(Plan::lower(&self.problem, &self.config.allocation));
         match &mut self.plan {
@@ -459,12 +429,10 @@ impl Optimizer {
             Some(ctx) => {
                 ctx.scratch.resize_for(&plan);
                 ctx.plan = Arc::clone(&plan);
-                ctx.warm = false;
             }
             None => {
                 let scratch = plan.scratch();
-                self.plan =
-                    Some(Box::new(PlanCtx { plan: Arc::clone(&plan), scratch, warm: false }));
+                self.plan = Some(Box::new(PlanCtx { plan: Arc::clone(&plan), scratch }));
             }
         }
         let memo = PlanMemo::whole(&self.problem, plan);
@@ -491,7 +459,7 @@ impl Optimizer {
         // registry; the plain path performs no clock reads at all.
         let timed = self.phases.is_some();
         let mut ctx = self.plan.take().expect("ensure_plan always installs a plan");
-        let PlanCtx { plan, scratch, warm } = &mut *ctx;
+        let PlanCtx { plan, scratch } = &mut *ctx;
         let clock = || timed.then(Instant::now);
         let span = |from: Option<Instant>, to: Option<Instant>| {
             from.zip(to).map_or(Duration::ZERO, |(from, to)| to - from)
@@ -499,12 +467,7 @@ impl Optimizer {
         let t0 = clock();
         let clearing = self.config.price_method == PriceMethod::Clearing;
         prof.phase(if clearing { "price" } else { "allocate" });
-        if *warm {
-            scratch.advance();
-        } else {
-            plan.flatten_into(&self.lats, scratch.prev_mut());
-            *warm = true;
-        }
+        scratch.begin_round(&mut self.lats);
         // `[allocate, price]` wall time: a clearing round prices, then
         // allocates, then measures (price again).
         let (violations, spans) = if clearing {
@@ -536,6 +499,7 @@ impl Optimizer {
                 critical_path_ratio: plan.critical_path_ratios(scratch.path_lat()),
             });
         }
+        scratch.end_round(&mut self.lats);
         self.plan = Some(ctx);
 
         let (price_step, doublings) =
@@ -608,7 +572,7 @@ impl Optimizer {
             converged: self.has_converged(),
             feasible: round_book::feasible(self),
             iteration: self.book.iteration as u64,
-            utility: self.problem.total_utility(&lats),
+            utility: self.utility(),
             max_stationarity_residual: kkt.max_stationarity_residual,
             max_resource_violation: kkt.max_resource_violation,
             max_path_violation: kkt.max_path_violation,
@@ -637,7 +601,7 @@ impl Optimizer {
         let lats = self.nested_lats();
         DiagSample {
             iteration: self.book.iteration as u64,
-            utility: self.problem.total_utility(&lats),
+            utility: self.utility(),
             worst_violation_factor: self.problem.worst_violation_factor(&lats),
             gamma_doublings: self.prices.gamma_doublings(),
             max_rel_price_step: self.prices.last_max_rel_step(),
@@ -653,7 +617,7 @@ impl Optimizer {
     pub fn export_state(&self) -> OptimizerState {
         OptimizerState {
             prices: self.prices.clone(),
-            lats: self.nested_lats().into_owned(),
+            lats: self.nested_lats(),
             iteration: self.book.iteration,
             epoch: None,
         }
@@ -699,13 +663,12 @@ impl Optimizer {
         expected_epoch: Option<u64>,
     ) -> Result<(), StateImportError> {
         round_book::validate_state(&state, &self.problem, expected_epoch)?;
-        self.book.iteration = state.iteration;
-        self.book.restart(self.problem.total_utility(&state.lats));
-        self.prices = state.prices;
-        self.lats = state.lats;
-        if let Some(ctx) = &mut self.plan {
-            ctx.warm = false;
+        for (t, row) in state.lats.iter().enumerate() {
+            self.lats[self.problem.task_range(t)].copy_from_slice(row);
         }
+        self.book.iteration = state.iteration;
+        self.book.restart(self.utility());
+        self.prices = state.prices;
         Ok(())
     }
 }
@@ -890,8 +853,8 @@ mod tests {
     /// one, so the optimizer's flat warm start must track the naive
     /// gradient round (`allocate_latencies` from the last latencies, then
     /// `PriceState::update`) bit for bit: across rounds, a checkpoint
-    /// restore that replaces the latencies, an availability edit that
-    /// re-lowers the plan while the latencies are kept flat, and a join.
+    /// restore that overwrites the store, an availability edit that
+    /// re-lowers the plan under the kept store, and a join.
     #[test]
     fn steps_match_the_naive_round_with_concave_utilities() {
         let config = || OptimizerConfig { price_method: PriceMethod::Gradient, ..config() };

@@ -316,8 +316,7 @@ impl PlanScratch {
         &self.lats
     }
 
-    /// Mutable access to the flat latency vector (e.g. to seed it via
-    /// [`Plan::flatten_into`]).
+    /// Mutable access to the flat latency vector.
     pub fn lats_mut(&mut self) -> &mut [f64] {
         &mut self.lats
     }
@@ -352,11 +351,18 @@ impl PlanScratch {
         &mut self.congested
     }
 
-    /// Makes the latencies of the last allocation the warm start of the
-    /// next one by swapping the `prev` and `lats` buffers (the next
-    /// allocation overwrites every entry of `lats`).
-    pub(crate) fn advance(&mut self) {
-        std::mem::swap(&mut self.prev, &mut self.lats);
+    /// Opens a round on a driver's latency store: the store's buffer
+    /// becomes the warm start `prev`, and the store holds a spare buffer
+    /// until [`end_round`](Self::end_round).
+    pub(crate) fn begin_round(&mut self, store: &mut Vec<f64>) {
+        std::mem::swap(store, &mut self.prev);
+    }
+
+    /// Closes a round: the store takes the round's allocation `lats` and
+    /// the scratch keeps the spare buffer, which the next allocation
+    /// overwrites entry by entry.
+    pub(crate) fn end_round(&mut self, store: &mut Vec<f64>) {
+        std::mem::swap(store, &mut self.lats);
     }
 
     /// Resizes this scratch in place to fit `plan`, reusing existing
@@ -650,31 +656,6 @@ impl Plan {
             terms: Vec::new(),
             path_terms: Vec::new(),
             breakpoints: Vec::new(),
-        }
-    }
-
-    /// Copies a nested `lats[t][s]` matrix into a flat plan-ordered vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes mismatch.
-    pub fn flatten_into(&self, nested: &[Vec<f64>], flat: &mut [f64]) {
-        assert_eq!(nested.len(), self.num_tasks(), "plan shape mismatch");
-        for (t, row) in nested.iter().enumerate() {
-            flat[self.task_sub_off[t]..self.task_sub_off[t + 1]].copy_from_slice(row);
-        }
-    }
-
-    /// Copies a flat plan-ordered vector back into a nested `lats[t][s]`
-    /// matrix, reusing the existing row buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes mismatch.
-    pub fn unflatten_into(&self, flat: &[f64], nested: &mut [Vec<f64>]) {
-        assert_eq!(nested.len(), self.num_tasks(), "plan shape mismatch");
-        for (t, row) in nested.iter_mut().enumerate() {
-            row.copy_from_slice(&flat[self.task_sub_off[t]..self.task_sub_off[t + 1]]);
         }
     }
 
@@ -1602,10 +1583,10 @@ mod tests {
 
         let plan = Plan::lower(&p, &settings);
         let mut scratch = plan.scratch();
-        plan.flatten_into(&prev, scratch.prev_mut());
+        scratch.prev_mut().copy_from_slice(&prev.concat());
         plan.allocate_seq(&prices, &mut scratch);
-        let mut nested = p.initial_allocation();
-        plan.unflatten_into(scratch.lats(), &mut nested);
+        let nested: Vec<Vec<f64>> =
+            (0..plan.num_tasks()).map(|t| scratch.lats()[plan.task_range(t)].to_vec()).collect();
         assert_eq!(naive, nested, "plan allocation must match naive bitwise");
     }
 
@@ -1619,7 +1600,7 @@ mod tests {
 
         let plan = Plan::lower(&p, &settings);
         let mut scratch = plan.scratch();
-        plan.flatten_into(&lats, scratch.lats_mut());
+        scratch.lats_mut().copy_from_slice(&lats.concat());
         let mut plan_prices = priced(&p);
         plan.price_update(&mut plan_prices, &mut scratch);
         assert_eq!(naive_prices, plan_prices, "plan price step must match naive bitwise");
@@ -1633,11 +1614,7 @@ mod tests {
         let lats = p.initial_allocation();
         let plan = Plan::lower(&p, &settings);
         let mut scratch = plan.scratch();
-        let flat = {
-            let mut f = vec![0.0; plan.num_subtasks()];
-            plan.flatten_into(&lats, &mut f);
-            f
-        };
+        let flat = lats.concat();
         assert_eq!(plan.total_utility(&flat), p.total_utility(&lats));
         assert_eq!(plan.lagrangian_value(&flat, &prices), lagrangian_value(&p, &lats, &prices));
         scratch.lats_mut().copy_from_slice(&flat);
@@ -1727,10 +1704,10 @@ mod tests {
         let plan = Plan::lower(&p, &settings);
         let prev = p.initial_allocation();
         let mut seq = plan.scratch();
-        plan.flatten_into(&prev, seq.prev_mut());
+        seq.prev_mut().copy_from_slice(&prev.concat());
         plan.allocate_seq(&prices, &mut seq);
         let mut par = plan.scratch();
-        plan.flatten_into(&prev, par.prev_mut());
+        par.prev_mut().copy_from_slice(&prev.concat());
         plan.allocate_par(&prices, &mut par);
         assert_eq!(seq.lats(), par.lats());
     }

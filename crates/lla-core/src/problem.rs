@@ -322,6 +322,16 @@ impl Problem {
         self.bump_epoch();
     }
 
+    /// Task `t`'s range in flat per-subtask arrays in task order, such as
+    /// an in-process driver's latency store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is out of range.
+    pub(crate) fn task_range(&self, t: usize) -> std::ops::Range<usize> {
+        self.task_off[t]..self.task_off[t + 1]
+    }
+
     /// Total number of subtasks across all tasks.
     pub fn num_subtasks(&self) -> usize {
         self.share_models.len()
@@ -348,6 +358,13 @@ impl Problem {
     /// under the chosen aggregation variant).
     pub fn total_utility(&self, lats: &[Vec<f64>]) -> f64 {
         self.tasks.iter().map(|t| t.utility(&lats[t.id().index()])).sum()
+    }
+
+    /// [`total_utility`](Self::total_utility) of a flat allocation in task
+    /// order (see [`task_range`](Self::task_range)), summed in the same
+    /// order, so the two agree bit for bit.
+    pub(crate) fn flat_utility(&self, lats: &[f64]) -> f64 {
+        self.tasks.iter().enumerate().map(|(t, task)| task.utility(&lats[self.task_range(t)])).sum()
     }
 
     /// The largest resource-constraint violation
@@ -642,11 +659,21 @@ impl Problem {
     fn initial_task_row(&self, t: &Task) -> Vec<f64> {
         vec![initial_slice(t); t.len()]
     }
+
+    /// The [`initial_allocation`](Self::initial_allocation) flat in task
+    /// order (see [`task_range`](Self::task_range)), with no row per task.
+    pub(crate) fn initial_flat(&self) -> Vec<f64> {
+        let mut lats = Vec::with_capacity(self.num_subtasks());
+        for t in &self.tasks {
+            lats.resize(lats.len() + t.len(), initial_slice(t));
+        }
+        lats
+    }
 }
 
 /// The initial latency of every subtask of `t`: an even split of its
 /// critical time over its longest path (in hops).
-pub(crate) fn initial_slice(t: &Task) -> f64 {
+fn initial_slice(t: &Task) -> f64 {
     let max_len = t.graph().paths().iter().map(Path::len).max().unwrap_or(1);
     t.critical_time() / max_len as f64
 }

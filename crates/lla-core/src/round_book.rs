@@ -4,7 +4,8 @@
 //! [`Optimizer`](crate::Optimizer) and
 //! [`ShardedOptimizer`](crate::ShardedOptimizer) each own a [`RoundBook`],
 //! implement [`Driver`], and forward `certify`, `has_converged` and
-//! `run_to_convergence` here.
+//! `run_to_convergence` here. Both keep their latencies flat and build
+//! the nested rows of their public reports through [`nested_rows`].
 
 use crate::optimizer::{IterationReport, OptimizerState, RunOutcome, StateImportError};
 use crate::problem::Problem;
@@ -207,6 +208,20 @@ pub(crate) fn run_to_convergence<D: Driver>(d: &mut D, max_iters: usize) -> RunO
         }
     };
     RunOutcome { converged, iterations, final_utility: d.book().utility, feasible: feasible(d) }
+}
+
+/// One latency row per task, built from each task's flat slice of a
+/// driver's store: the nested shape of the public edge (allocations,
+/// checkpoints, KKT and health reports), which no round reads.
+pub(crate) fn nested_rows<'a>(
+    num_tasks: usize,
+    rows: impl IntoIterator<Item = (usize, &'a [f64])>,
+) -> Vec<Vec<f64>> {
+    let mut out = vec![Vec::new(); num_tasks];
+    for (t, row) in rows {
+        out[t] = row.to_vec();
+    }
+    out
 }
 
 /// Checks a checkpoint against `problem` before either driver restores

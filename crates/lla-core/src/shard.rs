@@ -87,8 +87,8 @@ use crate::optimizer::{
 };
 use crate::plan::{clear_resource, PathPrices, Plan, PlanMemo, PlanScratch, ShareTerm};
 use crate::prices::{PriceMethod, PriceState};
-use crate::problem::{initial_slice, MembershipReport, Problem};
-use crate::round_book::{self, Certificate, Driver, RoundBook};
+use crate::problem::{MembershipReport, Problem};
+use crate::round_book::{self, nested_rows, Certificate, Driver, RoundBook};
 use crate::task::{Task, TaskBuilder};
 use lla_telemetry::{Counter, Gauge, MetricsRegistry, Profiler};
 use std::sync::Arc;
@@ -157,8 +157,10 @@ struct Shard {
     /// resources. Authoritative for owned resources, a mirror refreshed
     /// by the coordinator broadcast for shared ones.
     prices: PriceState,
-    /// Persistent flat latencies in plan order (`scratch` is transient —
-    /// re-lowerings reset it, this survives them).
+    /// The shard's latency store, flat in plan order. A round swaps it
+    /// in as the scratch's warm start and swaps the new allocation out
+    /// (`scratch` holds only spares between rounds, and re-lowerings
+    /// reset it); edits and restores write it in place.
     lats: Vec<f64>,
     /// `owned[r]`: this shard is `r`'s price authority.
     owned: Vec<bool>,
@@ -176,7 +178,7 @@ impl Shard {
     /// `inner_parallel` permits the plan's own threaded allocator (only
     /// safe when shards are not already fanned out across threads).
     fn local_step(&mut self, inner_parallel: bool) {
-        self.scratch.prev_mut().copy_from_slice(&self.lats);
+        self.scratch.begin_round(&mut self.lats);
         self.allocate(inner_parallel);
         self.res_violation =
             self.plan.owned_resource_steps(&mut self.prices, &mut self.scratch, &self.owned);
@@ -184,28 +186,29 @@ impl Shard {
     }
 
     /// The allocation at the shard's prices from the warm start in
-    /// `scratch.prev`, kept in `lats`. `inner_parallel` permits the plan's
-    /// own threaded allocator (only safe when shards are not already
-    /// fanned out across threads).
+    /// `scratch.prev`, into `scratch.lats` until the round ends.
+    /// `inner_parallel` permits the plan's own threaded allocator (only
+    /// safe when shards are not already fanned out across threads).
     fn allocate(&mut self, inner_parallel: bool) {
         if inner_parallel {
             self.plan.allocate_into(&self.prices, &mut self.scratch);
         } else {
             self.plan.allocate_seq(&self.prices, &mut self.scratch);
         }
-        self.lats.copy_from_slice(self.scratch.lats());
     }
 
     /// Phase 3: path latencies, path violations and λ steps with the
-    /// coordinator-completed congestion bits.
+    /// coordinator-completed congestion bits; the round's allocation then
+    /// goes back to the store.
     fn path_steps(&mut self) {
         self.path_violation = self.plan.path_price_steps(&mut self.prices, &mut self.scratch);
+        self.scratch.end_round(&mut self.lats);
     }
 
     /// Clearing, phase 1: the sweep's pressures at the shard's λ, then
     /// the μ block over the owned resources.
     fn clear_owned(&mut self) {
-        self.scratch.prev_mut().copy_from_slice(&self.lats);
+        self.scratch.begin_round(&mut self.lats);
         self.prices.reset_step_tracking();
         self.plan.sweep_pressures(&self.prices, &mut self.scratch);
         self.plan.clear_resources(&mut self.prices, &mut self.scratch, Some(&self.owned));
@@ -213,13 +216,15 @@ impl Shard {
 
     /// Clearing, phase 3: the λ block with every μ broadcast, then the
     /// allocation at the new prices, its owned-resource and path
-    /// violations and its utility.
+    /// violations and its utility; the allocation then goes back to the
+    /// store.
     fn clear_paths_and_allocate(&mut self, inner_parallel: bool) {
         self.plan.clear_paths(&mut self.prices, &mut self.scratch);
         self.allocate(inner_parallel);
         (self.res_violation, self.path_violation) =
             self.plan.measure(&mut self.scratch, Some(&self.owned));
         self.utility = self.plan.total_utility(self.scratch.lats());
+        self.scratch.end_round(&mut self.lats);
     }
 }
 
@@ -361,19 +366,10 @@ impl ShardedOptimizer {
         let coordinated: Vec<usize> =
             (0..nr).filter(|&r| owner[r] == ResourceOwner::Coordinator).collect();
 
-        // The initial allocation's utility, summed in task order as
-        // `Problem::total_utility` sums it, over one reused row.
-        let mut row = Vec::new();
-        let initial_utility: f64 = problem
-            .tasks()
-            .iter()
-            .map(|t| {
-                row.clear();
-                row.resize(t.len(), initial_slice(t));
-                t.utility(&row)
-            })
-            .sum();
-        let book = RoundBook::new(initial_utility);
+        // The initial allocation, flat in task order, and its utility in
+        // that order; each shard copies its tasks' slices.
+        let initial = problem.initial_flat();
+        let book = RoundBook::new(problem.flat_utility(&initial));
         let shards = spec
             .groups
             .iter()
@@ -384,8 +380,7 @@ impl ShardedOptimizer {
                 let prices = PriceState::for_shard(&problem, group, config.step_policy);
                 let mut lats = Vec::with_capacity(plan.num_subtasks());
                 for &t in group {
-                    let task = &problem.tasks()[t];
-                    lats.resize(lats.len() + task.len(), initial_slice(task));
+                    lats.extend_from_slice(&initial[problem.task_range(t)]);
                 }
                 let touches = touch_set(&problem, group);
                 let owned: Vec<bool> =
@@ -1037,15 +1032,15 @@ impl ShardedOptimizer {
         }
     }
 
-    /// Reassembles the flat shard latencies into global task order.
+    /// The shard latencies as one row per task, in global task order.
     fn nested_lats(&self) -> Vec<Vec<f64>> {
-        let mut out = vec![Vec::new(); self.problem.tasks().len()];
-        for sh in &self.shards {
-            for (local, &gt) in sh.tasks.iter().enumerate() {
-                out[gt] = sh.lats[sh.plan.task_range(local)].to_vec();
-            }
-        }
-        out
+        let rows = self.shards.iter().flat_map(|sh| {
+            sh.tasks
+                .iter()
+                .enumerate()
+                .map(|(local, &gt)| (gt, &sh.lats[sh.plan.task_range(local)]))
+        });
+        nested_rows(self.problem.tasks().len(), rows)
     }
 }
 

@@ -9,7 +9,8 @@
 //! moves every message without touching the heap. Deploying one costs
 //! what its agents need: telemetry that is off allocates nothing, set-up
 //! stays under a flat number of allocations per agent, and a resource
-//! agent's bytes do not grow with the deployment. A `Problem` clone
+//! agent's bytes do not grow with the deployment. `Optimizer::new` makes
+//! the same number of allocations at any task count. A `Problem` clone
 //! copies a few flat tables and blocks per task, the same per task at any
 //! size. Each test runs on a thread of its own, so its first evaluation
 //! starts from empty buffers.
@@ -289,6 +290,23 @@ fn dist_setup_allocations_stay_flat_per_agent() {
             "DistributedLla::new made {n} allocations for {agents} agents at {tasks} tasks"
         );
     }
+}
+
+/// `Optimizer::new` keeps its latencies in one flat store and lowers no
+/// plan: it makes the same number of allocations at 200 tasks as at
+/// 2000. One row per task would add 1800.
+#[test]
+fn optimizer_setup_allocations_do_not_grow_with_the_tasks() {
+    let counts: Vec<usize> = [200, 2_000]
+        .into_iter()
+        .map(|tasks| {
+            let problem = flat(tasks);
+            let (opt, n) = allocations(|| Optimizer::new(problem, OptimizerConfig::default()));
+            assert_eq!(opt.iterations(), 0);
+            n
+        })
+        .collect();
+    assert_eq!(counts[0], counts[1], "Optimizer::new made {counts:?} allocations");
 }
 
 /// `tasks` single-subtask tasks, each on a resource of its own, plus a

@@ -40,9 +40,11 @@ fn check_equivalence(problem: &Problem, rounds: usize) {
         naive_lats = allocate_latencies(problem, &naive_prices, &settings, &naive_lats);
         naive_prices.update(problem, &naive_lats);
 
-        plan.flatten_into(&plan_lats, scratch.prev_mut());
+        scratch.prev_mut().copy_from_slice(&plan_lats.concat());
         plan.allocate_into(&plan_prices, &mut scratch);
-        plan.unflatten_into(scratch.lats(), &mut plan_lats);
+        for (t, row) in plan_lats.iter_mut().enumerate() {
+            row.copy_from_slice(&scratch.lats()[plan.task_range(t)]);
+        }
         plan.price_update(&mut plan_prices, &mut scratch);
 
         assert_eq!(naive_lats, plan_lats, "allocation diverged at round {round}");
@@ -158,8 +160,8 @@ fn parallel_allocation_is_bit_identical_to_sequential() {
     let mut seq_prices = PriceState::new(&problem, policy);
     let mut par_prices = PriceState::new(&problem, policy);
     let init = problem.initial_allocation();
-    plan.flatten_into(&init, seq.prev_mut());
-    plan.flatten_into(&init, par.prev_mut());
+    seq.prev_mut().copy_from_slice(&init.concat());
+    par.prev_mut().copy_from_slice(&init.concat());
 
     for round in 0..200 {
         if round == 100 {
@@ -183,8 +185,8 @@ fn parallel_allocation_is_bit_identical_to_sequential() {
             seq = plan.scratch();
             par = plan.scratch();
             let init = problem.initial_allocation();
-            plan.flatten_into(&init, seq.prev_mut());
-            plan.flatten_into(&init, par.prev_mut());
+            seq.prev_mut().copy_from_slice(&init.concat());
+            par.prev_mut().copy_from_slice(&init.concat());
         }
 
         plan.allocate_seq(&seq_prices, &mut seq);
@@ -591,7 +593,7 @@ fn check_bit_identity(driver: Driver, policy: StepSizePolicy, rounds: usize) {
     let mut got_prices = want_prices.clone();
     let mut want_lats = reference.initial_allocation();
     let mut scratch = plan.scratch();
-    plan.flatten_into(&want_lats, scratch.prev_mut());
+    scratch.prev_mut().copy_from_slice(&want_lats.concat());
 
     for round in 0..rounds {
         want_lats = allocate_latencies(&reference, &want_prices, &settings, &want_lats);
@@ -609,8 +611,7 @@ fn check_bit_identity(driver: Driver, policy: StepSizePolicy, rounds: usize) {
                 scratch.lats_mut()[flat] = poison;
             }
         }
-        let mut flat = vec![0.0; plan.num_subtasks()];
-        plan.flatten_into(&want_lats, &mut flat);
+        let flat = want_lats.concat();
         assert_bits(scratch.lats(), &flat, &format!("{}: latencies", what(round)));
 
         want_prices.update(&reference, &want_lats);
