@@ -443,9 +443,10 @@ impl Optimizer {
     /// Executes one LLA iteration. Under [`PriceMethod::Gradient`]:
     /// latency allocation at the current prices, then one price step
     /// (Eqs. 8–9) at the new latencies. Under [`PriceMethod::Clearing`]:
-    /// one market-clearing sweep of the prices (see [`crate::plan`]),
-    /// then the allocation at the new prices and one pass that measures
-    /// it, so the round's utility and `D(μ, λ)` share their prices.
+    /// one market-clearing sweep of the prices (see [`crate::plan`]) —
+    /// the μ block, then one pass over the tasks that clears each task's
+    /// λs, allocates it at the new prices and measures it — so the
+    /// round's utility and `D(μ, λ)` share their prices.
     ///
     /// Runs over the compiled [`Plan`] (lowered lazily, re-lowered when the
     /// problem's mutation epoch moves), so the hot loop touches only flat
@@ -468,28 +469,27 @@ impl Optimizer {
         let clearing = self.config.price_method == PriceMethod::Clearing;
         prof.phase(if clearing { "price" } else { "allocate" });
         scratch.begin_round(&mut self.lats);
-        // `[allocate, price]` wall time: a clearing round prices, then
-        // allocates, then measures (price again).
-        let (violations, spans) = if clearing {
-            plan.sweep(&mut self.prices, scratch);
+        // `[allocate, price]` wall time: a clearing round prices its
+        // resources, then runs the task pass (λ block, allocation and
+        // measurement, with the utility) as its allocate phase.
+        let (violations, spans, utility) = if clearing {
+            plan.clear_resources(&mut self.prices, scratch, None);
             let t1 = clock();
             prof.phase("allocate");
-            plan.allocate_into(&self.prices, scratch);
-            let t2 = clock();
-            prof.phase("price");
-            let violations = plan.measure(scratch, None);
-            (violations, [span(t1, t2), span(t0, t1) + span(t2, clock())])
+            let utility = plan.clear_paths_and_allocate(&mut self.prices, scratch);
+            let violations = plan.clearing_violations(scratch, None);
+            (violations, [span(t1, clock()), span(t0, t1)], Some(utility))
         } else {
             plan.allocate_into(&self.prices, scratch);
             let t1 = clock();
             prof.phase("price");
             let violations = plan.price_update(&mut self.prices, scratch);
-            (violations, [span(t0, t1), span(t1, clock())])
+            (violations, [span(t0, t1), span(t1, clock())], None)
         };
         let t_diagnostics = clock();
 
         prof.phase("lagrangian");
-        let utility = plan.total_utility(scratch.lats());
+        let utility = utility.unwrap_or_else(|| plan.total_utility(scratch.lats()));
         prof.phase("trace");
         if self.config.record_trace {
             self.trace.push(TraceRecord {

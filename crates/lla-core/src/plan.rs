@@ -100,11 +100,15 @@
 //!   resource → subtask index (`res_off`/`res_subs`, plan order, which is
 //!   `Problem::subtasks_on` order when the plan's tasks ascend) gathers
 //!   the share terms, and an exact piecewise-linear solve sets `μ_r`;
-//! - **λ block** — per path in plan order, a safeguarded Newton solve
-//!   sets `λ_p`, and its change enters the pressures of the path's
-//!   subtasks before the task's next path;
-//! - the allocation pass at the new prices, then **measurement**: the
-//!   usage sweep and the path walk, folding violations without a step.
+//! - **task pass** — one visit per task in plan order runs the task's
+//!   **λ block** (per path in path order, a safeguarded Newton solve sets
+//!   `λ_p`, and its change enters the pressures of the path's subtasks
+//!   before the task's next path), its allocation at the new prices and
+//!   its **measurement**: shares into the usage sums, path latencies and
+//!   utility. A linear task with no λ is allocated first and its paths
+//!   are screened on that allocation; only a late path takes the solve
+//!   (see `Plan::clear_paths_and_allocate`). The violations are then
+//!   folded without a step.
 
 //! # Invalidation
 //!
@@ -291,9 +295,9 @@ fn fixed_point(
 pub struct PlanScratch {
     pub(crate) prev: Vec<f64>,
     pub(crate) lats: Vec<f64>,
-    /// Per subtask: the allocation's λ-sums; between a market-clearing
-    /// sweep's first pass and the allocation that ends it, the sweep's
-    /// pressures `−w_s·f′ + Σλ` instead.
+    /// Per subtask: the allocation's λ-sums; in a market-clearing round,
+    /// the sweep's pressures `−w_s·f′ + Σλ` instead, until the task pass
+    /// re-allocates a task over its own.
     pub(crate) lambda: Vec<f64>,
     pub(crate) usage: Vec<f64>,
     pub(crate) path_lat: Vec<f64>,

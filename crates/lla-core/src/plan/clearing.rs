@@ -22,9 +22,10 @@
 //!   so they are cleared Gauss–Seidel, in path order, each at the λ its
 //!   predecessors just set.
 //!
-//! A concave task's `−w_s·f′(A)` is held at the aggregate of the previous
-//! allocation for the sweep; the allocation that follows runs its damped
-//! fixed point as usual.
+//! The λ block runs task by task in one pass with the allocation and the
+//! measurement ([`Plan::clear_paths_and_allocate`]). A concave task's
+//! `−w_s·f′(A)` is held at the aggregate of the previous allocation for
+//! the sweep; its allocation then runs its damped fixed point as usual.
 //!
 //! Both blocks are local to the agent that owns the price, so a
 //! distributed deployment runs the same solves: a [`ResourcePlan`] clears
@@ -293,29 +294,43 @@ impl SubtaskCols<'_> {
 }
 
 impl PlanScratch {
-    /// The sweep's pressures, from
-    /// [`Plan::sweep_pressures`] until the allocation that ends the round
-    /// overwrites them.
+    /// The sweep's pressures, from [`Plan::clear_resources`] until the
+    /// task pass re-allocates a task over them.
     pub(crate) fn pressure(&self) -> &[f64] {
         &self.lambda
     }
 }
 
 impl Plan {
-    /// One market-clearing sweep over the whole plan: pressures, then the
-    /// μ block over every resource, then the λ block over every path.
-    pub(crate) fn sweep(&self, prices: &mut PriceState, scratch: &mut PlanScratch) {
+    /// The first half of a market-clearing round: the sweep's pressures,
+    /// then the μ block over every resource (only those with `owned[r]`,
+    /// when a mask is given), each clearing its own usage against `B_r`.
+    /// [`clear_paths_and_allocate`](Self::clear_paths_and_allocate) is the
+    /// second half.
+    pub(crate) fn clear_resources(
+        &self,
+        prices: &mut PriceState,
+        scratch: &mut PlanScratch,
+        owned: Option<&[bool]>,
+    ) {
         prices.reset_step_tracking();
         self.sweep_pressures(prices, scratch);
-        self.clear_resources(prices, scratch, None);
-        self.clear_paths(prices, scratch);
+        let PlanScratch { lambda: pressure, terms, breakpoints, .. } = scratch;
+        for r in 0..self.num_resources() {
+            if owned.is_some_and(|owned| !owned[r]) {
+                continue;
+            }
+            terms.clear();
+            self.push_terms(r, pressure, terms);
+            let mu = clear_resource(terms, breakpoints, self.availability[r], prices.mu(r));
+            prices.clear_mu(r, mu);
+        }
     }
 
     /// The sweep's pressures into `scratch.lambda` (the allocation's
-    /// λ-sum buffer, which the allocation ending the round overwrites):
-    /// `−w_s·f′` (a concave task's at the aggregate of `scratch.prev`)
-    /// plus every λ of the paths through the subtask.
-    pub(crate) fn sweep_pressures(&self, prices: &PriceState, scratch: &mut PlanScratch) {
+    /// λ-sum buffer): `−w_s·f′` (a concave task's at the aggregate of
+    /// `scratch.prev`) plus every λ of the paths through the subtask.
+    fn sweep_pressures(&self, prices: &PriceState, scratch: &mut PlanScratch) {
         let PlanScratch { prev, lambda: pressure, .. } = scratch;
         pressure.copy_from_slice(&self.neg_wf);
         for &t in &self.concave {
@@ -335,27 +350,6 @@ impl Plan {
         }
     }
 
-    /// The μ block: every resource (only those with `owned[r]`, when a
-    /// mask is given) clears its own usage against `B_r` at the
-    /// pressures of [`sweep_pressures`](Self::sweep_pressures).
-    pub(crate) fn clear_resources(
-        &self,
-        prices: &mut PriceState,
-        scratch: &mut PlanScratch,
-        owned: Option<&[bool]>,
-    ) {
-        let PlanScratch { lambda: pressure, terms, breakpoints, .. } = scratch;
-        for r in 0..self.num_resources() {
-            if owned.is_some_and(|owned| !owned[r]) {
-                continue;
-            }
-            terms.clear();
-            self.push_terms(r, pressure, terms);
-            let mu = clear_resource(terms, breakpoints, self.availability[r], prices.mu(r));
-            prices.clear_mu(r, mu);
-        }
-    }
-
     /// Appends the share terms of this plan's subtasks on resource `r`,
     /// in plan order.
     pub(crate) fn push_terms(&self, r: usize, pressure: &[f64], terms: &mut Vec<ShareTerm>) {
@@ -367,28 +361,85 @@ impl Plan {
         }
     }
 
-    /// The λ block: every path, task by task and path by path, clears its
-    /// latency against `C_i` at the current μ, and its new λ enters the
-    /// pressures the next path of the task sees.
-    pub(crate) fn clear_paths(&self, prices: &mut PriceState, scratch: &mut PlanScratch) {
-        let PlanScratch { lambda: pressure, path_terms, .. } = scratch;
-        let cols = self.cols(0..self.num_subtasks());
-        for pp in 0..self.num_paths() {
-            let old = prices.flat_lambdas()[pp];
-            let (path, ct) = (self.path_subtasks(pp), self.path_ct[pp]);
-            let new = cols.clear_path_lambda(path, prices.mus(), ct, old, pressure, path_terms);
-            prices.clear_lambda(pp, new);
+    /// The second half of a market-clearing round, one pass over the
+    /// tasks in plan order at the μ the first half (and, for a shard, the
+    /// coordinator) set. Per task: the λ block (each path, in path order,
+    /// clears its latency against `C_i`, and its new λ enters the
+    /// pressures the task's next path sees), the allocation at the new
+    /// prices, and the measurement: its shares added to `scratch.usage`,
+    /// its path latencies into `scratch.path_lat` and its utility into
+    /// the returned `Σ_i U_i`.
+    ///
+    /// A linear task whose λs are all `+0.0` is allocated first, with no
+    /// λ-sum, and its paths are screened by summing that allocation in
+    /// path order. At `λ = 0` each term of a path's λ solve is the
+    /// allocation's latency, so a path that meets `C_i` there keeps `λ = 0`
+    /// (`clear_path`'s first test), and a task none of whose paths is late
+    /// keeps its prices and its allocation. From the first late path on,
+    /// and for a task that holds a price or is concave, the paths take the
+    /// λ solve and the task is re-allocated at its new λs.
+    pub(crate) fn clear_paths_and_allocate(
+        &self,
+        prices: &mut PriceState,
+        scratch: &mut PlanScratch,
+    ) -> f64 {
+        let PlanScratch {
+            prev, lats, lambda: pressure, usage, path_lat, path_terms: terms, ..
+        } = scratch;
+        let all = self.cols(0..self.num_subtasks());
+        let mut concave = self.concave.iter().peekable();
+        usage.fill(-0.0);
+        let mut utility = -0.0;
+        for t in 0..self.num_tasks() {
+            let (subs, paths) = (self.task_range(t), self.task_path_range(t));
+            let linear = concave.next_if(|&&c| c as usize == t).is_none();
+            // `+0.0` exactly: the λ solve writes `+0.0` over a `-0.0`.
+            let unpriced = prices.flat_lambdas()[paths.clone()].iter().all(|lp| lp.to_bits() == 0);
+            // The first path the λ solve visits.
+            let late = if linear && unpriced {
+                let neg_wf = &self.neg_wf[subs.clone()];
+                let out = &mut lats[subs.clone()];
+                self.cols(subs.clone()).solve(|s| neg_wf[s], None, prices.mus(), out);
+                paths
+                    .clone()
+                    .find(|&pp| {
+                        path_lat[pp] = self.path_latency(pp, lats);
+                        path_lat[pp] - self.path_ct[pp] > 0.0
+                    })
+                    .unwrap_or(paths.end)
+            } else {
+                paths.start
+            };
+            if late < paths.end {
+                for pp in late..paths.end {
+                    let (path, ct) = (self.path_subtasks(pp), self.path_ct[pp]);
+                    let old = prices.flat_lambdas()[pp];
+                    let new = all.clear_path_lambda(path, prices.mus(), ct, old, pressure, terms);
+                    prices.clear_lambda(pp, new);
+                }
+                let (mus, lambdas) = (prices.mus(), prices.flat_lambdas());
+                let (sums, out) = (&mut pressure[subs.clone()], &mut lats[subs.clone()]);
+                self.allocate_tasks(t..t + 1, mus, lambdas, prev, sums, out);
+                for pp in paths {
+                    path_lat[pp] = self.path_latency(pp, lats);
+                }
+            }
+            self.add_usage(subs, lats, usage);
+            utility += self.task_utility(t, lats);
         }
+        utility
     }
 
-    /// The measurement that closes a clearing round, stepping no price:
-    /// usage into `scratch.usage`, path latencies into
-    /// `scratch.path_lat`, and `(max_r (usage_r − B_r), max_p
-    /// (path_latency/C_i − 1))` — over the resources with `owned[r]`
-    /// only, when a mask is given.
-    pub(crate) fn measure(&self, scratch: &mut PlanScratch, owned: Option<&[bool]>) -> (f64, f64) {
-        let PlanScratch { lats, usage, path_lat, .. } = scratch;
-        self.usage_into(lats, usage);
+    /// The violations of a round measured by
+    /// [`clear_paths_and_allocate`](Self::clear_paths_and_allocate):
+    /// `(max_r (usage_r − B_r), max_p (path_latency/C_i − 1))`, over the
+    /// resources with `owned[r]` only, when a mask is given.
+    pub(crate) fn clearing_violations(
+        &self,
+        scratch: &PlanScratch,
+        owned: Option<&[bool]>,
+    ) -> (f64, f64) {
+        let usage = &scratch.usage;
         let resource = match owned {
             None => self.max_resource_violation(usage),
             Some(owned) => (0..usage.len())
@@ -396,10 +447,7 @@ impl Plan {
                 .map(|r| usage[r] - self.availability[r])
                 .fold(f64::NEG_INFINITY, f64::max),
         };
-        self.walk_paths(|pp, path| {
-            path_lat[pp] = path.iter().map(|&gs| lats[gs as usize]).sum();
-        });
-        (resource, self.max_path_violation(path_lat))
+        (resource, self.max_path_violation(&scratch.path_lat))
     }
 }
 
@@ -436,7 +484,8 @@ impl TaskPlan {
     /// The λ block of the market-clearing sweep for this task (row `t` of
     /// `prices`): each path, in path order, clears its latency against
     /// `C_i` at the μ held in `prices`, and its new λ enters the pressures
-    /// the next path sees — `Plan::clear_paths` over one task. Starts
+    /// the next path sees — the λ block of `Plan::clear_paths_and_allocate`
+    /// over one task, with no screen. Starts
     /// from [`pressures_into`](Self::pressures_into) at `previous`;
     /// `pressure` is left holding the block's last pressures and `terms`
     /// is a reusable buffer.

@@ -47,10 +47,10 @@
 //! 2. **Coordinator**: each coordinator-owned resource, in ascending
 //!    index order, clears from the share terms of the shards touching
 //!    it, taken in shard order, and broadcasts its μ.
-//! 3. **Path phase**: each shard clears all its paths (every path lies
-//!    inside one shard), allocates at the new prices and measures the
-//!    allocation; the merge then sums the shared resources' usage in
-//!    shard order for their violations.
+//! 3. **Path phase**: each shard runs the plan's task pass, which clears
+//!    each task's paths (every path lies inside one shard), allocates the
+//!    task at the new prices and measures it; the merge then sums the
+//!    shared resources' usage in shard order for their violations.
 //!
 //! Because every kernel reuses the plan module's bit-exact CSR kernels
 //! and all cross-shard reductions run in fixed shard order, a one-shard
@@ -179,22 +179,14 @@ impl Shard {
     /// safe when shards are not already fanned out across threads).
     fn local_step(&mut self, inner_parallel: bool) {
         self.scratch.begin_round(&mut self.lats);
-        self.allocate(inner_parallel);
-        self.res_violation =
-            self.plan.owned_resource_steps(&mut self.prices, &mut self.scratch, &self.owned);
-        self.utility = self.plan.total_utility(self.scratch.lats());
-    }
-
-    /// The allocation at the shard's prices from the warm start in
-    /// `scratch.prev`, into `scratch.lats` until the round ends.
-    /// `inner_parallel` permits the plan's own threaded allocator (only
-    /// safe when shards are not already fanned out across threads).
-    fn allocate(&mut self, inner_parallel: bool) {
         if inner_parallel {
             self.plan.allocate_into(&self.prices, &mut self.scratch);
         } else {
             self.plan.allocate_seq(&self.prices, &mut self.scratch);
         }
+        self.res_violation =
+            self.plan.owned_resource_steps(&mut self.prices, &mut self.scratch, &self.owned);
+        self.utility = self.plan.total_utility(self.scratch.lats());
     }
 
     /// Phase 3: path latencies, path violations and λ steps with the
@@ -209,21 +201,17 @@ impl Shard {
     /// the μ block over the owned resources.
     fn clear_owned(&mut self) {
         self.scratch.begin_round(&mut self.lats);
-        self.prices.reset_step_tracking();
-        self.plan.sweep_pressures(&self.prices, &mut self.scratch);
         self.plan.clear_resources(&mut self.prices, &mut self.scratch, Some(&self.owned));
     }
 
-    /// Clearing, phase 3: the λ block with every μ broadcast, then the
-    /// allocation at the new prices, its owned-resource and path
-    /// violations and its utility; the allocation then goes back to the
-    /// store.
-    fn clear_paths_and_allocate(&mut self, inner_parallel: bool) {
-        self.plan.clear_paths(&mut self.prices, &mut self.scratch);
-        self.allocate(inner_parallel);
+    /// Clearing, phase 3: with every μ broadcast, the task pass (λ block,
+    /// allocation at the new prices and its utility), then the
+    /// owned-resource and path violations; the allocation then goes back
+    /// to the store.
+    fn clear_paths_and_allocate(&mut self) {
+        self.utility = self.plan.clear_paths_and_allocate(&mut self.prices, &mut self.scratch);
         (self.res_violation, self.path_violation) =
-            self.plan.measure(&mut self.scratch, Some(&self.owned));
-        self.utility = self.plan.total_utility(self.scratch.lats());
+            self.plan.clearing_violations(&self.scratch, Some(&self.owned));
         self.scratch.end_round(&mut self.lats);
     }
 }
@@ -546,7 +534,7 @@ impl ShardedOptimizer {
             PriceMethod::Clearing => {
                 self.shard_phase("allocation_phase", "shard_local", |sh, _| sh.clear_owned());
                 self.clear_coordinated();
-                self.shard_phase("path_phase", "shard_path", Shard::clear_paths_and_allocate);
+                self.shard_phase("path_phase", "shard_path", |sh, _| sh.clear_paths_and_allocate());
                 self.merge_round(None)
             }
         }
@@ -584,7 +572,7 @@ impl ShardedOptimizer {
         for (s, sh) in self.shards.iter_mut().enumerate() {
             let t0 = std::time::Instant::now();
             if clearing {
-                sh.clear_paths_and_allocate(false);
+                sh.clear_paths_and_allocate();
             } else {
                 sh.path_steps();
             }

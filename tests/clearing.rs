@@ -4,8 +4,9 @@
 //! availability edits; the clustered instance the gradient method cannot
 //! certify certifies in a few sweeps on both drivers; the schedulability
 //! probe proves Figure 7's twins either way; concave utilities certify;
-//! and constraints no price can clear keep finite prices while the probe
-//! proves the problem unschedulable.
+//! constraints no price can clear keep finite prices while the probe
+//! proves the problem unschedulable; and the rounds' bits are pinned as
+//! digests.
 
 use lla::core::{
     analyze_schedulability, AllocationSettings, IterationReport, Optimizer, OptimizerConfig,
@@ -14,7 +15,8 @@ use lla::core::{
     UtilityFn,
 };
 use lla::workloads::{
-    clustered_workload, scaled_workload, ClusteredWorkloadConfig, RandomWorkloadConfig, TaskShape,
+    clustered_workload, large_scale_workload, scaled_workload, ClusteredWorkloadConfig,
+    RandomWorkloadConfig, TaskShape,
 };
 
 fn config() -> OptimizerConfig {
@@ -267,4 +269,106 @@ fn unclearable_constraints_keep_finite_prices_and_prove_unschedulability() {
         }
         other => panic!("expected unschedulable, got {other:?}"),
     }
+}
+
+/// FNV-1a over the bit patterns of `values`, folded into `hash`.
+fn fold_bits(hash: u64, values: impl IntoIterator<Item = f64>) -> u64 {
+    values.into_iter().fold(hash, |h, x| {
+        x.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    })
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// `hash` folded with a round's report.
+fn fold_report(hash: u64, report: &IterationReport) -> u64 {
+    let IterationReport { iteration, utility, max_resource_violation, max_path_violation } =
+        *report;
+    fold_bits(hash, [iteration as f64, utility, max_resource_violation, max_path_violation])
+}
+
+/// `hash` folded with an exported state's μ, then every λ row, then
+/// every latency row.
+fn fold_state(hash: u64, state: &OptimizerState) -> u64 {
+    let mut h = fold_bits(hash, state.prices().mus().iter().copied());
+    for t in 0..state.lats().len() {
+        h = fold_bits(h, state.prices().lambdas(t).iter().copied());
+    }
+    fold_bits(h, state.lats().iter().flatten().copied())
+}
+
+/// `rounds` clearing rounds of an `Optimizer` with a trace, each round's
+/// report, largest price move and trace record (utility, usage and
+/// critical-path ratios) folded, then the final state.
+fn optimizer_digest(problem: Problem, rounds: usize) -> u64 {
+    let mut opt = Optimizer::new(problem, OptimizerConfig { record_trace: true, ..config() });
+    let mut h = FNV_OFFSET;
+    for _ in 0..rounds {
+        h = fold_report(h, &opt.step());
+        h = fold_bits(h, [opt.prices().last_max_rel_step()]);
+        let record = opt.trace().records().last().expect("a traced round keeps its record");
+        h = fold_bits(h, [record.utility]);
+        h = fold_bits(h, record.resource_usage.iter().copied());
+        h = fold_bits(h, record.critical_path_ratio.iter().copied());
+    }
+    fold_state(h, &opt.export_state())
+}
+
+/// The flat instance of the hot-path tests, 2000 tasks.
+fn flat_2k() -> Problem {
+    large_scale_workload(2_000, 3).expect("valid config")
+}
+
+/// A flat instance whose critical times sit 2% above the witness
+/// allocation's critical paths, so the first sweep leaves paths late at
+/// `λ = 0`.
+fn tight_problem() -> Problem {
+    RandomWorkloadConfig {
+        num_resources: 200,
+        num_tasks: 400,
+        min_subtasks: 3,
+        max_subtasks: 6,
+        shape: TaskShape::Mixed,
+        exec_time_range: (1.0, 8.0),
+        lag: 1.0,
+        target_load: 0.85,
+        deadline_headroom: 1.02,
+        seed: 11,
+    }
+    .generate()
+    .expect("valid config")
+}
+
+/// Clearing rounds are pinned bit for bit: every report, price move and
+/// trace record of a run and its final prices and latencies, as FNV
+/// digests recorded before the λ block, the allocation and the
+/// measurement were fused into one task pass. Covers a flat instance,
+/// concave utilities, tight critical times (paths priced from the first
+/// sweep on, the task pass's slow route) and a two-shard driver.
+#[test]
+fn clearing_rounds_keep_their_bits() {
+    assert_eq!(optimizer_digest(flat_2k(), 6), 0x61a9_72f4_55a2_5a25, "flat 2k");
+    assert_eq!(optimizer_digest(concave_problem(), 40), 0xe890_e253_2042_1d69, "concave");
+
+    let problem = tight_problem();
+    let mut opt = Optimizer::new(problem.clone(), config());
+    opt.step();
+    let priced = (0..problem.tasks().len())
+        .flat_map(|t| opt.prices().lambdas(t).to_vec())
+        .filter(|&lp| lp > 0.0)
+        .count();
+    assert!(priced > 0, "tight critical times leave some path late after the first sweep");
+    assert_eq!(optimizer_digest(problem, 12), 0xc36e_6845_5e23_1ec2, "tight");
+
+    let problem = flat_2k();
+    let spec = ShardSpec::contiguous(problem.tasks().len(), 2);
+    let mut sharded = ShardedOptimizer::new(problem, config(), spec).expect("partition");
+    let mut h = FNV_OFFSET;
+    for _ in 0..6 {
+        h = fold_report(h, &sharded.step());
+    }
+    assert_eq!(fold_state(h, &sharded.export_state()), 0x19d5_9580_94a1_9ebb, "two shards");
 }

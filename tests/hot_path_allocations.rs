@@ -182,10 +182,11 @@ fn sharded_dual_value_allocates_the_same_at_any_size() {
 /// once the sweep's term buffers have grown to the largest resource and
 /// path: an `Optimizer::step` and a two-shard `ShardedOptimizer::step_timed`
 /// (whose decomposition lives in a buffer the driver reuses), at 200 and
-/// at 2000 tasks. At 2000 tasks the `Optimizer`'s allocation kernel fans
-/// out over worker threads (this binary builds lla-core with `parallel`),
-/// and spawning them allocates under either price method, so there the
-/// clearing step is held to the gradient step's count.
+/// at 2000 tasks. A clearing round computes its latencies in its task
+/// pass, which never fans out; at 2000 tasks the gradient round's
+/// allocation kernel does (this binary builds lla-core with `parallel`),
+/// and spawning the workers allocates, so the gradient count is nonzero
+/// there.
 #[test]
 fn clearing_rounds_allocate_nothing() {
     for tasks in [200, 2000] {
@@ -204,7 +205,7 @@ fn clearing_rounds_allocate_nothing() {
         let n = steps(config);
         let fan_out = steps(OptimizerConfig { price_method: PriceMethod::Gradient, ..config });
         assert_eq!(fan_out == 0, tasks == 200, "{fan_out} allocations in 20 gradient steps");
-        assert_eq!(n, fan_out, "20 clearing steps made {n} heap allocations at {tasks} tasks");
+        assert_eq!(n, 0, "20 clearing steps made {n} heap allocations at {tasks} tasks");
 
         let spec = ShardSpec::contiguous(tasks, 2);
         let mut sharded = ShardedOptimizer::new(problem, config, spec).expect("partition");

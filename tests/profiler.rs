@@ -7,7 +7,7 @@
 //! merge cleanly into the Chrome trace export.
 
 use lla::core::{Optimizer, OptimizerConfig, ShardSpec, ShardedOptimizer, StepSizePolicy};
-use lla::telemetry::{Profiler, SpanRecorder, TraceCtx};
+use lla::telemetry::{ProfileSnapshot, Profiler, SpanRecorder, TraceCtx};
 use lla::workloads::scaled_workload;
 use lla_bench::run_fig6_profile;
 
@@ -73,7 +73,24 @@ fn fig6_profile_call_tree_matches_golden_file() {
 /// builds pay relatively more per guard, so the floor is looser there.
 #[test]
 fn fig6_profile_attributes_step_time_to_phases() {
-    let snapshot = run_fig6_profile(4, 8_000);
+    assert_step_phases_attributed(&run_fig6_profile(4, 8_000));
+}
+
+/// The same under the default market-clearing price method, whose round
+/// runs `price` (the pressures and the μ block) and then `allocate` (the
+/// task pass: λ block, allocation, measurement and utility), each once.
+#[test]
+fn clearing_profile_attributes_step_time_to_phases() {
+    let mut opt = Optimizer::new(scaled_workload(4, true), OptimizerConfig::default());
+    let profiler = Profiler::recording();
+    opt.attach_profiler(&profiler);
+    opt.run(400);
+    assert_step_phases_attributed(&profiler.snapshot());
+}
+
+/// At least 95% (80% in debug builds) of the `step` scope's time lies in
+/// its phases, and every phase runs once per step.
+fn assert_step_phases_attributed(snapshot: &ProfileSnapshot) {
     let attributed =
         snapshot.attributed_fraction("step").expect("step scope present with nonzero time");
     let floor = if cfg!(debug_assertions) { 0.80 } else { 0.95 };
@@ -84,7 +101,6 @@ fn fig6_profile_attributes_step_time_to_phases() {
         floor * 100.0,
         snapshot.folded_ns()
     );
-    // Every phase the step executes shows up with the step's call count.
     let step_calls = snapshot.frames.iter().find(|f| f.path == "step").expect("step frame").calls;
     for phase in ["step;allocate", "step;price", "step;lagrangian", "step;trace"] {
         let f = snapshot
