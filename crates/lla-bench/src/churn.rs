@@ -379,14 +379,8 @@ pub fn run_churn_soak_instrumented(config: &ChurnConfig, hub: &TelemetryHub) -> 
             if (step + 1).is_multiple_of(PROBE_CHUNK) {
                 diag.push(dist.diag_sample());
             }
-            let lats = dist.allocation();
-            let report = lla_core::IterationReport {
-                iteration: round,
-                utility: dist.utility(),
-                max_resource_violation: dist.problem().max_resource_violation(lats.lats()),
-                max_path_violation: dist.problem().max_path_violation(lats.lats()),
-            };
-            if monitor.observe(&report) {
+            if monitor.observe(&dist.report()) {
+                let lats = dist.allocation();
                 if monitor.in_cooldown() {
                     flapped = true; // the monitor must never act while cooling
                 }

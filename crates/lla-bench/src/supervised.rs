@@ -28,8 +28,8 @@
 
 use crate::{paper_dist_config, Series};
 use lla_core::{
-    select_victim, IterationReport, OverloadMonitor, ResourceId, ResourceKind, StepSizePolicy,
-    TaskBuilder, UtilityFn,
+    select_victim, OverloadMonitor, ResourceId, ResourceKind, StepSizePolicy, TaskBuilder,
+    UtilityFn,
 };
 use lla_core::{Problem, Resource};
 use lla_dist::supervisor::{CHECK_INTERVAL_ROUNDS, SUPERVISOR_OVERLOAD, SUPERVISOR_WINDOW};
@@ -230,14 +230,8 @@ fn run_arm(
             None => {
                 diag.push(dist.diag_sample());
                 verdict = diag.diagnose().verdict;
-                let lats = dist.allocation();
-                let report = IterationReport {
-                    iteration: check,
-                    utility: dist.utility(),
-                    max_resource_violation: dist.problem().max_resource_violation(lats.lats()),
-                    max_path_violation: dist.problem().max_path_violation(lats.lats()),
-                };
-                if monitor.observe(&report) {
+                if monitor.observe(&dist.report()) {
+                    let lats = dist.allocation();
                     if let Some(victim) = select_victim(dist.problem(), lats.lats()) {
                         let slot = dist.task_slots()[victim.index()];
                         dist.evict_task(slot).expect("victim is live");

@@ -170,7 +170,6 @@ use crate::allocation::{
     clamping_box, subtask_box, AllocationSettings, DAMPING, FIXED_POINT_MAX_ITERS, FIXED_POINT_TOL,
 };
 use crate::ids::TaskId;
-use crate::lagrangian::KktReport;
 use crate::prices::PriceState;
 use crate::problem::Problem;
 use crate::utility::UtilityFn;
@@ -1000,101 +999,6 @@ impl Plan {
             })
             .collect()
     }
-
-    /// The Lagrangian (Eq. 5) over a flat latency vector, replicating
-    /// [`crate::lagrangian::lagrangian_value`].
-    pub fn lagrangian_value(&self, lats: &[f64], prices: &PriceState) -> f64 {
-        debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
-        lagrangian_in(
-            &[Run { part: 0, tasks: 0..self.num_tasks(), global: 0 }],
-            |_| (self, lats, prices.flat_lambdas()),
-            prices.mus(),
-            |r| self.availability[r],
-            &mut vec![0.0; self.num_resources()],
-        )
-    }
-
-    /// KKT residuals (see [`crate::lagrangian::kkt_report`]) over a flat
-    /// latency vector, using `scratch.lambda` as the Σλ accumulator. The
-    /// per-task path walk computes λ-sums, complementary slackness, and
-    /// path violations in one pass (`max` is order-independent, so the
-    /// report matches the naive two-pass form).
-    pub fn kkt_report(
-        &self,
-        lats: &[f64],
-        prices: &PriceState,
-        boundary_tol: f64,
-        scratch: &mut PlanScratch,
-    ) -> KktReport {
-        let (stat, comp, worst_path) = self.kkt_task_terms(lats, prices, boundary_tol, scratch);
-        let mut comp = comp;
-        let mut worst_res = f64::NEG_INFINITY;
-        let mut usage = vec![0.0; self.num_resources()];
-        self.usage_into(lats, &mut usage);
-        for (r, &usage) in usage.iter().enumerate() {
-            comp = comp.max((prices.mu(r) * (self.availability[r] - usage)).abs());
-            worst_res = worst_res.max(usage - self.availability[r]);
-        }
-        KktReport {
-            max_stationarity_residual: stat,
-            max_resource_violation: worst_res.max(0.0),
-            max_path_violation: worst_path.max(0.0),
-            max_complementary_slackness: comp,
-        }
-    }
-
-    /// The per-task terms of [`kkt_report`](Self::kkt_report):
-    /// `(max stationarity residual, max path complementary slackness,
-    /// worst path violation)` over this plan's tasks. Sharded drivers sum
-    /// resource usage across shards separately (a single shard sees only
-    /// partial usage of shared resources, so the per-resource terms cannot
-    /// be evaluated shard-locally).
-    pub(crate) fn kkt_task_terms(
-        &self,
-        lats: &[f64],
-        prices: &PriceState,
-        boundary_tol: f64,
-        scratch: &mut PlanScratch,
-    ) -> (f64, f64, f64) {
-        debug_assert_eq!(prices.num_paths(), self.num_paths(), "price/plan path count mismatch");
-        let mut stat = 0.0f64;
-        let mut comp = 0.0f64;
-        let mut worst_path = f64::NEG_INFINITY;
-        let lambda_sum = &mut scratch.lambda;
-        for t in 0..self.num_tasks() {
-            let sub = self.task_range(t);
-            let a = dot(&lats[sub.clone()], &self.weight[sub.clone()]);
-            let fprime = self.utility[t].derivative(a);
-            let ct = self.critical_time[t];
-            lambda_sum[sub.clone()].fill(0.0);
-            // Note: the KKT reference accumulates λ WITHOUT the
-            // allocator's zero-skip; replicate that here.
-            for (p, pp) in self.task_path_range(t).enumerate() {
-                let lp = prices.lambda(t, p);
-                let mut pl = 0.0;
-                for &s in self.path_subtasks(pp) {
-                    lambda_sum[s as usize] += lp;
-                    pl += lats[s as usize];
-                }
-                let slack = 1.0 - pl / ct;
-                comp = comp.max((lp * slack).abs());
-                worst_path = worst_path.max(pl / ct - 1.0);
-            }
-            for gs in sub {
-                let lat = lats[gs];
-                if lat - self.lo[gs] <= boundary_tol || self.hi[gs] - lat <= boundary_tol {
-                    continue;
-                }
-                let eff = lat - self.correction[gs];
-                let dshare =
-                    if eff <= 0.0 { f64::NEG_INFINITY } else { -self.demand[gs] / (eff * eff) };
-                let mu = prices.mu(self.sub_res[gs] as usize);
-                let residual = self.weight[gs] * fprime - lambda_sum[gs] - mu * dshare;
-                stat = stat.max(residual.abs());
-            }
-        }
-        (stat, comp, worst_path)
-    }
 }
 
 /// A run of consecutive global tasks, starting at `global`, that part
@@ -1535,7 +1439,7 @@ mod tests {
     use super::*;
     use crate::allocation::{allocate_latencies, allocate_task};
     use crate::ids::ResourceId;
-    use crate::lagrangian::{kkt_report, lagrangian_value};
+    use crate::lagrangian::lagrangian_value;
     use crate::prices::StepSizePolicy;
     use crate::resource::{Resource, ResourceKind};
     use crate::task::TaskBuilder;
@@ -1620,15 +1524,11 @@ mod tests {
         let mut scratch = plan.scratch();
         let flat = lats.concat();
         assert_eq!(plan.total_utility(&flat), p.total_utility(&lats));
-        assert_eq!(plan.lagrangian_value(&flat, &prices), lagrangian_value(&p, &lats, &prices));
         scratch.lats_mut().copy_from_slice(&flat);
         let violations = plan.price_update(&mut prices.clone(), &mut scratch);
         assert_eq!(plan.max_resource_violation(&scratch.usage), p.max_resource_violation(&lats));
         assert_eq!(plan.max_path_violation(&scratch.path_lat), p.max_path_violation(&lats));
         assert_eq!(violations, (p.max_resource_violation(&lats), p.max_path_violation(&lats)));
-        let naive_kkt = kkt_report(&p, &lats, &prices, &settings, 1e-9);
-        let plan_kkt = plan.kkt_report(&flat, &prices, 1e-9, &mut scratch);
-        assert_eq!(naive_kkt, plan_kkt);
     }
 
     /// One memo over parts that lower the tasks out of order, one of them

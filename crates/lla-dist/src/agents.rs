@@ -21,6 +21,7 @@ use crate::fleet::{
 };
 use crate::protocol::{Address, Message};
 use crate::runtime::{Actor, Outbox};
+use crate::system::DistConfig;
 use crate::telemetry::DistTelemetry;
 use lla_core::plan::PathTerm;
 use lla_core::{
@@ -29,7 +30,7 @@ use lla_core::{
 };
 use lla_telemetry::Event as TelemetryEvent;
 use parking_lot::Mutex;
-use std::borrow::Cow;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -283,42 +284,63 @@ impl TopologyStore {
     }
 }
 
-/// Dense index → protocol slot under a controller's applied epoch.
-///
-/// Slot and dense index coincide until a topology epoch's table is
-/// adopted, so a controller starts on the identity and builds no table of
-/// its own; a deployment's controllers share the epoch's tables.
-#[derive(Debug, Clone)]
-enum SlotTable {
-    /// `slot == dense index`.
-    Identity,
-    /// A [`TopologyEpoch`] table, strictly increasing.
-    Shared(Arc<[usize]>),
+/// What every agent of one deployment shares: the price and allocation
+/// settings, the fault-tolerance knobs, the durable stores and the
+/// telemetry handles. [`DistributedLla`](crate::DistributedLla) builds it
+/// once from its [`DistConfig`], and every agent keeps an `Arc` of it
+/// instead of a copy of each setting.
+#[derive(Debug)]
+pub struct DeploymentContext {
+    /// How the agents move their prices.
+    method: PriceMethod,
+    /// Price step-size policy; read only under [`PriceMethod::Gradient`].
+    policy: StepSizePolicy,
+    /// The allocation kernels' settings, which the controllers' plans and
+    /// the resources' share bounds are lowered with.
+    settings: AllocationSettings,
+    robustness: RobustnessConfig,
+    /// Virtual ms between per-agent fleet reports (`0.0` ships none).
+    report_cadence: f64,
+    /// The durable epoch log; agents are built at its newest epoch.
+    pub(crate) topology: TopologyStore,
+    /// The durable store the controllers checkpoint into.
+    pub(crate) checkpoints: CheckpointStore,
+    /// The sink the controllers write their latest latencies into, one
+    /// row per task slot.
+    pub(crate) lats: SharedLats,
+    pub(crate) tel: DistTelemetry,
 }
 
-impl SlotTable {
-    /// The slot of dense index `dense`.
-    fn slot(&self, dense: usize) -> usize {
-        match self {
-            SlotTable::Identity => dense,
-            SlotTable::Shared(table) => table[dense],
+impl DeploymentContext {
+    /// The context of a deployment of `problem` under `config`: its
+    /// topology store holds the genesis epoch, where slots equal dense
+    /// indices, and its latency sink the initial allocation.
+    pub fn new(problem: Arc<Problem>, config: &DistConfig, tel: DistTelemetry) -> Self {
+        let lats = Arc::new(Mutex::new(problem.initial_allocation()));
+        let topology = TopologyStore::new();
+        topology.push(TopologyEpoch {
+            epoch: 0,
+            cause: MembershipCause::Genesis,
+            task_slots: (0..problem.tasks().len()).collect(),
+            resource_slots: (0..problem.resources().len()).collect(),
+            problem,
+        });
+        DeploymentContext {
+            method: config.price_method,
+            policy: config.step_policy,
+            settings: config.allocation,
+            robustness: config.robustness,
+            report_cadence: config.report_cadence,
+            topology,
+            checkpoints: CheckpointStore::new(),
+            lats,
+            tel,
         }
     }
 
-    /// The dense index holding `slot` among `len` members, if any.
-    fn dense(&self, slot: usize, len: usize) -> Option<usize> {
-        match self {
-            SlotTable::Identity => (slot < len).then_some(slot),
-            SlotTable::Shared(table) => table.binary_search(&slot).ok(),
-        }
-    }
-
-    /// The table over `len` members.
-    fn to_table(&self, len: usize) -> Cow<'_, [usize]> {
-        match self {
-            SlotTable::Identity => Cow::Owned((0..len).collect()),
-            SlotTable::Shared(table) => Cow::Borrowed(table),
-        }
+    /// The newest topology epoch, which agents are built at.
+    fn latest(&self) -> Arc<TopologyEpoch> {
+        self.topology.latest().expect("a deployment context holds its genesis epoch")
     }
 }
 
@@ -345,6 +367,201 @@ fn epoch_report(
     }
 }
 
+/// The half of a resource agent or task controller both kinds share: the
+/// agent's identity and protocol books, and the parts of the control
+/// protocol every agent speaks alike (see [`ControlledAgent`]).
+#[derive(Debug)]
+struct AgentCore {
+    ctx: Arc<DeploymentContext>,
+    /// [`Address::Resource`] or [`Address::Controller`] of the agent's
+    /// slot, which stays put while churn reorders dense indices.
+    addr: Address,
+    /// Applied topology epoch.
+    epoch: u64,
+    /// Departed (retired, left or evicted): acknowledge control traffic,
+    /// do nothing else.
+    dormant: bool,
+    /// Holding state because the agent's inputs went stale.
+    degraded: bool,
+    /// Highest supervisor-command sequence applied (volatile).
+    last_cmd_seq: u64,
+    /// Per-agent fleet scope + shipping books. The shipping books are
+    /// durable (see [`AgentTelemetry`]): a crash leaves them alone so the
+    /// report sequence stays monotone across restarts.
+    ftel: AgentTelemetry,
+}
+
+impl AgentCore {
+    fn new(ctx: &Arc<DeploymentContext>, addr: Address, epoch: u64) -> Self {
+        AgentCore {
+            ctx: Arc::clone(ctx),
+            addr,
+            epoch,
+            dormant: false,
+            degraded: false,
+            last_cmd_seq: 0,
+            ftel: AgentTelemetry::new(&ctx.tel, addr, ctx.report_cadence),
+        }
+    }
+
+    fn slot(&self) -> usize {
+        match self.addr {
+            Address::Resource(slot) | Address::Controller(slot) => slot,
+            _ => unreachable!("agents live at resource and controller addresses"),
+        }
+    }
+
+    /// The agent kind, as telemetry events name it.
+    fn kind(&self) -> &'static str {
+        match self.addr {
+            Address::Resource(_) => "resource",
+            _ => "controller",
+        }
+    }
+
+    fn tel(&self) -> &DistTelemetry {
+        &self.ctx.tel
+    }
+
+    /// Counts and records a message value the agent refused, so that a
+    /// corrupted or hostile value never reaches a price or an allocation.
+    fn reject(&self, now: f64, field: &'static str) {
+        self.tel().values_rejected.inc();
+        self.ftel.inc(M_VALUE_REJECTIONS);
+        self.tel().events.emit(
+            TelemetryEvent::new(now, "value_rejected")
+                .with("agent", self.kind())
+                .with("slot", self.slot())
+                .with("field", field),
+        );
+    }
+
+    /// Enters or leaves degraded mode as `stale` says, recording the
+    /// transition, and counts the tick if degraded. Returns `stale`.
+    fn update_staleness(&mut self, now: f64, stale: bool) -> bool {
+        if stale != self.degraded {
+            self.degraded = stale;
+            if stale {
+                self.tel().staleness_freezes.inc();
+            }
+            let kind = if stale { "degraded_enter" } else { "degraded_exit" };
+            self.tel().events.emit(
+                TelemetryEvent::new(now, kind).with("agent", self.kind()).with("slot", self.slot()),
+            );
+        }
+        if stale {
+            self.tel().degraded_ticks.inc();
+            self.ftel.inc(M_DEGRADED_TICKS);
+        }
+        stale
+    }
+
+    /// Acks a sequenced availability update (`seq > 0`), even a
+    /// duplicate — the ack may have been the lost message; `seq == 0` is
+    /// the out-of-band bypass path, which goes unacked.
+    fn ack_availability(&self, resource: usize, seq: u64, outbox: &mut Outbox) {
+        if seq > 0 {
+            outbox.send(
+                Address::ControlPlane,
+                Message::AvailabilityAck { resource, seq, from: self.addr },
+            );
+        }
+    }
+
+    /// Dedupes and acks a supervisor command; returns whether to apply
+    /// it. Sequenced commands (`seq > 0`) are always acked — the ack may
+    /// have been the lost message; `seq == 0` is the out-of-band bypass
+    /// path. A dormant agent applies nothing.
+    fn accept_command(&mut self, seq: u64, outbox: &mut Outbox) -> bool {
+        let fresh = seq == 0 || advance(&mut self.last_cmd_seq, seq);
+        if seq > 0 {
+            outbox.send(Address::ControlPlane, Message::CommandAck { seq, from: self.addr });
+        }
+        fresh && !self.dormant
+    }
+
+    /// Forgets the volatile protocol books on a crash.
+    fn crash(&mut self) {
+        self.degraded = false;
+        self.last_cmd_seq = 0;
+    }
+
+    /// Ships a fleet report when one is due; dormant agents report too
+    /// (empty deltas), so the fleet watermark keeps advancing.
+    fn report(&mut self, now: f64, outbox: &mut Outbox) {
+        self.ftel.maybe_report(now, self.addr, outbox);
+    }
+}
+
+/// Whether sequence number `seq` is newer than `seen`, the highest one
+/// applied so far; if so it becomes the new `seen`.
+fn advance(seen: &mut u64, seq: u64) -> bool {
+    let fresh = seq > *seen;
+    if fresh {
+        *seen = seq;
+    }
+    fresh
+}
+
+/// What an agent kind plugs into the protocol its [`AgentCore`] runs:
+/// epoch adoption, its price restart and its answer to a supervisor
+/// command.
+trait ControlledAgent {
+    fn core(&mut self) -> &mut AgentCore;
+
+    /// Adopts `te`, newer than the applied epoch, at virtual time `now`:
+    /// rebinds the dense index behind the agent's slot and warm-carries
+    /// its state, or sends it dormant if the slot left.
+    fn apply_epoch(&mut self, now: f64, te: &TopologyEpoch);
+
+    /// Restarts the prices from the initial point.
+    fn reset_prices(&mut self);
+
+    /// Applies a fresh supervisor command.
+    fn apply_command(&mut self, msg: &Message, outbox: &mut Outbox);
+
+    /// Moves the agent to `te` if it is newer than the applied epoch.
+    /// Agents that miss epochs jump straight to the newest one they hear
+    /// of; returns whether the jump crossed an eviction epoch.
+    fn adopt_epoch(&mut self, now: f64, te: Option<Arc<TopologyEpoch>>) -> bool {
+        let from = self.core().epoch;
+        let Some(te) = te.filter(|te| te.epoch > from) else {
+            return false;
+        };
+        let rehab = self.core().ctx.topology.evicted_between(from, te.epoch);
+        self.apply_epoch(now, &te);
+        self.core().epoch = te.epoch;
+        rehab
+    }
+
+    /// Handles what every agent answers alike — membership announcements
+    /// and supervisor commands; returns `true` if `msg` was one.
+    fn on_control(&mut self, now: f64, msg: &Message, outbox: &mut Outbox) -> bool {
+        if let Some((_, epoch, seq)) = msg.membership_parts() {
+            let te = self.core().ctx.topology.at(epoch);
+            if self.adopt_epoch(now, te) && !self.core().dormant {
+                // An eviction epoch means sustained overload poisoned the
+                // duals — restart the prices (see MembershipCause).
+                self.reset_prices();
+            }
+            // Always ack, even duplicates or already-superseded epochs —
+            // the ack may have been the lost message.
+            if seq > 0 {
+                let from = self.core().addr;
+                outbox.send(Address::ControlPlane, Message::MembershipAck { epoch, seq, from });
+            }
+            return true;
+        }
+        let Some(seq) = msg.command_seq() else {
+            return false;
+        };
+        if self.core().accept_command(seq, outbox) {
+            self.apply_command(msg, outbox);
+        }
+        true
+    }
+}
+
 /// The price agent of one resource (§4.3, "Resource Price Computation").
 ///
 /// Receives the latencies controllers assigned to the subtasks hosted
@@ -357,22 +574,16 @@ fn epoch_report(
 ///
 /// Like a deployed agent, it keeps the state of its own constraint only:
 /// the duals of one resource, and the latencies, pressures and share
-/// bounds of the subtasks it hosts. Apart from the shared problem view,
-/// nothing it holds grows with the deployment.
+/// bounds of the subtasks it hosts. Apart from the shared problem view
+/// and deployment context, nothing it holds grows with the deployment.
 #[derive(Debug)]
 pub struct ResourceAgent {
+    core: AgentCore,
+    /// Dense index of the resource in the applied epoch.
     r: usize,
-    /// Protocol slot of this resource (== `r` until churn reorders dense
-    /// indices).
-    slot: usize,
     /// This agent's view of the deployment's shared problem (copy on
     /// write).
     problem: Arc<Problem>,
-    method: PriceMethod,
-    policy: StepSizePolicy,
-    /// The clamping boxes' settings, which the share bounds of `market`
-    /// are lowered with.
-    settings: AllocationSettings,
     /// The duals of this resource alone ([`PriceState::single_resource`],
     /// index 0): they carry across epochs unchanged.
     prices: PriceState,
@@ -392,142 +603,66 @@ pub struct ResourceAgent {
     hosted: Vec<(usize, usize)>,
     /// Controller *slots* to broadcast the price to.
     subscribers: Vec<usize>,
-    robustness: RobustnessConfig,
-    topology: Option<TopologyStore>,
-    /// Applied topology epoch.
-    epoch: u64,
-    /// Retired: acknowledge control traffic, do nothing else.
-    dormant: bool,
     /// Virtual time of the newest latency message heard.
     last_heard: f64,
     /// Congestion bit of the last non-degraded tick (rebroadcast while
     /// degraded).
     congested: bool,
-    degraded: bool,
     /// Highest control-plane sequence applied (volatile; reset on crash).
     last_avail_seq: u64,
-    /// Highest supervisor-command sequence applied (volatile).
-    last_cmd_seq: u64,
-    tel: DistTelemetry,
-    /// Per-agent fleet scope + shipping books. The shipping books are
-    /// durable (see [`AgentTelemetry`]): `on_crash` leaves them alone so
-    /// the report sequence stays monotone across restarts.
-    ftel: AgentTelemetry,
 }
 
 impl ResourceAgent {
-    /// Creates the agent for resource `r`, seeding stored latencies from
-    /// the problem's initial allocation. Slot and dense index coincide at
-    /// creation; [`with_membership`](Self::with_membership) overrides the
-    /// slot for agents joining a churned deployment. Pass an
-    /// `Arc<Problem>` to share one problem between agents.
-    pub fn new(
-        r: usize,
-        problem: impl Into<Arc<Problem>>,
-        method: PriceMethod,
-        policy: StepSizePolicy,
-        settings: AllocationSettings,
-    ) -> Self {
-        let problem = problem.into();
-        let market = ResourcePlan::lower(&problem, problem.resources()[r].id(), &settings);
-        let tel = DistTelemetry::disabled();
-        let ftel = AgentTelemetry::new(&tel, Address::Resource(r), 0.0);
+    /// The price agent of the resource in `slot`, built at the newest
+    /// epoch of `ctx`'s topology: the hosted subtasks start from their
+    /// initial latencies, the price from the initial point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not a live resource of that epoch.
+    pub fn new(ctx: &Arc<DeploymentContext>, slot: usize) -> Self {
+        let te = ctx.latest();
+        let r = te.resource_slots.binary_search(&slot).expect("the resource slot is live");
+        let problem = Arc::clone(&te.problem);
+        let market = ResourcePlan::lower(&problem, problem.resources()[r].id(), &ctx.settings);
         let mut agent = ResourceAgent {
+            core: AgentCore::new(ctx, Address::Resource(slot), te.epoch),
             r,
-            slot: r,
             problem,
-            method,
-            policy,
-            settings,
-            prices: PriceState::single_resource(policy),
+            prices: PriceState::single_resource(ctx.policy),
             latencies: Vec::new(),
             pressures: Vec::new(),
             market,
             hosted: Vec::new(),
             subscribers: Vec::new(),
-            robustness: RobustnessConfig::default(),
-            topology: None,
-            epoch: 0,
-            dormant: false,
             last_heard: 0.0,
             congested: false,
-            degraded: false,
             last_avail_seq: 0,
-            last_cmd_seq: 0,
-            tel,
-            ftel,
         };
-        agent.resync_from_problem(|t| t);
+        agent.resync_from_problem(|t| te.task_slots[t]);
         agent
-    }
-
-    /// Sets the fault-tolerance configuration.
-    pub fn with_robustness(mut self, robustness: RobustnessConfig) -> Self {
-        self.robustness = robustness;
-        self
-    }
-
-    /// Attaches shared telemetry handles (counters + event log).
-    pub fn with_telemetry(mut self, tel: DistTelemetry) -> Self {
-        self.tel = tel;
-        self
-    }
-
-    /// Attaches this agent's fleet scope (scoped counters + optional
-    /// report shipping).
-    pub fn with_fleet(mut self, ftel: AgentTelemetry) -> Self {
-        self.ftel = ftel;
-        self
     }
 
     /// Read access to the fleet scope, e.g. to compare reports emitted
     /// against the collector's merge accounting in tests.
     pub fn fleet_telemetry(&self) -> &AgentTelemetry {
-        &self.ftel
-    }
-
-    /// Attaches the shared topology store and fixes the agent's protocol
-    /// slot. The agent adopts the slot assignment of `epoch` (which the
-    /// caller has already pushed to the store); membership messages for
-    /// later epochs update it from there.
-    pub fn with_membership(mut self, store: TopologyStore, slot: usize, epoch: u64) -> Self {
-        self.slot = slot;
-        self.epoch = epoch;
-        if let Some(te) = store.at(epoch) {
-            let rid = self.problem.resources()[self.r].id();
-            let rekeyed = self
-                .problem
-                .subtasks_on(rid)
-                .iter()
-                .zip(&self.hosted)
-                .any(|(sid, key)| te.task_slots[sid.task().index()] != key.0);
-            if rekeyed {
-                // Churn reordered the slots: re-key the hosted set. It
-                // holds only initial latencies yet, so nothing warm is lost.
-                self.hosted.clear();
-                self.latencies.clear();
-                self.pressures.clear();
-                self.resync_from_problem(|t| te.task_slots[t]);
-            }
-        }
-        self.topology = Some(store);
-        self
+        &self.core.ftel
     }
 
     /// Protocol slot of this agent.
     pub fn slot(&self) -> usize {
-        self.slot
+        self.core.slot()
     }
 
     /// Applied topology epoch.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.core.epoch
     }
 
     /// Whether the resource has retired and the agent only acknowledges
     /// control traffic.
     pub fn is_dormant(&self) -> bool {
-        self.dormant
+        self.core.dormant
     }
 
     /// This agent's copy-on-write problem view.
@@ -544,7 +679,7 @@ impl ResourceAgent {
     /// Whether the agent is currently holding its price because its
     /// latency inputs went stale.
     pub fn is_degraded(&self) -> bool {
-        self.degraded
+        self.core.degraded
     }
 
     /// Adaptive step-size growth events recorded by this agent's price
@@ -601,58 +736,7 @@ impl ResourceAgent {
     /// view: the hosted set and `B_r` both feed them.
     fn relower_market(&mut self) {
         let rid = self.problem.resources()[self.r].id();
-        self.market = ResourcePlan::lower(&self.problem, rid, &self.settings);
-    }
-
-    /// Adopts a newer topology epoch: rebind the dense index behind this
-    /// agent's slot, warm-carry the price, and re-derive the hosted set.
-    /// A retired slot sends the agent dormant.
-    fn apply_epoch(&mut self, te: &TopologyEpoch) {
-        self.epoch = te.epoch;
-        let Some(new_r) = te.resource_slots.iter().position(|&s| s == self.slot) else {
-            // Drain-and-handoff already moved the hosted subtasks in the
-            // epoch's problem; nothing is left to serve.
-            self.dormant = true;
-            self.hosted.clear();
-            self.latencies.clear();
-            self.pressures.clear();
-            self.subscribers.clear();
-            return;
-        };
-        // The agent's one-resource duals carry over as they are.
-        self.tel.warm_start_hits.inc();
-        self.problem = Arc::clone(&te.problem);
-        self.r = new_r;
-        self.resync_from_problem(|t| te.task_slots[t]);
-        self.relower_market();
-    }
-
-    /// Handles a membership message; returns `true` if it was one.
-    fn on_membership(&mut self, msg: &Message, outbox: &mut Outbox) -> bool {
-        let Some((_, epoch, seq)) = msg.membership_parts() else {
-            return false;
-        };
-        if epoch > self.epoch {
-            if let Some(te) = self.topology.as_ref().and_then(|s| s.at(epoch)) {
-                let rehab =
-                    self.topology.as_ref().is_some_and(|s| s.evicted_between(self.epoch, epoch));
-                self.apply_epoch(&te);
-                if rehab && !self.dormant {
-                    // An eviction epoch means sustained overload poisoned
-                    // the duals — restart the price (see MembershipCause).
-                    self.prices = PriceState::single_resource(self.policy);
-                }
-            }
-        }
-        // Always ack, even duplicates or already-superseded epochs — the
-        // ack may have been the lost message.
-        if seq > 0 {
-            outbox.send(
-                Address::ControlPlane,
-                Message::MembershipAck { epoch, seq, from: Address::Resource(self.slot) },
-            );
-        }
-        true
+        self.market = ResourcePlan::lower(&self.problem, rid, &self.core.ctx.settings);
     }
 
     /// Applies an availability update, refusing values the model layer
@@ -662,89 +746,74 @@ impl ResourceAgent {
         if set_availability_cow(&mut self.problem, self.r, availability).is_ok() {
             self.relower_market();
         } else {
-            self.tel.values_rejected.inc();
-            self.ftel.inc(M_VALUE_REJECTIONS);
-            self.tel.events.emit(
-                TelemetryEvent::new(now, "value_rejected")
-                    .with("agent", "resource")
-                    .with("slot", self.slot)
-                    .with("field", "availability"),
-            );
+            self.core.reject(now, "availability");
         }
     }
 
-    /// Handles a supervisor command; returns `true` if it was one.
-    /// Sequenced commands (`seq > 0`) are deduplicated and always acked
-    /// — the ack may have been the lost message; `seq == 0` is the
-    /// out-of-band bypass path.
-    fn on_command(&mut self, msg: &Message, outbox: &mut Outbox) -> bool {
-        let Some(seq) = msg.command_seq() else {
-            return false;
-        };
-        let fresh = seq == 0 || seq > self.last_cmd_seq;
-        if seq > 0 {
-            if fresh {
-                self.last_cmd_seq = seq;
-            }
+    /// Announces the current price to every subscribed controller.
+    fn broadcast_price(&self, mu: f64, outbox: &mut Outbox) {
+        let resource = self.core.slot();
+        for &t in &self.subscribers {
             outbox.send(
-                Address::ControlPlane,
-                Message::CommandAck { seq, from: Address::Resource(self.slot) },
+                Address::Controller(t),
+                Message::Price { resource, mu, congested: self.congested },
             );
         }
-        if fresh && !self.dormant {
-            match *msg {
-                Message::GammaCalm { max_multiple, .. } => self.prices.calm_gammas(max_multiple),
-                Message::DualResync { .. } => {
-                    // Re-announce the current price immediately so stalled
-                    // controllers' staleness clocks refresh without
-                    // waiting for the next tick phase.
-                    let mu = self.prices.mu(0);
-                    for &t in &self.subscribers {
-                        outbox.send(
-                            Address::Controller(t),
-                            Message::Price { resource: self.slot, mu, congested: self.congested },
-                        );
-                    }
-                }
-                _ => unreachable!("command_seq() only matches supervisor commands"),
-            }
+    }
+}
+
+impl ControlledAgent for ResourceAgent {
+    fn core(&mut self) -> &mut AgentCore {
+        &mut self.core
+    }
+
+    /// Rebinds the dense index behind this agent's slot, warm-carries the
+    /// price and re-derives the hosted set. A retired slot sends the
+    /// agent dormant.
+    fn apply_epoch(&mut self, _now: f64, te: &TopologyEpoch) {
+        let Ok(new_r) = te.resource_slots.binary_search(&self.core.slot()) else {
+            // Drain-and-handoff already moved the hosted subtasks in the
+            // epoch's problem; nothing is left to serve.
+            self.core.dormant = true;
+            self.hosted.clear();
+            self.latencies.clear();
+            self.pressures.clear();
+            self.subscribers.clear();
+            return;
+        };
+        // The agent's one-resource duals carry over as they are.
+        self.core.tel().warm_start_hits.inc();
+        self.problem = Arc::clone(&te.problem);
+        self.r = new_r;
+        self.resync_from_problem(|t| te.task_slots[t]);
+        self.relower_market();
+    }
+
+    fn reset_prices(&mut self) {
+        self.prices = PriceState::single_resource(self.core.ctx.policy);
+    }
+
+    fn apply_command(&mut self, msg: &Message, outbox: &mut Outbox) {
+        match *msg {
+            Message::GammaCalm { max_multiple, .. } => self.prices.calm_gammas(max_multiple),
+            // Re-announce the current price immediately so stalled
+            // controllers' staleness clocks refresh without waiting for
+            // the next tick phase.
+            Message::DualResync { .. } => self.broadcast_price(self.prices.mu(0), outbox),
+            _ => unreachable!("command_seq() only matches supervisor commands"),
         }
-        true
     }
 }
 
 impl Actor for ResourceAgent {
     fn on_tick(&mut self, now: f64, outbox: &mut Outbox) {
-        if self.dormant {
-            // Dormant agents still report (empty deltas) so the fleet
-            // watermark keeps advancing.
-            self.ftel.maybe_report(now, Address::Resource(self.slot), outbox);
+        if self.core.dormant {
+            self.core.report(now, outbox);
             return;
         }
-        self.ftel.inc(M_TICKS);
-        let was_degraded = self.degraded;
-        self.degraded = now - self.last_heard > self.robustness.staleness_ttl;
-        if self.degraded != was_degraded {
-            if self.degraded {
-                self.tel.staleness_freezes.inc();
-                self.tel.events.emit(
-                    TelemetryEvent::new(now, "degraded_enter")
-                        .with("agent", "resource")
-                        .with("slot", self.slot),
-                );
-            } else {
-                self.tel.events.emit(
-                    TelemetryEvent::new(now, "degraded_exit")
-                        .with("agent", "resource")
-                        .with("slot", self.slot),
-                );
-            }
-        }
-        if self.degraded {
-            self.tel.degraded_ticks.inc();
-            self.ftel.inc(M_DEGRADED_TICKS);
-        }
-        let mu = if self.degraded {
+        self.core.ftel.inc(M_TICKS);
+        let stale = now - self.last_heard > self.core.ctx.robustness.staleness_ttl;
+        let mu = if self.core.update_staleness(now, stale) {
             // Latency inputs are stale (partition, crashed controllers):
             // integrating the frozen gradient would drift the price away
             // from the operating point. Hold and keep announcing it.
@@ -753,7 +822,8 @@ impl Actor for ResourceAgent {
             let usage = self.usage();
             let availability = self.problem.resources()[self.r].availability();
             let grad = availability - usage;
-            self.congested = match self.method {
+            let method = self.core.ctx.method;
+            self.congested = match method {
                 PriceMethod::Gradient => grad < 0.0,
                 // A cleared resource sits at `B_r` by construction, where
                 // a strict test reads rounding as overload: count only
@@ -761,10 +831,10 @@ impl Actor for ResourceAgent {
                 PriceMethod::Clearing => -grad > FEASIBILITY_TOL,
             };
             if self.congested {
-                self.ftel.inc(M_OVERLOADED_TICKS);
+                self.core.ftel.inc(M_OVERLOADED_TICKS);
             }
-            self.ftel.inc(M_PRICE_UPDATES);
-            match self.method {
+            self.core.ftel.inc(M_PRICE_UPDATES);
+            match method {
                 PriceMethod::Gradient => self.prices.apply_resource_step(0, grad),
                 PriceMethod::Clearing => {
                     let mu = self.market.clear_mu(&self.pressures, self.prices.mu(0));
@@ -773,51 +843,31 @@ impl Actor for ResourceAgent {
                 }
             }
         };
-        for &t in &self.subscribers {
-            outbox.send(
-                Address::Controller(t),
-                Message::Price { resource: self.slot, mu, congested: self.congested },
-            );
-        }
-        self.ftel.add(M_MESSAGES_OUT, self.subscribers.len() as u64);
-        self.ftel.maybe_report(now, Address::Resource(self.slot), outbox);
+        self.broadcast_price(mu, outbox);
+        self.core.ftel.add(M_MESSAGES_OUT, self.subscribers.len() as u64);
+        self.core.report(now, outbox);
     }
 
     fn on_message(&mut self, now: f64, msg: Message, outbox: &mut Outbox) {
-        self.ftel.inc(M_MESSAGES_IN);
-        if self.on_membership(&msg, outbox) {
-            return;
-        }
-        if self.on_command(&msg, outbox) {
+        self.core.ftel.inc(M_MESSAGES_IN);
+        if self.on_control(now, &msg, outbox) {
             return;
         }
         match msg {
             Message::Latency { task, subtask, latency, pressure } => {
                 // `task` is a slot; `hosted` is keyed by slot, so stale
                 // messages from departed tasks simply miss.
-                if self.dormant {
+                if self.core.dormant {
                     return;
                 }
                 // A non-positive latency would push the price gradient
                 // through `share(lat) → ∞`, a non-finite pressure the μ
                 // solve through NaN; refuse both at the boundary.
-                let rejected = if !latency.is_finite() || latency <= 0.0 {
-                    Some("latency")
-                } else if pressure.is_some_and(|p| !p.is_finite()) {
-                    Some("pressure")
-                } else {
-                    None
-                };
-                if let Some(field) = rejected {
-                    self.tel.values_rejected.inc();
-                    self.ftel.inc(M_VALUE_REJECTIONS);
-                    self.tel.events.emit(
-                        TelemetryEvent::new(now, "value_rejected")
-                            .with("agent", "resource")
-                            .with("slot", self.slot)
-                            .with("field", field),
-                    );
-                    return;
+                if !latency.is_finite() || latency <= 0.0 {
+                    return self.core.reject(now, "latency");
+                }
+                if pressure.is_some_and(|p| !p.is_finite()) {
+                    return self.core.reject(now, "pressure");
                 }
                 if let Ok(pos) = self.hosted.binary_search(&(task, subtask)) {
                     self.latencies[pos] = latency;
@@ -828,26 +878,12 @@ impl Actor for ResourceAgent {
                 }
             }
             Message::AvailabilityUpdate { resource, availability, seq } => {
-                if seq == 0 {
-                    // Out-of-band management command (bypass path).
-                    if resource == self.slot && !self.dormant {
-                        self.apply_availability(now, availability);
-                    }
-                } else {
-                    if resource == self.slot && seq > self.last_avail_seq && !self.dormant {
-                        self.apply_availability(now, availability);
-                        self.last_avail_seq = seq;
-                    }
-                    // Always ack, even duplicates — the ack may have been
-                    // the lost message.
-                    outbox.send(
-                        Address::ControlPlane,
-                        Message::AvailabilityAck {
-                            resource,
-                            seq,
-                            from: Address::Resource(self.slot),
-                        },
-                    );
+                self.core.ack_availability(resource, seq, outbox);
+                // Only this resource's own updates apply, and only they
+                // advance its sequence book.
+                let own = resource == self.core.slot() && !self.core.dormant;
+                if own && (seq == 0 || advance(&mut self.last_avail_seq, seq)) {
+                    self.apply_availability(now, availability);
                 }
             }
             _ => {}
@@ -866,22 +902,18 @@ impl Actor for ResourceAgent {
             *latency = self.problem.initial_subtask_latency(sid);
         }
         self.pressures.fill(0.0);
-        self.prices = PriceState::single_resource(self.policy);
+        self.reset_prices();
         self.last_heard = 0.0;
         self.congested = false;
-        self.degraded = false;
         self.last_avail_seq = 0;
-        self.last_cmd_seq = 0;
+        self.core.crash();
     }
 
     fn on_restart(&mut self, now: f64, _outbox: &mut Outbox) {
         // The topology store is durable configuration: a restarted agent
         // rejoins at the newest epoch, whatever it missed while down.
-        if let Some(te) = self.topology.as_ref().and_then(|s| s.latest()) {
-            if te.epoch > self.epoch {
-                self.apply_epoch(&te);
-            }
-        }
+        let latest = self.core.ctx.topology.latest();
+        self.adopt_epoch(now, latest);
         // Give the staleness TTL a fresh grace period.
         self.last_heard = now;
     }
@@ -905,49 +937,33 @@ impl Actor for ResourceAgent {
 /// Fault tolerance (all opt-in via [`RobustnessConfig`]): the controller
 /// records when it last heard each relevant resource's price and degrades
 /// to holding its last-known-good latencies once any of them exceeds the
-/// staleness TTL; it periodically writes a [`ControllerCheckpoint`] to a
-/// [`CheckpointStore`] and restores from it after a crash.
+/// staleness TTL; it periodically writes a [`ControllerCheckpoint`] to the
+/// deployment's [`CheckpointStore`] and restores from it after a crash.
 #[derive(Debug)]
 pub struct TaskController {
+    core: AgentCore,
+    /// Dense index of the task in the applied epoch.
     t: usize,
-    /// Protocol slot of this task (== `t` until churn reorders dense
-    /// indices).
-    slot: usize,
     /// This controller's view of the deployment's shared problem (copy on
     /// write).
     problem: Arc<Problem>,
-    method: PriceMethod,
-    policy: StepSizePolicy,
     prices: PriceState,
     congested: Vec<bool>,
     lats: Vec<f64>,
-    settings: AllocationSettings,
-    telemetry: SharedLats,
-    robustness: RobustnessConfig,
-    checkpoints: Option<CheckpointStore>,
-    topology: Option<TopologyStore>,
-    /// Applied topology epoch.
-    epoch: u64,
-    /// Departed (left or evicted): acknowledge control traffic, do
-    /// nothing else.
-    dormant: bool,
-    /// Dense task index → slot in the applied epoch.
-    task_slots: SlotTable,
+    /// Dense task index → slot in the applied epoch (the epoch's table).
+    task_slots: Arc<[usize]>,
     /// Dense resource index → slot in the applied epoch.
-    resource_slots: SlotTable,
+    resource_slots: Arc<[usize]>,
     last_checkpoint: f64,
     /// Virtual time of the newest price heard, per (dense) resource.
     last_heard: Vec<f64>,
     /// Dense resource indices this task's subtasks actually use.
     used_resources: Vec<usize>,
     ticks: usize,
-    degraded: bool,
     degraded_ticks: u64,
     /// Highest applied control-plane sequence, per resource slot
     /// (volatile).
     last_avail_seq: HashMap<usize, u64>,
-    /// Highest supervisor-command sequence applied (volatile).
-    last_cmd_seq: u64,
     /// Compiled single-task allocation kernel (lla-core's plan lowering),
     /// re-lowered whenever the problem or this controller's task changes.
     plan: TaskPlan,
@@ -960,141 +976,70 @@ pub struct TaskController {
     next_lats: Vec<f64>,
     /// The λ block's reusable term buffer.
     path_terms: Vec<PathTerm>,
-    tel: DistTelemetry,
-    /// Per-agent fleet scope + shipping books (durable across crashes,
-    /// like the checkpoint store — see [`AgentTelemetry`]).
-    ftel: AgentTelemetry,
 }
 
 impl TaskController {
-    /// Creates the controller for task `t`. Slot and dense index coincide
-    /// at creation; [`with_membership`](Self::with_membership) overrides
-    /// the slot for controllers joining a churned deployment. Pass an
-    /// `Arc<Problem>` to share one problem between agents.
-    pub fn new(
-        t: usize,
-        problem: impl Into<Arc<Problem>>,
-        method: PriceMethod,
-        policy: StepSizePolicy,
-        settings: AllocationSettings,
-        telemetry: SharedLats,
-    ) -> Self {
-        let problem = problem.into();
-        let lats = problem.initial_task_allocation(problem.tasks()[t].id());
-        let congested = vec![false; problem.resources().len()];
-        let last_heard = vec![0.0; problem.resources().len()];
-        let mut used_resources: Vec<usize> =
-            problem.tasks()[t].subtasks().iter().map(|s| s.resource().index()).collect();
-        used_resources.sort_unstable();
-        used_resources.dedup();
-        let prices = PriceState::new(&problem, policy);
-        let plan = TaskPlan::lower(&problem, problem.tasks()[t].id(), &settings);
-        let lambda_scratch = vec![0.0; plan.len()];
-        let next_lats = vec![0.0; plan.len()];
-        let tel = DistTelemetry::disabled();
-        let ftel = AgentTelemetry::new(&tel, Address::Controller(t), 0.0);
+    /// The controller of the task in `slot`, built at the newest epoch of
+    /// `ctx`'s topology: its latencies start from the task's initial
+    /// allocation, its prices from the initial point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not a live task of that epoch.
+    pub fn new(ctx: &Arc<DeploymentContext>, slot: usize) -> Self {
+        let te = ctx.latest();
+        let t = te.task_slots.binary_search(&slot).expect("the task slot is live");
+        let problem = Arc::clone(&te.problem);
+        let id = problem.tasks()[t].id();
+        let plan = TaskPlan::lower(&problem, id, &ctx.settings);
         TaskController {
+            core: AgentCore::new(ctx, Address::Controller(slot), te.epoch),
             t,
-            slot: t,
-            problem,
-            method,
-            policy,
-            prices,
-            congested,
-            lats,
-            settings,
-            telemetry,
-            robustness: RobustnessConfig::default(),
-            checkpoints: None,
-            topology: None,
-            epoch: 0,
-            dormant: false,
-            task_slots: SlotTable::Identity,
-            resource_slots: SlotTable::Identity,
+            lats: problem.initial_task_allocation(id),
+            congested: vec![false; problem.resources().len()],
+            last_heard: vec![0.0; problem.resources().len()],
+            used_resources: used_resources(&problem, t),
+            prices: PriceState::new(&problem, ctx.policy),
+            task_slots: Arc::clone(&te.task_slots),
+            resource_slots: Arc::clone(&te.resource_slots),
             last_checkpoint: 0.0,
-            last_heard,
-            used_resources,
             ticks: 0,
-            degraded: false,
             degraded_ticks: 0,
             last_avail_seq: HashMap::new(),
-            last_cmd_seq: 0,
+            lambda_scratch: vec![0.0; plan.len()],
+            next_lats: vec![0.0; plan.len()],
             plan,
-            lambda_scratch,
-            next_lats,
             path_terms: Vec::new(),
-            tel,
-            ftel,
+            problem,
         }
-    }
-
-    /// Sets the fault-tolerance configuration.
-    pub fn with_robustness(mut self, robustness: RobustnessConfig) -> Self {
-        self.robustness = robustness;
-        self
-    }
-
-    /// Attaches shared telemetry handles (counters + event log).
-    pub fn with_telemetry(mut self, tel: DistTelemetry) -> Self {
-        self.tel = tel;
-        self
-    }
-
-    /// Attaches this controller's fleet scope (scoped counters + optional
-    /// report shipping).
-    pub fn with_fleet(mut self, ftel: AgentTelemetry) -> Self {
-        self.ftel = ftel;
-        self
     }
 
     /// Read access to the fleet scope, e.g. to compare reports emitted
     /// against the collector's merge accounting in tests.
     pub fn fleet_telemetry(&self) -> &AgentTelemetry {
-        &self.ftel
-    }
-
-    /// Attaches the shared topology store and fixes the controller's
-    /// protocol slot. The controller adopts the slot assignment of
-    /// `epoch` (already pushed to the store by the caller); membership
-    /// messages for later epochs update it from there.
-    pub fn with_membership(mut self, store: TopologyStore, slot: usize, epoch: u64) -> Self {
-        self.slot = slot;
-        self.epoch = epoch;
-        if let Some(te) = store.at(epoch) {
-            self.task_slots = SlotTable::Shared(Arc::clone(&te.task_slots));
-            self.resource_slots = SlotTable::Shared(Arc::clone(&te.resource_slots));
-        }
-        self.topology = Some(store);
-        self
+        &self.core.ftel
     }
 
     /// Protocol slot of this controller.
     pub fn slot(&self) -> usize {
-        self.slot
+        self.core.slot()
     }
 
     /// Applied topology epoch.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.core.epoch
     }
 
     /// Whether the task has departed and the controller only acknowledges
     /// control traffic.
     pub fn is_dormant(&self) -> bool {
-        self.dormant
+        self.core.dormant
     }
 
     /// This controller's copy-on-write problem view.
     #[cfg(test)]
     pub(crate) fn problem(&self) -> &Arc<Problem> {
         &self.problem
-    }
-
-    /// Attaches the stable store this controller checkpoints into (and
-    /// restores from after a crash).
-    pub fn with_checkpoints(mut self, store: CheckpointStore) -> Self {
-        self.checkpoints = Some(store);
-        self
     }
 
     /// The controller's current latency assignment.
@@ -1105,7 +1050,7 @@ impl TaskController {
     /// Whether the controller is currently holding its last-known-good
     /// latencies because some price went stale.
     pub fn is_degraded(&self) -> bool {
-        self.degraded
+        self.core.degraded
     }
 
     /// Ticks spent in degraded mode so far.
@@ -1145,18 +1090,13 @@ impl TaskController {
     /// untouched — when the checkpoint was captured under a different
     /// epoch or its matrices no longer fit the problem.
     pub fn try_restore(&mut self, ckpt: &ControllerCheckpoint) -> Result<(), StateImportError> {
-        if ckpt.epoch != self.epoch {
-            return Err(StateImportError::EpochMismatch {
-                expected: self.epoch,
-                found: ckpt.epoch,
-            });
+        let epoch = self.core.epoch;
+        if ckpt.epoch != epoch {
+            return Err(StateImportError::EpochMismatch { expected: epoch, found: ckpt.epoch });
         }
         if let Some(tagged) = ckpt.state.epoch() {
-            if tagged != self.epoch {
-                return Err(StateImportError::EpochMismatch {
-                    expected: self.epoch,
-                    found: tagged,
-                });
+            if tagged != epoch {
+                return Err(StateImportError::EpochMismatch { expected: epoch, found: tagged });
             }
         }
         let n_tasks = self.problem.tasks().len();
@@ -1190,7 +1130,7 @@ impl TaskController {
     /// the plan is rebuilt.
     fn rebuild_plan(&mut self) {
         let id = self.problem.tasks()[self.t].id();
-        self.plan = TaskPlan::lower(&self.problem, id, &self.settings);
+        self.plan = TaskPlan::lower(&self.problem, id, &self.core.ctx.settings);
         self.lambda_scratch.resize(self.plan.len(), 0.0);
         self.next_lats.resize(self.plan.len(), 0.0);
     }
@@ -1200,31 +1140,21 @@ impl TaskController {
     /// prices (the new λ, and a concave task's f′ at the new allocation),
     /// rebuilt into `lambda_scratch`.
     fn send_latencies(&mut self, outbox: &mut Outbox) {
-        let clearing = self.method == PriceMethod::Clearing;
+        let clearing = self.core.ctx.method == PriceMethod::Clearing;
         if clearing {
             self.plan.pressures_into(self.t, &self.prices, &self.lats, &mut self.lambda_scratch);
         }
         let task = &self.problem.tasks()[self.t];
         for (s, sub) in task.subtasks().iter().enumerate() {
             outbox.send(
-                Address::Resource(self.resource_slots.slot(sub.resource().index())),
+                Address::Resource(self.resource_slots[sub.resource().index()]),
                 Message::Latency {
-                    task: self.slot,
+                    task: self.core.slot(),
                     subtask: s,
                     latency: self.lats[s],
                     pressure: clearing.then(|| self.lambda_scratch[s]),
                 },
             );
-        }
-    }
-
-    /// Incremental follow-up to a single resource's availability change:
-    /// `B_r` feeds the clamping boxes, so the compiled plan is re-lowered
-    /// only when this controller's task actually runs on `r`.
-    fn on_availability_applied(&mut self, r: usize) {
-        if self.used_resources.binary_search(&r).is_ok() {
-            let id = self.problem.tasks()[self.t].id();
-            self.plan = TaskPlan::lower(&self.problem, id, &self.settings);
         }
     }
 
@@ -1235,25 +1165,54 @@ impl TaskController {
 
     /// Dense index of the resource in `slot` under the applied epoch.
     fn resource_dense(&self, slot: usize) -> Option<usize> {
-        self.resource_slots.dense(slot, self.problem.resources().len())
+        self.resource_slots.binary_search(&slot).ok()
     }
 
-    /// Adopts a newer topology epoch: rebind this controller's dense
-    /// index, warm-carry surviving duals, and remap the per-resource
-    /// congestion/staleness books. A departed slot sends the controller
-    /// dormant.
-    fn apply_epoch(&mut self, now: f64, te: &TopologyEpoch) {
-        let report = epoch_report(
-            &self.task_slots.to_table(self.problem.tasks().len()),
-            &self.resource_slots.to_table(self.problem.resources().len()),
-            te,
+    /// Takes a checkpoint when one is due.
+    fn maybe_checkpoint(&mut self, now: f64) {
+        if now - self.last_checkpoint < self.core.ctx.robustness.checkpoint_interval {
+            return;
+        }
+        let epoch = self.core.epoch;
+        self.core.ctx.checkpoints.save(
+            self.core.addr,
+            ControllerCheckpoint {
+                state: self.export_state().with_epoch(epoch),
+                congested: self.congested.clone(),
+                at: now,
+                epoch,
+            },
         );
-        self.epoch = te.epoch;
-        let Some(new_t) = te.task_slots.iter().position(|&s| s == self.slot) else {
-            self.dormant = true;
+        self.last_checkpoint = now;
+        self.core.tel().checkpoint_saves.inc();
+        self.core.ftel.inc(M_CHECKPOINTS);
+    }
+}
+
+/// The sorted dense indices of the resources task `t`'s subtasks run on.
+fn used_resources(problem: &Problem, t: usize) -> Vec<usize> {
+    let mut used: Vec<usize> =
+        problem.tasks()[t].subtasks().iter().map(|s| s.resource().index()).collect();
+    used.sort_unstable();
+    used.dedup();
+    used
+}
+
+impl ControlledAgent for TaskController {
+    fn core(&mut self) -> &mut AgentCore {
+        &mut self.core
+    }
+
+    /// Rebinds this controller's dense index, warm-carries surviving
+    /// duals, and remaps the per-resource congestion/staleness books. A
+    /// departed slot sends the controller dormant.
+    fn apply_epoch(&mut self, now: f64, te: &TopologyEpoch) {
+        let Ok(new_t) = te.task_slots.binary_search(&self.core.slot()) else {
+            self.core.dormant = true;
             return;
         };
-        self.tel.warm_start_hits.inc();
+        let report = epoch_report(&self.task_slots, &self.resource_slots, te);
+        self.core.tel().warm_start_hits.inc();
         self.prices = self.prices.remap(&te.problem, &report);
         let n_res = te.problem.resources().len();
         let mut congested = vec![false; n_res];
@@ -1269,116 +1228,48 @@ impl TaskController {
         self.last_heard = last_heard;
         self.problem = Arc::clone(&te.problem);
         self.t = new_t;
-        self.task_slots = SlotTable::Shared(Arc::clone(&te.task_slots));
-        self.resource_slots = SlotTable::Shared(Arc::clone(&te.resource_slots));
+        self.task_slots = Arc::clone(&te.task_slots);
+        self.resource_slots = Arc::clone(&te.resource_slots);
         // The task's own subtask row never changes shape across epochs
         // (drain only rebinds resources), so the warm `lats` stay valid.
-        let mut used: Vec<usize> =
-            self.problem.tasks()[self.t].subtasks().iter().map(|s| s.resource().index()).collect();
-        used.sort_unstable();
-        used.dedup();
-        self.used_resources = used;
+        self.used_resources = used_resources(&self.problem, self.t);
         self.rebuild_plan();
     }
 
-    /// Handles a membership message; returns `true` if it was one.
-    fn on_membership(&mut self, now: f64, msg: &Message, outbox: &mut Outbox) -> bool {
-        let Some((_, epoch, seq)) = msg.membership_parts() else {
-            return false;
-        };
-        if epoch > self.epoch {
-            if let Some(te) = self.topology.as_ref().and_then(|s| s.at(epoch)) {
-                let rehab =
-                    self.topology.as_ref().is_some_and(|s| s.evicted_between(self.epoch, epoch));
-                self.apply_epoch(now, &te);
-                if rehab && !self.dormant {
-                    // An eviction epoch means sustained overload poisoned
-                    // the duals — restart the prices (see MembershipCause).
-                    self.prices = PriceState::new(&self.problem, self.policy);
-                }
-            }
-        }
-        if seq > 0 {
-            outbox.send(
-                Address::ControlPlane,
-                Message::MembershipAck { epoch, seq, from: Address::Controller(self.slot) },
-            );
-        }
-        true
+    fn reset_prices(&mut self) {
+        self.prices = PriceState::new(&self.problem, self.core.ctx.policy);
     }
 
-    /// Handles a supervisor command; returns `true` if it was one.
-    /// Sequenced commands (`seq > 0`) are deduplicated and always acked;
-    /// `seq == 0` is the out-of-band bypass path.
-    fn on_command(&mut self, msg: &Message, outbox: &mut Outbox) -> bool {
-        let Some(seq) = msg.command_seq() else {
-            return false;
-        };
-        let fresh = seq == 0 || seq > self.last_cmd_seq;
-        if seq > 0 {
-            if fresh {
-                self.last_cmd_seq = seq;
-            }
-            outbox.send(
-                Address::ControlPlane,
-                Message::CommandAck { seq, from: Address::Controller(self.slot) },
-            );
+    fn apply_command(&mut self, msg: &Message, outbox: &mut Outbox) {
+        match *msg {
+            Message::GammaCalm { max_multiple, .. } => self.prices.calm_gammas(max_multiple),
+            // Re-send the current latencies so stalled resources'
+            // staleness clocks refresh without waiting for the next tick
+            // phase.
+            Message::DualResync { .. } => self.send_latencies(outbox),
+            _ => unreachable!("command_seq() only matches supervisor commands"),
         }
-        if fresh && !self.dormant {
-            match *msg {
-                Message::GammaCalm { max_multiple, .. } => self.prices.calm_gammas(max_multiple),
-                Message::DualResync { .. } => {
-                    // Re-send the current latencies so stalled resources'
-                    // staleness clocks refresh without waiting for the
-                    // next tick phase.
-                    self.send_latencies(outbox);
-                }
-                _ => unreachable!("command_seq() only matches supervisor commands"),
-            }
-        }
-        true
     }
 }
 
 impl Actor for TaskController {
     fn on_tick(&mut self, now: f64, outbox: &mut Outbox) {
-        if self.dormant {
-            // Dormant controllers still report (empty deltas) so the
-            // fleet watermark keeps advancing.
-            self.ftel.maybe_report(now, Address::Controller(self.slot), outbox);
+        if self.core.dormant {
+            self.core.report(now, outbox);
             return;
         }
         self.ticks += 1;
-        self.ftel.inc(M_TICKS);
-        let was_degraded = self.degraded;
-        self.degraded = self.staleness(now) > self.robustness.staleness_ttl;
-        if self.degraded != was_degraded {
-            if self.degraded {
-                self.tel.staleness_freezes.inc();
-                self.tel.events.emit(
-                    TelemetryEvent::new(now, "degraded_enter")
-                        .with("agent", "controller")
-                        .with("slot", self.slot),
-                );
-            } else {
-                self.tel.events.emit(
-                    TelemetryEvent::new(now, "degraded_exit")
-                        .with("agent", "controller")
-                        .with("slot", self.slot),
-                );
-            }
-        }
-        if self.degraded {
+        self.core.ftel.inc(M_TICKS);
+        let stale = self.staleness(now) > self.core.ctx.robustness.staleness_ttl;
+        if self.core.update_staleness(now, stale) {
             // Graceful degradation: stale prices would make the gradient
             // steps integrate noise, so freeze both price layers and hold
             // the last-known-good latencies (the resources keep running
             // with them). Recovery is automatic: fresh prices reset the
             // staleness clock.
             self.degraded_ticks += 1;
-            self.tel.degraded_ticks.inc();
-            self.ftel.inc(M_DEGRADED_TICKS);
         } else {
-            match self.method {
+            match self.core.ctx.method {
                 PriceMethod::Gradient => {
                     // Path price computation from the *previous*
                     // allocation — matching the centralized iteration
@@ -1414,60 +1305,33 @@ impl Actor for TaskController {
                 &mut self.next_lats,
             );
             std::mem::swap(&mut self.lats, &mut self.next_lats);
-            self.telemetry.lock()[self.slot].clone_from(&self.lats);
+            self.core.ctx.lats.lock()[self.core.slot()].clone_from(&self.lats);
 
             self.send_latencies(outbox);
-            self.ftel.inc(M_LATENCY_UPDATES);
-            self.ftel.add(M_MESSAGES_OUT, self.lats.len() as u64);
+            self.core.ftel.inc(M_LATENCY_UPDATES);
+            self.core.ftel.add(M_MESSAGES_OUT, self.lats.len() as u64);
         }
-
-        if let Some(store) = &self.checkpoints {
-            if now - self.last_checkpoint >= self.robustness.checkpoint_interval {
-                store.save(
-                    Address::Controller(self.slot),
-                    ControllerCheckpoint {
-                        state: self.export_state().with_epoch(self.epoch),
-                        congested: self.congested.clone(),
-                        at: now,
-                        epoch: self.epoch,
-                    },
-                );
-                self.last_checkpoint = now;
-                self.tel.checkpoint_saves.inc();
-                self.ftel.inc(M_CHECKPOINTS);
-            }
-        }
-        self.ftel.maybe_report(now, Address::Controller(self.slot), outbox);
+        self.maybe_checkpoint(now);
+        self.core.report(now, outbox);
     }
 
     fn on_message(&mut self, now: f64, msg: Message, outbox: &mut Outbox) {
-        self.ftel.inc(M_MESSAGES_IN);
-        if self.on_membership(now, &msg, outbox) {
-            return;
-        }
-        if self.on_command(&msg, outbox) {
+        self.core.ftel.inc(M_MESSAGES_IN);
+        if self.on_control(now, &msg, outbox) {
             return;
         }
         match msg {
             Message::Price { resource, mu, congested } => {
                 // `resource` is a slot; a price from a resource this
                 // epoch no longer knows (e.g. just retired) misses.
-                if self.dormant {
+                if self.core.dormant {
                     return;
                 }
                 if !mu.is_finite() || mu < 0.0 {
                     // A negative μ_r would feed `sqrt(μ·demand)` a negative
                     // argument and NaN the allocation; non-finite is the
                     // same poison one step later.
-                    self.tel.values_rejected.inc();
-                    self.ftel.inc(M_VALUE_REJECTIONS);
-                    self.tel.events.emit(
-                        TelemetryEvent::new(now, "value_rejected")
-                            .with("agent", "controller")
-                            .with("slot", self.slot)
-                            .with("field", "mu"),
-                    );
-                    return;
+                    return self.core.reject(now, "mu");
                 }
                 if let Some(r) = self.resource_dense(resource) {
                     self.prices.set_mu(r, mu);
@@ -1477,39 +1341,23 @@ impl Actor for TaskController {
             }
             Message::AvailabilityUpdate { resource, availability, seq } => {
                 // Controllers use B_r in their clamping bounds.
-                let apply = if seq == 0 {
-                    true
-                } else {
-                    let seen = self.last_avail_seq.entry(resource).or_insert(0);
-                    let fresh = seq > *seen;
-                    if fresh {
-                        *seen = seq;
-                    }
-                    outbox.send(
-                        Address::ControlPlane,
-                        Message::AvailabilityAck {
-                            resource,
-                            seq,
-                            from: Address::Controller(self.slot),
-                        },
-                    );
-                    fresh
+                self.core.ack_availability(resource, seq, outbox);
+                let fresh =
+                    seq == 0 || advance(self.last_avail_seq.entry(resource).or_insert(0), seq);
+                if !fresh || self.core.dormant {
+                    return;
+                }
+                let Some(r) = self.resource_dense(resource) else {
+                    return;
                 };
-                if apply && !self.dormant {
-                    if let Some(r) = self.resource_dense(resource) {
-                        if set_availability_cow(&mut self.problem, r, availability).is_ok() {
-                            self.on_availability_applied(r);
-                        } else {
-                            self.tel.values_rejected.inc();
-                            self.ftel.inc(M_VALUE_REJECTIONS);
-                            self.tel.events.emit(
-                                TelemetryEvent::new(now, "value_rejected")
-                                    .with("agent", "controller")
-                                    .with("slot", self.slot)
-                                    .with("field", "availability"),
-                            );
-                        }
-                    }
+                if set_availability_cow(&mut self.problem, r, availability).is_err() {
+                    return self.core.reject(now, "availability");
+                }
+                // `B_r` feeds the clamping boxes, so the compiled plan is
+                // re-lowered only when this controller's task runs on `r`.
+                if self.used_resources.binary_search(&r).is_ok() {
+                    let id = self.problem.tasks()[self.t].id();
+                    self.plan = TaskPlan::lower(&self.problem, id, &self.core.ctx.settings);
                 }
             }
             _ => {}
@@ -1520,56 +1368,45 @@ impl Actor for TaskController {
         // Volatile state is gone; the problem spec is configuration and
         // survives. Start from the initial point — on_restart may replace
         // this with a checkpoint.
-        self.prices = PriceState::new(&self.problem, self.policy);
+        self.reset_prices();
         self.lats = self.problem.initial_task_allocation(self.problem.tasks()[self.t].id());
         self.congested = vec![false; self.problem.resources().len()];
         self.last_heard = vec![0.0; self.problem.resources().len()];
         self.ticks = 0;
-        self.degraded = false;
         self.last_avail_seq.clear();
-        self.last_cmd_seq = 0;
+        self.core.crash();
     }
 
     fn on_restart(&mut self, now: f64, _outbox: &mut Outbox) {
         // The topology store is durable configuration: rejoin at the
-        // newest epoch before considering a checkpoint.
-        let mut rehab = false;
-        if let Some(te) = self.topology.as_ref().and_then(|s| s.latest()) {
-            if te.epoch > self.epoch {
-                rehab =
-                    self.topology.as_ref().is_some_and(|s| s.evicted_between(self.epoch, te.epoch));
-                self.apply_epoch(now, &te);
-            }
-        }
-        // A checkpoint written before an eviction epoch holds poisoned
-        // duals (see MembershipCause) — skip it; the crash already reset
-        // the prices to the initial point.
-        if rehab {
-            self.last_heard = vec![now; self.problem.resources().len()];
-            return;
-        }
-        if let Some(ckpt) =
-            self.checkpoints.as_ref().and_then(|s| s.load(Address::Controller(self.slot)))
-        {
+        // newest epoch before considering a checkpoint. A checkpoint
+        // written before an eviction epoch holds poisoned duals (see
+        // MembershipCause) — skip it; the crash already reset the prices
+        // to the initial point.
+        let latest = self.core.ctx.topology.latest();
+        let rehab = self.adopt_epoch(now, latest);
+        let ctx = Arc::clone(&self.core.ctx);
+        if let Some(ckpt) = ctx.checkpoints.load(self.core.addr).filter(|_| !rehab) {
             // A checkpoint taken under an older topology holds duals
             // shaped for a different problem; restoring it would corrupt
             // the dual state. `try_restore` validates the epoch tag and
             // every matrix shape before touching anything.
+            let (tel, slot) = (&ctx.tel, self.core.slot());
             match self.try_restore(&ckpt) {
                 Ok(()) => {
                     self.last_checkpoint = now;
-                    self.tel.checkpoint_restores.inc();
-                    self.tel.events.emit(
+                    tel.checkpoint_restores.inc();
+                    tel.events.emit(
                         TelemetryEvent::new(now, "checkpoint_restore")
-                            .with("slot", self.slot)
+                            .with("slot", slot)
                             .with("checkpoint_at", ckpt.at),
                     );
                 }
                 Err(e) => {
-                    self.tel.checkpoint_rejections.inc();
-                    self.tel.events.emit(
+                    tel.checkpoint_rejections.inc();
+                    tel.events.emit(
                         TelemetryEvent::new(now, "checkpoint_rejected")
-                            .with("slot", self.slot)
+                            .with("slot", slot)
                             .with("checkpoint_at", ckpt.at)
                             .with("reason", e.to_string()),
                     );
@@ -1606,8 +1443,7 @@ pub struct ControlPlaneAgent {
     pending: Vec<Pending>,
     pending_membership: Vec<Pending>,
     pending_commands: Vec<Pending>,
-    robustness: RobustnessConfig,
-    tel: DistTelemetry,
+    ctx: Arc<DeploymentContext>,
 }
 
 /// One reliably-disseminated message awaiting acknowledgements, with its
@@ -1644,33 +1480,19 @@ impl Pending {
 }
 
 impl ControlPlaneAgent {
-    /// Creates the control plane for a deployment with `n_tasks` task
-    /// controllers in slots `0..n_tasks` and `n_resources` resource agents
-    /// in slots `0..n_resources`.
-    pub fn new(n_tasks: usize, n_resources: usize) -> Self {
+    /// The control plane of `ctx`'s deployment, fanning out to the live
+    /// controllers and resource agents of its newest topology epoch.
+    pub fn new(ctx: &Arc<DeploymentContext>) -> Self {
+        let te = ctx.latest();
         ControlPlaneAgent {
-            controller_slots: (0..n_tasks).collect(),
-            resource_slots: (0..n_resources).collect(),
+            controller_slots: te.task_slots.to_vec(),
+            resource_slots: te.resource_slots.to_vec(),
             next_seq: 0,
             pending: Vec::new(),
             pending_membership: Vec::new(),
             pending_commands: Vec::new(),
-            robustness: RobustnessConfig::default(),
-            tel: DistTelemetry::disabled(),
+            ctx: Arc::clone(ctx),
         }
-    }
-
-    /// Attaches shared telemetry handles (counters + event log).
-    pub fn with_telemetry(mut self, tel: DistTelemetry) -> Self {
-        self.tel = tel;
-        self
-    }
-
-    /// Sets the fault-tolerance configuration (retransmit backoff cap
-    /// and give-up budget).
-    pub fn with_robustness(mut self, robustness: RobustnessConfig) -> Self {
-        self.robustness = robustness;
-        self
     }
 
     /// Updates not yet acknowledged by every recipient.
@@ -1792,11 +1614,12 @@ struct RetransmitPolicy<'a> {
 
 impl Actor for ControlPlaneAgent {
     fn on_tick(&mut self, now: f64, outbox: &mut Outbox) {
+        let robustness = &self.ctx.robustness;
         let policy = RetransmitPolicy {
             now,
-            cap: u64::from(self.robustness.retransmit_backoff_cap.max(1)),
-            max_retransmits: self.robustness.max_retransmits,
-            tel: &self.tel,
+            cap: u64::from(robustness.retransmit_backoff_cap.max(1)),
+            max_retransmits: robustness.max_retransmits,
+            tel: &self.ctx.tel,
         };
         Self::retransmit_queue(&mut self.pending, &policy, outbox);
         Self::retransmit_queue(&mut self.pending_membership, &policy, outbox);
@@ -1902,27 +1725,52 @@ mod tests {
         Problem::new(resources, vec![b.build(TaskId::new(0)).unwrap()]).unwrap()
     }
 
-    fn settings() -> AllocationSettings {
-        AllocationSettings { throughput_floor: false }
+    /// `problem()` with a second task alike, for the control plane's
+    /// fan-out.
+    fn two_tasks() -> Problem {
+        let mut p = problem();
+        let mut b = TaskBuilder::new("u");
+        let a = b.subtask("a", ResourceId::new(0), 2.0);
+        let c = b.subtask("b", ResourceId::new(1), 3.0);
+        b.edge(a, c).unwrap();
+        b.critical_time(30.0);
+        p.add_task(&b).unwrap();
+        p
     }
 
-    #[test]
-    fn identity_slot_table_reads_like_the_materialised_one() {
-        let shared = SlotTable::Shared((0..4).collect());
-        for dense in 0..4 {
-            assert_eq!(SlotTable::Identity.slot(dense), shared.slot(dense));
+    fn config(price_method: PriceMethod, robustness: RobustnessConfig) -> DistConfig {
+        DistConfig {
+            price_method,
+            step_policy: StepSizePolicy::fixed(1.0),
+            allocation: AllocationSettings { throughput_floor: false },
+            robustness,
+            ..DistConfig::default()
         }
-        for slot in 0..6 {
-            assert_eq!(SlotTable::Identity.dense(slot, 4), shared.dense(slot, 4));
-        }
-        assert_eq!(SlotTable::Identity.to_table(4), shared.to_table(4));
+    }
+
+    /// The context of a deployment of `p` with fixed unit step sizes.
+    fn context(
+        p: Problem,
+        method: PriceMethod,
+        robustness: RobustnessConfig,
+    ) -> Arc<DeploymentContext> {
+        context_with(p, method, robustness, DistTelemetry::disabled())
+    }
+
+    fn context_with(
+        p: Problem,
+        method: PriceMethod,
+        robustness: RobustnessConfig,
+        tel: DistTelemetry,
+    ) -> Arc<DeploymentContext> {
+        Arc::new(DeploymentContext::new(Arc::new(p), &config(method, robustness), tel))
     }
 
     #[test]
     fn resource_agent_tracks_latencies_and_usage() {
         let p = problem();
         let mut agent =
-            ResourceAgent::new(0, p, PriceMethod::Gradient, StepSizePolicy::fixed(1.0), settings());
+            ResourceAgent::new(&context(p, PriceMethod::Gradient, Default::default()), 0);
         // Initial allocation: 15ms each => usage = 3/15 = 0.2.
         assert!((agent.usage() - 0.2).abs() < 1e-12);
         let mut outbox = Outbox::default();
@@ -1938,7 +1786,7 @@ mod tests {
     fn resource_agent_broadcasts_price_on_tick() {
         let p = problem();
         let mut agent =
-            ResourceAgent::new(0, p, PriceMethod::Gradient, StepSizePolicy::fixed(1.0), settings());
+            ResourceAgent::new(&context(p, PriceMethod::Gradient, Default::default()), 0);
         let mut outbox = Outbox::default();
         agent.on_message(
             0.0,
@@ -1953,15 +1801,9 @@ mod tests {
     #[test]
     fn controller_allocates_and_reports() {
         let p = problem();
-        let telemetry: SharedLats = Arc::new(Mutex::new(p.initial_allocation()));
-        let mut ctl = TaskController::new(
-            0,
-            p.clone(),
-            PriceMethod::Gradient,
-            StepSizePolicy::fixed(1.0),
-            settings(),
-            Arc::clone(&telemetry),
-        );
+        let ctx = context(p, PriceMethod::Gradient, Default::default());
+        let telemetry: SharedLats = Arc::clone(&ctx.lats);
+        let mut ctl = TaskController::new(&ctx, 0);
         let mut outbox = Outbox::default();
         ctl.on_message(0.0, Message::Price { resource: 0, mu: 9.0, congested: false }, &mut outbox);
         ctl.on_message(
@@ -1982,15 +1824,7 @@ mod tests {
     fn clearing_latencies_carry_pressures_and_gradient_ones_none() {
         let p = problem();
         for (method, carried) in [(PriceMethod::Clearing, true), (PriceMethod::Gradient, false)] {
-            let telemetry: SharedLats = Arc::new(Mutex::new(p.initial_allocation()));
-            let mut ctl = TaskController::new(
-                0,
-                p.clone(),
-                method,
-                StepSizePolicy::fixed(1.0),
-                settings(),
-                telemetry,
-            );
+            let mut ctl = TaskController::new(&context(p.clone(), method, Default::default()), 0);
             let mut outbox = Outbox::default();
             ctl.on_tick(0.0, &mut outbox);
             let msgs = outbox.into_messages();
@@ -2006,14 +1840,9 @@ mod tests {
     #[test]
     fn clearing_resource_refuses_a_non_finite_pressure() {
         let hub = lla_telemetry::TelemetryHub::recording();
-        let mut agent = ResourceAgent::new(
-            0,
-            problem(),
-            PriceMethod::Clearing,
-            StepSizePolicy::fixed(1.0),
-            settings(),
-        )
-        .with_telemetry(DistTelemetry::from_hub(&hub));
+        let tel = DistTelemetry::from_hub(&hub);
+        let ctx = context_with(problem(), PriceMethod::Clearing, Default::default(), tel);
+        let mut agent = ResourceAgent::new(&ctx, 0);
         let mut outbox = Outbox::default();
         let latency = |pressure| Message::Latency { task: 0, subtask: 0, latency: 3.0, pressure };
         agent.on_message(0.0, latency(Some(f64::NAN)), &mut outbox);
@@ -2032,16 +1861,8 @@ mod tests {
     #[test]
     fn controller_degrades_on_stale_prices_and_recovers() {
         let p = problem();
-        let telemetry: SharedLats = Arc::new(Mutex::new(p.initial_allocation()));
-        let mut ctl = TaskController::new(
-            0,
-            p,
-            PriceMethod::Gradient,
-            StepSizePolicy::fixed(1.0),
-            settings(),
-            telemetry,
-        )
-        .with_robustness(RobustnessConfig { staleness_ttl: 20.0, ..Default::default() });
+        let robustness = RobustnessConfig { staleness_ttl: 20.0, ..Default::default() };
+        let mut ctl = TaskController::new(&context(p, PriceMethod::Gradient, robustness), 0);
         let mut outbox = Outbox::default();
         ctl.on_message(0.0, Message::Price { resource: 0, mu: 9.0, congested: false }, &mut outbox);
         ctl.on_message(
@@ -2077,18 +1898,10 @@ mod tests {
     #[test]
     fn controller_checkpoints_and_restores_after_crash() {
         let p = problem();
-        let telemetry: SharedLats = Arc::new(Mutex::new(p.initial_allocation()));
-        let store = CheckpointStore::new();
-        let mut ctl = TaskController::new(
-            0,
-            p,
-            PriceMethod::Gradient,
-            StepSizePolicy::fixed(1.0),
-            settings(),
-            telemetry,
-        )
-        .with_robustness(RobustnessConfig { checkpoint_interval: 5.0, ..Default::default() })
-        .with_checkpoints(store.clone());
+        let robustness = RobustnessConfig { checkpoint_interval: 5.0, ..Default::default() };
+        let ctx = context(p, PriceMethod::Gradient, robustness);
+        let store = ctx.checkpoints.clone();
+        let mut ctl = TaskController::new(&ctx, 0);
         let mut outbox = Outbox::default();
         ctl.on_message(0.0, Message::Price { resource: 0, mu: 9.0, congested: false }, &mut outbox);
         ctl.on_message(
@@ -2110,7 +1923,7 @@ mod tests {
     fn resource_agent_dedupes_by_sequence_and_acks() {
         let p = problem();
         let mut agent =
-            ResourceAgent::new(0, p, PriceMethod::Gradient, StepSizePolicy::fixed(1.0), settings());
+            ResourceAgent::new(&context(p, PriceMethod::Gradient, Default::default()), 0);
         let mut outbox = Outbox::default();
         let update = Message::AvailabilityUpdate { resource: 0, availability: 0.5, seq: 3 };
         agent.on_message(0.0, update.clone(), &mut outbox);
@@ -2129,7 +1942,11 @@ mod tests {
 
     #[test]
     fn control_plane_retransmits_until_acked() {
-        let mut cp = ControlPlaneAgent::new(2, 2);
+        let mut cp = ControlPlaneAgent::new(&context(
+            two_tasks(),
+            PriceMethod::Gradient,
+            Default::default(),
+        ));
         let mut outbox = Outbox::default();
         cp.on_message(
             0.0,
@@ -2174,13 +1991,13 @@ mod tests {
         use lla_telemetry::{EventLog, MetricsRegistry};
         let registry = MetricsRegistry::new();
         let tel = DistTelemetry::new(&registry, EventLog::recording());
-        let mut cp = ControlPlaneAgent::new(2, 2)
-            .with_robustness(RobustnessConfig {
-                retransmit_backoff_cap: 4,
-                max_retransmits: 3,
-                ..Default::default()
-            })
-            .with_telemetry(tel.clone());
+        let robustness = RobustnessConfig {
+            retransmit_backoff_cap: 4,
+            max_retransmits: 3,
+            ..Default::default()
+        };
+        let ctx = context_with(two_tasks(), PriceMethod::Gradient, robustness, tel.clone());
+        let mut cp = ControlPlaneAgent::new(&ctx);
         let mut outbox = Outbox::default();
         cp.on_message(
             0.0,
@@ -2210,7 +2027,11 @@ mod tests {
         assert_eq!(give_up.field("unacked").map(ToString::to_string), Some("3".to_string()));
 
         // The default config is the legacy behavior: every tick, forever.
-        let mut legacy = ControlPlaneAgent::new(2, 2);
+        let mut legacy = ControlPlaneAgent::new(&context(
+            two_tasks(),
+            PriceMethod::Gradient,
+            Default::default(),
+        ));
         let mut ob = Outbox::default();
         legacy.on_message(
             0.0,
@@ -2229,7 +2050,7 @@ mod tests {
     fn resource_agent_dedupes_commands_and_acks_stale_ones() {
         let p = problem();
         let mut agent =
-            ResourceAgent::new(0, p, PriceMethod::Gradient, StepSizePolicy::fixed(1.0), settings());
+            ResourceAgent::new(&context(p, PriceMethod::Gradient, Default::default()), 0);
         let mut outbox = Outbox::default();
         agent.on_message(0.0, Message::GammaCalm { max_multiple: 8.0, seq: 5 }, &mut outbox);
         // A stale (lower-seq) command is acked — the original ack may have
@@ -2255,15 +2076,8 @@ mod tests {
     #[test]
     fn controller_restore_rejects_mismatched_checkpoints_with_typed_errors() {
         let p = problem();
-        let telemetry: SharedLats = Arc::new(Mutex::new(p.initial_allocation()));
-        let mut ctl = TaskController::new(
-            0,
-            p,
-            PriceMethod::Gradient,
-            StepSizePolicy::fixed(1.0),
-            settings(),
-            telemetry,
-        );
+        let mut ctl =
+            TaskController::new(&context(p, PriceMethod::Gradient, Default::default()), 0);
         let mut outbox = Outbox::default();
         ctl.on_message(0.0, Message::Price { resource: 0, mu: 9.0, congested: false }, &mut outbox);
         ctl.on_message(

@@ -60,8 +60,8 @@ pub mod system;
 pub mod telemetry;
 
 pub use agents::{
-    CheckpointStore, ControlPlaneAgent, ControllerCheckpoint, MembershipCause, RobustnessConfig,
-    TopologyEpoch, TopologyStore,
+    CheckpointStore, ControlPlaneAgent, ControllerCheckpoint, DeploymentContext, MembershipCause,
+    RobustnessConfig, TopologyEpoch, TopologyStore,
 };
 pub use codec::{decode, decode_frame, encode, FrameError};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

@@ -29,7 +29,7 @@
 //! [`SupervisorConfig`] only switches the engine on and off and decides
 //! whether elastic capacity is allowed.
 
-use lla_core::{select_victim, IterationReport, OverloadConfig, OverloadMonitor};
+use lla_core::{select_victim, OverloadConfig, OverloadMonitor};
 use lla_telemetry::{
     AgentScope, AlertSeverity, DiagnosticsEngine, Event as TelemetryEvent, Verdict,
 };
@@ -277,14 +277,7 @@ impl SupervisorEngine {
 
         // The overload detector observes every check, cooldown or not —
         // its sustain counter must track real time.
-        let lats = dist.allocation();
-        let report = IterationReport {
-            iteration: self.checks,
-            utility: dist.utility(),
-            max_resource_violation: dist.problem().max_resource_violation(lats.lats()),
-            max_path_violation: dist.problem().max_path_violation(lats.lats()),
-        };
-        let overloaded = self.monitor.observe(&report);
+        let overloaded = self.monitor.observe(&dist.report());
 
         // The quarantine book runs every check, cooldown or not: releases
         // are a scheduled obligation and an actively hostile sender must

@@ -1,22 +1,26 @@
 //! The distributed-LLA facade over the virtual-time runtime.
 
 use crate::agents::{
-    CheckpointStore, ControlPlaneAgent, MembershipCause, ResourceAgent, RobustnessConfig,
-    SharedLats, TaskController, TopologyEpoch, TopologyStore,
+    CheckpointStore, ControlPlaneAgent, DeploymentContext, MembershipCause, ResourceAgent,
+    RobustnessConfig, TaskController, TopologyEpoch, TopologyStore,
 };
 use crate::fault::{FaultKind, FaultPlan};
-use crate::fleet::{AgentTelemetry, CollectorAgent};
+use crate::fleet::CollectorAgent;
 use crate::network::NetworkModel;
 use crate::protocol::{Address, Message};
-use crate::runtime::VirtualRuntime;
+use crate::runtime::{Actor, VirtualRuntime};
 use crate::telemetry::DistTelemetry;
 use lla_core::{
-    Allocation, AllocationSettings, ModelError, PriceMethod, Problem, Resource, ResourceId,
-    StepSizePolicy, TaskBuilder, TaskId,
+    Allocation, AllocationSettings, IterationReport, ModelError, PriceMethod, Problem, Resource,
+    ResourceId, StepSizePolicy, TaskBuilder, TaskId,
 };
 use lla_telemetry::{DiagSample, Event as TelemetryEvent};
-use parking_lot::Mutex;
 use std::sync::Arc;
+
+/// Controllers tick a quarter into each round, resource agents three
+/// quarters in (see [`DistConfig::round_length`]).
+const CONTROLLER_PHASE: f64 = 0.25;
+const RESOURCE_PHASE: f64 = 0.75;
 
 /// Configuration of a [`DistributedLla`] deployment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,9 +125,8 @@ impl Default for DistConfig {
 pub struct DistributedLla {
     problem: Arc<Problem>,
     runtime: VirtualRuntime,
-    telemetry: SharedLats,
-    checkpoints: CheckpointStore,
-    topology: TopologyStore,
+    /// What every agent shares: settings, stores and telemetry.
+    ctx: Arc<DeploymentContext>,
     /// Current topology epoch (0 = initial deployment).
     epoch: u64,
     /// `task_slots[dense task index] = slot`; slots are never reused.
@@ -144,7 +147,6 @@ pub struct DistributedLla {
     /// Prices observed at the previous [`diag_sample`](Self::diag_sample)
     /// call, for the relative-step statistic.
     last_diag_prices: Vec<f64>,
-    tel: DistTelemetry,
 }
 
 impl DistributedLla {
@@ -163,18 +165,6 @@ impl DistributedLla {
     /// bit-identical to an un-instrumented one.
     pub fn with_telemetry(problem: Problem, config: DistConfig, tel: DistTelemetry) -> Self {
         let problem = Arc::new(problem);
-        let telemetry: SharedLats = Arc::new(Mutex::new(problem.initial_allocation()));
-        let checkpoints = CheckpointStore::new();
-        let topology = TopologyStore::new();
-        let task_slots: Vec<usize> = (0..problem.tasks().len()).collect();
-        let resource_slots: Vec<usize> = (0..problem.resources().len()).collect();
-        topology.push(TopologyEpoch {
-            epoch: 0,
-            cause: MembershipCause::Genesis,
-            problem: Arc::clone(&problem),
-            task_slots: task_slots.as_slice().into(),
-            resource_slots: resource_slots.as_slice().into(),
-        });
         let mut runtime = VirtualRuntime::new(config.network, config.seed);
         runtime.attach_telemetry(tel.clone());
         if config.wire_mode {
@@ -186,86 +176,53 @@ impl DistributedLla {
                 config.seed.wrapping_add(0xC0DEC),
             );
         }
+        let (n_tasks, n_resources) = (problem.tasks().len(), problem.resources().len());
+        let mut dist = DistributedLla {
+            ctx: Arc::new(DeploymentContext::new(Arc::clone(&problem), &config, tel)),
+            problem,
+            runtime,
+            epoch: 0,
+            task_slots: (0..n_tasks).collect(),
+            resource_slots: (0..n_resources).collect(),
+            next_task_slot: n_tasks,
+            next_resource_slot: n_resources,
+            config,
+            rounds: 0,
+            utilities: Vec::new(),
+            round_lats: Vec::new(),
+            pending_availability: Vec::new(),
+            last_diag_prices: Vec::new(),
+        };
 
         use rand::{Rng, SeedableRng};
         let mut jitter_rng = rand::rngs::StdRng::seed_from_u64(config.seed.wrapping_add(0xa5));
-        let mut jittered = |base: f64| -> (f64, f64) {
+        let round = config.round_length;
+        let mut jittered = |frac: f64| -> (f64, f64) {
             if config.tick_jitter > 0.0 {
-                let j = config.tick_jitter * config.round_length;
+                let j = config.tick_jitter * round;
                 (
-                    (config.round_length + jitter_rng.gen_range(-j..j)).max(1e-3),
-                    base + jitter_rng.gen_range(0.0..j),
+                    (round + jitter_rng.gen_range(-j..j)).max(1e-3),
+                    frac * round + jitter_rng.gen_range(0.0..j),
                 )
             } else {
-                (config.round_length, base)
+                (round, frac * round)
             }
         };
-
-        let controller_phase = 0.25 * config.round_length;
-        let resource_phase = 0.75 * config.round_length;
-        for t in 0..problem.tasks().len() {
-            let (interval, phase) = jittered(controller_phase);
-            runtime.register(
-                Address::Controller(t),
-                Box::new(
-                    TaskController::new(
-                        t,
-                        Arc::clone(&problem),
-                        config.price_method,
-                        config.step_policy,
-                        config.allocation,
-                        Arc::clone(&telemetry),
-                    )
-                    .with_robustness(config.robustness)
-                    .with_checkpoints(checkpoints.clone())
-                    .with_membership(topology.clone(), t, 0)
-                    .with_telemetry(tel.clone())
-                    .with_fleet(AgentTelemetry::new(
-                        &tel,
-                        Address::Controller(t),
-                        config.report_cadence,
-                    )),
-                ),
-                interval,
-                phase,
-            );
+        for t in 0..n_tasks {
+            let (interval, phase) = jittered(CONTROLLER_PHASE);
+            dist.spawn(Address::Controller(t), interval, phase);
         }
-        for r in 0..problem.resources().len() {
-            let (interval, phase) = jittered(resource_phase);
-            runtime.register(
-                Address::Resource(r),
-                Box::new(
-                    ResourceAgent::new(
-                        r,
-                        Arc::clone(&problem),
-                        config.price_method,
-                        config.step_policy,
-                        config.allocation,
-                    )
-                    .with_robustness(config.robustness)
-                    .with_membership(topology.clone(), r, 0)
-                    .with_telemetry(tel.clone())
-                    .with_fleet(AgentTelemetry::new(
-                        &tel,
-                        Address::Resource(r),
-                        config.report_cadence,
-                    )),
-                ),
-                interval,
-                phase,
-            );
+        for r in 0..n_resources {
+            let (interval, phase) = jittered(RESOURCE_PHASE);
+            dist.spawn(Address::Resource(r), interval, phase);
         }
         // The control plane ticks at the retransmission interval; idle it
         // sends nothing, so fault-free runs are unaffected.
-        runtime.register(
+        dist.runtime.register(
             Address::ControlPlane,
-            Box::new(
-                ControlPlaneAgent::new(problem.tasks().len(), problem.resources().len())
-                    .with_robustness(config.robustness)
-                    .with_telemetry(tel.clone()),
-            ),
+            Box::new(ControlPlaneAgent::new(&dist.ctx)),
             config.robustness.retransmit_interval,
-            0.5 * config.round_length,
+            0.5 * round,
         );
         if config.report_cadence > 0.0 {
             // The collector ticks late in the round (phase 0.9·round) so
@@ -273,43 +230,34 @@ impl DistributedLla {
             // It never sends, so registering it cannot perturb the
             // protocol; with cadence 0 it is not registered at all and the
             // deployment is byte-identical to a pre-fleet one.
-            runtime.register(
+            dist.runtime.register(
                 Address::Collector,
                 Box::new(CollectorAgent::new(
-                    tel.clone(),
-                    crate::fleet::default_slo_rules(config.round_length),
+                    dist.ctx.tel.clone(),
+                    crate::fleet::default_slo_rules(round),
                 )),
-                config.round_length,
-                0.9 * config.round_length,
+                round,
+                0.9 * round,
             );
         }
+        dist
+    }
 
-        let next_task_slot = task_slots.len();
-        let next_resource_slot = resource_slots.len();
-        DistributedLla {
-            problem,
-            runtime,
-            telemetry,
-            checkpoints,
-            topology,
-            epoch: 0,
-            task_slots,
-            resource_slots,
-            next_task_slot,
-            next_resource_slot,
-            config,
-            rounds: 0,
-            utilities: Vec::new(),
-            round_lats: Vec::new(),
-            pending_availability: Vec::new(),
-            last_diag_prices: Vec::new(),
-            tel,
-        }
+    /// Builds the controller or resource agent at `addr` at the newest
+    /// topology epoch and registers it with the runtime: the one place
+    /// agents are built, at genesis and on a join alike.
+    fn spawn(&mut self, addr: Address, interval: f64, phase: f64) {
+        let agent: Box<dyn Actor> = match addr {
+            Address::Controller(slot) => Box::new(TaskController::new(&self.ctx, slot)),
+            Address::Resource(slot) => Box::new(ResourceAgent::new(&self.ctx, slot)),
+            _ => unreachable!("only controllers and resource agents are spawned"),
+        };
+        self.runtime.register(addr, agent, interval, phase);
     }
 
     /// The telemetry handles shared across the deployment.
     pub fn dist_telemetry(&self) -> &DistTelemetry {
-        &self.tel
+        &self.ctx.tel
     }
 
     /// The deployed problem.
@@ -341,7 +289,7 @@ impl DistributedLla {
 
     /// The stable store the controllers checkpoint into.
     pub fn checkpoints(&self) -> &CheckpointStore {
-        &self.checkpoints
+        &self.ctx.checkpoints
     }
 
     /// Schedules a fault plan on the runtime's virtual clock. Faults fire
@@ -380,7 +328,7 @@ impl DistributedLla {
                 }
                 false
             });
-            let tel = self.telemetry.lock();
+            let tel = self.ctx.lats.lock();
             self.round_lats.resize_with(self.task_slots.len(), Vec::new);
             for (row, &s) in self.round_lats.iter_mut().zip(&self.task_slots) {
                 row.clone_from(&tel[s]);
@@ -399,7 +347,7 @@ impl DistributedLla {
     /// is indexed by slot (rows only ever grow); departed tasks keep
     /// their last row but drop out of the dense view.
     fn dense_lats(&self) -> Vec<Vec<f64>> {
-        let tel = self.telemetry.lock();
+        let tel = self.ctx.lats.lock();
         self.task_slots.iter().map(|&s| tel[s].clone()).collect()
     }
 
@@ -411,6 +359,20 @@ impl DistributedLla {
     /// The current total utility.
     pub fn utility(&self) -> f64 {
         self.problem.total_utility(&self.dense_lats())
+    }
+
+    /// The deployment's current state in the optimizer's report shape
+    /// (iteration = rounds run): the utility and the worst resource and
+    /// path violations of the controllers' allocation, which is what an
+    /// [`OverloadMonitor`](lla_core::OverloadMonitor) observes.
+    pub fn report(&self) -> IterationReport {
+        let lats = self.dense_lats();
+        IterationReport {
+            iteration: self.rounds,
+            utility: self.problem.total_utility(&lats),
+            max_resource_violation: self.problem.max_resource_violation(&lats),
+            max_path_violation: self.problem.max_path_violation(&lats),
+        }
     }
 
     /// Utility after each completed round.
@@ -514,8 +476,8 @@ impl DistributedLla {
     pub fn quarantine_agent(&mut self, addr: Address) -> bool {
         let fresh = self.runtime.quarantine(addr);
         if fresh {
-            self.tel.agent_quarantines.inc();
-            self.tel.events.emit(
+            self.ctx.tel.agent_quarantines.inc();
+            self.ctx.tel.events.emit(
                 TelemetryEvent::new(self.runtime.now(), "agent_quarantined")
                     .with("agent", addr.to_string()),
             );
@@ -528,7 +490,7 @@ impl DistributedLla {
     pub fn release_agent(&mut self, addr: Address) -> bool {
         let released = self.runtime.release_quarantine(addr);
         if released {
-            self.tel.events.emit(
+            self.ctx.tel.events.emit(
                 TelemetryEvent::new(self.runtime.now(), "agent_released")
                     .with("agent", addr.to_string()),
             );
@@ -614,7 +576,7 @@ impl DistributedLla {
 
     /// The shared epoch log agents reload topology from.
     pub fn topology(&self) -> &TopologyStore {
-        &self.topology
+        &self.ctx.topology
     }
 
     /// Records the post-change topology as a new epoch in the shared
@@ -622,7 +584,7 @@ impl DistributedLla {
     /// about the epoch can immediately load it.
     fn push_epoch(&mut self, cause: MembershipCause) {
         self.epoch += 1;
-        self.topology.push(TopologyEpoch {
+        self.ctx.topology.push(TopologyEpoch {
             epoch: self.epoch,
             cause,
             problem: Arc::clone(&self.problem),
@@ -660,38 +622,19 @@ impl DistributedLla {
         self.task_slots.push(slot);
         self.push_epoch(MembershipCause::TaskJoin);
         {
-            let mut tel = self.telemetry.lock();
+            let mut tel = self.ctx.lats.lock();
             while tel.len() <= slot {
                 tel.push(Vec::new());
             }
             tel[slot] = self.problem.initial_task_allocation(TaskId::new(dense));
         }
-        self.runtime.register(
+        self.spawn(
             Address::Controller(slot),
-            Box::new(
-                TaskController::new(
-                    dense,
-                    Arc::clone(&self.problem),
-                    self.config.price_method,
-                    self.config.step_policy,
-                    self.config.allocation,
-                    Arc::clone(&self.telemetry),
-                )
-                .with_robustness(self.config.robustness)
-                .with_checkpoints(self.checkpoints.clone())
-                .with_membership(self.topology.clone(), slot, self.epoch)
-                .with_telemetry(self.tel.clone())
-                .with_fleet(AgentTelemetry::new(
-                    &self.tel,
-                    Address::Controller(slot),
-                    self.config.report_cadence,
-                )),
-            ),
             self.config.round_length,
-            self.next_phase(0.25),
+            self.next_phase(CONTROLLER_PHASE),
         );
-        self.tel.membership_changes.inc();
-        self.tel.events.emit(
+        self.ctx.tel.membership_changes.inc();
+        self.ctx.tel.events.emit(
             TelemetryEvent::new(self.runtime.now(), "task_join")
                 .with("slot", slot)
                 .with("epoch", self.epoch),
@@ -729,8 +672,8 @@ impl DistributedLla {
         } else {
             Message::TaskLeave { slot, epoch: self.epoch, seq: 0 }
         };
-        self.tel.membership_changes.inc();
-        self.tel.events.emit(
+        self.ctx.tel.membership_changes.inc();
+        self.ctx.tel.events.emit(
             TelemetryEvent::new(
                 self.runtime.now(),
                 if evict { "task_evict" } else { "task_leave" },
@@ -780,36 +723,18 @@ impl DistributedLla {
     ///
     /// Propagates [`ModelError`]s from [`Problem::add_resource`].
     pub fn join_resource(&mut self, resource: Resource) -> Result<usize, ModelError> {
-        let report = Arc::make_mut(&mut self.problem).add_resource(resource)?;
-        let dense = report.added_resource.expect("add_resource reports the new id").index();
+        Arc::make_mut(&mut self.problem).add_resource(resource)?;
         let slot = self.next_resource_slot;
         self.next_resource_slot += 1;
         self.resource_slots.push(slot);
         self.push_epoch(MembershipCause::ResourceJoin);
-        self.runtime.register(
+        self.spawn(
             Address::Resource(slot),
-            Box::new(
-                ResourceAgent::new(
-                    dense,
-                    Arc::clone(&self.problem),
-                    self.config.price_method,
-                    self.config.step_policy,
-                    self.config.allocation,
-                )
-                .with_robustness(self.config.robustness)
-                .with_membership(self.topology.clone(), slot, self.epoch)
-                .with_telemetry(self.tel.clone())
-                .with_fleet(AgentTelemetry::new(
-                    &self.tel,
-                    Address::Resource(slot),
-                    self.config.report_cadence,
-                )),
-            ),
             self.config.round_length,
-            self.next_phase(0.75),
+            self.next_phase(RESOURCE_PHASE),
         );
-        self.tel.membership_changes.inc();
-        self.tel.events.emit(
+        self.ctx.tel.membership_changes.inc();
+        self.ctx.tel.events.emit(
             TelemetryEvent::new(self.runtime.now(), "resource_join")
                 .with("slot", slot)
                 .with("epoch", self.epoch),
@@ -849,8 +774,8 @@ impl DistributedLla {
         problem.retire_resource(from_id)?;
         self.resource_slots.remove(dense_from);
         self.push_epoch(MembershipCause::ResourceRetire);
-        self.tel.membership_changes.inc();
-        self.tel.events.emit(
+        self.ctx.tel.membership_changes.inc();
+        self.ctx.tel.events.emit(
             TelemetryEvent::new(self.runtime.now(), "resource_retire")
                 .with("slot", slot)
                 .with("handoff_slot", handoff_slot)
@@ -897,15 +822,15 @@ impl DistributedLla {
         }
         problem.set_resource_replicas(id, replicas)?;
         let (cause, kind) = if replicas > before {
-            self.tel.replica_provisions.inc();
+            self.ctx.tel.replica_provisions.inc();
             (MembershipCause::ReplicaProvision, "replica_provision")
         } else {
-            self.tel.replica_retires.inc();
+            self.ctx.tel.replica_retires.inc();
             (MembershipCause::ReplicaRetire, "replica_retire")
         };
         self.push_epoch(cause);
-        self.tel.membership_changes.inc();
-        self.tel.events.emit(
+        self.ctx.tel.membership_changes.inc();
+        self.ctx.tel.events.emit(
             TelemetryEvent::new(self.runtime.now(), kind)
                 .with("slot", slot)
                 .with("replicas", u64::from(replicas))
@@ -923,7 +848,7 @@ impl DistributedLla {
     /// adaptive step sizes and clamps future growth to
     /// `initial × max_multiple`.
     pub fn broadcast_gamma_calm(&mut self, max_multiple: f64) {
-        self.tel.events.emit(
+        self.ctx.tel.events.emit(
             TelemetryEvent::new(self.runtime.now(), "gamma_calm")
                 .with("max_multiple", max_multiple),
         );
@@ -935,7 +860,7 @@ impl DistributedLla {
     /// immediately re-announces its current prices/latencies, refreshing
     /// peers' staleness clocks.
     pub fn broadcast_dual_resync(&mut self) {
-        self.tel.events.emit(TelemetryEvent::new(self.runtime.now(), "dual_resync"));
+        self.ctx.tel.events.emit(TelemetryEvent::new(self.runtime.now(), "dual_resync"));
         self.runtime.inject(Address::ControlPlane, Message::DualResync { seq: 0 });
     }
 
@@ -1179,6 +1104,48 @@ mod tests {
 
         // Within a few percent of a cold centralized solve of the same
         // expanded problem.
+        let mut oracle = Optimizer::new(
+            dist.problem().clone(),
+            OptimizerConfig {
+                price_method: PriceMethod::Gradient,
+                allocation: AllocationSettings { throughput_floor: false },
+                ..OptimizerConfig::default()
+            },
+        );
+        oracle.run_to_convergence(10_000);
+        let gap = (dist.utility() - oracle.utility()).abs() / oracle.utility().abs().max(1.0);
+        assert!(gap < 0.05, "join gap {gap}: {} vs oracle {}", dist.utility(), oracle.utility());
+    }
+
+    #[test]
+    fn resource_join_splices_in_and_matches_fresh_oracle() {
+        let mut dist = DistributedLla::new(problem(), config());
+        dist.run_rounds(500);
+
+        let cpu = Resource::new(ResourceId::new(2), ResourceKind::Cpu).with_lag(1.0);
+        let slot = dist.join_resource(cpu).unwrap();
+        assert_eq!(slot, 2);
+        assert_eq!(dist.epoch(), 1);
+        // A task that runs on the newcomer, so its price matters.
+        let mut b = TaskBuilder::new("newcomer");
+        let a = b.subtask("a", ResourceId::new(0), 2.0);
+        let d = b.subtask("b", ResourceId::new(2), 3.0);
+        b.edge(a, d).unwrap();
+        b.critical_time(50.0);
+        dist.join_task(&b).unwrap();
+        assert_eq!(dist.epoch(), 2);
+
+        dist.run_rounds(2_000);
+        assert!(dist.problem().is_feasible(dist.allocation().lats(), 1e-2));
+        let agent = dist.runtime_mut().actor_as::<ResourceAgent>(Address::Resource(slot));
+        let agent = agent.expect("registered");
+        assert_eq!((agent.slot(), agent.epoch()), (slot, 2), "the newcomer missed the task join");
+        assert!(!agent.is_dormant());
+        for t in dist.task_slots().to_vec() {
+            let ctl = dist.runtime_mut().actor_as::<TaskController>(Address::Controller(t));
+            assert_eq!(ctl.expect("registered").epoch(), 2, "controller {t} missed an epoch");
+        }
+
         let mut oracle = Optimizer::new(
             dist.problem().clone(),
             OptimizerConfig {

@@ -219,7 +219,7 @@ impl DistTelemetry {
     }
 
     /// All-no-op handles (the default for an un-instrumented deployment
-    /// and for every agent before `with_telemetry`). A disabled registry
+    /// and for an agent built outside one). A disabled registry
     /// formats no metric name, so this allocates nothing.
     pub fn disabled() -> Self {
         DistTelemetry::new(&MetricsRegistry::disabled(), EventLog::disabled())

@@ -17,6 +17,11 @@ use crate::simulator::{SimConfig, Simulator};
 use lla_core::{Optimizer, OptimizerConfig, Problem};
 use lla_telemetry::{Counter, Gauge, MetricsRegistry};
 
+/// Windows of [`WindowRecord`]s a loop keeps: the newest ones, so a loop
+/// meant to run forever does not grow by its per-subtask matrices every
+/// window. The paper's Figure 8 reads all 20 of its windows.
+const HISTORY_WINDOWS: usize = 20;
+
 /// How measured deviations are folded back into the share model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorrectionMode {
@@ -222,7 +227,8 @@ impl ClosedLoop {
         &self.simulator
     }
 
-    /// Recorded telemetry, one record per completed window.
+    /// Recorded telemetry, one record per completed window, oldest first:
+    /// the most recent 20 windows (a longer run drops the oldest).
     pub fn history(&self) -> &[WindowRecord] {
         &self.history
     }
@@ -354,6 +360,9 @@ impl ClosedLoop {
         }
 
         self.simulator.reset_stats();
+        if self.history.len() == HISTORY_WINDOWS {
+            self.history.remove(0);
+        }
         self.history.push(WindowRecord {
             time: self.simulator.now(),
             utility: self.optimizer.utility(),
@@ -428,6 +437,19 @@ mod tests {
         assert!(rec.time > 1_499.0);
         assert!(rec.utility.is_finite());
         assert_eq!(rec.shares.len(), 2);
+    }
+
+    #[test]
+    fn history_keeps_the_newest_windows() {
+        let config = ClosedLoopConfig { window: 100.0, ..Default::default() };
+        let mut cl = ClosedLoop::new(problem(), opt_config(), SimConfig::default(), config);
+        cl.run_windows(HISTORY_WINDOWS + 2);
+        let last = cl.step_window().clone();
+        let history = cl.history();
+        assert_eq!(history.len(), HISTORY_WINDOWS);
+        assert_eq!(history.last(), Some(&last), "the newest record comes last");
+        assert_eq!(last.time, 100.0 * (HISTORY_WINDOWS + 3) as f64);
+        assert_eq!(history[0].time, 400.0, "windows 1 to 3 were dropped");
     }
 
     #[test]

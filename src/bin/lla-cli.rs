@@ -467,9 +467,13 @@ fn cmd_simulate(opts: &Options) -> Result<(), String> {
             ..Default::default()
         },
     );
-    cl.run_windows(opts.windows);
+    // Each window prints as it runs: the loop keeps only its newest
+    // windows, and a long run must still print every one.
     println!("{:>10} {:>12} {:>14}", "time_s", "utility", "miss_rates");
-    for rec in cl.history() {
+    let mut csv = String::from("time_ms,utility\n");
+    for _ in 0..opts.windows {
+        let rec = cl.step_window();
+        csv.push_str(&format!("{},{}\n", rec.time, rec.utility));
         println!(
             "{:>10.1} {:>12.2} {:>14}",
             rec.time / 1_000.0,
@@ -482,10 +486,6 @@ fn cmd_simulate(opts: &Options) -> Result<(), String> {
         );
     }
     if let Some(path) = &opts.csv {
-        let mut csv = String::from("time_ms,utility\n");
-        for rec in cl.history() {
-            csv.push_str(&format!("{},{}\n", rec.time, rec.utility));
-        }
         std::fs::write(path, csv).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote window telemetry to {path}");
     }

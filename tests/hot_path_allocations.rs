@@ -19,7 +19,7 @@ use lla::core::{
     dual_value, Optimizer, OptimizerConfig, PriceMethod, Problem, Resource, ResourceId,
     ResourceKind, ShardSpec, ShardedOptimizer, TaskBuilder, TaskId,
 };
-use lla::dist::agents::ResourceAgent;
+use lla::dist::agents::{DeploymentContext, ResourceAgent};
 use lla::dist::{
     Address, AgentTelemetry, DistConfig, DistTelemetry, DistributedLla, AGENT_METRICS,
 };
@@ -343,15 +343,8 @@ fn resource_agent_bytes_do_not_grow_with_the_deployment() {
         .into_iter()
         .map(|tasks| {
             let problem = Arc::new(two_on_shared_resource(tasks));
-            let (agent, t) = tally(|| {
-                ResourceAgent::new(
-                    0,
-                    Arc::clone(&problem),
-                    config.price_method,
-                    config.step_policy,
-                    config.allocation,
-                )
-            });
+            let ctx = Arc::new(DeploymentContext::new(problem, &config, DistTelemetry::disabled()));
+            let (agent, t) = tally(|| ResourceAgent::new(&ctx, 0));
             assert_eq!(agent.mu(), 0.0);
             t
         })

@@ -1,6 +1,6 @@
 //! The compiled iteration plan must be indistinguishable from the naive
 //! nested-`Vec` code paths it replaces: identical allocations, identical
-//! price trajectories, and diagnostics (utility, usage, Lagrangian, KKT)
+//! price trajectories, and diagnostics (utility, usage, violations)
 //! matching to 1e-12 on randomly generated problems — and the opt-in
 //! parallel allocation kernel must be *bit-identical* to the sequential
 //! one across long seeded runs, including a membership epoch mid-run. The
@@ -11,7 +11,7 @@
 //! and across the sharded driver's edits.
 
 use lla_core::{
-    allocate_latencies, dual_value, kkt_report, lagrangian_value, AllocationSettings, Optimizer,
+    allocate_latencies, dual_value, lagrangian_value, AllocationSettings, Optimizer,
     OptimizerConfig, Plan, PriceState, Problem, Resource, ResourceId, ResourceKind, ResourceOwner,
     ShardSpec, ShardedOptimizer, StepSizePolicy, SubtaskId, TaskBuilder, TaskId, UtilityFn,
 };
@@ -72,33 +72,6 @@ fn check_equivalence(problem: &Problem, rounds: usize) {
             plan.max_path_violation(scratch.path_lat()),
             "max path violation",
         );
-
-        if round % 5 == 0 {
-            close(
-                lagrangian_value(problem, &naive_lats, &naive_prices),
-                plan.lagrangian_value(scratch.lats(), &plan_prices),
-                "Lagrangian",
-            );
-            let naive_kkt = kkt_report(problem, &naive_lats, &naive_prices, &settings, 1e-9);
-            let flat: Vec<f64> = scratch.lats().to_vec();
-            let plan_kkt = plan.kkt_report(&flat, &plan_prices, 1e-9, &mut scratch);
-            close(
-                naive_kkt.max_stationarity_residual,
-                plan_kkt.max_stationarity_residual,
-                "KKT stationarity",
-            );
-            close(
-                naive_kkt.max_resource_violation,
-                plan_kkt.max_resource_violation,
-                "KKT resource violation",
-            );
-            close(naive_kkt.max_path_violation, plan_kkt.max_path_violation, "KKT path violation");
-            close(
-                naive_kkt.max_complementary_slackness,
-                plan_kkt.max_complementary_slackness,
-                "KKT complementary slackness",
-            );
-        }
     }
 }
 
